@@ -7,7 +7,9 @@
 use polar_bench::{build_solver, fmt_bytes, Scale, Table};
 use polar_gb::GbParams;
 use polar_molecule::registry::BenchmarkId;
-use polar_mpi::{data_dist::run_data_distributed, drivers::run_distributed, DistributedConfig};
+use polar_mpi::{
+    data_dist::run_data_distributed, run_distributed_ft, DistributedConfig, FaultSpec,
+};
 
 fn main() {
     let scale = Scale::from_env();
@@ -30,8 +32,9 @@ fn main() {
     );
     // Real distributed runs with memory accounting (the in-process ranks
     // register exactly what an MPI process would have to copy).
-    let hybrid = run_distributed(&solver, &DistributedConfig::oct_mpi_cilk(2, 6, params));
-    let pure = run_distributed(&solver, &DistributedConfig::oct_mpi(12, params));
+    let run = |cfg| run_distributed_ft(&solver, &cfg, &FaultSpec::none()).expect("no faults");
+    let hybrid = run(DistributedConfig::oct_mpi_cilk(2, 6, params));
+    let pure = run(DistributedConfig::oct_mpi(12, params));
     let ratio = pure.total_replicated_bytes as f64 / hybrid.total_replicated_bytes as f64;
     t.row(vec![
         "OCT_MPI+CILK".into(),

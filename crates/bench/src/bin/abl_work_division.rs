@@ -13,7 +13,7 @@ use polar_gb::constants::{tau, EPS_WATER};
 use polar_gb::energy::octree::{epol_for_atom_segment, epol_for_leaf_segment, EpolCtx};
 use polar_gb::metrics::percent_diff;
 use polar_gb::partition::even_segments;
-use polar_gb::{GbParams, WorkCounts};
+use polar_gb::{GbParams, LeafEval, WorkCounts};
 use polar_geom::MathMode;
 
 fn main() {
@@ -81,7 +81,10 @@ fn main() {
             let workers = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1);
-            solver.solve_parallel_with_report(&params, workers).1
+            let (_, report) = solver
+                .solve_pooled_report(LeafEval::Traverse, &params, workers)
+                .expect("the traversal has no plan to mismatch");
+            report
         });
     }
     println!(

@@ -9,7 +9,7 @@
 use polar_bench::zdock_spread;
 use polar_bench::{build_solver, fmt_secs, Scale, Table};
 use polar_gb::metrics::{mean_std, percent_diff};
-use polar_gb::GbParams;
+use polar_gb::{GbParams, LeafEval};
 use std::time::Instant;
 
 fn main() {
@@ -69,7 +69,10 @@ fn main() {
     t.emit();
     if let Some(largest) = suite.last() {
         polar_bench::maybe_write_report("fig10_epsilon_tradeoff", || {
-            largest.solve_with_report(&GbParams::default()).1
+            let (_, report) = largest
+                .solve_report(LeafEval::Traverse, &GbParams::default())
+                .expect("the traversal has no plan to mismatch");
+            report
         });
     }
     println!(

@@ -11,7 +11,7 @@
 use polar_bench::zdock_spread;
 use polar_bench::{build_solver, Scale, Table};
 use polar_gb::metrics::percent_diff;
-use polar_gb::GbParams;
+use polar_gb::{GbParams, LeafEval};
 use polar_packages::package::registry;
 
 fn main() {
@@ -61,7 +61,10 @@ fn main() {
     t.emit();
     if let Some(solver) = last_solver {
         polar_bench::maybe_write_report("fig9_energy_values", || {
-            solver.solve_with_report(&params).1
+            let (_, report) = solver
+                .solve_report(LeafEval::Traverse, &params)
+                .expect("the traversal has no plan to mismatch");
+            report
         });
     }
     println!("energies in kcal/mol; OCT err% is the octree-vs-naive % difference (paper: <1%)");

@@ -2,12 +2,12 @@
 
 use crate::args::{ArgError, Args};
 use polar_cluster::Layout;
-use polar_gb::{GbParams, GbSolver};
+use polar_gb::{GbParams, GbSolver, LeafEval};
 use polar_geom::MathMode;
 use polar_molecule::{generators, io, Molecule};
 use polar_mpi::data_dist::run_data_distributed;
 use polar_mpi::recovery::run_distributed_ft;
-use polar_mpi::{drivers::run_distributed, DistributedConfig, FaultSpec};
+use polar_mpi::{DistributedConfig, FaultSpec};
 use polar_octree::OctreeConfig;
 use polar_surface::SurfaceConfig;
 use std::time::Instant;
@@ -96,9 +96,9 @@ pub fn energy(a: &Args) -> CmdResult {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        solver.solve_parallel_with_report(&params, workers)
+        solver.solve_pooled_report(LeafEval::Traverse, &params, workers)?
     } else {
-        solver.solve_with_report(&params)
+        solver.solve_report(LeafEval::Traverse, &params)?
     };
     println!(
         "E_pol = {:.4} kcal/mol  (eps {}/{}, {} math, {:.2?})",
@@ -159,9 +159,9 @@ fn energy_reuse_plan(
     let mut last = None;
     for _ in 0..n {
         last = Some(if workers > 1 {
-            solver.solve_with_plan_parallel_report(&plan, params, workers)?
+            solver.solve_pooled_report(LeafEval::Plan(&plan), params, workers)?
         } else {
-            solver.solve_with_plan_report(&plan, params)?
+            solver.solve_report(LeafEval::Plan(&plan), params)?
         });
     }
     let exec_total = t.elapsed().as_secs_f64();
@@ -826,14 +826,37 @@ pub fn distributed(a: &Args) -> CmdResult {
         ..DistributedConfig::oct_mpi(ranks, params)
     };
     let fault_spec = fault_spec_from(a, ranks)?;
-    if let Some(spec) = fault_spec {
-        if a.flag("data-dist") {
+    if a.flag("data-dist") {
+        if fault_spec.is_some() {
             return Err(Box::new(ArgError(
                 "fault injection requires the replicated driver; drop --data-dist".into(),
             )));
         }
+        if profile.is_some() {
+            eprintln!("warning: --profile is not available for the data-distributed driver");
+        }
+        if cfg.use_plan {
+            eprintln!("warning: --plan is ignored by the data-distributed driver");
+        }
         let t = Instant::now();
-        let run = run_distributed_ft(&solver, &cfg, &spec)?;
+        let run = run_data_distributed(&solver, &cfg);
+        println!(
+            "data-distributed E_pol = {:.4} kcal/mol on {ranks} ranks in {:.2?}",
+            run.epol_kcal,
+            t.elapsed()
+        );
+        println!(
+            "memory: {:.1} MB total vs {:.1} MB work-only replication ({:.1}x saving)",
+            run.total_bytes as f64 / 1048576.0,
+            run.work_only_bytes as f64 / 1048576.0,
+            run.work_only_bytes as f64 / run.total_bytes as f64
+        );
+        return Ok(());
+    }
+    let t = Instant::now();
+    let spec = fault_spec.unwrap_or_else(FaultSpec::none);
+    let run = run_distributed_ft(&solver, &cfg, &spec)?;
+    if run.faults_scheduled {
         let f = &run.fault;
         println!(
             "E_pol = {:.4} kcal/mol on {}/{ranks} surviving ranks x {threads} threads in {:.2?}",
@@ -854,32 +877,7 @@ pub fn distributed(a: &Args) -> CmdResult {
             f.recovered_items,
             f.straggler_extra_seconds * 1e3,
         );
-        emit_report(&run.report(&solver, &cfg), profile);
-        return Ok(());
-    }
-    if a.flag("data-dist") {
-        if profile.is_some() {
-            eprintln!("warning: --profile is not available for the data-distributed driver");
-        }
-        if cfg.use_plan {
-            eprintln!("warning: --plan is ignored by the data-distributed driver");
-        }
-        let t = Instant::now();
-        let run = run_data_distributed(&solver, &cfg);
-        println!(
-            "data-distributed E_pol = {:.4} kcal/mol on {ranks} ranks in {:.2?}",
-            run.epol_kcal,
-            t.elapsed()
-        );
-        println!(
-            "memory: {:.1} MB total vs {:.1} MB work-only replication ({:.1}x saving)",
-            run.total_bytes as f64 / 1048576.0,
-            run.work_only_bytes as f64 / 1048576.0,
-            run.work_only_bytes as f64 / run.total_bytes as f64
-        );
     } else {
-        let t = Instant::now();
-        let run = run_distributed(&solver, &cfg);
         println!(
             "E_pol = {:.4} kcal/mol on {ranks} ranks x {threads} threads in {:.2?}",
             run.epol_kcal,
@@ -894,8 +892,8 @@ pub fn distributed(a: &Args) -> CmdResult {
                 .fold(0.0, f64::max)
                 * 1e3
         );
-        emit_report(&run.report(&solver, &cfg), profile);
     }
+    emit_report(&run.report(&solver, &cfg), profile);
     Ok(())
 }
 

@@ -121,7 +121,8 @@ USAGE:
       --approx-math               fast sqrt/exp/cbrt kernels
       --strict-fp                 scalar strict-fp plan execution (the
                                   lane-kernel fast path is the default)
-      --parallel                  shared-memory (OCT_CILK) driver
+      --parallel                  shared-memory (OCT_CILK) solve on the
+                                  work-stealing pool
       --naive                     also run the O(M^2) reference + error
       --profile json|csv          print a structured SolveReport to stdout
       --reuse-plan N              plan the traversals once, execute N solves
@@ -129,8 +130,11 @@ USAGE:
   polar info <file>         atom counts, charge, bounds, surface size
   polar generate <kind> <n> synthesize globule|shell|ligand [--seed S] [--out f.pqr]
   polar sweep <file>        error/time vs eps [--from A --to B --steps K]
-  polar distributed <file>  in-process MPI drivers [--ranks P] [--threads p] [--data-dist]
+  polar distributed <file>  the in-process OCT_MPI / OCT_MPI+CILK driver
+                            [--ranks P] [--threads p]
       --plan                      ranks execute segments of a shared plan
+      --data-dist                 partition the quadrature points over ranks
+                                  instead of replicating them (no faults, no --plan)
       --faults spec.json          inject the fault schedule from a FaultSpec file
       --fault-seed N              inject a deterministic seeded fault schedule;
                                   survivors recover lost work by re-division

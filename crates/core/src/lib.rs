@@ -18,7 +18,8 @@
 //! Naive quadratic reference kernels ([`born::exact`], [`energy::exact`])
 //! are included for error measurement (the paper's "Naïve" rows), plus the
 //! pairwise-descreening Born radii (HCT/OBC/Still) used by the baseline
-//! packages, and rayon-parallel drivers (the paper's `OCT_CILK`).
+//! packages, and shared-memory parallel drivers (the paper's `OCT_CILK`)
+//! on `polar-runtime`'s work-stealing pool.
 //!
 //! # Quick start
 //!
@@ -36,6 +37,7 @@ pub mod batch;
 pub mod born;
 pub mod constants;
 pub mod energy;
+pub mod eval;
 pub mod induction;
 pub mod kernels;
 pub mod metrics;
@@ -51,6 +53,7 @@ pub use batch::{
     BatchEngine, BatchJob, BatchOutcome, CacheStats, RescoreError, ServeEngine, ServeSolve,
 };
 pub use energy::GradientError;
+pub use eval::LeafEval;
 pub use induction::{induce_naive, induce_with_plan, InductionConfig, InductionResult};
 pub use kernels::KernelMode;
 pub use minimize::{minimize, MinimizeConfig, MinimizeOutcome};

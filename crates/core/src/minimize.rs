@@ -24,6 +24,7 @@
 //! never accepts an uphill point.
 
 use crate::energy::gradient::GradientError;
+use crate::eval::LeafEval;
 use crate::plan::{InteractionPlan, PlanDelta, ReplanConfig};
 use crate::report::{GradientIterRow, GradientReport};
 use crate::solver::{GbParams, GbSolver, GradResult};
@@ -317,7 +318,7 @@ fn energy_at(
     let t0 = std::time::Instant::now();
     let e = if cfg.n_workers > 1 {
         solver
-            .solve_with_plan_parallel_report(plan, p, cfg.n_workers)?
+            .solve_pooled_report(LeafEval::Plan(plan), p, cfg.n_workers)?
             .0
             .epol_kcal
     } else {
@@ -336,9 +337,7 @@ fn eval_gradient(
     cfg: &MinimizeConfig,
 ) -> Result<GradResult, GradientError> {
     if cfg.n_workers > 1 {
-        Ok(solver
-            .gradient_with_plan_parallel_report(plan, p, cfg.n_workers)?
-            .0)
+        Ok(solver.gradient_pooled_report(plan, p, cfg.n_workers)?.0)
     } else {
         solver.gradient_with_plan(plan, p)
     }

@@ -1,12 +1,14 @@
 //! High-level GB solver: build once, solve for any ε.
 //!
-//! [`GbSolver`] owns the two octrees and the quadrature points; its
-//! methods implement the serial reference and the shared-memory parallel
-//! variant (the paper's `OCT_CILK`, here on rayon's work-stealing pool —
-//! the same randomized-stealing discipline as cilk++). The distributed
-//! drivers in `polar-mpi` and the cluster simulator in `polar-cluster`
-//! call the segment-level entry points re-exported from [`crate::born`]
-//! and [`crate::energy`].
+//! [`GbSolver`] owns the two octrees and the quadrature points. Its
+//! methods run the paper's pipeline (integrals over `T_Q` leaf segments →
+//! push over atom segments → energy over `T_A` leaf segments) serially or
+//! on `polar_runtime`'s work-stealing pool (the paper's `OCT_CILK`: the
+//! same randomized-stealing discipline as cilk++), with a [`LeafEval`]
+//! choosing between the recursive traversals and plan replay for each
+//! segment. The distributed driver in `polar-mpi` runs the same pipeline
+//! per rank through the same evaluator; the cluster simulator in
+//! `polar-cluster` replays its per-leaf work counts.
 
 use crate::born::exact as born_exact;
 use crate::born::octree::{
@@ -17,6 +19,7 @@ use crate::constants::tau;
 use crate::energy::exact as energy_exact;
 use crate::energy::gradient::GradientError;
 use crate::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use crate::eval::LeafEval;
 use crate::kernels::KernelMode;
 use crate::partition::even_segments;
 use crate::plan::{InteractionPlan, PlanError};
@@ -25,8 +28,8 @@ use crate::stats::WorkCounts;
 use polar_geom::{MathMode, Vec3};
 use polar_molecule::Molecule;
 use polar_octree::{Octree, OctreeConfig};
+use polar_runtime::StealStats;
 use polar_surface::{QuadPoint, SurfaceConfig};
-use rayon::prelude::*;
 
 /// Tunable solve parameters (paper §V.C uses ε = 0.9 for both stages).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,6 +96,17 @@ pub struct GradResult {
 }
 
 impl GradResult {
+    fn new(solve: GbResult, grad: Vec<Vec3>, work_grad: WorkCounts) -> GradResult {
+        GradResult {
+            grad,
+            epol_kcal: solve.epol_kcal,
+            born: solve.born,
+            work_born: solve.work_born,
+            work_epol: solve.work_epol,
+            work_grad,
+        }
+    }
+
     /// Max-norm of the gradient (kcal/mol/Å) — the minimizer's
     /// convergence measure.
     pub fn grad_max(&self) -> f64 {
@@ -181,6 +195,18 @@ pub struct FrameDelta {
     pub q: polar_octree::RefreshDelta,
     /// Largest single-point displacement across both trees (Å).
     pub max_disp: f64,
+}
+
+/// Run one stage's tasks on the work-stealing pool — the only place the
+/// solver fans out — folding the batch's scheduler counters into `steal`.
+fn fan_out<T: Send, F: FnOnce() -> T + Send>(
+    n_workers: usize,
+    steal: &mut StealStats,
+    tasks: Vec<F>,
+) -> Vec<T> {
+    let (out, stats) = polar_runtime::run_batch(n_workers, tasks);
+    steal.merge(&stats);
+    out
 }
 
 /// The prepared solver: molecule data + both octrees + q-point aggregates.
@@ -404,73 +430,51 @@ impl GbSolver {
 
     /// Full serial octree solve.
     pub fn solve(&self, p: &GbParams) -> GbResult {
-        let (born, work_born) = self.born_radii(p);
-        let (epol_kcal, work_epol) = self.epol(&born, p);
-        GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        }
+        self.solve_timed(LeafEval::Traverse, p, &mut SolveScratch::new())
+            .0
     }
 
-    /// Serial solve plus a structured [`SolveReport`] (per-stage wall
-    /// time and work, tree shape, memory footprint).
-    pub fn solve_with_report(&self, p: &GbParams) -> (GbResult, SolveReport) {
-        let t0 = std::time::Instant::now();
-        let (born, work_born) = self.born_radii(p);
-        let born_s = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let (epol_kcal, work_epol) = self.epol(&born, p);
-        let epol_s = t1.elapsed().as_secs_f64();
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        };
-        let report = self.base_report("serial", p, &result, born_s, epol_s);
-        (result, report)
+    /// Serial solve through `eval` plus a structured [`SolveReport`]
+    /// (mode `"serial"` or `"plan"`: per-stage wall time and work, tree
+    /// shape, memory footprint, the plan's list statistics).
+    pub fn solve_report(
+        &self,
+        eval: LeafEval<'_>,
+        p: &GbParams,
+    ) -> Result<(GbResult, SolveReport), PlanError> {
+        eval.check(self, p)?;
+        let (result, born_s, epol_s) = self.solve_timed(eval, p, &mut SolveScratch::new());
+        let report = self.eval_report(eval, false, p, &result, born_s, epol_s);
+        Ok((result, report))
     }
 
-    /// Shared skeleton of every report this solver emits: identity,
-    /// stage rows, tree shapes, memory. Callers attach steal/comm
-    /// sections for their execution mode.
-    fn base_report(
+    /// The one [`SolveReport`] skeleton: identity, the two stage rows,
+    /// tree shapes, memory. Callers attach the steal/comm/plan/fault
+    /// sections of their execution mode.
+    pub fn base_report(
         &self,
         mode: &str,
+        kernel: KernelMode,
         p: &GbParams,
-        result: &GbResult,
-        born_s: f64,
-        epol_s: f64,
+        epol_kcal: f64,
+        born: (f64, WorkCounts),
+        epol: (f64, WorkCounts),
     ) -> SolveReport {
+        let stage = |name: &str, (wall_seconds, work): (f64, WorkCounts)| StageReport {
+            name: name.into(),
+            wall_seconds,
+            work,
+        };
         SolveReport {
             molecule: self.name.clone(),
             mode: mode.to_string(),
-            // Only plan-execute paths honour `p.kernel`; the recursive
-            // traversals are always scalar strict-fp.
-            kernel_mode: if mode.starts_with("plan") {
-                p.kernel.label().to_string()
-            } else {
-                KernelMode::Strict.label().to_string()
-            },
+            kernel_mode: kernel.label().to_string(),
             n_atoms: self.n_atoms(),
             n_qpoints: self.n_qpoints(),
             eps_born: p.eps_born,
             eps_epol: p.eps_epol,
-            epol_kcal: result.epol_kcal,
-            stages: vec![
-                StageReport {
-                    name: "born".into(),
-                    wall_seconds: born_s,
-                    work: result.work_born,
-                },
-                StageReport {
-                    name: "epol".into(),
-                    wall_seconds: epol_s,
-                    work: result.work_epol,
-                },
-            ],
+            epol_kcal,
+            stages: vec![stage("born", born), stage("epol", epol)],
             tree_a: TreeDepthStats::for_tree(&self.tree_a),
             tree_q: TreeDepthStats::for_tree(&self.tree_q),
             steal: None,
@@ -479,6 +483,27 @@ impl GbSolver {
             fault: None,
             memory_bytes: self.memory_bytes() as u64,
         }
+    }
+
+    fn eval_report(
+        &self,
+        eval: LeafEval<'_>,
+        pooled: bool,
+        p: &GbParams,
+        result: &GbResult,
+        born_s: f64,
+        epol_s: f64,
+    ) -> SolveReport {
+        let mut report = self.base_report(
+            eval.mode(pooled),
+            eval.kernel_mode(p),
+            p,
+            result.epol_kcal,
+            (born_s, result.work_born),
+            (epol_s, result.work_epol),
+        );
+        report.plan = eval.plan_stats();
+        report
     }
 
     // ---------------------------------------------------------------
@@ -506,8 +531,7 @@ impl GbSolver {
         plan: &InteractionPlan,
         p: &GbParams,
     ) -> Result<GbResult, PlanError> {
-        let (result, _, _) = self.solve_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        Ok(result)
+        self.solve_with_plan_scratch(plan, p, &mut SolveScratch::new())
     }
 
     /// As [`GbSolver::solve_with_plan`], but working out of a reusable
@@ -521,39 +545,27 @@ impl GbSolver {
         p: &GbParams,
         scratch: &mut SolveScratch,
     ) -> Result<GbResult, PlanError> {
-        let (result, _, _) = self.solve_with_plan_timed(plan, p, scratch)?;
-        Ok(result)
+        plan.check_compatible(self, p)?;
+        Ok(self.solve_timed(LeafEval::Plan(plan), p, scratch).0)
     }
 
-    /// As [`GbSolver::solve_with_plan`], plus a [`SolveReport`]
-    /// (mode `"plan"`) carrying the plan's list statistics.
-    pub fn solve_with_plan_report(
+    /// The serial pipeline — integrals over all `T_Q` leaves, push,
+    /// energy over all `T_A` leaves — with per-stage wall seconds. The
+    /// caller has already checked `eval` against this solver.
+    fn solve_timed(
         &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-    ) -> Result<(GbResult, SolveReport), PlanError> {
-        let (result, born_s, epol_s) =
-            self.solve_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        let mut report = self.base_report("plan", p, &result, born_s, epol_s);
-        report.plan = Some(plan.stats());
-        Ok((result, report))
-    }
-
-    fn solve_with_plan_timed(
-        &self,
-        plan: &InteractionPlan,
+        eval: LeafEval<'_>,
         p: &GbParams,
         scratch: &mut SolveScratch,
-    ) -> Result<(GbResult, f64, f64), PlanError> {
-        plan.check_compatible(self, p)?;
+    ) -> (GbResult, f64, f64) {
         let ctx = self.born_ctx();
         let t0 = std::time::Instant::now();
         let mut work_born = WorkCounts::ZERO;
         let totals = scratch.partials_for(&self.tree_a);
-        plan.execute_born_segment(
+        eval.born_into(
             &ctx,
+            p,
             0..self.tree_q.leaves().len(),
-            p.kernel,
             totals,
             &mut work_born,
         );
@@ -580,19 +592,17 @@ impl GbSolver {
                 .map(|&o| scratch.born[o as usize]),
         );
         let mut work_epol = WorkCounts::ZERO;
-        let epol_kcal = plan.execute_epol_segment(
+        let epol_kcal = eval.epol(
             &ectx,
             &scratch.born_slot,
-            p.math,
-            p.kernel,
-            tau(p.eps_solvent),
+            p,
             0..self.tree_a.leaves().len(),
             &mut work_epol,
         );
         (scratch.hist, scratch.nonzero_bins) = ectx.into_buffers();
         scratch.reuses += 1;
         let epol_s = t1.elapsed().as_secs_f64();
-        Ok((
+        (
             GbResult {
                 born: scratch.born.clone(),
                 epol_kcal,
@@ -601,7 +611,7 @@ impl GbSolver {
             },
             born_s,
             epol_s,
-        ))
+        )
     }
 
     /// Permute original-order Born radii into Morton slot order — the
@@ -615,66 +625,81 @@ impl GbSolver {
             .collect()
     }
 
-    /// Plan-execute solve on the work-stealing pool: the plan's per-leaf
-    /// list segments are chunked through [`polar_runtime::run_batch`]
-    /// (mode `"plan_parallel"`), so steal counters keep working.
-    pub fn solve_with_plan_parallel_report(
+    // ---------------------------------------------------------------
+    // Shared-memory parallel solver (OCT_CILK)
+    // ---------------------------------------------------------------
+
+    /// Work-stealing parallel solve (`OCT_CILK` on `polar_runtime`'s
+    /// cilk-style pool) through `eval`, plus a [`SolveReport`] (mode
+    /// `"parallel"` or `"plan_parallel"`) with real per-stage
+    /// [`WorkCounts`] and merged scheduler counters from all three task
+    /// batches (integrals, push, energy).
+    ///
+    /// The stage work totals are schedule-independent: they equal the
+    /// serial solve's exactly, whatever the steal pattern was.
+    pub fn solve_pooled_report(
         &self,
-        plan: &InteractionPlan,
+        eval: LeafEval<'_>,
         p: &GbParams,
         n_workers: usize,
     ) -> Result<(GbResult, SolveReport), PlanError> {
-        plan.check_compatible(self, p)?;
-        let p = *p;
-        let n_workers = n_workers.max(1);
-        let ctx = self.born_ctx();
-        let ctx = &ctx;
+        eval.check(self, p)?;
+        let (result, born_s, epol_s, steal) = self.solve_pooled(eval, p, n_workers.max(1));
+        let mut report = self.eval_report(eval, true, p, &result, born_s, epol_s);
+        report.steal = Some(StealReport::from(&steal));
+        Ok((result, report))
+    }
 
-        // Stage 1a: execute Born lists over q-leaf chunks.
+    /// The pooled pipeline: each stage's leaf segments fan out over
+    /// `n_workers` work-stealing threads and merge in task order, so the
+    /// result is deterministic for a fixed worker count.
+    fn solve_pooled(
+        &self,
+        eval: LeafEval<'_>,
+        p: &GbParams,
+        n_workers: usize,
+    ) -> (GbResult, f64, f64, StealStats) {
+        let ctx = &self.born_ctx();
+        let mut steal = StealStats::default();
+
+        // Stage 1a: integrals over chunks of T_Q leaves.
         let t0 = std::time::Instant::now();
         let n_qleaves = self.tree_q.leaves().len();
         let chunk = (n_qleaves / (n_workers * 8)).max(1);
-        let tasks: Vec<_> = (0..n_qleaves)
+        let tasks = (0..n_qleaves)
             .step_by(chunk)
             .map(|s| {
                 move || {
                     let mut counts = WorkCounts::ZERO;
-                    let mut part = BornPartials::zeros(ctx.tree_a);
-                    plan.execute_born_segment(
-                        ctx,
-                        s..(s + chunk).min(n_qleaves),
-                        p.kernel,
-                        &mut part,
-                        &mut counts,
-                    );
+                    let part = eval.born(ctx, p, s..(s + chunk).min(n_qleaves), &mut counts);
                     (part, counts)
                 }
             })
             .collect();
-        let (parts, steal_exec) = polar_runtime::run_batch(n_workers, tasks);
         let mut work_born = WorkCounts::ZERO;
         let mut totals = BornPartials::zeros(&self.tree_a);
-        for (part, counts) in parts {
+        for (part, counts) in fan_out(n_workers, &mut steal, tasks) {
             totals.add(&part);
             work_born.accumulate(counts);
         }
         let totals = &totals;
 
-        // Stage 1b: the push sweep is unchanged — it was never a hot
-        // traversal (one visit per node), so the recursive sweep stays.
+        // Stage 1b: PUSH-INTEGRALS-TO-ATOMS over slot segments, each task
+        // writing a buffer sized for its own segment (one visit per node:
+        // never a hot traversal, so there is no list form of it).
         let segs = even_segments(self.n_atoms(), n_workers * 4);
-        let push_tasks: Vec<_> = segs
+        let push_tasks = segs
             .iter()
             .cloned()
             .map(|r| {
                 move || {
                     let mut out = vec![0.0; r.len()];
-                    push_integrals_to_atoms_slots(ctx, totals, r.clone(), p.math, &mut out);
+                    push_integrals_to_atoms_slots(ctx, totals, r, p.math, &mut out);
                     out
                 }
             })
             .collect();
-        let (pieces, steal_push) = polar_runtime::run_batch(n_workers, push_tasks);
+        let pieces = fan_out(n_workers, &mut steal, push_tasks);
         let mut born = vec![0.0; self.n_atoms()];
         for (seg, piece) in segs.iter().zip(&pieces) {
             for (k, slot) in seg.clone().enumerate() {
@@ -683,43 +708,27 @@ impl GbSolver {
         }
         let born_s = t0.elapsed().as_secs_f64();
 
-        // Stage 2: execute energy lists over T_A leaf chunks.
+        // Stage 2: energy over segments of T_A leaves.
         let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
-        let ectx = &ectx;
-        let born_slot = self.born_by_slot(&born);
-        let born_slot = &born_slot;
-        let esegs = even_segments(self.tree_a.leaves().len(), n_workers * 8);
-        let etasks: Vec<_> = esegs
+        let ectx = &EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
+        let born_slot = &self.born_by_slot(&born);
+        let etasks = even_segments(self.tree_a.leaves().len(), n_workers * 8)
             .into_iter()
             .map(|r| {
                 move || {
                     let mut counts = WorkCounts::ZERO;
-                    let e = plan.execute_epol_segment(
-                        ectx,
-                        born_slot,
-                        p.math,
-                        p.kernel,
-                        tau(p.eps_solvent),
-                        r,
-                        &mut counts,
-                    );
+                    let e = eval.epol(ectx, born_slot, p, r, &mut counts);
                     (e, counts)
                 }
             })
             .collect();
-        let (eparts, steal_epol) = polar_runtime::run_batch(n_workers, etasks);
         let mut work_epol = WorkCounts::ZERO;
         let mut epol_kcal = 0.0;
-        for (e, counts) in eparts {
+        for (e, counts) in fan_out(n_workers, &mut steal, etasks) {
             epol_kcal += e;
             work_epol.accumulate(counts);
         }
         let epol_s = t1.elapsed().as_secs_f64();
-
-        let mut steal = steal_exec;
-        steal.merge(&steal_push);
-        steal.merge(&steal_epol);
 
         let result = GbResult {
             born,
@@ -727,10 +736,7 @@ impl GbSolver {
             work_born,
             work_epol,
         };
-        let mut report = self.base_report("plan_parallel", &p, &result, born_s, epol_s);
-        report.steal = Some(StealReport::from(&steal));
-        report.plan = Some(plan.stats());
-        Ok((result, report))
+        (result, born_s, epol_s, steal)
     }
 
     // ---------------------------------------------------------------
@@ -749,122 +755,62 @@ impl GbSolver {
         plan: &InteractionPlan,
         p: &GbParams,
     ) -> Result<GradResult, GradientError> {
-        let (result, ..) = self.gradient_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        Ok(result)
+        let solve = self.solve_with_plan(plan, p)?;
+        let (grad, work_grad, _) = self.gradient_stage(plan, p, &solve.born, None)?;
+        Ok(GradResult::new(solve, grad, work_grad))
     }
 
-    /// As [`GbSolver::gradient_with_plan`], plus a [`SolveReport`]
-    /// (mode `"plan_gradient"`) with a third `"gradient"` stage row.
-    pub fn gradient_with_plan_report(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-    ) -> Result<(GradResult, SolveReport), GradientError> {
-        let (result, born_s, epol_s, grad_s) =
-            self.gradient_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        let mut report = self.gradient_report("plan_gradient", p, &result, born_s, epol_s, grad_s);
-        report.plan = Some(plan.stats());
-        Ok((result, report))
-    }
-
-    fn gradient_report(
-        &self,
-        mode: &str,
-        p: &GbParams,
-        result: &GradResult,
-        born_s: f64,
-        epol_s: f64,
-        grad_s: f64,
-    ) -> SolveReport {
-        let proxy = GbResult {
-            born: Vec::new(),
-            epol_kcal: result.epol_kcal,
-            work_born: result.work_born,
-            work_epol: result.work_epol,
-        };
-        let mut report = self.base_report(mode, p, &proxy, born_s, epol_s);
-        report.stages.push(StageReport {
-            name: "gradient".into(),
-            wall_seconds: grad_s,
-            work: result.work_grad,
-        });
-        report
-    }
-
-    fn gradient_with_plan_timed(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-        scratch: &mut SolveScratch,
-    ) -> Result<(GradResult, f64, f64, f64), GradientError> {
-        let (solve, born_s, epol_s) = self.solve_with_plan_timed(plan, p, scratch)?;
-        let t2 = std::time::Instant::now();
-        let born_slot = self.born_by_slot(&solve.born);
-        let inv_born: Vec<f64> = born_slot.iter().map(|&r| 1.0 / r).collect();
-        let n = self.n_atoms();
-        let (mut gx, mut gy, mut gz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut work_grad = WorkCounts::ZERO;
-        plan.execute_gradient_segment(
-            &self.tree_a,
-            &born_slot,
-            &inv_born,
-            p.math,
-            p.kernel,
-            tau(p.eps_solvent),
-            0..self.tree_a.leaves().len(),
-            0,
-            &mut gx,
-            &mut gy,
-            &mut gz,
-            &mut work_grad,
-        )?;
-        let mut grad = vec![Vec3::ZERO; n];
-        for slot in 0..n {
-            grad[self.tree_a.order()[slot] as usize] = Vec3::new(gx[slot], gy[slot], gz[slot]);
-        }
-        let grad_s = t2.elapsed().as_secs_f64();
-        Ok((
-            GradResult {
-                grad,
-                epol_kcal: solve.epol_kcal,
-                born: solve.born,
-                work_born: solve.work_born,
-                work_epol: solve.work_epol,
-                work_grad,
-            },
-            born_s,
-            epol_s,
-            grad_s,
-        ))
-    }
-
-    /// Parallel plan-path gradient (mode `"plan_gradient_parallel"`):
-    /// Born/energy stages as [`GbSolver::solve_with_plan_parallel_report`],
-    /// then gradient leaf segments fan out over the work-stealing pool.
-    /// Each task owns a disjoint contiguous slot span (its leaves'
-    /// targets) and results merge by task index, so for fixed Born
-    /// radii the gradient stage is **bitwise identical** for any worker
-    /// count or steal schedule. End-to-end output tracks the serial
-    /// path at ulp grade only, because the parallel Born stage
-    /// re-associates per-chunk partials.
-    pub fn gradient_with_plan_parallel_report(
+    /// Parallel plan-path gradient (mode `"plan_gradient_parallel"`, with
+    /// a third `"gradient"` stage row): Born/energy stages as
+    /// [`GbSolver::solve_pooled_report`], then gradient leaf segments fan
+    /// out over the same pool. Each task owns a disjoint contiguous slot
+    /// span (its leaves' targets) and results merge by task index, so
+    /// for fixed Born radii the gradient stage is **bitwise identical**
+    /// for any worker count or steal schedule. End-to-end output tracks
+    /// the serial path at ulp grade only, because the parallel Born
+    /// stage re-associates per-chunk partials.
+    pub fn gradient_pooled_report(
         &self,
         plan: &InteractionPlan,
         p: &GbParams,
         n_workers: usize,
     ) -> Result<(GradResult, SolveReport), GradientError> {
-        let (solve, mut report) = self.solve_with_plan_parallel_report(plan, p, n_workers)?;
+        plan.check_compatible(self, p)?;
         let n_workers = n_workers.max(1);
+        let eval = LeafEval::Plan(plan);
+        let (solve, born_s, epol_s, mut steal) = self.solve_pooled(eval, p, n_workers);
         let t2 = std::time::Instant::now();
-        let born_slot = self.born_by_slot(&solve.born);
-        let born_slot = &born_slot;
-        let inv_born: Vec<f64> = born_slot.iter().map(|&r| 1.0 / r).collect();
-        let inv_born = &inv_born;
+        let (grad, work_grad, steal_grad) =
+            self.gradient_stage(plan, p, &solve.born, Some(n_workers))?;
+        let grad_s = t2.elapsed().as_secs_f64();
+        steal.merge(&steal_grad);
+
+        let mut report = self.eval_report(eval, true, p, &solve, born_s, epol_s);
+        report.mode = "plan_gradient_parallel".into();
+        report.stages.push(StageReport {
+            name: "gradient".into(),
+            wall_seconds: grad_s,
+            work: work_grad,
+        });
+        report.steal = Some(StealReport::from(&steal));
+        Ok((GradResult::new(solve, grad, work_grad), report))
+    }
+
+    /// The gradient stage at fixed Born radii: one task per leaf segment,
+    /// inline (`pool: None`, a single segment) or on `pool` work-stealing
+    /// threads; returns the gradient in original atom order.
+    fn gradient_stage(
+        &self,
+        plan: &InteractionPlan,
+        p: &GbParams,
+        born: &[f64],
+        pool: Option<usize>,
+    ) -> Result<(Vec<Vec3>, WorkCounts, StealStats), GradientError> {
+        let born_slot = &self.born_by_slot(born);
+        let inv_born = &born_slot.iter().map(|&r| 1.0 / r).collect::<Vec<f64>>();
         let tree = &self.tree_a;
         let leaves = tree.leaves();
-        let p = *p;
-        let segs = even_segments(leaves.len(), n_workers * 8);
-        let tasks: Vec<_> = segs
+        let tasks: Vec<_> = even_segments(leaves.len(), pool.map_or(1, |w| w * 8))
             .into_iter()
             .filter(|r| !r.is_empty())
             .map(|r| {
@@ -894,224 +840,21 @@ impl GbSolver {
                 }
             })
             .collect();
-        let (parts, steal_grad) = polar_runtime::run_batch(n_workers, tasks);
-        let n = self.n_atoms();
-        let mut grad = vec![Vec3::ZERO; n];
+        let mut steal = StealStats::default();
+        let parts = match pool {
+            Some(n_workers) => fan_out(n_workers, &mut steal, tasks),
+            None => tasks.into_iter().map(|task| task()).collect(),
+        };
+        let mut grad = vec![Vec3::ZERO; self.n_atoms()];
         let mut work_grad = WorkCounts::ZERO;
         for (lo, gx, gy, gz, counts, res) in parts {
             res?;
             work_grad.accumulate(counts);
             for k in 0..gx.len() {
-                grad[self.tree_a.order()[lo + k] as usize] = Vec3::new(gx[k], gy[k], gz[k]);
+                grad[tree.order()[lo + k] as usize] = Vec3::new(gx[k], gy[k], gz[k]);
             }
         }
-        let grad_s = t2.elapsed().as_secs_f64();
-        let result = GradResult {
-            grad,
-            epol_kcal: solve.epol_kcal,
-            born: solve.born,
-            work_born: solve.work_born,
-            work_epol: solve.work_epol,
-            work_grad,
-        };
-        report.mode = "plan_gradient_parallel".into();
-        report.stages.push(StageReport {
-            name: "gradient".into(),
-            wall_seconds: grad_s,
-            work: work_grad,
-        });
-        if let Some(s) = &mut report.steal {
-            let extra = StealReport::from(&steal_grad);
-            s.total_executed += extra.total_executed;
-            s.total_steals += extra.total_steals;
-        }
-        Ok((result, report))
-    }
-
-    // ---------------------------------------------------------------
-    // Shared-memory parallel solver (OCT_CILK)
-    // ---------------------------------------------------------------
-
-    /// Born radii on rayon's work-stealing pool: q-leaf tasks are stolen
-    /// dynamically (the paper's implicit dynamic load balancing), partial
-    /// accumulators combine additively.
-    pub fn born_radii_parallel(&self, p: &GbParams) -> Vec<f64> {
-        let ctx = self.born_ctx();
-        let n_leaves = self.tree_q.leaves().len();
-        if n_leaves == 0 {
-            return vec![crate::constants::BORN_RADIUS_MAX; self.n_atoms()];
-        }
-        // Chunk leaves so each task amortizes its accumulator allocation.
-        let chunk = (n_leaves / (rayon::current_num_threads() * 8)).max(1);
-        let starts: Vec<usize> = (0..n_leaves).step_by(chunk).collect();
-        let totals = starts
-            .into_par_iter()
-            .map(|s| {
-                let mut counts = WorkCounts::ZERO;
-                approx_integrals(&ctx, p.eps_born, s..(s + chunk).min(n_leaves), &mut counts)
-            })
-            .reduce_with(|mut a, b| {
-                a.add(&b);
-                a
-            })
-            .unwrap_or_else(|| BornPartials::zeros(&self.tree_a));
-        // Parallel push: each atom segment fills a buffer sized for the
-        // segment alone (a full n_atoms buffer per task would make the
-        // push stage O(n_atoms · tasks) in allocation and zeroing).
-        let segs = even_segments(self.n_atoms(), rayon::current_num_threads().max(1) * 4);
-        let mut born = vec![0.0; self.n_atoms()];
-        let pieces: Vec<Vec<f64>> = segs
-            .par_iter()
-            .map(|r| {
-                let mut out = vec![0.0; r.len()];
-                push_integrals_to_atoms_slots(&ctx, &totals, r.clone(), p.math, &mut out);
-                out
-            })
-            .collect();
-        // Scatter: each slot range writes a disjoint set of original ids.
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                let orig = self.tree_a.order()[slot] as usize;
-                born[orig] = piece[k];
-            }
-        }
-        born
-    }
-
-    /// E_pol on rayon: one task per leaf segment, summed.
-    pub fn epol_parallel(&self, born: &[f64], p: &GbParams) -> f64 {
-        let ctx = EpolCtx::new(&self.tree_a, &self.charges, born, p.eps_epol);
-        let n_leaves = self.tree_a.leaves().len();
-        let segs = even_segments(n_leaves, (rayon::current_num_threads() * 8).max(1));
-        segs.into_par_iter()
-            .map(|r| {
-                let mut counts = WorkCounts::ZERO;
-                epol_for_leaf_segment(&ctx, p.eps_epol, p.math, tau(p.eps_solvent), r, &mut counts)
-            })
-            .sum()
-    }
-
-    /// Full shared-memory parallel solve (`OCT_CILK`) on the
-    /// work-stealing pool, sized to the machine.
-    pub fn solve_parallel(&self, p: &GbParams) -> GbResult {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.solve_parallel_with_report(p, workers).0
-    }
-
-    /// Work-stealing parallel solve (`OCT_CILK` on `polar_runtime`'s
-    /// cilk-style pool) plus a [`SolveReport`] with real per-stage
-    /// [`WorkCounts`] and merged scheduler counters from all three task
-    /// batches (integrals, push, energy).
-    ///
-    /// The stage work totals are schedule-independent: they equal the
-    /// serial solve's exactly, whatever the steal pattern was.
-    pub fn solve_parallel_with_report(
-        &self,
-        p: &GbParams,
-        n_workers: usize,
-    ) -> (GbResult, SolveReport) {
-        let p = *p;
-        let n_workers = n_workers.max(1);
-        let ctx = self.born_ctx();
-        let ctx = &ctx;
-
-        // Stage 1a: APPROX-INTEGRALS over chunks of T_Q leaves.
-        let t0 = std::time::Instant::now();
-        let n_qleaves = self.tree_q.leaves().len();
-        let chunk = (n_qleaves / (n_workers * 8)).max(1);
-        let tasks: Vec<_> = (0..n_qleaves)
-            .step_by(chunk)
-            .map(|s| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let totals = approx_integrals(
-                        ctx,
-                        p.eps_born,
-                        s..(s + chunk).min(n_qleaves),
-                        &mut counts,
-                    );
-                    (totals, counts)
-                }
-            })
-            .collect();
-        let (parts, steal_integrals) = polar_runtime::run_batch(n_workers, tasks);
-        let mut work_born = WorkCounts::ZERO;
-        let mut totals = BornPartials::zeros(&self.tree_a);
-        for (part, counts) in parts {
-            totals.add(&part);
-            work_born.accumulate(counts);
-        }
-        let totals = &totals;
-
-        // Stage 1b: PUSH-INTEGRALS-TO-ATOMS over slot segments, each task
-        // writing a buffer sized for its own segment.
-        let segs = even_segments(self.n_atoms(), n_workers * 4);
-        let push_tasks: Vec<_> = segs
-            .iter()
-            .cloned()
-            .map(|r| {
-                move || {
-                    let mut out = vec![0.0; r.len()];
-                    push_integrals_to_atoms_slots(ctx, totals, r.clone(), p.math, &mut out);
-                    out
-                }
-            })
-            .collect();
-        let (pieces, steal_push) = polar_runtime::run_batch(n_workers, push_tasks);
-        let mut born = vec![0.0; self.n_atoms()];
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                born[self.tree_a.order()[slot] as usize] = piece[k];
-            }
-        }
-        let born_s = t0.elapsed().as_secs_f64();
-
-        // Stage 2: APPROX-EPOL over segments of T_A leaves.
-        let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
-        let ectx = &ectx;
-        let esegs = even_segments(self.tree_a.leaves().len(), n_workers * 8);
-        let etasks: Vec<_> = esegs
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let e = epol_for_leaf_segment(
-                        ectx,
-                        p.eps_epol,
-                        p.math,
-                        tau(p.eps_solvent),
-                        r,
-                        &mut counts,
-                    );
-                    (e, counts)
-                }
-            })
-            .collect();
-        let (eparts, steal_epol) = polar_runtime::run_batch(n_workers, etasks);
-        let mut work_epol = WorkCounts::ZERO;
-        let mut epol_kcal = 0.0;
-        for (e, counts) in eparts {
-            epol_kcal += e;
-            work_epol.accumulate(counts);
-        }
-        let epol_s = t1.elapsed().as_secs_f64();
-
-        let mut steal = steal_integrals;
-        steal.merge(&steal_push);
-        steal.merge(&steal_epol);
-
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        };
-        let mut report = self.base_report("parallel", &p, &result, born_s, epol_s);
-        report.steal = Some(StealReport::from(&steal));
-        (result, report)
+        Ok((grad, work_grad, steal))
     }
 
     // ---------------------------------------------------------------
@@ -1215,7 +958,10 @@ mod tests {
         let s = solver(300, 3);
         let p = GbParams::default();
         let serial = s.solve(&p);
-        let par = s.solve_parallel(&p);
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (par, _) = s
+            .solve_pooled_report(LeafEval::Traverse, &p, workers)
+            .unwrap();
         for (a, b) in serial.born.iter().zip(&par.born) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
         }
@@ -1241,7 +987,7 @@ mod tests {
         assert_eq!(per_leaf_e.far_ops, full_epol.far_ops);
         // The work-stealing parallel path reports the same totals — its
         // chunking must not change what work gets counted.
-        let (par_result, par_report) = s.solve_parallel_with_report(&p, 3);
+        let (par_result, par_report) = s.solve_pooled_report(LeafEval::Traverse, &p, 3).unwrap();
         assert_eq!(par_result.work_born, full_born);
         assert_eq!(par_result.work_epol, full_epol);
         assert_eq!(par_report.total_work(), full_born + full_epol);
@@ -1254,7 +1000,9 @@ mod tests {
     #[test]
     fn serial_report_is_populated() {
         let s = solver(200, 8);
-        let (r, rep) = s.solve_with_report(&GbParams::default());
+        let (r, rep) = s
+            .solve_report(LeafEval::Traverse, &GbParams::default())
+            .unwrap();
         assert_eq!(rep.mode, "serial");
         assert_eq!(rep.epol_kcal, r.epol_kcal);
         assert_eq!(rep.n_atoms, 200);
@@ -1265,6 +1013,29 @@ mod tests {
         assert_eq!(rep.tree_q.leaf_count, s.tree_q.leaves().len());
         assert_eq!(rep.tree_a.leaf_count, s.tree_a.leaves().len());
         assert!(rep.steal.is_none() && rep.comm.is_none());
+    }
+
+    #[test]
+    fn pooled_gradient_steal_section_covers_all_four_batches() {
+        // The steal section must come from the merged counters of the
+        // integrals, push, energy *and* gradient batches: the busiest
+        // worker's task count, `imbalance · total / workers`, is then a
+        // whole number between the mean and the total for any schedule.
+        let s = solver(400, 9);
+        let p = GbParams::default();
+        let plan = s.plan(&p);
+        for workers in 2..=5 {
+            let (_, rep) = s.gradient_pooled_report(&plan, &p, workers).unwrap();
+            let steal = rep.steal.expect("pooled report carries steal stats");
+            assert_eq!(steal.workers, workers);
+            let total = steal.total_executed as f64;
+            let busiest = steal.imbalance * total / workers as f64;
+            assert!(
+                (busiest - busiest.round()).abs() < 1e-6,
+                "{workers} workers: busiest worker ran {busiest} of {total} tasks"
+            );
+            assert!(busiest.round() >= (total / workers as f64).ceil() && busiest <= total + 1e-6);
+        }
     }
 
     #[test]

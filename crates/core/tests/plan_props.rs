@@ -4,7 +4,7 @@
 //! traversals' results — Born radii bitwise, E_pol to machine
 //! precision — and a plan must be reusable across repeated solves.
 
-use polar_gb::{GbParams, GbSolver, KernelMode, PlanDelta, ReplanConfig};
+use polar_gb::{GbParams, GbSolver, KernelMode, LeafEval, PlanDelta, ReplanConfig};
 use polar_molecule::{generators, trajectory};
 use polar_octree::OctreeConfig;
 use polar_surface::SurfaceConfig;
@@ -221,7 +221,7 @@ proptest! {
         let p = GbParams::default();
         let plan = s.plan(&p);
         let serial = s.solve_with_plan(&plan, &p).expect("compatible plan");
-        let (par, report) = s.solve_with_plan_parallel_report(&plan, &p, workers)
+        let (par, report) = s.solve_pooled_report(LeafEval::Plan(&plan), &p, workers)
             .expect("compatible plan");
         // Chunked execution merges per-chunk partials by addition, which
         // re-associates the per-qleaf sums — ulp-level, not bitwise.
@@ -245,7 +245,7 @@ fn plan_report_mode_and_stats_round_trip() {
     let p = GbParams::default();
     let plan = s.plan(&p);
     let (result, report) = s
-        .solve_with_plan_report(&plan, &p)
+        .solve_report(LeafEval::Plan(&plan), &p)
         .expect("compatible plan");
     assert_eq!(report.mode, "plan");
     assert_eq!(report.epol_kcal, result.epol_kcal);
@@ -280,8 +280,10 @@ fn foreign_or_stale_plans_are_rejected_with_typed_errors() {
         Err(PlanError::GeometryMismatch { .. }) => {}
         ok => panic!("expected GeometryMismatch, got {ok:?}"),
     }
-    assert!(other.solve_with_plan_parallel_report(&plan, &p, 2).is_err());
-    assert!(other.solve_with_plan_report(&plan, &p).is_err());
+    assert!(other
+        .solve_pooled_report(LeafEval::Plan(&plan), &p, 2)
+        .is_err());
+    assert!(other.solve_report(LeafEval::Plan(&plan), &p).is_err());
 
     // Errors render a readable message naming both fingerprints.
     let msg = plan.check_compatible(&other, &p).unwrap_err().to_string();

@@ -5,7 +5,7 @@ use polar_gb::constants::tau;
 use polar_gb::energy::exact::{epol_naive, f_gb};
 use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
 use polar_gb::partition::even_segments;
-use polar_gb::{GbParams, GbSolver, WorkCounts};
+use polar_gb::{GbParams, GbSolver, LeafEval, WorkCounts};
 use polar_geom::{MathMode, Vec3};
 use polar_molecule::{generators, Molecule};
 use polar_octree::OctreeConfig;
@@ -144,7 +144,7 @@ proptest! {
         // parallel report agrees exactly with the serial one.
         let s = solver_for(n, seed);
         let p = GbParams::default();
-        let (result, report) = s.solve_with_report(&p);
+        let (result, report) = s.solve_report(LeafEval::Traverse, &p).unwrap();
         let born_leaf: WorkCounts = s.born_work_per_qleaf(&p).into_iter().sum();
         prop_assert_eq!(report.stage("born").work.pair_ops, born_leaf.pair_ops);
         prop_assert_eq!(report.stage("born").work.far_ops, born_leaf.far_ops);
@@ -152,7 +152,7 @@ proptest! {
             s.epol_work_per_leaf(&result.born, &p).into_iter().sum();
         prop_assert_eq!(report.stage("epol").work.pair_ops, epol_leaf.pair_ops);
         prop_assert_eq!(report.stage("epol").work.far_ops, epol_leaf.far_ops);
-        let (_, par) = s.solve_parallel_with_report(&p, 4);
+        let (_, par) = s.solve_pooled_report(LeafEval::Traverse, &p, 4).unwrap();
         prop_assert_eq!(par.stage("born").work, report.stage("born").work);
         prop_assert_eq!(par.stage("epol").work, report.stage("epol").work);
         prop_assert_eq!(par.total_work(), report.total_work());

@@ -1,32 +1,13 @@
-//! The distributed GB drivers — the paper's Fig. 4 algorithm.
+//! Configuration of the distributed driver, and its fault-free contracts.
 //!
 //! `OCT_MPI` is `P` ranks × 1 thread; `OCT_MPI+CILK` is `P` ranks × `p`
-//! work-stealing threads ([`polar_runtime::run_batch`]). Steps follow
-//! Fig. 4 exactly:
-//!
-//! 1. every rank holds the full octrees (replicated data; memory is
-//!    accounted per rank),
-//! 2. rank *i* runs `APPROX-INTEGRALS` for the *i*-th segment of `T_Q`
-//!    leaves (node-based work division),
-//! 3. partial integrals combine with `allreduce_sum`,
-//! 4. rank *i* runs `PUSH-INTEGRALS-TO-ATOMS` for the *i*-th segment of
-//!    atoms,
-//! 5. Born radius segments combine with `allgather`,
-//! 6. rank *i* computes the energy due to the *i*-th segment of `T_A`
-//!    leaves,
-//! 7. the partial energies combine with a scalar allreduce.
+//! work-stealing threads. Both run through
+//! [`run_distributed_ft`](crate::recovery::run_distributed_ft), the one
+//! replicated-data driver; the tests here pin what it promises when no
+//! fault is scheduled.
 
-use crate::comm::Universe;
 use crate::network::NetworkModel;
-use polar_gb::born::octree::{approx_integrals, push_integrals_to_atoms, BornPartials};
-use polar_gb::constants::tau;
-use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
-use polar_gb::partition::even_segments;
-use polar_gb::report::{
-    CommReport, PlanReport, SolveReport, StageReport, StealReport, TreeDepthStats,
-};
-use polar_gb::{GbParams, GbSolver, InteractionPlan, WorkCounts};
-use polar_runtime::StealStats;
+use polar_gb::GbParams;
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,10 +20,10 @@ pub struct DistributedConfig {
     pub params: GbParams,
     /// Interconnect model for simulated communication time.
     pub network: NetworkModel,
-    /// Execute a pre-built [`InteractionPlan`]'s flat lists instead of
-    /// the recursive traversals (rank *i* takes segment *i* of the
-    /// plan's leaf lists). The plan is built once, before the ranks
-    /// spawn, and counts toward each rank's replicated memory.
+    /// Execute a pre-built [`polar_gb::InteractionPlan`]'s flat lists
+    /// instead of the recursive traversals (rank *i* takes segment *i*
+    /// of the plan's leaf lists). The plan is built once, before the
+    /// ranks spawn, and counts toward each rank's replicated memory.
     pub use_plan: bool,
 }
 
@@ -76,375 +57,12 @@ impl DistributedConfig {
     }
 }
 
-/// Result of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistributedRun {
-    /// Final polarization energy (identical on every rank).
-    pub epol_kcal: f64,
-    /// Born radii, original atom order.
-    pub born: Vec<f64>,
-    /// Simulated wire seconds per rank.
-    pub per_rank_comm_seconds: Vec<f64>,
-    /// Payload bytes each rank pushed.
-    pub per_rank_bytes_sent: Vec<u64>,
-    /// Computation work each rank performed (Born + energy stages).
-    pub per_rank_work: Vec<WorkCounts>,
-    /// Born-stage work per rank (Steps 2–4).
-    pub per_rank_work_born: Vec<WorkCounts>,
-    /// Energy-stage work per rank (Step 6).
-    pub per_rank_work_epol: Vec<WorkCounts>,
-    /// Sum over ranks of replicated input bytes — the §IV.B memory cost.
-    pub total_replicated_bytes: u64,
-    /// Born-stage wall seconds: slowest rank (the stage's critical path).
-    pub born_seconds: f64,
-    /// Energy-stage wall seconds: slowest rank.
-    pub epol_seconds: f64,
-    /// Work-stealing counters concatenated across all per-rank pools
-    /// (`None` for pure `OCT_MPI`, which runs no pool).
-    pub steal: Option<StealStats>,
-    /// Interaction-list statistics when the run executed a plan.
-    pub plan_stats: Option<PlanReport>,
-}
-
-impl DistributedRun {
-    /// Aggregate stage work over ranks — schedule- and `P`-independent:
-    /// equals the serial solve's totals for the same molecule and ε.
-    pub fn total_work_born(&self) -> WorkCounts {
-        self.per_rank_work_born.iter().copied().sum()
-    }
-
-    /// Aggregate energy-stage work over ranks.
-    pub fn total_work_epol(&self) -> WorkCounts {
-        self.per_rank_work_epol.iter().copied().sum()
-    }
-
-    /// Build the structured [`SolveReport`] for this run: stage rows with
-    /// rank-aggregated work, the simulated-communication section, and the
-    /// hybrid pools' steal counters when present.
-    pub fn report(&self, solver: &GbSolver, cfg: &DistributedConfig) -> SolveReport {
-        let mode = if cfg.threads_per_rank == 1 {
-            "oct_mpi"
-        } else {
-            "oct_mpi_cilk"
-        };
-        SolveReport {
-            molecule: solver.name.clone(),
-            mode: mode.to_string(),
-            // Only the plan-execute path vectorizes; the recursive
-            // per-rank traversals are always scalar strict-fp.
-            kernel_mode: if self.plan_stats.is_some() {
-                cfg.params.kernel.label().to_string()
-            } else {
-                polar_gb::KernelMode::Strict.label().to_string()
-            },
-            n_atoms: solver.n_atoms(),
-            n_qpoints: solver.n_qpoints(),
-            eps_born: cfg.params.eps_born,
-            eps_epol: cfg.params.eps_epol,
-            epol_kcal: self.epol_kcal,
-            stages: vec![
-                StageReport {
-                    name: "born".into(),
-                    wall_seconds: self.born_seconds,
-                    work: self.total_work_born(),
-                },
-                StageReport {
-                    name: "epol".into(),
-                    wall_seconds: self.epol_seconds,
-                    work: self.total_work_epol(),
-                },
-            ],
-            tree_a: TreeDepthStats::for_tree(&solver.tree_a),
-            tree_q: TreeDepthStats::for_tree(&solver.tree_q),
-            steal: self.steal.as_ref().map(StealReport::from),
-            comm: Some(CommReport {
-                ranks: cfg.ranks,
-                sim_seconds: self
-                    .per_rank_comm_seconds
-                    .iter()
-                    .cloned()
-                    .fold(0.0, f64::max),
-                bytes_sent: self.per_rank_bytes_sent.iter().sum(),
-                replicated_bytes: self.total_replicated_bytes,
-            }),
-            plan: self.plan_stats,
-            fault: None,
-            memory_bytes: solver.memory_bytes() as u64,
-        }
-    }
-}
-
-/// Execute the Fig. 4 algorithm on an in-process rank universe.
-pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DistributedRun {
-    assert!(cfg.ranks >= 1 && cfg.threads_per_rank >= 1);
-    let p = cfg.params;
-    // Plan once, ahead of the rank universe: traversal cost is paid a
-    // single time and the flat lists are replicated like the octrees.
-    let plan = if cfg.use_plan {
-        Some(solver.plan(&p))
-    } else {
-        None
-    };
-    let plan = plan.as_ref();
-    let n_atoms = solver.n_atoms();
-    let n_qleaves = solver.tree_q.leaves().len();
-    let n_aleaves = solver.tree_a.leaves().len();
-    let qleaf_segs = even_segments(n_qleaves, cfg.ranks);
-    let atom_segs = even_segments(n_atoms, cfg.ranks);
-    let aleaf_segs = even_segments(n_aleaves, cfg.ranks);
-
-    struct RankOut {
-        epol: f64,
-        born: Vec<f64>,
-        comm_s: f64,
-        bytes: u64,
-        work_born: WorkCounts,
-        work_epol: WorkCounts,
-        replicated: u64,
-        born_s: f64,
-        epol_s: f64,
-        steal: Option<StealStats>,
-    }
-
-    let outs = Universe::run(cfg.ranks, cfg.network, |comm| {
-        let rank = comm.rank();
-        // Step 1: replicated data (each process has a complete copy;
-        // with a plan, its flat lists are replicated too).
-        comm.register_replicated_memory(
-            solver.memory_bytes() + plan.map_or(0, |pl| pl.memory_bytes()),
-        );
-        let ctx = solver.born_ctx();
-        let mut work = WorkCounts::ZERO;
-        let mut steal: Option<StealStats> = None;
-
-        // Step 2: APPROX-INTEGRALS over this rank's q-leaf segment —
-        // either the recursive traversal or the plan's flat lists.
-        let t_born = std::time::Instant::now();
-        let my_qleaves = qleaf_segs[rank].clone();
-        let mut partials = if let Some(pl) = plan {
-            if cfg.threads_per_rank == 1 {
-                let mut part = BornPartials::zeros(&solver.tree_a);
-                pl.execute_born_segment(&ctx, my_qleaves, p.kernel, &mut part, &mut work);
-                part
-            } else {
-                let chunks = even_segments(my_qleaves.len(), cfg.threads_per_rank * 4)
-                    .into_iter()
-                    .map(|r| my_qleaves.start + r.start..my_qleaves.start + r.end)
-                    .collect::<Vec<_>>();
-                let ctx_ref = &ctx;
-                let tasks: Vec<_> = chunks
-                    .into_iter()
-                    .map(|r| {
-                        move || {
-                            let mut w = WorkCounts::ZERO;
-                            let mut part = BornPartials::zeros(ctx_ref.tree_a);
-                            pl.execute_born_segment(ctx_ref, r, p.kernel, &mut part, &mut w);
-                            (part, w)
-                        }
-                    })
-                    .collect();
-                let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-                steal.get_or_insert_with(StealStats::default).merge(&stats);
-                let mut acc = BornPartials::zeros(&solver.tree_a);
-                for (part, w) in results {
-                    acc.add(&part);
-                    work.accumulate(w);
-                }
-                acc
-            }
-        } else if cfg.threads_per_rank == 1 {
-            approx_integrals(&ctx, p.eps_born, my_qleaves, &mut work)
-        } else {
-            // Intra-rank dynamic balancing: split the segment into many
-            // chunks, run them on the work-stealing pool, merge.
-            let chunks = even_segments(my_qleaves.len(), cfg.threads_per_rank * 4)
-                .into_iter()
-                .map(|r| my_qleaves.start + r.start..my_qleaves.start + r.end)
-                .collect::<Vec<_>>();
-            let ctx_ref = &ctx;
-            let tasks: Vec<_> = chunks
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut w = WorkCounts::ZERO;
-                        let part = approx_integrals(ctx_ref, p.eps_born, r, &mut w);
-                        (part, w)
-                    }
-                })
-                .collect();
-            let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-            steal.get_or_insert_with(StealStats::default).merge(&stats);
-            let mut acc = BornPartials::zeros(&solver.tree_a);
-            for (part, w) in results {
-                acc.add(&part);
-                work.accumulate(w);
-            }
-            acc
-        };
-
-        // Step 3: Allreduce the partial integrals.
-        let n_nodes = partials.s_node.len();
-        let mut flat = std::mem::take(&mut partials.s_node);
-        flat.extend_from_slice(&partials.s_atom);
-        comm.allreduce_sum(&mut flat);
-        let s_atom = flat.split_off(n_nodes);
-        let totals = BornPartials {
-            s_node: flat,
-            s_atom,
-        };
-
-        // Step 4: PUSH-INTEGRALS-TO-ATOMS for this rank's atom segment.
-        let my_atoms = atom_segs[rank].clone();
-        let mut born_mine = vec![0.0; n_atoms];
-        push_integrals_to_atoms(&ctx, &totals, my_atoms.clone(), p.math, &mut born_mine);
-
-        // Step 5: allgather Born radius segments (slot order on the wire,
-        // original order in memory).
-        let seg_vals: Vec<f64> = my_atoms
-            .clone()
-            .map(|slot| born_mine[solver.tree_a.order()[slot] as usize])
-            .collect();
-        let all_slot_vals = comm.allgather(&seg_vals);
-        debug_assert_eq!(all_slot_vals.len(), n_atoms);
-        let mut born = vec![0.0; n_atoms];
-        for (slot, v) in all_slot_vals.into_iter().enumerate() {
-            born[solver.tree_a.order()[slot] as usize] = v;
-        }
-        let work_born = work;
-        let born_s = t_born.elapsed().as_secs_f64();
-
-        // Step 6: energy over this rank's T_A leaf segment.
-        let t_epol = std::time::Instant::now();
-        let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-        let t = tau(p.eps_solvent);
-        let my_aleaves = aleaf_segs[rank].clone();
-        let mut work_epol = WorkCounts::ZERO;
-        let epol_part = if let Some(pl) = plan {
-            let born_slot = solver.born_by_slot(&born);
-            if cfg.threads_per_rank == 1 {
-                pl.execute_epol_segment(
-                    &ectx,
-                    &born_slot,
-                    p.math,
-                    p.kernel,
-                    t,
-                    my_aleaves,
-                    &mut work_epol,
-                )
-            } else {
-                let chunks = even_segments(my_aleaves.len(), cfg.threads_per_rank * 4)
-                    .into_iter()
-                    .map(|r| my_aleaves.start + r.start..my_aleaves.start + r.end)
-                    .collect::<Vec<_>>();
-                let ectx_ref = &ectx;
-                let born_slot_ref = &born_slot;
-                let tasks: Vec<_> = chunks
-                    .into_iter()
-                    .map(|r| {
-                        move || {
-                            let mut w = WorkCounts::ZERO;
-                            let e = pl.execute_epol_segment(
-                                ectx_ref,
-                                born_slot_ref,
-                                p.math,
-                                p.kernel,
-                                t,
-                                r,
-                                &mut w,
-                            );
-                            (e, w)
-                        }
-                    })
-                    .collect();
-                let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-                steal.get_or_insert_with(StealStats::default).merge(&stats);
-                let mut e = 0.0;
-                for (part, w) in results {
-                    e += part;
-                    work_epol.accumulate(w);
-                }
-                e
-            }
-        } else if cfg.threads_per_rank == 1 {
-            epol_for_leaf_segment(&ectx, p.eps_epol, p.math, t, my_aleaves, &mut work_epol)
-        } else {
-            let chunks = even_segments(my_aleaves.len(), cfg.threads_per_rank * 4)
-                .into_iter()
-                .map(|r| my_aleaves.start + r.start..my_aleaves.start + r.end)
-                .collect::<Vec<_>>();
-            let ectx_ref = &ectx;
-            let tasks: Vec<_> = chunks
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut w = WorkCounts::ZERO;
-                        let e = epol_for_leaf_segment(ectx_ref, p.eps_epol, p.math, t, r, &mut w);
-                        (e, w)
-                    }
-                })
-                .collect();
-            let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-            steal.get_or_insert_with(StealStats::default).merge(&stats);
-            let mut e = 0.0;
-            for (part, w) in results {
-                e += part;
-                work_epol.accumulate(w);
-            }
-            e
-        };
-        let epol_s = t_epol.elapsed().as_secs_f64();
-
-        // Step 7: accumulate the final energy.
-        let epol = comm.allreduce_scalar(epol_part);
-
-        RankOut {
-            epol,
-            born,
-            comm_s: comm.sim_comm_seconds(),
-            bytes: comm.bytes_sent(),
-            work_born,
-            work_epol,
-            replicated: comm.replicated_bytes(),
-            born_s,
-            epol_s,
-            steal,
-        }
-    });
-
-    let epol_kcal = outs[0].epol;
-    for o in &outs {
-        debug_assert!((o.epol - epol_kcal).abs() <= 1e-12 * epol_kcal.abs().max(1.0));
-    }
-    // Concatenate the per-rank pools' steal counters (disjoint workers).
-    let steal = outs
-        .iter()
-        .filter_map(|o| o.steal.as_ref())
-        .fold(None::<StealStats>, |acc, s| match acc {
-            Some(mut acc) => {
-                acc.concat(s);
-                Some(acc)
-            }
-            None => Some(s.clone()),
-        });
-    DistributedRun {
-        epol_kcal,
-        born: outs[0].born.clone(),
-        per_rank_comm_seconds: outs.iter().map(|o| o.comm_s).collect(),
-        per_rank_bytes_sent: outs.iter().map(|o| o.bytes).collect(),
-        per_rank_work: outs.iter().map(|o| o.work_born + o.work_epol).collect(),
-        per_rank_work_born: outs.iter().map(|o| o.work_born).collect(),
-        per_rank_work_epol: outs.iter().map(|o| o.work_epol).collect(),
-        total_replicated_bytes: outs.iter().map(|o| o.replicated).sum(),
-        born_seconds: outs.iter().map(|o| o.born_s).fold(0.0, f64::max),
-        epol_seconds: outs.iter().map(|o| o.epol_s).fold(0.0, f64::max),
-        steal,
-        plan_stats: plan.map(InteractionPlan::stats),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSpec;
+    use crate::recovery::{run_distributed_ft, FtDistributedRun};
+    use polar_gb::{GbSolver, LeafEval};
     use polar_molecule::generators;
     use polar_octree::OctreeConfig;
     use polar_surface::SurfaceConfig;
@@ -454,13 +72,17 @@ mod tests {
         GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default())
     }
 
+    fn fault_free(s: &GbSolver, cfg: &DistributedConfig) -> FtDistributedRun {
+        run_distributed_ft(s, cfg, &FaultSpec::none()).expect("no faults injected")
+    }
+
     #[test]
     fn distributed_matches_serial_octree_solve() {
         let s = solver(300, 21);
         let p = GbParams::default();
         let serial = s.solve(&p);
         for (ranks, threads) in [(1, 1), (2, 1), (4, 1), (2, 3), (3, 2)] {
-            let run = run_distributed(
+            let run = fault_free(
                 &s,
                 &DistributedConfig {
                     ranks,
@@ -490,7 +112,7 @@ mod tests {
         let p = GbParams::default();
         let mut energies = Vec::new();
         for ranks in [1, 2, 3, 5] {
-            let run = run_distributed(&s, &DistributedConfig::oct_mpi(ranks, p));
+            let run = fault_free(&s, &DistributedConfig::oct_mpi(ranks, p));
             energies.push(run.epol_kcal);
         }
         for w in energies.windows(2) {
@@ -503,8 +125,8 @@ mod tests {
         // 6 cores as 6×1 (pure MPI) vs 2×3 (hybrid): memory ratio = 3.
         let s = solver(200, 23);
         let p = GbParams::default();
-        let pure = run_distributed(&s, &DistributedConfig::oct_mpi(6, p));
-        let hybrid = run_distributed(&s, &DistributedConfig::oct_mpi_cilk(2, 3, p));
+        let pure = fault_free(&s, &DistributedConfig::oct_mpi(6, p));
+        let hybrid = fault_free(&s, &DistributedConfig::oct_mpi_cilk(2, 3, p));
         assert_eq!(
             pure.total_replicated_bytes,
             3 * hybrid.total_replicated_bytes
@@ -515,8 +137,8 @@ mod tests {
     fn more_ranks_cost_more_communication() {
         let s = solver(200, 24);
         let p = GbParams::default();
-        let r2 = run_distributed(&s, &DistributedConfig::oct_mpi(2, p));
-        let r6 = run_distributed(&s, &DistributedConfig::oct_mpi(6, p));
+        let r2 = fault_free(&s, &DistributedConfig::oct_mpi(2, p));
+        let r6 = fault_free(&s, &DistributedConfig::oct_mpi(6, p));
         let c2: f64 = r2.per_rank_comm_seconds.iter().sum();
         let c6: f64 = r6.per_rank_comm_seconds.iter().sum();
         assert!(c6 > c2, "{c6} vs {c2}");
@@ -527,10 +149,16 @@ mod tests {
     fn work_is_distributed_across_ranks() {
         let s = solver(400, 25);
         let p = GbParams::default();
-        let run = run_distributed(&s, &DistributedConfig::oct_mpi(4, p));
-        let total: u64 = run.per_rank_work.iter().map(|w| w.pair_ops).sum();
+        let run = fault_free(&s, &DistributedConfig::oct_mpi(4, p));
+        let per_rank_work: Vec<_> = run
+            .per_rank_work_born
+            .iter()
+            .zip(&run.per_rank_work_epol)
+            .map(|(&b, &e)| b + e)
+            .collect();
+        let total: u64 = per_rank_work.iter().map(|w| w.pair_ops).sum();
         assert!(total > 0);
-        for w in &run.per_rank_work {
+        for w in &per_rank_work {
             // No rank is idle; none does everything.
             assert!(w.pair_ops > 0);
             assert!(w.pair_ops < total);
@@ -545,8 +173,8 @@ mod tests {
         // every distributed configuration.
         let s = solver(250, 27);
         let p = GbParams::default();
-        let (_, serial) = s.solve_with_report(&p);
-        let (_, parallel) = s.solve_parallel_with_report(&p, 3);
+        let (_, serial) = s.solve_report(LeafEval::Traverse, &p).unwrap();
+        let (_, parallel) = s.solve_pooled_report(LeafEval::Traverse, &p, 3).unwrap();
         assert_eq!(serial.stage("born").work, parallel.stage("born").work);
         assert_eq!(serial.stage("epol").work, parallel.stage("epol").work);
         for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
@@ -557,7 +185,7 @@ mod tests {
                 network: NetworkModel::lonestar4_infiniband(),
                 use_plan: false,
             };
-            let run = run_distributed(&s, &cfg);
+            let run = fault_free(&s, &cfg);
             let rep = run.report(&s, &cfg);
             assert_eq!(
                 rep.stage("born").work,
@@ -584,6 +212,7 @@ mod tests {
                 assert!(comm.bytes_sent > 0);
             }
             assert_eq!(rep.steal.is_some(), threads > 1);
+            assert!(rep.fault.is_none(), "no faults scheduled, no fault section");
             // Reports serialize without panicking and round out the row.
             assert!(rep.to_json().contains("\"mode\""));
             // Recursive distributed runs always report strict arithmetic.
@@ -607,7 +236,7 @@ mod tests {
         for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
             let mut cfg = DistributedConfig::oct_mpi_cilk(ranks, threads, p);
             cfg.use_plan = true;
-            let run = run_distributed(&s, &cfg);
+            let run = fault_free(&s, &cfg);
             if ranks == 1 {
                 // One rank replays the serial accumulation order exactly.
                 assert_eq!(run.born, serial.born, "p={threads}");
@@ -634,7 +263,7 @@ mod tests {
             // the octrees themselves.
             let mut base = cfg;
             base.use_plan = false;
-            let recursive = run_distributed(&s, &base);
+            let recursive = fault_free(&s, &base);
             assert!(run.total_replicated_bytes > recursive.total_replicated_bytes);
             // Executing lists re-visits no tree nodes.
             assert_eq!(run.total_work_born().nodes_visited, 0);
@@ -654,7 +283,7 @@ mod tests {
         for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
             let mut cfg = DistributedConfig::oct_mpi_cilk(ranks, threads, p);
             cfg.use_plan = true;
-            let run = run_distributed(&s, &cfg);
+            let run = fault_free(&s, &cfg);
             for (a, b) in run.born.iter().zip(&serial.born) {
                 assert!(
                     (a - b).abs() <= 1e-11 * b.abs().max(1.0),
@@ -677,10 +306,8 @@ mod tests {
         let s = solver(150, 26);
         let p = GbParams::default();
         let serial = s.solve(&p);
-        let run = run_distributed(&s, &DistributedConfig::oct_mpi(1, p));
-        assert_eq!(
-            run.per_rank_work[0].pair_ops,
-            serial.work_born.pair_ops + serial.work_epol.pair_ops
-        );
+        let run = fault_free(&s, &DistributedConfig::oct_mpi(1, p));
+        assert_eq!(run.per_rank_work_born, vec![serial.work_born]);
+        assert_eq!(run.per_rank_work_epol, vec![serial.work_epol]);
     }
 }

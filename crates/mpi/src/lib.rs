@@ -17,9 +17,16 @@
 //!   model the paper's §IV.C complexity analysis cites), so experiments
 //!   can report communication costs for a Lonestar4-class fabric even
 //!   though the bytes actually move through shared memory;
-//! * [`drivers`] implements the paper's Fig. 4 algorithm on top:
-//!   `OCT_MPI` (P ranks × 1 thread) and `OCT_MPI+CILK` (P ranks × p
-//!   work-stealing threads), with replicated-memory accounting.
+//! * [`recovery::run_distributed_ft`] implements the paper's Fig. 4
+//!   algorithm on top — `OCT_MPI` (P ranks × 1 thread) and
+//!   `OCT_MPI+CILK` (P ranks × p work-stealing threads), with
+//!   replicated-memory accounting — as one driver: a [`FaultSpec`]
+//!   schedules the crashes, drops, stragglers and worker panics it
+//!   detects and recovers from, and [`FaultSpec::none`] is the plain run;
+//! * [`data_dist::run_data_distributed`] is the other algorithm the paper
+//!   names (each rank owns a slice of the quadrature points and builds
+//!   its own `T_Q`), kept apart because re-dividing its data on a crash
+//!   would change the far-field grouping.
 
 pub mod comm;
 pub mod data_dist;
@@ -30,7 +37,7 @@ pub mod recovery;
 
 pub use comm::{Comm, CommError, Universe};
 pub use data_dist::{run_data_distributed, DataDistributedRun};
-pub use drivers::{DistributedConfig, DistributedRun};
+pub use drivers::DistributedConfig;
 pub use faults::{CrashFault, DropFault, FaultSpec, StragglerFault, WorkerPanicFault};
 pub use network::NetworkModel;
-pub use recovery::{run_distributed_ft, DistributedError};
+pub use recovery::{run_distributed_ft, DistributedError, FtDistributedRun};

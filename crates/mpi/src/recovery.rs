@@ -1,10 +1,19 @@
-//! Fault-tolerant distributed execution: the Fig. 4 algorithm with
-//! detection, re-division, and recovery.
+//! The replicated-data distributed driver — the paper's Fig. 4 algorithm
+//! (`OCT_MPI`: `P` ranks × 1 thread; `OCT_MPI+CILK`: `P` ranks × `p`
+//! work-stealing threads) with fault detection, re-division and recovery.
 //!
-//! [`run_distributed_ft`] runs the same three-stage pipeline as
-//! [`run_distributed`](crate::drivers::run_distributed), but over the
-//! fault-tolerant collectives of [`Comm`]: every collective returns the
-//! *absent set* — ranks that failed to contribute — and the driver
+//! Every rank holds the full octrees (and the plan's lists, when one
+//! executes); memory is accounted per rank. [`run_distributed_ft`] then
+//! runs three stages, each dividing its items statically over ranks
+//! (node-based work division) and combining with one collective:
+//!
+//! * **born** — integrals over `T_Q` leaf segments, `allreduce`;
+//! * **atoms** — `PUSH-INTEGRALS-TO-ATOMS` over atom segments,
+//!   `allgather` of the Born radii;
+//! * **epol** — energy over `T_A` leaf segments, scalar `allreduce`.
+//!
+//! The collectives are the fault-tolerant ones of [`Comm`]: each returns
+//! the *absent set* — ranks that failed to contribute — and the driver
 //! responds with a **round loop**:
 //!
 //! 1. round 0 computes the original `even_segments` division (plus the
@@ -16,28 +25,23 @@
 //!
 //! Only lost work is re-executed: contributions that made it into a
 //! collective are never recomputed. With no faults the round loop exits
-//! after round 0 having accumulated in exactly the plain driver's order,
-//! so a fault-free FT run equals `run_distributed`. Inside a rank,
-//! stages with scheduled worker panics run on
-//! [`polar_runtime::run_batch_retry`], which isolates the panic with
-//! `catch_unwind` and re-runs the poisoned task; a pool that exhausts its
-//! retry budget kills the whole rank (via [`Comm::ft_abort`]), converting
-//! the local failure into an ordinary rank death the survivors recover
-//! from. Every injected fault, retry, re-division, and recovery lands in
-//! a deterministic [`FaultReport`].
+//! after round 0, and one rank × one thread accumulates in the serial
+//! solver's order, so that run equals [`GbSolver::solve`] bitwise. Inside
+//! a rank, a stage's chunks run on [`polar_runtime::run_batch_retry`],
+//! which isolates a panicking task with `catch_unwind` and re-runs it; a
+//! pool that exhausts its retry budget kills the whole rank (via
+//! [`Comm::ft_abort`]), converting the local failure into an ordinary
+//! rank death the survivors recover from. Every injected fault, retry,
+//! re-division, and recovery lands in a deterministic [`FaultReport`].
 
 use crate::comm::{Comm, CommError, Universe};
 use crate::drivers::DistributedConfig;
 use crate::faults::FaultSpec;
-use polar_gb::born::octree::{approx_integrals, push_integrals_to_atoms, BornPartials};
-use polar_gb::constants::tau;
-use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use polar_gb::born::octree::{push_integrals_to_atoms, BornPartials};
+use polar_gb::energy::octree::EpolCtx;
 use polar_gb::partition::even_segments;
-use polar_gb::report::{
-    CommReport, FaultEvent, FaultReport, PlanReport, SolveReport, StageReport, StealReport,
-    TreeDepthStats,
-};
-use polar_gb::{GbSolver, InteractionPlan, WorkCounts};
+use polar_gb::report::{CommReport, FaultEvent, FaultReport, PlanReport, SolveReport, StealReport};
+use polar_gb::{GbSolver, KernelMode, LeafEval, WorkCounts};
 use polar_runtime::{run_batch_retry, StealStats};
 use std::ops::Range;
 
@@ -64,7 +68,7 @@ impl std::fmt::Display for DistributedError {
 
 impl std::error::Error for DistributedError {}
 
-/// Result of a fault-tolerant distributed run.
+/// Result of a distributed run.
 #[derive(Debug, Clone)]
 pub struct FtDistributedRun {
     /// Final polarization energy (identical on every surviving rank).
@@ -75,6 +79,10 @@ pub struct FtDistributedRun {
     pub survivors: Vec<usize>,
     /// The audit trail: everything injected, retried, and recovered.
     pub fault: FaultReport,
+    /// Whether the run was given a schedule other than
+    /// [`FaultSpec::none`]; only then does [`FtDistributedRun::report`]
+    /// carry the fault section and the `_ft` mode suffix.
+    pub faults_scheduled: bool,
     /// Simulated wire seconds per rank (dead ranks: up to their death).
     pub per_rank_comm_seconds: Vec<f64>,
     /// Payload bytes per rank.
@@ -85,74 +93,71 @@ pub struct FtDistributedRun {
     pub born_seconds: f64,
     /// Energy-stage wall seconds (slowest surviving rank).
     pub epol_seconds: f64,
-    /// Born-stage work summed over contributing ranks.
-    pub work_born: WorkCounts,
-    /// Energy-stage work summed over contributing ranks.
-    pub work_epol: WorkCounts,
-    /// Steal counters concatenated over surviving ranks' pools.
+    /// Born-stage work per rank (Steps 2–4); zero for ranks that died.
+    pub per_rank_work_born: Vec<WorkCounts>,
+    /// Energy-stage work per rank (Step 6); zero for ranks that died.
+    pub per_rank_work_epol: Vec<WorkCounts>,
+    /// Steal counters concatenated over the per-rank pools (`None` for
+    /// pure `OCT_MPI`, whose ranks run one thread).
     pub steal: Option<StealStats>,
+    /// Arithmetic the leaf evaluator ran (strict unless a plan executed).
+    pub kernel_mode: KernelMode,
     /// Interaction-list statistics when the run executed a plan.
     pub plan_stats: Option<PlanReport>,
 }
 
 impl FtDistributedRun {
-    /// Build the [`SolveReport`], with the fault section attached.
+    /// Aggregate Born-stage work over ranks. Fault-free it is schedule-
+    /// and `P`-independent: the serial solve's totals for the same
+    /// molecule and ε.
+    pub fn total_work_born(&self) -> WorkCounts {
+        self.per_rank_work_born.iter().copied().sum()
+    }
+
+    /// Aggregate energy-stage work over ranks.
+    pub fn total_work_epol(&self) -> WorkCounts {
+        self.per_rank_work_epol.iter().copied().sum()
+    }
+
+    /// Build the structured [`SolveReport`]: stage rows with
+    /// rank-aggregated work, the simulated-communication section, the
+    /// hybrid pools' steal counters, and — when faults were scheduled —
+    /// the fault section.
     pub fn report(&self, solver: &GbSolver, cfg: &DistributedConfig) -> SolveReport {
-        let mode = if cfg.threads_per_rank == 1 {
-            "oct_mpi_ft"
-        } else {
-            "oct_mpi_cilk_ft"
+        let mode = match (cfg.threads_per_rank == 1, self.faults_scheduled) {
+            (true, false) => "oct_mpi",
+            (false, false) => "oct_mpi_cilk",
+            (true, true) => "oct_mpi_ft",
+            (false, true) => "oct_mpi_cilk_ft",
         };
-        SolveReport {
-            molecule: solver.name.clone(),
-            mode: mode.to_string(),
-            // Matches the plain distributed driver: `p.kernel` only
-            // reaches the arithmetic when a plan executed.
-            kernel_mode: if self.plan_stats.is_some() {
-                cfg.params.kernel.label().to_string()
-            } else {
-                polar_gb::KernelMode::Strict.label().to_string()
-            },
-            n_atoms: solver.n_atoms(),
-            n_qpoints: solver.n_qpoints(),
-            eps_born: cfg.params.eps_born,
-            eps_epol: cfg.params.eps_epol,
-            epol_kcal: self.epol_kcal,
-            stages: vec![
-                StageReport {
-                    name: "born".into(),
-                    wall_seconds: self.born_seconds,
-                    work: self.work_born,
-                },
-                StageReport {
-                    name: "epol".into(),
-                    wall_seconds: self.epol_seconds,
-                    work: self.work_epol,
-                },
-            ],
-            tree_a: TreeDepthStats::for_tree(&solver.tree_a),
-            tree_q: TreeDepthStats::for_tree(&solver.tree_q),
-            steal: self.steal.as_ref().map(StealReport::from),
-            comm: Some(CommReport {
-                ranks: cfg.ranks,
-                sim_seconds: self
-                    .per_rank_comm_seconds
-                    .iter()
-                    .cloned()
-                    .fold(0.0, f64::max),
-                bytes_sent: self.per_rank_bytes_sent.iter().sum(),
-                replicated_bytes: self.total_replicated_bytes,
-            }),
-            plan: self.plan_stats,
-            fault: Some(self.fault.clone()),
-            memory_bytes: solver.memory_bytes() as u64,
-        }
+        let mut report = solver.base_report(
+            mode,
+            self.kernel_mode,
+            &cfg.params,
+            self.epol_kcal,
+            (self.born_seconds, self.total_work_born()),
+            (self.epol_seconds, self.total_work_epol()),
+        );
+        report.steal = self.steal.as_ref().map(StealReport::from);
+        report.comm = Some(CommReport {
+            ranks: cfg.ranks,
+            sim_seconds: self
+                .per_rank_comm_seconds
+                .iter()
+                .cloned()
+                .fold(0.0, f64::max),
+            bytes_sent: self.per_rank_bytes_sent.iter().sum(),
+            replicated_bytes: self.total_replicated_bytes,
+        });
+        report.plan = self.plan_stats;
+        report.fault = self.faults_scheduled.then(|| self.fault.clone());
+        report
     }
 }
 
 /// Maximal consecutive ascending runs of an item list — contiguous spans
-/// execute through the fast range-based kernels (and, for round 0,
-/// reproduce the plain driver's accumulation order).
+/// execute through the range-based leaf evaluator (and, for round 0,
+/// reproduce the serial solver's accumulation order).
 fn contiguous_runs(items: &[usize]) -> Vec<Range<usize>> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -263,10 +268,10 @@ fn poison_for(spec: &FaultSpec, rank: usize, stage: &str) -> Option<(usize, u32)
         .map(|w| (w.task_index, w.panics))
 }
 
-/// Split an item list into pool chunks: the plain driver's `threads × 4`
-/// chunking, or a single chunk on the serial path — unless a panic is
-/// scheduled there, in which case the list is still chunked so the
-/// poisoned task is a proper retry unit.
+/// Split an item list into pool chunks: `threads × 4` for intra-rank
+/// dynamic balancing, or a single chunk on the serial path — unless a
+/// panic is scheduled there, in which case the list is still chunked so
+/// the poisoned task is a proper retry unit.
 fn chunk_items(
     spec: &FaultSpec,
     rank: usize,
@@ -374,11 +379,13 @@ struct RankFtOut {
     steal: Option<StealStats>,
 }
 
-/// Run the Fig. 4 pipeline with fault injection and recovery. For any
-/// survivable schedule (at least one rank alive at the end) the returned
-/// energy and Born radii match the fault-free run to 1e-12; identical
-/// specs produce identical [`FaultReport`]s. A schedule that kills every
-/// rank returns [`DistributedError::AllRanksDead`] — never a panic.
+/// Run the Fig. 4 pipeline on an in-process rank universe, injecting
+/// `spec`'s faults ([`FaultSpec::none`] for a plain run) and recovering
+/// from them. For any survivable schedule (at least one rank alive at
+/// the end) the returned energy and Born radii match the fault-free run
+/// to 1e-12; identical specs produce identical [`FaultReport`]s. A
+/// schedule that kills every rank returns
+/// [`DistributedError::AllRanksDead`] — never a panic.
 pub fn run_distributed_ft(
     solver: &GbSolver,
     cfg: &DistributedConfig,
@@ -386,12 +393,12 @@ pub fn run_distributed_ft(
 ) -> Result<FtDistributedRun, DistributedError> {
     assert!(cfg.ranks >= 1 && cfg.threads_per_rank >= 1);
     let p = cfg.params;
-    let plan = if cfg.use_plan {
-        Some(solver.plan(&p))
-    } else {
-        None
-    };
-    let plan = plan.as_ref();
+    // Plan once, ahead of the rank universe: traversal cost is paid a
+    // single time and the flat lists are replicated like the octrees.
+    let plan = cfg.use_plan.then(|| solver.plan(&p));
+    let eval = LeafEval::from(plan.as_ref());
+    let plan_stats = eval.plan_stats();
+    let replicated_bytes = solver.memory_bytes() + plan_stats.map_or(0, |s| s.plan_bytes as usize);
     let n_atoms = solver.n_atoms();
     let n_qleaves = solver.tree_q.leaves().len();
     let n_aleaves = solver.tree_a.leaves().len();
@@ -403,9 +410,7 @@ pub fn run_distributed_ft(
     let outs: Vec<RankFtOut> = Universe::run(cfg.ranks, cfg.network, |comm| {
         let rank = comm.rank();
         comm.arm_faults(spec);
-        comm.register_replicated_memory(
-            solver.memory_bytes() + plan.map_or(0, |pl| pl.memory_bytes()),
-        );
+        comm.register_replicated_memory(replicated_bytes);
         let ctx = solver.born_ctx();
         let mut steal: Option<StealStats> = None;
         let mut driver_events: Vec<FaultEvent> = Vec::new();
@@ -423,12 +428,7 @@ pub fn run_distributed_ft(
             let eval_born = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
                 let mut part = BornPartials::zeros(&solver.tree_a);
                 for run in contiguous_runs(items) {
-                    if let Some(pl) = plan {
-                        pl.execute_born_segment(&ctx, run, p.kernel, &mut part, w);
-                    } else {
-                        let piece = approx_integrals(&ctx, p.eps_born, run, w);
-                        part.add(&piece);
-                    }
+                    part.add(&eval.born(&ctx, &p, run, w));
                 }
                 let mut flat = part.s_node;
                 flat.extend_from_slice(&part.s_atom);
@@ -484,7 +484,8 @@ pub fn run_distributed_ft(
                 &mut known_dead,
                 |_comm, items| {
                     // Push integrals for these slots; values travel in
-                    // item order (the plain driver's wire format).
+                    // item order (slot order on the wire, original order
+                    // in memory).
                     let mut mine = vec![0.0; n_atoms];
                     for run in contiguous_runs(items) {
                         push_integrals_to_atoms(&ctx, &totals, run, p.math, &mut mine);
@@ -519,25 +520,12 @@ pub fn run_distributed_ft(
             let t_epol = std::time::Instant::now();
             let mut work_epol = WorkCounts::ZERO;
             let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-            let t = tau(p.eps_solvent);
-            let born_slot = plan.map(|_| solver.born_by_slot(&born));
+            let born_slot = solver.born_by_slot(&born);
             let mut epol = 0.0f64;
             let eval_epol = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
                 let mut e = 0.0;
                 for run in contiguous_runs(items) {
-                    e += if let Some(pl) = plan {
-                        pl.execute_epol_segment(
-                            &ectx,
-                            born_slot.as_ref().expect("plan implies slot radii"),
-                            p.math,
-                            p.kernel,
-                            t,
-                            run,
-                            w,
-                        )
-                    } else {
-                        epol_for_leaf_segment(&ectx, p.eps_epol, p.math, t, run, w)
-                    };
+                    e += eval.epol(&ectx, &born_slot, &p, run, w);
                 }
                 vec![e]
             };
@@ -658,6 +646,10 @@ pub fn run_distributed_ft(
         let g = outs[s].result.as_ref().expect("survivor succeeded");
         debug_assert!((g.epol - lead.epol).abs() <= 1e-12 * lead.epol.abs().max(1.0));
     }
+    let rank_work = |o: &RankFtOut, stage: fn(&RankGood) -> WorkCounts| {
+        o.result.as_ref().map_or(WorkCounts::ZERO, stage)
+    };
+    // Concatenate the per-rank pools' steal counters (disjoint workers).
     let steal = outs
         .iter()
         .filter_map(|o| o.steal.as_ref())
@@ -673,6 +665,7 @@ pub fn run_distributed_ft(
         born: lead.born.clone(),
         survivors,
         fault: report,
+        faults_scheduled: *spec != FaultSpec::none(),
         per_rank_comm_seconds: outs.iter().map(|o| o.comm_s).collect(),
         per_rank_bytes_sent: outs.iter().map(|o| o.bytes).collect(),
         total_replicated_bytes: outs.iter().map(|o| o.replicated).sum(),
@@ -686,25 +679,17 @@ pub fn run_distributed_ft(
             .filter_map(|o| o.result.as_ref().ok())
             .map(|g| g.epol_s)
             .fold(0.0, f64::max),
-        work_born: outs
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .map(|g| g.work_born)
-            .sum(),
-        work_epol: outs
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .map(|g| g.work_epol)
-            .sum(),
+        per_rank_work_born: outs.iter().map(|o| rank_work(o, |g| g.work_born)).collect(),
+        per_rank_work_epol: outs.iter().map(|o| rank_work(o, |g| g.work_epol)).collect(),
         steal,
-        plan_stats: plan.map(InteractionPlan::stats),
+        kernel_mode: eval.kernel_mode(&p),
+        plan_stats,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::run_distributed;
     use crate::faults::{CrashFault, WorkerPanicFault};
     use polar_gb::GbParams;
     use polar_molecule::generators;
@@ -714,6 +699,11 @@ mod tests {
     fn solver(n: usize, seed: u64) -> GbSolver {
         let mol = generators::globular("d", n, seed);
         GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default())
+    }
+
+    /// The fault-free baseline every recovery is measured against.
+    fn fault_free(s: &GbSolver, cfg: &DistributedConfig) -> FtDistributedRun {
+        run_distributed_ft(s, cfg, &FaultSpec::none()).expect("no faults injected")
     }
 
     fn assert_matches(run: &FtDistributedRun, epol: f64, born: &[f64], tol: f64, what: &str) {
@@ -731,17 +721,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_ft_run_equals_the_plain_distributed_driver() {
+    fn fault_free_single_rank_run_equals_the_serial_solver_bitwise() {
         let s = solver(260, 31);
         let p = GbParams::default();
-        let cfg = DistributedConfig::oct_mpi(3, p);
-        let plain = run_distributed(&s, &cfg);
-        let ft = run_distributed_ft(&s, &cfg, &FaultSpec::none()).expect("no faults injected");
-        // Same division, same accumulation order: exactly equal, not
-        // merely within tolerance.
-        assert_eq!(ft.epol_kcal, plain.epol_kcal);
-        assert_eq!(ft.born, plain.born);
-        assert_eq!(ft.survivors, vec![0, 1, 2]);
+        let serial = s.solve(&p);
+        let ft = fault_free(&s, &DistributedConfig::oct_mpi(1, p));
+        // One segment per stage, one contribution per collective: the
+        // serial accumulation order, so exactly equal — not merely
+        // within tolerance.
+        assert_eq!(ft.epol_kcal, serial.epol_kcal);
+        assert_eq!(ft.born, serial.born);
+        assert_eq!(ft.total_work_born(), serial.work_born);
+        assert_eq!(ft.total_work_epol(), serial.work_epol);
+        assert_eq!(ft.survivors, vec![0]);
+        assert!(!ft.faults_scheduled);
         let f = &ft.fault;
         assert_eq!(
             (
@@ -753,7 +746,8 @@ mod tests {
             ),
             (0, 0, 0, 0, 0)
         );
-        assert!(f.events.is_empty(), "{:?}", f.events);
+        assert_eq!((f.recovered_items, f.straggler_extra_seconds), (0, 0.0));
+        assert!(f.dead_ranks.is_empty() && f.events.is_empty(), "{f:?}");
     }
 
     #[test]
@@ -761,7 +755,7 @@ mod tests {
         let s = solver(220, 32);
         let p = GbParams::default();
         let cfg = DistributedConfig::oct_mpi(3, p);
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         // Collectives 1/2/3 are the born allreduce, the radii allgather,
         // and the energy allreduce: one death inside each stage.
         for at in 1..=3u64 {
@@ -792,7 +786,7 @@ mod tests {
         let s = solver(220, 33);
         let p = GbParams::default();
         let cfg = DistributedConfig::oct_mpi(4, p);
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         let mut spec = FaultSpec::none();
         spec.crashes.push(CrashFault {
             rank: 0,
@@ -808,7 +802,7 @@ mod tests {
         let s = solver(200, 34);
         let p = GbParams::default();
         let cfg = DistributedConfig::oct_mpi(4, p);
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         let mut spec = FaultSpec::none();
         for (rank, at) in [(1, 1), (2, 2), (3, 3)] {
             spec.crashes.push(CrashFault {
@@ -828,7 +822,7 @@ mod tests {
         let p = GbParams::default();
         let mut cfg = DistributedConfig::oct_mpi_cilk(3, 2, p);
         cfg.use_plan = true;
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         let mut spec = FaultSpec::none();
         spec.crashes.push(CrashFault {
             rank: 2,
@@ -868,7 +862,7 @@ mod tests {
         let s = solver(220, 37);
         let p = GbParams::default();
         let cfg = DistributedConfig::oct_mpi_cilk(2, 3, p);
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         let mut spec = FaultSpec::none();
         spec.worker_panics.push(WorkerPanicFault {
             rank: 1,
@@ -889,7 +883,7 @@ mod tests {
         let p = GbParams::default();
         let mut cfg = DistributedConfig::oct_mpi_cilk(3, 2, p);
         cfg.params = p;
-        let base = run_distributed(&s, &cfg);
+        let base = fault_free(&s, &cfg);
         let mut spec = FaultSpec::none();
         spec.worker_retry_budget = 1;
         spec.worker_panics.push(WorkerPanicFault {

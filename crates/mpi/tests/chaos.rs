@@ -13,7 +13,6 @@
 
 use polar_gb::{GbParams, GbSolver};
 use polar_molecule::generators;
-use polar_mpi::drivers::run_distributed;
 use polar_mpi::recovery::{run_distributed_ft, DistributedError, FtDistributedRun};
 use polar_mpi::{CrashFault, DistributedConfig, FaultSpec};
 use polar_octree::OctreeConfig;
@@ -51,7 +50,8 @@ proptest! {
         } else {
             DistributedConfig::oct_mpi_cilk(ranks, threads, p)
         };
-        let base = run_distributed(&s, &cfg);
+        let base = run_distributed_ft(&s, &cfg, &FaultSpec::none())
+            .expect("the fault-free baseline cannot lose a rank");
         let spec = FaultSpec::from_seed(seed, ranks);
         prop_assert!(spec.survivable(ranks));
         let ft = run_distributed_ft(&s, &cfg, &spec)

@@ -43,9 +43,12 @@ fn main() {
     );
 
     let t = Instant::now();
-    let cilk = solver.solve_parallel(&params);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (cilk, _) = solver
+        .solve_pooled_report(LeafEval::Traverse, &params, workers)
+        .expect("the traversal has no plan to mismatch");
     println!(
-        "OCT_CILK (rayon):      E_pol = {:.4e} kcal/mol in {:.2?}",
+        "OCT_CILK ({workers} workers):  E_pol = {:.4e} kcal/mol in {:.2?}",
         cilk.epol_kcal,
         t.elapsed()
     );
@@ -58,7 +61,8 @@ fn main() {
         ),
     ] {
         let t = Instant::now();
-        let run = run_distributed(&solver, &cfg);
+        let run =
+            run_distributed_ft(&solver, &cfg, &FaultSpec::none()).expect("no faults are scheduled");
         println!(
             "{name:<22} E_pol = {:.4e} kcal/mol in {:.2?} (replicated {:.1} MB, sim comm {:.1} ms)",
             run.epol_kcal,

@@ -19,7 +19,7 @@
 //! | [`nblist`] | cell lists / neighbor lists (the baseline data structure) |
 //! | [`gb`] | **the core contribution**: hierarchical Born radii + E_pol |
 //! | [`runtime`] | cilk-style randomized work-stealing pool |
-//! | [`mpi`] | in-process message passing + the OCT_MPI / hybrid drivers |
+//! | [`mpi`] | in-process message passing + the OCT_MPI / hybrid driver |
 //! | [`cluster`] | simulated cluster of multicores (scalability figures) |
 //! | [`packages`] | Amber/Gromacs/NAMD/Tinker/GBr⁶-like baselines |
 //!
@@ -51,10 +51,10 @@ pub use polar_surface as surface;
 /// The types most programs need.
 pub mod prelude {
     pub use polar_cluster::{ClusterExperiment, Layout, MachineSpec};
-    pub use polar_gb::{GbParams, GbResult, GbSolver};
+    pub use polar_gb::{GbParams, GbResult, GbSolver, LeafEval};
     pub use polar_geom::{MathMode, RigidTransform, Vec3};
     pub use polar_molecule::{Atom, Molecule};
-    pub use polar_mpi::{drivers::run_distributed, DistributedConfig};
+    pub use polar_mpi::{run_distributed_ft, DistributedConfig, FaultSpec};
     pub use polar_octree::OctreeConfig;
     pub use polar_surface::SurfaceConfig;
 }

@@ -40,8 +40,8 @@ fn distributed_runs_are_bit_reproducible() {
     let mol = generators::globular("d", 300, 8);
     let solver = GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
     let cfg = DistributedConfig::oct_mpi_cilk(3, 2, GbParams::default());
-    let r1 = run_distributed(&solver, &cfg);
-    let r2 = run_distributed(&solver, &cfg);
+    let run = || run_distributed_ft(&solver, &cfg, &FaultSpec::none()).expect("no faults");
+    let (r1, r2) = (run(), run());
     // Thread scheduling varies, but the additive reduction order is fixed
     // by rank, so even the hybrid driver is exactly reproducible.
     assert_eq!(r1.epol_kcal.to_bits(), r2.epol_kcal.to_bits());

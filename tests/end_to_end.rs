@@ -14,10 +14,20 @@ fn every_driver_agrees_on_the_energy() {
     let solver = prepared(400, 1);
     let params = GbParams::default();
     let serial = solver.solve(&params).epol_kcal;
-    let rayon = solver.solve_parallel(&params).epol_kcal;
-    let mpi = run_distributed(&solver, &DistributedConfig::oct_mpi(3, params)).epol_kcal;
-    let hybrid = run_distributed(&solver, &DistributedConfig::oct_mpi_cilk(2, 2, params)).epol_kcal;
-    for (name, e) in [("rayon", rayon), ("mpi", mpi), ("hybrid", hybrid)] {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pooled = solver
+        .solve_pooled_report(LeafEval::Traverse, &params, workers)
+        .unwrap()
+        .0
+        .epol_kcal;
+    let distributed = |cfg: DistributedConfig| {
+        run_distributed_ft(&solver, &cfg, &FaultSpec::none())
+            .expect("no faults are scheduled")
+            .epol_kcal
+    };
+    let mpi = distributed(DistributedConfig::oct_mpi(3, params));
+    let hybrid = distributed(DistributedConfig::oct_mpi_cilk(2, 2, params));
+    for (name, e) in [("pooled", pooled), ("mpi", mpi), ("hybrid", hybrid)] {
         assert!(
             (e - serial).abs() <= 1e-9 * serial.abs(),
             "{name} disagrees: {e} vs {serial}"

@@ -83,8 +83,9 @@ fn sec4b_pure_mpi_replicates_p_times_more_memory() {
     let mol = generators::globular("rep", 300, 13);
     let solver = GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
     let params = GbParams::default();
-    let pure = run_distributed(&solver, &DistributedConfig::oct_mpi(8, params));
-    let hybrid = run_distributed(&solver, &DistributedConfig::oct_mpi_cilk(2, 4, params));
+    let run = |cfg| run_distributed_ft(&solver, &cfg, &FaultSpec::none()).expect("no faults");
+    let pure = run(DistributedConfig::oct_mpi(8, params));
+    let hybrid = run(DistributedConfig::oct_mpi_cilk(2, 4, params));
     assert_eq!(
         pure.total_replicated_bytes,
         4 * hybrid.total_replicated_bytes
