@@ -11,7 +11,7 @@
 //!
 //! Both field matvecs (charge → field, dipoles → field) replay the
 //! same flat near/far coverage lists the plan's energy and gradient
-//! kernels use: per source leaf, the near gather slots plus the far
+//! kernels use: per source leaf, the near partner slots plus the far
 //! partner subtrees exactly partition all atom slots, so each matvec
 //! is a pure summation reorder of the naive O(n²) double loop — the
 //! plan path matches [`charge_field_naive`] to ~1e-12 per component

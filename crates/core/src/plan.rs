@@ -8,10 +8,11 @@
 //! module splits the work FMM-style:
 //!
 //! * **plan** ([`InteractionPlan::build`]): run each traversal once and
-//!   record its decisions as flat interaction lists — near-field
-//!   (leaf, leaf) slot-range pairs and far-field (node, node) id pairs —
-//!   stored as SoA index buffers, one list segment per source leaf so the
-//!   node-based work division still applies;
+//!   record its decisions as flat interaction lists, one list segment
+//!   per source leaf so the node-based work division still applies. A
+//!   segment names its source leaf once and every entry stores only the
+//!   partner — one `u32` atom slot per near-field partner, one `u32`
+//!   node id per far-field (node, node) pair (see [`StageLists`]);
 //! * **execute** ([`InteractionPlan::execute_born_segment`],
 //!   [`InteractionPlan::execute_epol_segment`]): branch-free loops over
 //!   those buffers reading SoA position/charge arrays (cache-friendly and
@@ -41,10 +42,10 @@
 //! * **[`KernelMode::Lane`]** (the default) routes every list — near
 //!   blocks, the Born far entry stream and energy far entries — through
 //!   the hand-vectorized kernels of [`crate::kernels`]. Near blocks
-//!   gather atom slots through the plan's precomputed flat index lists
-//!   (`gather_idx`), Born far entries vectorize over the entry stream
-//!   itself (the group's one q node broadcasts while a-node centers
-//!   gather), and energy far entries run over the
+//!   gather atom slots straight through the plan's flat near list (the
+//!   same list the strict loops walk), Born far entries vectorize over
+//!   the entry stream itself (the group's one q node broadcasts while
+//!   a-node centers gather), and energy far entries run over the
 //!   [`EpolCtx`]-precompacted histogram rows. Exact-grade, not bitwise:
 //!   lane accumulators re-associate sums, FMA contracts roundings and
 //!   divisions become seeded Newton reciprocals, but every elementary
@@ -63,9 +64,9 @@
 //!
 //! * per q-leaf (Born) / per `T_A` leaf (energy): far and near lists in
 //!   plan order, near blocks in list order;
-//! * within a group's near work: strict mode sums the inner slot range
-//!   ascending per outer slot, block by block; lane mode runs the
-//!   group's flat gather list in list order, accumulating
+//! * within a group's near work: both modes run the group's near slot
+//!   list in list order; strict mode sums the source leaf's slot range
+//!   ascending per listed slot, lane mode accumulates
 //!   [`kernels::LANE_WIDTH`]-wide partial sums that reduce low → high
 //!   (Born lanes scatter per-atom partials directly, so only the energy
 //!   kernels have a horizontal reduction);
@@ -89,7 +90,7 @@ use crate::kernels::{self, KernelMode};
 use crate::report::PlanReport;
 use crate::solver::{FrameDelta, GbParams, GbSolver};
 use crate::stats::WorkCounts;
-use polar_geom::MathMode;
+use polar_geom::{MathMode, Vec3};
 use polar_octree::{NodeId, Octree};
 use std::fmt;
 use std::ops::Range;
@@ -291,60 +292,112 @@ pub struct ReplanStats {
 /// Segmented flat interaction lists of one stage, grouped by source leaf.
 ///
 /// Both hot traversals record into the same shape. For the Born stage
-/// (`APPROX-INTEGRALS`, Fig. 2) the source leaves are `T_Q` leaves, the
-/// partner side is the `T_A` recursion: near entry `i` is a (atom-leaf,
-/// q-leaf) block — partner slots `near_p_start[i]..near_p_end[i]` interact
-/// exactly with source slots `near_s_start[i]..near_s_end[i]` — and far
-/// entry `i` banks one pseudo-q-point term of `T_Q` node `far_s[i]` on
-/// `T_A` node `far_p[i]`. For the energy stage (`APPROX-EPOL`, Fig. 3)
-/// the source leaves are `T_A` leaves `V` and the partner side is the `U`
-/// recursion over the same tree.
+/// (`APPROX-INTEGRALS`, Fig. 2) the source leaves are `T_Q` leaves and the
+/// partner side is the `T_A` recursion; for the energy stage
+/// (`APPROX-EPOL`, Fig. 3) the source leaves are `T_A` leaves `V` and the
+/// partner side is the `U` recursion over the same tree.
 ///
-/// `near_off`/`far_off` (length `n_source_leaves + 1`) delimit each source
-/// leaf's slice of the lists, so rank `r` executes the slices of its leaf
-/// segment — the same node-based work division as the recursive path.
-/// Keying every list by source leaf is also what makes the lists
-/// *patchable*: when geometry moves, dirty leaves re-run their recursion
-/// in isolation and [`StageLists::splice`] swaps just their segments.
+/// A group is one source leaf's recursion. What identifies the source is
+/// stored **once per group** (`src` node id, its slot range, the number
+/// of partner leaves, the margin); each *entry* stores only its partner:
+///
+/// * `near` — one `u32` partner **slot** per near-field partner: the
+///   slot ranges of the partner leaves the recursion reached,
+///   concatenated in visit order. Every slot interacts exactly with
+///   every slot of the group's source range. Strict loops, lane gathers,
+///   the gradient and the induction sums all walk this one list.
+/// * `far` — one `u32` partner **node id** per far-field (node, node)
+///   pair: a `T_A` node whose pseudo-particle term is banked against the
+///   group's source node.
+///
+/// `near_off`/`far_off` (length `groups + 1`, `usize` so list sizes are
+/// not capped at 2³² entries) delimit each group's slice, so rank `r`
+/// executes the slices of its leaf segment — the same node-based work
+/// division as the recursive path. Keying every list by source leaf is
+/// also what makes the lists *patchable*: when geometry moves, dirty
+/// leaves re-run their recursion in isolation and [`StageLists::splice`]
+/// swaps just their segments.
+///
+/// Every column is allocated exact-sized (`capacity == len` after a
+/// build and after a splice), so [`InteractionPlan::memory_bytes`]
+/// charges the batch LRU for entries, not for `Vec` doubling slack.
 #[derive(Debug, Clone, Default)]
 pub struct StageLists {
-    near_off: Vec<u32>,
-    far_off: Vec<u32>,
-    near_p_start: Vec<u32>,
-    near_p_end: Vec<u32>,
-    near_s_start: Vec<u32>,
-    near_s_end: Vec<u32>,
-    far_p: Vec<u32>,
-    far_s: Vec<u32>,
-    /// Flat partner-slot gather list: each source leaf's near-entry
-    /// ranges concatenated (`gather_off`, length `n_source_leaves + 1`,
-    /// delimits each group). The lane kernel gathers straight through
-    /// these indices — the near ranges average only a few slots, so
-    /// per-range copies would cost more than the arithmetic they feed.
-    gather_idx: Vec<u32>,
-    gather_off: Vec<u32>,
+    // Per-group columns (one row per source leaf).
+    src: Vec<NodeId>,
+    src_start: Vec<u32>,
+    src_end: Vec<u32>,
+    /// Partner leaves the group's recursion reached: the (leaf, leaf)
+    /// block count [`PlanReport`] reports, which the flat `near` list
+    /// does not delimit.
+    near_blocks: Vec<u32>,
     /// Per-source-leaf separation-test margin: the minimum `|d − sep|`
     /// over every separation test in that leaf's recursion. A geometry
     /// update whose worst-case test erosion stays below a leaf's margin
     /// provably flips none of its tests, so its segment can be kept
     /// verbatim (see [`InteractionPlan::delta`]).
     margin: Vec<f64>,
+    near_off: Vec<usize>,
+    far_off: Vec<usize>,
+    // Per-entry columns (partner only).
+    near: Vec<u32>,
+    far: Vec<u32>,
+}
+
+/// One source leaf's slice of a [`StageLists`].
+struct Group<'a> {
+    /// Source leaf node id.
+    src: NodeId,
+    /// Source leaf slot range.
+    slots: Range<usize>,
+    /// Near partner slots, in recursion order.
+    near: &'a [u32],
+    /// Far partner node ids, in recursion order.
+    far: &'a [u32],
+}
+
+/// An offset column for `groups` groups: `groups + 1` slots, opened at 0.
+fn offsets_with_capacity(groups: usize) -> Vec<usize> {
+    let mut off = Vec::with_capacity(groups + 1);
+    off.push(0);
+    off
 }
 
 impl StageLists {
-    /// Number of near-field (leaf, leaf) block entries.
-    pub fn near_entries(&self) -> usize {
-        self.near_p_start.len()
+    /// Empty lists with room for exactly `groups` groups.
+    fn with_groups(groups: usize) -> StageLists {
+        StageLists {
+            src: Vec::with_capacity(groups),
+            src_start: Vec::with_capacity(groups),
+            src_end: Vec::with_capacity(groups),
+            near_blocks: Vec::with_capacity(groups),
+            margin: Vec::with_capacity(groups),
+            near_off: offsets_with_capacity(groups),
+            far_off: offsets_with_capacity(groups),
+            near: Vec::new(),
+            far: Vec::new(),
+        }
     }
 
-    /// Number of far-field (node, node) entries.
+    /// Number of near-field (leaf, leaf) blocks — partner leaves reached,
+    /// summed over groups (each is stored as its slots in the near list).
+    pub fn near_entries(&self) -> usize {
+        self.near_blocks.iter().map(|&b| b as usize).sum()
+    }
+
+    /// Stored near-field partner slots (one `u32` each).
+    pub fn near_slots(&self) -> usize {
+        self.near.len()
+    }
+
+    /// Number of far-field (node, node) entries (one `u32` each).
     pub fn far_entries(&self) -> usize {
-        self.far_p.len()
+        self.far.len()
     }
 
     /// Number of source-leaf groups the lists are segmented by.
     pub fn groups(&self) -> usize {
-        self.near_off.len().saturating_sub(1)
+        self.margin.len()
     }
 
     /// Per-group separation margins: how far (in distance units) each
@@ -356,44 +409,41 @@ impl StageLists {
         &self.margin
     }
 
-    /// Heap bytes actually held — capacities, not lengths, because the
-    /// LRU cache in [`crate::batch`] charges tenants for what the
-    /// allocator keeps resident (a patched plan may hold slack).
+    fn group(&self, g: usize) -> Group<'_> {
+        Group {
+            src: self.src[g],
+            slots: self.src_start[g] as usize..self.src_end[g] as usize,
+            near: &self.near[self.near_off[g]..self.near_off[g + 1]],
+            far: &self.far[self.far_off[g]..self.far_off[g + 1]],
+        }
+    }
+
+    /// Heap bytes actually held — capacities, which builds and splices
+    /// keep equal to the lengths, because the LRU cache in
+    /// [`crate::batch`] charges tenants for what the allocator keeps
+    /// resident.
     fn memory_bytes(&self) -> usize {
-        (self.near_off.capacity()
-            + self.far_off.capacity()
-            + self.near_p_start.capacity()
-            + self.near_p_end.capacity()
-            + self.near_s_start.capacity()
-            + self.near_s_end.capacity()
-            + self.far_p.capacity()
-            + self.far_s.capacity()
-            + self.gather_idx.capacity()
-            + self.gather_off.capacity())
+        (self.src.capacity()
+            + self.src_start.capacity()
+            + self.src_end.capacity()
+            + self.near_blocks.capacity()
+            + self.near.capacity()
+            + self.far.capacity())
             * std::mem::size_of::<u32>()
+            + (self.near_off.capacity() + self.far_off.capacity()) * std::mem::size_of::<usize>()
             + self.margin.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Append source-leaf group `g` of `src` (near entries, far entries,
-    /// gather slice, offsets) to `self`. Margins are handled by the
-    /// caller, which knows whether the group is fresh or aged.
-    fn push_group_from(&mut self, src: &StageLists, g: usize) {
-        let nr = src.near_off[g] as usize..src.near_off[g + 1] as usize;
-        self.near_p_start
-            .extend_from_slice(&src.near_p_start[nr.clone()]);
-        self.near_p_end
-            .extend_from_slice(&src.near_p_end[nr.clone()]);
-        self.near_s_start
-            .extend_from_slice(&src.near_s_start[nr.clone()]);
-        self.near_s_end.extend_from_slice(&src.near_s_end[nr]);
-        self.near_off.push(self.near_p_start.len() as u32);
-        let fr = src.far_off[g] as usize..src.far_off[g + 1] as usize;
-        self.far_p.extend_from_slice(&src.far_p[fr.clone()]);
-        self.far_s.extend_from_slice(&src.far_s[fr]);
-        self.far_off.push(self.far_p.len() as u32);
-        let gr = src.gather_off[g] as usize..src.gather_off[g + 1] as usize;
-        self.gather_idx.extend_from_slice(&src.gather_idx[gr]);
-        self.gather_off.push(self.gather_idx.len() as u32);
+    /// Close the group whose partner entries were just appended to
+    /// `near`/`far`.
+    fn close_group(&mut self, src: NodeId, slots: Range<u32>, blocks: u32, margin: f64) {
+        self.src.push(src);
+        self.src_start.push(slots.start);
+        self.src_end.push(slots.end);
+        self.near_blocks.push(blocks);
+        self.margin.push(margin);
+        self.near_off.push(self.near.len());
+        self.far_off.push(self.far.len());
     }
 
     /// Replace the segments of `dirty` source leaves (ascending) with the
@@ -403,46 +453,48 @@ impl StageLists {
     /// could have caused — so margins stay safe across repeated patches
     /// without re-measuring; dirty leaves take their exact fresh margin.
     ///
-    /// One pass over the lists, O(total list size): rebuilding by copy
-    /// beats repeated mid-vector splices as soon as more than one leaf is
-    /// dirty.
+    /// One pass over the lists into exact-sized columns, O(total list
+    /// size): rebuilding by copy beats repeated mid-vector splices as
+    /// soon as more than one leaf is dirty. The source columns are the
+    /// tree's leaves and do not change.
     fn splice(&mut self, dirty: &[u32], fresh: &StageLists, erosion: f64) {
         debug_assert_eq!(dirty.len(), fresh.groups());
+        for m in &mut self.margin {
+            *m -= erosion;
+        }
         if dirty.is_empty() {
-            for m in &mut self.margin {
-                *m -= erosion;
-            }
             return;
         }
-        let n = self.groups();
-        let mut out = StageLists::default();
-        out.near_off.reserve(n + 1);
-        out.far_off.reserve(n + 1);
-        out.gather_off.reserve(n + 1);
-        out.near_p_start.reserve(self.near_entries());
-        out.near_p_end.reserve(self.near_entries());
-        out.near_s_start.reserve(self.near_entries());
-        out.near_s_end.reserve(self.near_entries());
-        out.far_p.reserve(self.far_entries());
-        out.far_s.reserve(self.far_entries());
-        out.gather_idx.reserve(self.gather_idx.len());
-        out.margin.reserve(n);
-        out.near_off.push(0);
-        out.far_off.push(0);
-        out.gather_off.push(0);
+        let mut near_len = self.near.len() + fresh.near.len();
+        let mut far_len = self.far.len() + fresh.far.len();
+        for &leaf in dirty {
+            let replaced = self.group(leaf as usize);
+            near_len -= replaced.near.len();
+            far_len -= replaced.far.len();
+        }
+        let mut near = Vec::with_capacity(near_len);
+        let mut far = Vec::with_capacity(far_len);
+        let mut near_off = offsets_with_capacity(self.groups());
+        let mut far_off = offsets_with_capacity(self.groups());
         let mut k = 0usize;
-        for leaf in 0..n {
-            if k < dirty.len() && dirty[k] as usize == leaf {
-                out.push_group_from(fresh, k);
-                out.margin.push(fresh.margin[k]);
+        for leaf in 0..self.groups() {
+            let g = if k < dirty.len() && dirty[k] as usize == leaf {
+                debug_assert_eq!(fresh.src[k], self.src[leaf]);
+                self.near_blocks[leaf] = fresh.near_blocks[k];
+                self.margin[leaf] = fresh.margin[k];
                 k += 1;
+                fresh.group(k - 1)
             } else {
-                out.push_group_from(self, leaf);
-                out.margin.push(self.margin[leaf] - erosion);
-            }
+                self.group(leaf)
+            };
+            near.extend_from_slice(g.near);
+            far.extend_from_slice(g.far);
+            near_off.push(near.len());
+            far_off.push(far.len());
         }
         debug_assert_eq!(k, dirty.len());
-        *self = out;
+        (self.near, self.far) = (near, far);
+        (self.near_off, self.far_off) = (near_off, far_off);
     }
 
     /// Source leaves whose margin no longer survives `erosion` — the
@@ -508,8 +560,20 @@ impl InteractionPlan {
     /// Run both separation traversals once and record their decisions.
     pub fn build(solver: &GbSolver, p: &GbParams) -> InteractionPlan {
         let mut plan_work = WorkCounts::ZERO;
-        let born = plan_born(&solver.tree_a, &solver.tree_q, p.eps_born, &mut plan_work);
-        let epol = plan_epol(&solver.tree_a, p.eps_epol, &mut plan_work);
+        let born = plan_stage(
+            &solver.tree_a,
+            &solver.tree_q,
+            solver.tree_q.leaves(),
+            Walk::born(p.eps_born),
+            &mut plan_work,
+        );
+        let epol = plan_stage(
+            &solver.tree_a,
+            &solver.tree_a,
+            solver.tree_a.leaves(),
+            Walk::epol(p.eps_epol),
+            &mut plan_work,
+        );
 
         let mut plan = InteractionPlan {
             eps_born: p.eps_born,
@@ -542,12 +606,22 @@ impl InteractionPlan {
     /// (Re)copy the solver's per-slot inputs into the plan's SoA streams.
     /// Run at build time and again by [`InteractionPlan::patch`] so a
     /// patched plan executes over the frame's fresh coordinates.
-    /// Allocation-free after the first call (capacities are retained).
+    /// Allocates each stream exact-sized on the first call and nothing
+    /// afterwards (capacities are retained).
     fn fill_soa(&mut self, solver: &GbSolver) {
-        self.ax.clear();
-        self.ay.clear();
-        self.az.clear();
-        self.charge_slot.clear();
+        fn reset<const N: usize>(streams: [&mut Vec<f64>; N], len: usize) {
+            for v in streams {
+                v.clear();
+                v.reserve_exact(len);
+            }
+        }
+        let atoms = [
+            &mut self.ax,
+            &mut self.ay,
+            &mut self.az,
+            &mut self.charge_slot,
+        ];
+        reset(atoms, solver.n_atoms());
         for (slot, pos) in solver.tree_a.points().iter().enumerate() {
             self.ax.push(pos.x);
             self.ay.push(pos.y);
@@ -555,22 +629,25 @@ impl InteractionPlan {
             self.charge_slot
                 .push(solver.charges[solver.tree_a.order()[slot] as usize]);
         }
-        self.anx.clear();
-        self.any_.clear();
-        self.anz.clear();
-        for id in 0..solver.tree_a.node_count() {
-            let c = solver.tree_a.node(id as u32).center;
-            self.anx.push(c.x);
-            self.any_.push(c.y);
-            self.anz.push(c.z);
+        reset(
+            [&mut self.anx, &mut self.any_, &mut self.anz],
+            solver.tree_a.node_count(),
+        );
+        for node in solver.tree_a.nodes() {
+            self.anx.push(node.center.x);
+            self.any_.push(node.center.y);
+            self.anz.push(node.center.z);
         }
-        self.qx.clear();
-        self.qy.clear();
-        self.qz.clear();
-        self.qnx.clear();
-        self.qny.clear();
-        self.qnz.clear();
-        self.qw.clear();
+        let qpoints = [
+            &mut self.qx,
+            &mut self.qy,
+            &mut self.qz,
+            &mut self.qnx,
+            &mut self.qny,
+            &mut self.qnz,
+            &mut self.qw,
+        ];
+        reset(qpoints, solver.n_qpoints());
         for &orig in solver.tree_q.order() {
             let q = &solver.qpoints[orig as usize];
             self.qx.push(q.pos.x);
@@ -688,36 +765,25 @@ impl InteractionPlan {
     ) -> Result<ReplanStats, PlanError> {
         self.check_fingerprint(solver, p)?;
         let mut patch_work = WorkCounts::ZERO;
-        if !set.dirty_born.is_empty() {
-            let leaf_ids: Vec<NodeId> = set
-                .dirty_born
-                .iter()
-                .map(|&l| solver.tree_q.leaves()[l as usize])
-                .collect();
-            let fresh = plan_born_for(
-                &solver.tree_a,
-                &solver.tree_q,
-                p.eps_born,
-                &leaf_ids,
-                &mut patch_work,
-            );
-            self.born.splice(&set.dirty_born, &fresh, set.erosion_born);
-        } else {
-            self.born
-                .splice(&[], &StageLists::default(), set.erosion_born);
-        }
-        if !set.dirty_epol.is_empty() {
-            let leaf_ids: Vec<NodeId> = set
-                .dirty_epol
-                .iter()
-                .map(|&l| solver.tree_a.leaves()[l as usize])
-                .collect();
-            let fresh = plan_epol_for(&solver.tree_a, p.eps_epol, &leaf_ids, &mut patch_work);
-            self.epol.splice(&set.dirty_epol, &fresh, set.erosion_epol);
-        } else {
-            self.epol
-                .splice(&[], &StageLists::default(), set.erosion_epol);
-        }
+        let leaf_ids = |tree: &Octree, dirty: &[u32]| -> Vec<NodeId> {
+            dirty.iter().map(|&l| tree.leaves()[l as usize]).collect()
+        };
+        let fresh = plan_stage(
+            &solver.tree_a,
+            &solver.tree_q,
+            &leaf_ids(&solver.tree_q, &set.dirty_born),
+            Walk::born(p.eps_born),
+            &mut patch_work,
+        );
+        self.born.splice(&set.dirty_born, &fresh, set.erosion_born);
+        let fresh = plan_stage(
+            &solver.tree_a,
+            &solver.tree_a,
+            &leaf_ids(&solver.tree_a, &set.dirty_epol),
+            Walk::epol(p.eps_epol),
+            &mut patch_work,
+        );
+        self.epol.splice(&set.dirty_epol, &fresh, set.erosion_epol);
         self.fill_soa(solver);
         self.geom_version = solver.geom_version;
         self.plan_work.accumulate(patch_work);
@@ -730,8 +796,9 @@ impl InteractionPlan {
     }
 
     /// Heap bytes held by the plan: interaction lists + SoA input copies
-    /// (capacities — what the allocator keeps resident — so the batch
-    /// LRU charges tenants accurately even after splices leave slack).
+    /// (capacities — what the allocator keeps resident — which equal the
+    /// lengths after every build and patch, so the batch LRU charges
+    /// tenants for entries only).
     pub fn memory_bytes(&self) -> usize {
         self.born.memory_bytes()
             + self.epol.memory_bytes()
@@ -777,23 +844,23 @@ impl InteractionPlan {
         partials: &mut BornPartials,
         counts: &mut WorkCounts,
     ) {
-        if self.born.near_off.is_empty() {
+        if self.born.groups() == 0 {
             return;
         }
         for qleaf in qleaf_range {
+            let g = self.born.group(qleaf);
+            let q_id = g.src;
             // Far entries first, then near blocks — within one q-leaf the
             // two lists write disjoint accumulators (s_node vs s_atom), so
             // per-accumulator order matches the recursive interleaving.
-            let fr = self.born.far_off[qleaf] as usize..self.born.far_off[qleaf + 1] as usize;
-            counts.far_ops += fr.len() as u64;
-            if kernel == KernelMode::Lane && !fr.is_empty() {
+            counts.far_ops += g.far.len() as u64;
+            if kernel == KernelMode::Lane && !g.far.is_empty() {
                 // Every far entry of this group shares the one q node, so
                 // its moments broadcast and only a-node centers gather.
-                let q_id = self.born.far_s[fr.start];
                 let qc = ctx.tree_q.node(q_id).center;
                 let ns = ctx.q_nsum[q_id as usize];
                 kernels::born_far_r6_entries(
-                    &self.born.far_p[fr],
+                    g.far,
                     &self.anx,
                     &self.any_,
                     &self.anz,
@@ -803,11 +870,9 @@ impl InteractionPlan {
                     &mut partials.s_node,
                 );
             } else {
-                for i in fr {
-                    let a_id = self.born.far_p[i];
-                    let q_id = self.born.far_s[i];
+                let q = ctx.tree_q.node(q_id);
+                for &a_id in g.far {
                     let a = ctx.tree_a.node(a_id);
-                    let q = ctx.tree_q.node(q_id);
                     let d = q.center - a.center;
                     let d_sq = a.center.dist_sq(q.center);
                     partials.s_node[a_id as usize] += BornKernel::R6.far_term(
@@ -818,20 +883,14 @@ impl InteractionPlan {
                     );
                 }
             }
-            let nr = self.born.near_off[qleaf] as usize..self.born.near_off[qleaf + 1] as usize;
-            if kernel == KernelMode::Lane && !nr.is_empty() {
-                // All near entries of the group share the q-leaf's slot
-                // range; the precomputed gather list concatenates their
-                // atom ranges, and the kernel gathers/scatters through it
-                // directly — no scratch copies.
-                let q_range = self.born.near_s_start[nr.start] as usize
-                    ..self.born.near_s_end[nr.start] as usize;
-                let gr =
-                    self.born.gather_off[qleaf] as usize..self.born.gather_off[qleaf + 1] as usize;
-                let gidx = &self.born.gather_idx[gr];
-                counts.pair_ops += (gidx.len() * q_range.len()) as u64;
+            // Every near partner slot meets the q-leaf's whole slot range.
+            let q_range = g.slots;
+            counts.pair_ops += (g.near.len() * q_range.len()) as u64;
+            if kernel == KernelMode::Lane && !g.near.is_empty() {
+                // The kernel gathers/scatters straight through the near
+                // list — no scratch copies.
                 kernels::born_near_gather(
-                    gidx,
+                    g.near,
                     &self.ax,
                     &self.ay,
                     &self.az,
@@ -846,30 +905,25 @@ impl InteractionPlan {
                 );
                 continue;
             }
-            for i in nr {
-                let a_range = self.born.near_p_start[i] as usize..self.born.near_p_end[i] as usize;
-                let q_range = self.born.near_s_start[i] as usize..self.born.near_s_end[i] as usize;
-                counts.pair_ops += (a_range.len() * q_range.len()) as u64;
-                for a in a_range {
-                    let (x, y, z) = (self.ax[a], self.ay[a], self.az[a]);
-                    let mut s = 0.0;
-                    for j in q_range.clone() {
-                        let dx = self.qx[j] - x;
-                        let dy = self.qy[j] - y;
-                        let dz = self.qz[j] - z;
-                        let r2 = dx * dx + dy * dy + dz * dz;
-                        let dot =
-                            self.qw[j] * (dx * self.qnx[j] + dy * self.qny[j] + dz * self.qnz[j]);
-                        // Same guard as the recursive kernel; adding the
-                        // masked 0.0 never flips the accumulator's bits.
-                        s += if r2 > 1e-12 {
-                            dot / (r2 * r2 * r2)
-                        } else {
-                            0.0
-                        };
-                    }
-                    partials.s_atom[a] += s;
+            for &a in g.near {
+                let a = a as usize;
+                let (x, y, z) = (self.ax[a], self.ay[a], self.az[a]);
+                let mut s = 0.0;
+                for j in q_range.clone() {
+                    let dx = self.qx[j] - x;
+                    let dy = self.qy[j] - y;
+                    let dz = self.qz[j] - z;
+                    let r2 = dx * dx + dy * dy + dz * dz;
+                    let dot = self.qw[j] * (dx * self.qnx[j] + dy * self.qny[j] + dz * self.qnz[j]);
+                    // Same guard as the recursive kernel; adding the
+                    // masked 0.0 never flips the accumulator's bits.
+                    s += if r2 > 1e-12 {
+                        dot / (r2 * r2 * r2)
+                    } else {
+                        0.0
+                    };
                 }
+                partials.s_atom[a] += s;
             }
         }
     }
@@ -897,7 +951,7 @@ impl InteractionPlan {
         leaf_range: Range<usize>,
         counts: &mut WorkCounts,
     ) -> f64 {
-        if self.epol.near_off.is_empty() {
+        if self.epol.groups() == 0 {
             return 0.0;
         }
         let lane = kernel == KernelMode::Lane && math == MathMode::Exact;
@@ -922,18 +976,15 @@ impl InteractionPlan {
             // Per-leaf sub-accumulator: keeps the summation tree close to
             // the recursion's per-leaf nesting (ulp-level agreement).
             let mut leaf_acc = 0.0;
-            let nr = self.epol.near_off[leaf] as usize..self.epol.near_off[leaf + 1] as usize;
-            if lane && !nr.is_empty() {
-                // All near entries of the group share the leaf's slot
-                // range as V; the precomputed gather list concatenates
-                // their U ranges. Fill one dense block through it and run
-                // the lanes over the long gathered side (the leaf's few
-                // atoms broadcast).
-                let v_range = self.epol.near_s_start[nr.start] as usize
-                    ..self.epol.near_s_end[nr.start] as usize;
-                let gidx = &self.epol.gather_idx
-                    [self.epol.gather_off[leaf] as usize..self.epol.gather_off[leaf + 1] as usize];
-                counts.pair_ops += (gidx.len() * v_range.len()) as u64;
+            let g = self.epol.group(leaf);
+            let (v_id, v_range, gidx) = (g.src, g.slots, g.near);
+            // Every near partner slot (the `U` side) meets the leaf's
+            // whole slot range `V`.
+            counts.pair_ops += (gidx.len() * v_range.len()) as u64;
+            if lane && !gidx.is_empty() {
+                // Fill one dense block through the near list and run the
+                // lanes over the long gathered side (the leaf's few atoms
+                // broadcast).
                 if let Some(s) = kernels::epol_near_gather(
                     gidx,
                     &self.ax,
@@ -983,30 +1034,20 @@ impl InteractionPlan {
                     );
                 }
             } else {
-                for i in nr {
-                    let u_range =
-                        self.epol.near_p_start[i] as usize..self.epol.near_p_end[i] as usize;
-                    let v_range =
-                        self.epol.near_s_start[i] as usize..self.epol.near_s_end[i] as usize;
-                    counts.pair_ops += (u_range.len() * v_range.len()) as u64;
-                    for a in u_range {
-                        let (xa, ya, za) = (self.ax[a], self.ay[a], self.az[a]);
-                        let (qa, ra) = (self.charge_slot[a], born_slot[a]);
-                        for b in v_range.clone() {
-                            let dx = self.ax[b] - xa;
-                            let dy = self.ay[b] - ya;
-                            let dz = self.az[b] - za;
-                            let r_sq = dx * dx + dy * dy + dz * dz;
-                            leaf_acc +=
-                                gb_pair(qa, self.charge_slot[b], r_sq, ra, born_slot[b], math);
-                        }
+                for &a in gidx {
+                    let a = a as usize;
+                    let (xa, ya, za) = (self.ax[a], self.ay[a], self.az[a]);
+                    let (qa, ra) = (self.charge_slot[a], born_slot[a]);
+                    for b in v_range.clone() {
+                        let dx = self.ax[b] - xa;
+                        let dy = self.ay[b] - ya;
+                        let dz = self.az[b] - za;
+                        let r_sq = dx * dx + dy * dy + dz * dz;
+                        leaf_acc += gb_pair(qa, self.charge_slot[b], r_sq, ra, born_slot[b], math);
                     }
                 }
             }
-            let fr = self.epol.far_off[leaf] as usize..self.epol.far_off[leaf + 1] as usize;
-            for i in fr {
-                let u_id = self.epol.far_p[i];
-                let v_id = self.epol.far_s[i];
+            for &u_id in g.far {
                 let u = ectx.tree.node(u_id);
                 let v = ectx.tree.node(v_id);
                 let d_sq = u.center.dist_sq(v.center);
@@ -1060,8 +1101,8 @@ impl InteractionPlan {
     /// `(gx, gy, gz)` spans (slot `s` writes index `s − slot_base`).
     ///
     /// The coverage argument: for each source leaf `V`, the recursion
-    /// behind [`plan_epol`] either reaches a `U` leaf (near block) or
-    /// cuts a `U` subtree (far entry), so the leaf's near gather list
+    /// behind [`plan_stage`] either reaches a `U` leaf (near block) or
+    /// cuts a `U` subtree (far entry), so the leaf's near slot list
     /// plus its far nodes' slot ranges exactly partition **all** atom
     /// slots. Expanding far entries *pairwise* (instead of the energy
     /// stage's histogram collapse) therefore computes each target's
@@ -1094,7 +1135,7 @@ impl InteractionPlan {
         gz: &mut [f64],
         counts: &mut WorkCounts,
     ) -> Result<(), GradientError> {
-        if self.epol.near_off.is_empty() {
+        if self.epol.groups() == 0 {
             return Ok(());
         }
         let lane = kernel == KernelMode::Lane && math == MathMode::Exact;
@@ -1107,19 +1148,15 @@ impl InteractionPlan {
         let mut pr: Vec<f64> = Vec::new();
         let mut pri: Vec<f64> = Vec::new();
         for leaf in leaf_range {
-            let nr = self.epol.near_off[leaf] as usize..self.epol.near_off[leaf + 1] as usize;
-            if nr.is_empty() {
+            let g = self.epol.group(leaf);
+            if g.near.is_empty() {
                 continue;
             }
-            // All near entries of a group share the leaf's own slot range
-            // as targets (`V`); its own `U` leaf is always among them.
-            let v_range =
-                self.epol.near_s_start[nr.start] as usize..self.epol.near_s_end[nr.start] as usize;
-            let fr = self.epol.far_off[leaf] as usize..self.epol.far_off[leaf + 1] as usize;
+            // The leaf's own slot range is the target side (`V`); its own
+            // `U` leaf is always among the near partners.
+            let (v_range, gidx) = (g.slots.clone(), g.near);
             let out = (v_range.start - slot_base)..(v_range.end - slot_base);
             if lane {
-                let gidx = &self.epol.gather_idx
-                    [self.epol.gather_off[leaf] as usize..self.epol.gather_off[leaf + 1] as usize];
                 counts.pair_ops += (gidx.len() * v_range.len()) as u64;
                 // Fill the gathered partner block, padded to a lane
                 // multiple with zero-charge sentinels placed far away so
@@ -1170,8 +1207,8 @@ impl InteractionPlan {
                     &mut gy[out.clone()],
                     &mut gz[out.clone()],
                 );
-                for i in fr.clone() {
-                    let u = tree.node(self.epol.far_p[i]);
+                for &u_id in g.far {
+                    let u = tree.node(u_id);
                     let u_range = u.start as usize..u.end as usize;
                     counts.pair_ops += (u_range.len() * v_range.len()) as u64;
                     counts.far_ops += 1;
@@ -1201,7 +1238,7 @@ impl InteractionPlan {
                 // expected suspect per target. Any excess is a genuinely
                 // coincident pair: locate it with a scalar pass.
                 if suspects != v_range.len() as u64 {
-                    if let Some(err) = self.find_coincident(tree, leaf, &v_range) {
+                    if let Some(err) = self.find_coincident(tree, &g) {
                         return Err(err);
                     }
                 }
@@ -1235,16 +1272,12 @@ impl InteractionPlan {
                         az_ += dz * k;
                         Ok(())
                     };
-                    for i in nr.clone() {
-                        let u_range =
-                            self.epol.near_p_start[i] as usize..self.epol.near_p_end[i] as usize;
-                        counts.pair_ops += u_range.len() as u64;
-                        for a in u_range {
-                            pair(a)?;
-                        }
+                    counts.pair_ops += gidx.len() as u64;
+                    for &a in gidx {
+                        pair(a as usize)?;
                     }
-                    for i in fr.clone() {
-                        let u = tree.node(self.epol.far_p[i]);
+                    for &u_id in g.far {
+                        let u = tree.node(u_id);
                         let u_range = u.start as usize..u.end as usize;
                         counts.pair_ops += u_range.len() as u64;
                         for a in u_range {
@@ -1255,25 +1288,18 @@ impl InteractionPlan {
                     gy[b - slot_base] += ay_;
                     gz[b - slot_base] += az_;
                 }
-                counts.far_ops += fr.len() as u64;
+                counts.far_ops += g.far.len() as u64;
             }
         }
         Ok(())
     }
 
     /// Scalar sweep for the coincident pair a lane suspect-count excess
-    /// implies: checks every (target, partner) pair of `leaf`'s lists.
-    /// Returns `None` if nothing is sub-guard (a blend at the exact
-    /// guard boundary — nothing was lost, the pair's term is ~0).
-    fn find_coincident(
-        &self,
-        tree: &Octree,
-        leaf: usize,
-        v_range: &Range<usize>,
-    ) -> Option<GradientError> {
-        let nr = self.epol.near_off[leaf] as usize..self.epol.near_off[leaf + 1] as usize;
-        let fr = self.epol.far_off[leaf] as usize..self.epol.far_off[leaf + 1] as usize;
-        for b in v_range.clone() {
+    /// implies: checks every (target, partner) pair of the group's
+    /// lists. Returns `None` if nothing is sub-guard (a blend at the
+    /// exact guard boundary — nothing was lost, the pair's term is ~0).
+    fn find_coincident(&self, tree: &Octree, g: &Group<'_>) -> Option<GradientError> {
+        for b in g.slots.clone() {
             let check = |a: usize| -> Option<GradientError> {
                 if a == b {
                     return None;
@@ -1287,20 +1313,13 @@ impl InteractionPlan {
                 }
                 None
             };
-            for i in nr.clone() {
-                for a in self.epol.near_p_start[i] as usize..self.epol.near_p_end[i] as usize {
-                    if let Some(e) = check(a) {
-                        return Some(e);
-                    }
-                }
-            }
-            for i in fr.clone() {
-                let u = tree.node(self.epol.far_p[i]);
-                for a in u.start as usize..u.end as usize {
-                    if let Some(e) = check(a) {
-                        return Some(e);
-                    }
-                }
+            let far_slots = g.far.iter().flat_map(|&u_id| {
+                let u = tree.node(u_id);
+                u.start as usize..u.end as usize
+            });
+            let near_slots = g.near.iter().map(|&a| a as usize);
+            if let Some(e) = near_slots.chain(far_slots).find_map(check) {
+                return Some(e);
             }
         }
         None
@@ -1309,20 +1328,12 @@ impl InteractionPlan {
     /// The per-leaf partner coverage of the energy lists, for scalar
     /// consumers that replay the same partition the gradient kernels use
     /// (the point-dipole induction field sums): the leaf's own target
-    /// slot range, its flat near-gather slot list, and its far partner
-    /// node ids (whose slot ranges complete the partition of all atoms).
-    /// `None` for a leaf with no recorded entries (empty tree).
+    /// slot range, its near partner slots, and its far partner node ids
+    /// (whose slot ranges complete the partition of all atoms). `None`
+    /// for a leaf with no recorded entries (empty tree).
     pub(crate) fn epol_leaf_cover(&self, leaf: usize) -> Option<(Range<usize>, &[u32], &[u32])> {
-        let nr = self.epol.near_off[leaf] as usize..self.epol.near_off[leaf + 1] as usize;
-        if nr.is_empty() {
-            return None;
-        }
-        let v_range =
-            self.epol.near_s_start[nr.start] as usize..self.epol.near_s_end[nr.start] as usize;
-        let gidx = &self.epol.gather_idx
-            [self.epol.gather_off[leaf] as usize..self.epol.gather_off[leaf + 1] as usize];
-        let fr = self.epol.far_off[leaf] as usize..self.epol.far_off[leaf + 1] as usize;
-        Some((v_range, gidx, &self.epol.far_p[fr]))
+        let g = self.epol.group(leaf);
+        (!g.near.is_empty()).then_some((g.slots, g.near, g.far))
     }
 
     /// Slot-order atom SoA views `(ax, ay, az, charge)` for plan-path
@@ -1336,17 +1347,14 @@ impl InteractionPlan {
     /// the traversal. `pair_ops`/`far_ops` sum to the recursive
     /// traversal's totals; `nodes_visited` is zero (spent at plan time).
     pub fn born_leaf_work(&self) -> Vec<WorkCounts> {
-        let n = self.born.near_off.len().saturating_sub(1);
-        (0..n)
+        (0..self.born.groups())
             .map(|qleaf| {
-                let mut w = WorkCounts::ZERO;
-                let nr = self.born.near_off[qleaf] as usize..self.born.near_off[qleaf + 1] as usize;
-                for i in nr {
-                    w.pair_ops += (self.born.near_p_end[i] - self.born.near_p_start[i]) as u64
-                        * (self.born.near_s_end[i] - self.born.near_s_start[i]) as u64;
+                let g = self.born.group(qleaf);
+                WorkCounts {
+                    pair_ops: (g.near.len() * g.slots.len()) as u64,
+                    far_ops: g.far.len() as u64,
+                    ..WorkCounts::ZERO
                 }
-                w.far_ops += (self.born.far_off[qleaf + 1] - self.born.far_off[qleaf]) as u64;
-                w
             })
             .collect()
     }
@@ -1355,22 +1363,16 @@ impl InteractionPlan {
     /// solve's [`EpolCtx`] because a far entry's evaluation count is the
     /// product of the two nodes' nonzero histogram bins.
     pub fn epol_leaf_work(&self, ectx: &EpolCtx<'_>) -> Vec<WorkCounts> {
-        let n = self.epol.near_off.len().saturating_sub(1);
-        (0..n)
+        (0..self.epol.groups())
             .map(|leaf| {
-                let mut w = WorkCounts::ZERO;
-                let nr = self.epol.near_off[leaf] as usize..self.epol.near_off[leaf + 1] as usize;
-                for i in nr {
-                    w.pair_ops += (self.epol.near_p_end[i] - self.epol.near_p_start[i]) as u64
-                        * (self.epol.near_s_end[i] - self.epol.near_s_start[i]) as u64;
+                let g = self.epol.group(leaf);
+                let nzv = ectx.nonzero_bin_count(g.src) as u64;
+                let far_evals = |&u_id: &u32| (ectx.nonzero_bin_count(u_id) as u64 * nzv).max(1);
+                WorkCounts {
+                    pair_ops: (g.near.len() * g.slots.len()) as u64,
+                    far_ops: g.far.iter().map(far_evals).sum(),
+                    ..WorkCounts::ZERO
                 }
-                let fr = self.epol.far_off[leaf] as usize..self.epol.far_off[leaf + 1] as usize;
-                for i in fr {
-                    let evals = ectx.nonzero_bin_count(self.epol.far_p[i]) as u64
-                        * ectx.nonzero_bin_count(self.epol.far_s[i]) as u64;
-                    w.far_ops += evals.max(1);
-                }
-                w
             })
             .collect()
     }
@@ -1389,186 +1391,140 @@ fn coincident_error(tree: &Octree, slot_a: usize, slot_b: usize, r_sq: f64) -> G
     }
 }
 
-/// Mirror of `recurse_qleaf` in [`crate::born::octree`]: same tests, same
-/// visit order, but records decisions instead of evaluating.
-fn plan_born(tree_a: &Octree, tree_q: &Octree, eps: f64, counts: &mut WorkCounts) -> StageLists {
-    if tree_a.is_empty() || tree_q.is_empty() {
-        return StageLists::default();
-    }
-    plan_born_for(tree_a, tree_q, eps, tree_q.leaves(), counts)
+/// One `T_A` node as the planner's walk reads it: the separation-test
+/// inputs, the slot range, and where the pre-order walk resumes when the
+/// node's subtree is cut. 48 bytes against the 128-byte `OctreeNode`.
+#[derive(Clone, Copy)]
+struct WalkNode {
+    center: Vec3,
+    radius: f64,
+    /// Id one past the node's subtree: the next node in pre-order that is
+    /// not a descendant.
+    skip: NodeId,
+    start: u32,
+    end: u32,
+    leaf: bool,
 }
 
-/// Plan the Born lists for an arbitrary subset of `T_Q` source leaves —
-/// all of them at build time, just the dirty ones on the patch path.
-/// Each source leaf's recursion is independent, so a group planned here
-/// is bitwise the group a full cold plan would record for that leaf.
-fn plan_born_for(
-    tree_a: &Octree,
-    tree_q: &Octree,
-    eps: f64,
-    leaf_ids: &[NodeId],
-    counts: &mut WorkCounts,
-) -> StageLists {
-    let mut plan = StageLists::default();
-    let factor = separation_factor_r6(eps);
-    plan.near_off.reserve(leaf_ids.len() + 1);
-    plan.far_off.reserve(leaf_ids.len() + 1);
-    plan.margin.reserve(leaf_ids.len());
-    plan.near_off.push(0);
-    plan.far_off.push(0);
-    for &qleaf in leaf_ids {
-        let mut margin = f64::INFINITY;
-        plan_born_rec(
-            tree_a,
-            tree_q,
-            factor,
-            Octree::ROOT,
-            qleaf,
-            &mut plan,
-            &mut margin,
-            counts,
-        );
-        plan.near_off.push(plan.near_p_start.len() as u32);
-        plan.far_off.push(plan.far_p.len() as u32);
-        plan.margin.push(margin);
+/// The partner tree flattened for the stackless walk. Relies on the
+/// octree's id order being DFS pre-order with children ascending in
+/// octant order and every subtree a contiguous id range
+/// (`Octree::check_invariants` asserts exactly that): stepping `id + 1`
+/// descends to the first child, jumping to `skip` moves to the next
+/// sibling (or an ancestor's), and the walk therefore visits the nodes
+/// the recursion would, in the recursion's order.
+fn walk_table(tree: &Octree) -> Vec<WalkNode> {
+    let mut table: Vec<WalkNode> = tree
+        .nodes()
+        .iter()
+        .map(|n| WalkNode {
+            center: n.center,
+            radius: n.radius,
+            skip: 0,
+            start: n.start,
+            end: n.end,
+            leaf: n.is_leaf,
+        })
+        .collect();
+    // Children have larger ids than their parent, so a reverse scan sees
+    // a node's last child (whose subtree ends where the node's does)
+    // before the node.
+    for (id, n) in tree.nodes().iter().enumerate().rev() {
+        table[id].skip = match n.child_ids().last() {
+            Some(last) => table[last as usize].skip,
+            None => id as NodeId + 1,
+        };
     }
-    (plan.gather_idx, plan.gather_off) =
-        expand_gather(&plan.near_off, &plan.near_p_start, &plan.near_p_end);
-    plan
+    table
 }
 
-/// Expand each group's near-entry slot ranges into a flat gather-index
-/// list (one `u32` per gathered slot, group boundaries in the returned
-/// offsets). Slots stay in entry order, so lane kernels reading through
-/// the list visit exactly the scratch-copy order the gathered kernels
-/// used to see.
-fn expand_gather(off: &[u32], start: &[u32], end: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let total: usize = start.iter().zip(end).map(|(&s, &e)| (e - s) as usize).sum();
-    let mut idx = Vec::with_capacity(total);
-    let mut goff = Vec::with_capacity(off.len());
-    goff.push(0u32);
-    for g in 0..off.len().saturating_sub(1) {
-        for i in off[g] as usize..off[g + 1] as usize {
-            idx.extend(start[i]..end[i]);
-        }
-        goff.push(idx.len() as u32);
-    }
-    (idx, goff)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn plan_born_rec(
-    tree_a: &Octree,
-    tree_q: &Octree,
+/// Which recursion a walk mirrors. `recurse_qleaf` in
+/// [`crate::born::octree`] (Fig. 2) runs the separation test on every
+/// node and only then asks whether it is a leaf; `recurse` in
+/// [`crate::energy::octree`] (Fig. 3) accepts a `U` leaf as a near block
+/// before any test, so leaves contribute no margin there.
+#[derive(Clone, Copy)]
+struct Walk {
+    /// Separation factor of the stage at the plan's ε.
     factor: f64,
-    a_id: NodeId,
-    qleaf: NodeId,
-    plan: &mut StageLists,
-    margin: &mut f64,
-    counts: &mut WorkCounts,
-) {
-    counts.nodes_visited += 1;
-    let a = tree_a.node(a_id);
-    let q = tree_q.node(qleaf);
-    let d_sq = a.center.dist_sq(q.center);
-    let sep = (a.radius + q.radius) * factor;
-    // `|d − sep|` is how far this test sits from flipping; the minimum
-    // over the leaf's recursion is the segment's reuse margin. (The
-    // `d_sq > 0` coincident-center special case has margin 0 and is
-    // always re-planned.)
-    *margin = margin.min((d_sq.sqrt() - sep).abs());
-    if d_sq > sep * sep && d_sq > 0.0 {
-        plan.far_p.push(a_id);
-        plan.far_s.push(qleaf);
-    } else if a.is_leaf {
-        plan.near_p_start.push(a.start);
-        plan.near_p_end.push(a.end);
-        plan.near_s_start.push(q.start);
-        plan.near_s_end.push(q.end);
-    } else {
-        for c in a.child_ids() {
-            plan_born_rec(tree_a, tree_q, factor, c, qleaf, plan, margin, counts);
+    leaf_before_test: bool,
+}
+
+impl Walk {
+    fn born(eps: f64) -> Walk {
+        Walk {
+            factor: separation_factor_r6(eps),
+            leaf_before_test: false,
+        }
+    }
+
+    fn epol(eps: f64) -> Walk {
+        Walk {
+            factor: separation_factor_epol(eps),
+            leaf_before_test: true,
         }
     }
 }
 
-/// Mirror of `recurse` in [`crate::energy::octree`]: the separation
-/// structure depends only on the tree geometry and ε — not on Born radii
-/// — so the lists stay valid across solves.
-fn plan_epol(tree: &Octree, eps: f64, counts: &mut WorkCounts) -> StageLists {
-    if tree.is_empty() {
-        return StageLists::default();
-    }
-    plan_epol_for(tree, eps, tree.leaves(), counts)
-}
-
-/// Plan the energy lists for an arbitrary subset of `T_A` source leaves
-/// `V` (see [`plan_born_for`]).
-fn plan_epol_for(
-    tree: &Octree,
-    eps: f64,
+/// Plan one stage's lists for the source leaves `leaf_ids` of `sources`
+/// (all of them at build time, just the dirty ones on the patch path)
+/// against the `partners` tree: same tests, same visit order as the
+/// recursive kernels, but recording decisions instead of evaluating.
+///
+/// Each source leaf's walk is independent, so a group planned here is
+/// bitwise the group a full cold plan records for that leaf. The
+/// separation structure depends only on tree geometry and ε — not on
+/// Born radii — so the lists stay valid across solves.
+fn plan_stage(
+    partners: &Octree,
+    sources: &Octree,
     leaf_ids: &[NodeId],
+    walk: Walk,
     counts: &mut WorkCounts,
 ) -> StageLists {
-    let mut plan = StageLists::default();
-    let factor = separation_factor_epol(eps);
-    plan.near_off.reserve(leaf_ids.len() + 1);
-    plan.far_off.reserve(leaf_ids.len() + 1);
-    plan.margin.reserve(leaf_ids.len());
-    plan.near_off.push(0);
-    plan.far_off.push(0);
-    for &v in leaf_ids {
+    if partners.is_empty() || leaf_ids.is_empty() {
+        return StageLists::default();
+    }
+    let table = walk_table(partners);
+    let mut lists = StageLists::with_groups(leaf_ids.len());
+    let mut visited = 0u64;
+    for &leaf in leaf_ids {
+        let src = sources.node(leaf);
+        // `|d − sep|` is how far a test sits from flipping; the minimum
+        // over the leaf's walk is the segment's reuse margin. (Coincident
+        // centers, `d_sq == 0`, have margin 0 and are always re-planned.
+        // The `d_sq > 0` guard is Fig. 2's; `d_sq > sep²` implies it, so
+        // Fig. 3's walk, which never had it, is unchanged by it.)
         let mut margin = f64::INFINITY;
-        plan_epol_rec(
-            tree,
-            factor,
-            Octree::ROOT,
-            v,
-            &mut plan,
-            &mut margin,
-            counts,
-        );
-        plan.near_off.push(plan.near_p_start.len() as u32);
-        plan.far_off.push(plan.far_p.len() as u32);
-        plan.margin.push(margin);
+        let mut blocks = 0u32;
+        let mut id = 0usize;
+        while let Some(node) = table.get(id) {
+            visited += 1;
+            let separated = !(walk.leaf_before_test && node.leaf) && {
+                let d_sq = node.center.dist_sq(src.center);
+                let sep = (node.radius + src.radius) * walk.factor;
+                margin = margin.min((d_sq.sqrt() - sep).abs());
+                d_sq > sep * sep && d_sq > 0.0
+            };
+            if separated {
+                lists.far.push(id as NodeId);
+            } else if node.leaf {
+                lists.near.extend(node.start..node.end);
+                blocks += 1;
+            } else {
+                id += 1;
+                continue;
+            }
+            id = node.skip as usize;
+        }
+        lists.close_group(leaf, src.start..src.end, blocks, margin);
     }
-    (plan.gather_idx, plan.gather_off) =
-        expand_gather(&plan.near_off, &plan.near_p_start, &plan.near_p_end);
-    plan
-}
-
-fn plan_epol_rec(
-    tree: &Octree,
-    factor: f64,
-    u_id: NodeId,
-    v_id: NodeId,
-    plan: &mut StageLists,
-    margin: &mut f64,
-    counts: &mut WorkCounts,
-) {
-    counts.nodes_visited += 1;
-    let u = tree.node(u_id);
-    let v = tree.node(v_id);
-    if u.is_leaf {
-        // No separation test on this branch — reaching a `U` leaf always
-        // records a near block, so it contributes no margin.
-        plan.near_p_start.push(u.start);
-        plan.near_p_end.push(u.end);
-        plan.near_s_start.push(v.start);
-        plan.near_s_end.push(v.end);
-        return;
-    }
-    let d_sq = u.center.dist_sq(v.center);
-    let sep = (u.radius + v.radius) * factor;
-    *margin = margin.min((d_sq.sqrt() - sep).abs());
-    if d_sq > sep * sep {
-        plan.far_p.push(u_id);
-        plan.far_s.push(v_id);
-        return;
-    }
-    for c in u.child_ids() {
-        plan_epol_rec(tree, factor, c, v_id, plan, margin, counts);
-    }
+    counts.nodes_visited += visited;
+    // Give back the growth slack of appending, so a finished build holds
+    // `capacity == len` in every column.
+    lists.near.shrink_to_fit();
+    lists.far.shrink_to_fit();
+    lists
 }
 
 #[cfg(test)]
@@ -1799,52 +1755,424 @@ mod tests {
     #[test]
     fn memory_bytes_sums_every_segment_capacity() {
         // `memory_bytes` feeds the batch cache's byte-capacity LRU, so
-        // it must account for *every* backing segment: both stages'
-        // offset/near/far/gather/margin lists plus the SoA coordinate
-        // mirrors. The sum of the segments' lengths is a hard floor
-        // (capacity >= len for every Vec); a missing segment in the
-        // accounting would eventually let the floor overtake it.
-        let s = solver(260, 23);
-        let plan = InteractionPlan::build(&s, &GbParams::default());
-        let stage_floor = |l: &StageLists| {
-            (l.near_off.len()
-                + l.far_off.len()
-                + l.near_p_start.len()
-                + l.near_p_end.len()
-                + l.near_s_start.len()
-                + l.near_s_end.len()
-                + l.far_p.len()
-                + l.far_s.len()
-                + l.gather_idx.len()
-                + l.gather_off.len())
-                * std::mem::size_of::<u32>()
-                + l.margin.len() * std::mem::size_of::<f64>()
+        // it must account for *every* backing segment — both stages'
+        // group/offset/near/far/margin columns plus the SoA coordinate
+        // mirrors — and charge for entries, not growth slack: after a
+        // cold build and after a patch every column holds
+        // `capacity == len`, so the ledger equals the sum of lengths.
+        fn exact<T>(v: &Vec<T>, what: &str, when: &str) -> usize {
+            assert_eq!(v.capacity(), v.len(), "{what} holds slack after {when}");
+            v.len() * std::mem::size_of::<T>()
+        }
+        fn held(plan: &InteractionPlan, when: &str) -> usize {
+            let stage = |l: &StageLists| {
+                exact(&l.src, "src", when)
+                    + exact(&l.src_start, "src_start", when)
+                    + exact(&l.src_end, "src_end", when)
+                    + exact(&l.near_blocks, "near_blocks", when)
+                    + exact(&l.margin, "margin", when)
+                    + exact(&l.near_off, "near_off", when)
+                    + exact(&l.far_off, "far_off", when)
+                    + exact(&l.near, "near", when)
+                    + exact(&l.far, "far", when)
+            };
+            let soa = [
+                (&plan.ax, "ax"),
+                (&plan.ay, "ay"),
+                (&plan.az, "az"),
+                (&plan.charge_slot, "charge_slot"),
+                (&plan.anx, "anx"),
+                (&plan.any_, "any"),
+                (&plan.anz, "anz"),
+                (&plan.qx, "qx"),
+                (&plan.qy, "qy"),
+                (&plan.qz, "qz"),
+                (&plan.qnx, "qnx"),
+                (&plan.qny, "qny"),
+                (&plan.qnz, "qnz"),
+                (&plan.qw, "qw"),
+            ];
+            stage(&plan.born)
+                + stage(&plan.epol)
+                + soa
+                    .iter()
+                    .map(|(v, what)| exact(v, what, when))
+                    .sum::<usize>()
+        }
+        let mut s = solver(260, 23);
+        let p = GbParams::default();
+        let mut plan = InteractionPlan::build(&s, &p);
+        assert!(plan.born.far_entries() > 0 && plan.epol.far_entries() > 0);
+        assert_eq!(plan.memory_bytes(), held(&plan, "build"));
+
+        // Exact-geometry frame with every segment allowed to go dirty:
+        // the splice really rebuilds both stages' columns.
+        let cfg = ReplanConfig {
+            tolerance: 0.0,
+            max_dirty_fraction: 1.0,
+            ..ReplanConfig::default()
         };
-        let soa_floor = (plan.ax.len()
-            + plan.ay.len()
-            + plan.az.len()
-            + plan.charge_slot.len()
-            + plan.anx.len()
-            + plan.any_.len()
-            + plan.anz.len()
-            + plan.qx.len()
-            + plan.qy.len()
-            + plan.qz.len()
-            + plan.qnx.len()
-            + plan.qny.len()
-            + plan.qnz.len()
-            + plan.qw.len())
-            * std::mem::size_of::<f64>();
-        let floor = stage_floor(&plan.born) + stage_floor(&plan.epol) + soa_floor;
-        assert!(floor > 0);
-        assert!(
-            plan.memory_bytes() >= floor,
-            "{} < {floor}: a segment is missing from the accounting",
-            plan.memory_bytes()
+        let moved: Vec<Vec3> = s
+            .atom_pos
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x + Vec3::new(0.01, -0.02, 0.015) * ((i % 5) as f64 / 4.0))
+            .collect();
+        let frame = s
+            .apply_frame(&moved, cfg.slack, cfg.tolerance)
+            .expect("a 0.03 A step stays inside the slack");
+        let PlanDelta::Patchable(set) = plan.delta(&s, &p, &frame, &cfg) else {
+            panic!("a small exact-geometry step must be patchable");
+        };
+        assert!(!set.dirty_born.is_empty() && !set.dirty_epol.is_empty());
+        plan.patch(&s, &p, &set).expect("patch set fits its solver");
+        assert_eq!(plan.memory_bytes(), held(&plan, "patch"));
+    }
+
+    /// The recursive planners the stackless walk replaced — direct
+    /// mirrors of `recurse_qleaf` (Fig. 2) and `recurse` (Fig. 3) over
+    /// the octree's own nodes — kept as the oracle for [`plan_stage`].
+    mod oracle {
+        use super::super::*;
+
+        #[derive(Default)]
+        pub struct Group {
+            pub far: Vec<NodeId>,
+            pub near: Vec<u32>,
+            pub blocks: u32,
+            pub margin: f64,
+            pub nodes_visited: u64,
+        }
+
+        pub fn born(tree_a: &Octree, tree_q: &Octree, eps: f64, leaf_ids: &[NodeId]) -> Vec<Group> {
+            let factor = separation_factor_r6(eps);
+            leaf_ids
+                .iter()
+                .map(|&qleaf| {
+                    let mut g = Group {
+                        margin: f64::INFINITY,
+                        ..Group::default()
+                    };
+                    if !tree_a.is_empty() {
+                        born_rec(tree_a, tree_q, factor, Octree::ROOT, qleaf, &mut g);
+                    }
+                    g
+                })
+                .collect()
+        }
+
+        fn born_rec(
+            tree_a: &Octree,
+            tree_q: &Octree,
+            factor: f64,
+            a_id: NodeId,
+            qleaf: NodeId,
+            g: &mut Group,
+        ) {
+            g.nodes_visited += 1;
+            let a = tree_a.node(a_id);
+            let q = tree_q.node(qleaf);
+            let d_sq = a.center.dist_sq(q.center);
+            let sep = (a.radius + q.radius) * factor;
+            g.margin = g.margin.min((d_sq.sqrt() - sep).abs());
+            if d_sq > sep * sep && d_sq > 0.0 {
+                g.far.push(a_id);
+            } else if a.is_leaf {
+                g.near.extend(a.start..a.end);
+                g.blocks += 1;
+            } else {
+                for c in a.child_ids() {
+                    born_rec(tree_a, tree_q, factor, c, qleaf, g);
+                }
+            }
+        }
+
+        pub fn epol(tree: &Octree, eps: f64, leaf_ids: &[NodeId]) -> Vec<Group> {
+            let factor = separation_factor_epol(eps);
+            leaf_ids
+                .iter()
+                .map(|&v| {
+                    let mut g = Group {
+                        margin: f64::INFINITY,
+                        ..Group::default()
+                    };
+                    epol_rec(tree, factor, Octree::ROOT, v, &mut g);
+                    g
+                })
+                .collect()
+        }
+
+        fn epol_rec(tree: &Octree, factor: f64, u_id: NodeId, v_id: NodeId, g: &mut Group) {
+            g.nodes_visited += 1;
+            let u = tree.node(u_id);
+            let v = tree.node(v_id);
+            if u.is_leaf {
+                g.near.extend(u.start..u.end);
+                g.blocks += 1;
+                return;
+            }
+            let d_sq = u.center.dist_sq(v.center);
+            let sep = (u.radius + v.radius) * factor;
+            g.margin = g.margin.min((d_sq.sqrt() - sep).abs());
+            if d_sq > sep * sep {
+                g.far.push(u_id);
+                return;
+            }
+            for c in u.child_ids() {
+                epol_rec(tree, factor, c, v_id, g);
+            }
+        }
+    }
+
+    /// Hold `plan_stage` over `leaf_ids` to the oracle's groups: per
+    /// group the far ids, near slots, block count, margin bits and
+    /// source identity, and the summed `nodes_visited`.
+    fn assert_stage_matches_oracle(
+        partners: &Octree,
+        sources: &Octree,
+        leaf_ids: &[NodeId],
+        walk: Walk,
+        expected: &[oracle::Group],
+        what: &str,
+    ) -> StageLists {
+        let mut counts = WorkCounts::ZERO;
+        let lists = plan_stage(partners, sources, leaf_ids, walk, &mut counts);
+        assert_eq!(lists.groups(), expected.len(), "{what}: group count");
+        assert_eq!(
+            counts.nodes_visited,
+            expected.iter().map(|g| g.nodes_visited).sum::<u64>(),
+            "{what}: nodes_visited"
         );
-        // Build-fresh vectors carry no amortization slop worth more
-        // than a constant factor.
-        assert!(plan.memory_bytes() <= 2 * floor, "accounting overshoots");
+        assert_eq!((counts.pair_ops, counts.far_ops), (0, 0));
+        for (k, want) in expected.iter().enumerate() {
+            let got = lists.group(k);
+            let src = sources.node(leaf_ids[k]);
+            assert_eq!(got.src, leaf_ids[k], "{what}: group {k} source");
+            assert_eq!(got.slots, src.start as usize..src.end as usize);
+            assert_eq!(got.far, &want.far[..], "{what}: group {k} far ids");
+            assert_eq!(got.near, &want.near[..], "{what}: group {k} near slots");
+            assert_eq!(
+                lists.near_blocks[k], want.blocks,
+                "{what}: group {k} blocks"
+            );
+            assert_eq!(
+                lists.margin[k].to_bits(),
+                want.margin.to_bits(),
+                "{what}: group {k} margin {} vs {}",
+                lists.margin[k],
+                want.margin
+            );
+        }
+        lists
+    }
+
+    /// Every `stride`-th leaf starting at `first`, as (leaf indices,
+    /// node ids) — a dirty-set stand-in.
+    fn leaf_subset(tree: &Octree, first: usize, stride: usize) -> (Vec<u32>, Vec<NodeId>) {
+        let idx: Vec<u32> = (first..tree.leaves().len())
+            .step_by(stride)
+            .map(|i| i as u32)
+            .collect();
+        let ids = idx.iter().map(|&i| tree.leaves()[i as usize]).collect();
+        (idx, ids)
+    }
+
+    fn assert_planner_matches_oracle(s: &GbSolver, seed: u64, what: &str) {
+        for eps in [0.1, 0.5, 0.9] {
+            let what = format!("{what} seed {seed} eps {eps}");
+            let p = GbParams {
+                eps_born: eps,
+                eps_epol: eps,
+                ..GbParams::default()
+            };
+            let plan = InteractionPlan::build(s, &p);
+            let born_oracle = |ids: &[NodeId]| oracle::born(&s.tree_a, &s.tree_q, eps, ids);
+            let epol_oracle = |ids: &[NodeId]| oracle::epol(&s.tree_a, eps, ids);
+            type Oracle<'a> = &'a dyn Fn(&[NodeId]) -> Vec<oracle::Group>;
+            let stages: [(&Octree, Walk, &StageLists, &str, Oracle<'_>); 2] = [
+                (&s.tree_q, Walk::born(eps), &plan.born, "born", &born_oracle),
+                (&s.tree_a, Walk::epol(eps), &plan.epol, "epol", &epol_oracle),
+            ];
+            let mut report = Vec::new();
+            for (sources, walk, built, stage, run_oracle) in stages {
+                let what = format!("{what} {stage}");
+                // Cold build: every source leaf.
+                let all = sources.leaves();
+                let expected = run_oracle(all);
+                let cold =
+                    assert_stage_matches_oracle(&s.tree_a, sources, all, walk, &expected, &what);
+                assert_eq!(cold.groups(), built.groups());
+                for g in 0..cold.groups() {
+                    assert_eq!(cold.group(g).near, built.group(g).near);
+                    assert_eq!(cold.group(g).far, built.group(g).far);
+                }
+                report.push(expected.iter().map(|g| g.blocks as u64).sum::<u64>());
+                report.push(expected.iter().map(|g| g.far.len() as u64).sum::<u64>());
+
+                // Patch path: a dirty subset plans to the same groups,
+                // and splicing them back reproduces the cold lists.
+                let (dirty, ids) = leaf_subset(sources, seed as usize % 3, 3);
+                let fresh = assert_stage_matches_oracle(
+                    &s.tree_a,
+                    sources,
+                    &ids,
+                    walk,
+                    &run_oracle(&ids),
+                    &format!("{what} dirty subset"),
+                );
+                let mut spliced = built.clone();
+                spliced.splice(&dirty, &fresh, 0.0);
+                assert_eq!(spliced.near, built.near, "{what}: spliced near");
+                assert_eq!(spliced.far, built.far, "{what}: spliced far");
+                assert_eq!(spliced.near_off, built.near_off);
+                assert_eq!(spliced.far_off, built.far_off);
+                assert_eq!(spliced.near_blocks, built.near_blocks);
+                assert_eq!(spliced.src, built.src);
+                let bits =
+                    |l: &StageLists| l.margin.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&spliced), bits(built), "{what}: spliced margins");
+                // One leaf at a time: `nodes_visited` per group.
+                for &leaf in &ids {
+                    assert_stage_matches_oracle(
+                        &s.tree_a,
+                        sources,
+                        &[leaf],
+                        walk,
+                        &run_oracle(&[leaf]),
+                        &format!("{what} leaf {leaf}"),
+                    );
+                }
+            }
+            // `PlanReport` counts logical pairs and leaf blocks — the
+            // recursion's decisions — not stored words.
+            let st = plan.stats();
+            assert_eq!(
+                vec![
+                    st.born_near_entries,
+                    st.born_far_entries,
+                    st.epol_near_entries,
+                    st.epol_far_entries
+                ],
+                report,
+                "{what}: PlanReport entry counts"
+            );
+        }
+    }
+
+    fn solver_from_atoms(positions: &[Vec3], tree_cfg: &OctreeConfig) -> GbSolver {
+        use polar_molecule::{Atom, Element, Molecule};
+        let atoms = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Atom::of_element(Element::C, x, if i % 2 == 0 { 0.3 } else { -0.3 }))
+            .collect();
+        GbSolver::for_molecule(
+            &Molecule::new("t", atoms),
+            &SurfaceConfig::coarse(),
+            tree_cfg,
+        )
+    }
+
+    #[test]
+    fn stackless_walk_matches_the_recursive_planners() {
+        let cfg = OctreeConfig::default();
+        let surface = SurfaceConfig::coarse();
+        for seed in 0..3u64 {
+            let molecules = [
+                (
+                    "globule",
+                    generators::globular("g", 220 + 40 * seed as usize, seed),
+                ),
+                ("virus shell", generators::virus_shell("v", 320, 6.0, seed)),
+                ("elongated", generators::ligand("l", 70, seed)),
+                ("one atom", generators::globular("g1", 1, seed)),
+                ("two atoms", generators::globular("g2", 2, seed)),
+            ];
+            for (what, mol) in &molecules {
+                let s = GbSolver::for_molecule(mol, &surface, &cfg);
+                assert_planner_matches_oracle(&s, seed, what);
+            }
+            // Coplanar: a jittered sheet in z = 0 (degenerate cells along
+            // one axis).
+            let sheet: Vec<Vec3> = (0..90)
+                .map(|i| {
+                    let wob = ((i * 7 + seed as usize * 13) % 11) as f64 * 0.03;
+                    Vec3::new(
+                        (i % 10) as f64 * 1.6 + wob,
+                        (i / 10) as f64 * 1.6 - wob,
+                        0.0,
+                    )
+                })
+                .collect();
+            assert_planner_matches_oracle(&solver_from_atoms(&sheet, &cfg), seed, "coplanar");
+        }
+    }
+
+    #[test]
+    fn stackless_walk_matches_the_recursive_planners_on_coincident_centers() {
+        // `d_sq == 0` on both walks. Energy stage: the cube corners sum
+        // to exactly zero, so with one-atom leaves the root's centroid
+        // is bitwise the center atom's leaf. Born stage: a q-point pair
+        // straddling an atom puts a `T_Q` leaf centroid exactly on a
+        // `T_A` node center, and a q-point *on* an atom makes both radii
+        // zero as well (`sep == 0`, margin 0).
+        let one_per_leaf = OctreeConfig {
+            max_leaf_size: 1,
+            max_depth: 20,
+        };
+        let mut atoms = vec![Vec3::ZERO];
+        for i in 0..8 {
+            let sign = |bit: usize| if i >> bit & 1 == 0 { -2.0 } else { 2.0 };
+            atoms.push(Vec3::new(sign(0), sign(1), sign(2)));
+        }
+        let q = |pos: Vec3, owner: u32| polar_surface::QuadPoint {
+            pos,
+            normal: Vec3::X,
+            weight: 1.0,
+            owner,
+        };
+        let qpoints = vec![
+            q(Vec3::ZERO, 0),
+            q(Vec3::new(1.0, 0.0, 0.0), 0),
+            q(Vec3::new(-1.0, 0.0, 0.0), 0),
+        ];
+        let n = atoms.len();
+        let build = |cfg: &OctreeConfig| {
+            GbSolver::from_parts(
+                "c".into(),
+                atoms.clone(),
+                vec![1.5; n],
+                vec![0.1; n],
+                qpoints.clone(),
+                cfg,
+            )
+        };
+        // Is some leaf of `sources` centered exactly on a *different*
+        // node of `partners`?
+        let coincident = |partners: &Octree, sources: &Octree| {
+            sources.leaves().iter().any(|&l| {
+                let c = sources.node(l).center;
+                let same_node = |id: usize| std::ptr::eq(partners, sources) && id == l as usize;
+                (0..partners.node_count())
+                    .any(|id| !same_node(id) && partners.node(id as NodeId).center == c)
+            })
+        };
+        for (cfg, what) in [
+            (one_per_leaf, "coincident, one point per leaf"),
+            (OctreeConfig::default(), "coincident, default leaves"),
+        ] {
+            let s = build(&cfg);
+            assert!(
+                coincident(&s.tree_a, &s.tree_q),
+                "{what}: born case missing"
+            );
+            assert_planner_matches_oracle(&s, 0, what);
+        }
+        let s = build(&one_per_leaf);
+        assert!(coincident(&s.tree_a, &s.tree_a), "epol case missing");
+        let plan = InteractionPlan::build(&s, &GbParams::default());
+        let tightest = |l: &StageLists| l.margins().iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(tightest(&plan.born), 0.0, "zero-radius pair at d = 0");
     }
 
     #[test]

@@ -389,6 +389,80 @@ mod tests {
     }
 
     #[test]
+    fn preorder_ids_survive_build_refresh_and_transform() {
+        use polar_geom::transform::{RigidTransform, Rotation};
+        let small = OctreeConfig {
+            max_leaf_size: 2,
+            max_depth: 20,
+        };
+        let capped = OctreeConfig {
+            max_leaf_size: 1,
+            max_depth: 2,
+        };
+        let xf = RigidTransform {
+            rotation: Rotation::axis_angle(Vec3::new(0.3, 1.0, -0.4), 0.7),
+            translation: Vec3::new(-3.0, 8.0, 1.5),
+        };
+        let cases = [
+            ("grid", small, grid_points(5, 1.9)),
+            ("single leaf", OctreeConfig::default(), grid_points(2, 1.0)),
+            ("depth-capped", capped, grid_points(5, 0.4)),
+        ];
+        for (what, cfg, pts) in cases {
+            let mut t = cfg.build(&pts);
+            assert_eq!(t.check_invariants(), Ok(()), "{what}: build");
+            assert_eq!(t.node_count() == 1, what == "single leaf");
+            let over_full = |&l: &NodeId| t.node(l).len() > cfg.max_leaf_size;
+            assert_eq!(t.leaves().iter().any(over_full), what == "depth-capped");
+            assert_eq!(t.transformed(&xf).check_invariants(), Ok(()), "{what}");
+            let nudged: Vec<Vec3> = pts
+                .iter()
+                .enumerate()
+                .map(|(i, p)| *p + Vec3::new(0.05, -0.04, 0.03) * (i % 4) as f64)
+                .collect();
+            t.refresh(&nudged, 0.5)
+                .expect("nudge stays inside the slack");
+            assert_eq!(t.check_invariants(), Ok(()), "{what}: refresh");
+            let back = t
+                .refresh_delta(&pts, 0.5, 0.1)
+                .expect("so does the way back");
+            assert!(back.max_point_disp > 0.0);
+            assert_eq!(t.check_invariants(), Ok(()), "{what}: refresh_delta");
+        }
+    }
+
+    #[test]
+    fn check_invariants_rejects_ids_that_are_not_preorder() {
+        let t = OctreeConfig {
+            max_leaf_size: 2,
+            max_depth: 20,
+        }
+        .build(&grid_points(4, 2.0));
+        let kids: Vec<NodeId> = t.node(Octree::ROOT).child_ids().collect();
+        let (first, last) = (kids[0] as usize, *kids.last().unwrap() as usize);
+        assert!(first != last && !t.nodes[first].is_leaf && !t.nodes[last].is_leaf);
+
+        // Siblings listed against octant order: the first child is no
+        // longer `id + 1`.
+        let mut swapped = t.clone();
+        let slots = &mut swapped.nodes[Octree::ROOT as usize].children;
+        let at = |slots: &[NodeId; 8], id: usize| slots.iter().position(|&c| c as usize == id);
+        let (i, j) = (at(slots, first).unwrap(), at(slots, last).unwrap());
+        slots.swap(i, j);
+        let err = swapped.check_invariants().unwrap_err();
+        assert!(err.contains("pre-order"), "{err}");
+
+        // Two nodes trading their children: every id is still used once,
+        // but neither subtree is a contiguous id range any more.
+        let mut regrafted = t.clone();
+        let stolen = regrafted.nodes[first].children;
+        regrafted.nodes[first].children = regrafted.nodes[last].children;
+        regrafted.nodes[last].children = stolen;
+        let err = regrafted.check_invariants().unwrap_err();
+        assert!(err.contains("pre-order"), "{err}");
+    }
+
+    #[test]
     #[should_panic]
     fn refresh_with_wrong_count_panics() {
         let pts = grid_points(3, 1.0);

@@ -469,7 +469,11 @@ impl Octree {
 
     /// Validate structural invariants (used by tests and debug assertions):
     /// ranges nest, children partition parents, enclosing balls enclose,
-    /// and the permutation is a bijection.
+    /// the permutation is a bijection, and node ids are DFS pre-order —
+    /// a node's first child is `id + 1`, children ascend in octant
+    /// order, and every subtree is a contiguous id range. The plan
+    /// engine's stackless walk (`polar_gb::plan`) steps and skips by id
+    /// on the strength of that order.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.is_empty() {
             return if self.nodes.is_empty() {
@@ -481,6 +485,28 @@ impl Octree {
         let root = self.node(Self::ROOT);
         if root.start != 0 || root.end as usize != self.points.len() {
             return Err("root does not span all points".into());
+        }
+        // One past the last id of each node's subtree, filled children
+        // first (the loop below checks children have larger ids).
+        let mut subtree_end = vec![0usize; self.nodes.len()];
+        for (id, n) in self.nodes.iter().enumerate().rev() {
+            let mut next = id + 1;
+            for c in n.child_ids() {
+                let c = c as usize;
+                if c >= self.nodes.len() {
+                    return Err(format!("node {id}: child id {c} out of range"));
+                }
+                if c != next {
+                    return Err(format!(
+                        "node {id}: child {c} breaks pre-order (expected id {next})"
+                    ));
+                }
+                next = subtree_end[c];
+            }
+            subtree_end[id] = next;
+        }
+        if subtree_end[Self::ROOT as usize] != self.nodes.len() {
+            return Err("root subtree does not span all nodes".into());
         }
         let mut seen = vec![false; self.order.len()];
         for &o in &self.order {

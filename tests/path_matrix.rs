@@ -170,3 +170,38 @@ fn every_path_agrees_with_the_serial_traversal() {
         assert_close(&name, &recovered, &serial, tol_epol, tol_born);
     }
 }
+
+/// Footprint cell: a plan holds two `u32` words per entry class (near
+/// partner slots, far partner node ids), a handful of per-group columns
+/// and the SoA coordinate mirrors — nothing else, and no `Vec` growth
+/// slack. A reintroduced per-entry column (a source id or a slot range
+/// beside every partner) breaks the equality and the ceiling.
+#[test]
+fn plan_footprint_is_its_list_lengths() {
+    let mol = generators::globular("matrix", 300, 12);
+    let solver = GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
+    let plan = solver.plan(&GbParams::default());
+
+    const U32: usize = std::mem::size_of::<u32>();
+    const WORD: usize = std::mem::size_of::<usize>();
+    const F64: usize = std::mem::size_of::<f64>();
+    let stage_bytes = |l: &polar_energy::gb::StageLists| {
+        // src id, slot start, slot end, block count (u32) + margin
+        // (f64) per group; two usize offset columns of groups + 1.
+        l.groups() * (4 * U32 + F64)
+            + (l.groups() + 1) * 2 * WORD
+            + (l.near_slots() + l.far_entries()) * U32
+    };
+    // x, y, z, charge per atom; center x, y, z per `T_A` node; position,
+    // normal, weight per q-point.
+    let soa_bytes =
+        (4 * solver.n_atoms() + 3 * solver.tree_a.node_count() + 7 * solver.n_qpoints()) * F64;
+    let expected = stage_bytes(&plan.born) + stage_bytes(&plan.epol) + soa_bytes;
+    let held = plan.stats().plan_bytes as usize;
+    assert_eq!(held, expected, "plan bytes vs list lengths");
+    assert_eq!(held, plan.memory_bytes());
+
+    // 9,286 B/atom on this molecule; the ceiling sits 10 % above.
+    let per_atom = held as f64 / solver.n_atoms() as f64;
+    assert!(per_atom <= 10_200.0, "{per_atom:.0} B/atom");
+}
