@@ -60,6 +60,9 @@ pub use minimize::{minimize, MinimizeConfig, MinimizeOutcome};
 pub use plan::{
     InteractionPlan, PlanDelta, PlanError, RebuildReason, ReplanConfig, ReplanStats, StageLists,
 };
+/// The workspace's JSON codec, re-exported for crates that depend on
+/// `polar-gb` but not on `polar-molecule`.
+pub use polar_molecule::json;
 pub use report::{
     BatchReport, GradientIterRow, GradientReport, Histogram, InductionReport, ReplanFrameRow,
     ReplanReport, ServeReport, SolveReport,

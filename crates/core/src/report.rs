@@ -7,10 +7,13 @@
 //! counters, simulated communication cost, and memory footprints.
 //!
 //! Reports serialize to JSON ([`SolveReport::to_json`]) and flat CSV
-//! ([`SolveReport::to_csv`]) with hand-rolled, dependency-free emitters
-//! (the workspace has no serde). The CSV layout is one record per line
-//! under a fixed header, so rows from many runs concatenate into one
-//! analyzable table (`results/*.csv`).
+//! ([`SolveReport::to_csv`]). Each report type declares its fields once,
+//! in order, as (JSON key, CSV column, accessor) in its `Record` impl;
+//! one JSON sink (over [`polar_molecule::json::JsonWriter`]) and one CSV
+//! sink turn that list into every `to_json`, `csv_header` and `to_csv`
+//! below, so a new field is one line. The CSV layout is one record per
+//! line under a fixed header, so rows from many runs concatenate into
+//! one analyzable table (`results/*.csv`).
 //!
 //! Invariant worth leaning on: `WorkCounts` are *schedule-independent* —
 //! serial, work-stealing parallel, and simulated-MPI solves of the same
@@ -18,8 +21,10 @@
 //! in `tests/report_invariants.rs`).
 
 use crate::stats::WorkCounts;
+use polar_molecule::json::JsonWriter;
 use polar_octree::{NodeId, Octree};
 use polar_runtime::StealStats;
+use Val::{Bool, Int, List, Null, Num, NumOrBlank, Obj, Rec, Str};
 
 /// One pipeline stage (Born radii or E_pol) of one solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,35 +184,7 @@ pub struct FaultReport {
 impl FaultReport {
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.num("seed", self.seed as f64);
-        o.num("crashes", self.crashes as f64);
-        o.num("drops", self.drops as f64);
-        o.num("msg_retries", self.msg_retries as f64);
-        o.num("worker_retries", self.worker_retries as f64);
-        o.num("redivisions", self.redivisions as f64);
-        o.num("recovered_items", self.recovered_items as f64);
-        let dead: Vec<String> = self.dead_ranks.iter().map(|r| r.to_string()).collect();
-        o.raw("dead_ranks", &format!("[{}]", dead.join(",")));
-        o.num("straggler_extra_seconds", self.straggler_extra_seconds);
-        let events: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut eo = JsonObj::new();
-                eo.num("at_collective", e.at_collective as f64);
-                eo.str("kind", &e.kind);
-                eo.num("rank", e.rank as f64);
-                match e.peer {
-                    Some(p) => eo.num("peer", p as f64),
-                    None => eo.raw("peer", "null"),
-                }
-                eo.str("detail", &e.detail);
-                eo.finish()
-            })
-            .collect();
-        o.raw("events", &format!("[{}]", events.join(",")));
-        o.finish()
+        json_of(self)
     }
 }
 
@@ -251,15 +228,19 @@ pub struct SolveReport {
 impl SolveReport {
     /// Stage lookup by name; zero-valued stage if absent.
     pub fn stage(&self, name: &str) -> StageReport {
-        self.stages
-            .iter()
-            .find(|s| s.name == name)
-            .cloned()
-            .unwrap_or(StageReport {
-                name: name.to_string(),
-                wall_seconds: 0.0,
-                work: WorkCounts::ZERO,
-            })
+        StageReport {
+            name: name.to_string(),
+            ..self.stage_or_zero(name).clone()
+        }
+    }
+
+    fn stage_or_zero(&self, name: &str) -> &StageReport {
+        static ZERO: StageReport = StageReport {
+            name: String::new(),
+            wall_seconds: 0.0,
+            work: WorkCounts::ZERO,
+        };
+        self.stages.iter().find(|s| s.name == name).unwrap_or(&ZERO)
     }
 
     /// Sum of all stages' work — the schedule-invariant solve total.
@@ -276,233 +257,20 @@ impl SolveReport {
         self.stages.iter().map(|s| s.wall_seconds).sum()
     }
 
-    /// Serialize to a self-contained JSON object (no external deps).
+    /// Serialize to a self-contained JSON object.
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("molecule", &self.molecule);
-        o.str("mode", &self.mode);
-        o.str("kernel_mode", &self.kernel_mode);
-        o.num("n_atoms", self.n_atoms as f64);
-        o.num("n_qpoints", self.n_qpoints as f64);
-        o.num("eps_born", self.eps_born);
-        o.num("eps_epol", self.eps_epol);
-        o.num("epol_kcal", self.epol_kcal);
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                let mut so = JsonObj::new();
-                so.str("name", &s.name);
-                so.num("wall_seconds", s.wall_seconds);
-                so.num("pair_ops", s.work.pair_ops as f64);
-                so.num("far_ops", s.work.far_ops as f64);
-                so.num("nodes_visited", s.work.nodes_visited as f64);
-                so.finish()
-            })
-            .collect();
-        o.raw("stages", &format!("[{}]", stages.join(",")));
-        for (key, t) in [("tree_a", &self.tree_a), ("tree_q", &self.tree_q)] {
-            let mut to = JsonObj::new();
-            to.num("node_count", t.node_count as f64);
-            to.num("leaf_count", t.leaf_count as f64);
-            to.num("max_depth", t.max_depth as f64);
-            to.num("mean_leaf_depth", t.mean_leaf_depth);
-            o.raw(key, &to.finish());
-        }
-        match &self.steal {
-            Some(s) => {
-                let mut so = JsonObj::new();
-                so.num("workers", s.workers as f64);
-                so.num("total_executed", s.total_executed as f64);
-                so.num("total_steals", s.total_steals as f64);
-                so.num("imbalance", s.imbalance);
-                o.raw("steal", &so.finish());
-            }
-            None => o.raw("steal", "null"),
-        }
-        match &self.comm {
-            Some(c) => {
-                let mut co = JsonObj::new();
-                co.num("ranks", c.ranks as f64);
-                co.num("sim_seconds", c.sim_seconds);
-                co.num("bytes_sent", c.bytes_sent as f64);
-                co.num("replicated_bytes", c.replicated_bytes as f64);
-                o.raw("comm", &co.finish());
-            }
-            None => o.raw("comm", "null"),
-        }
-        match &self.plan {
-            Some(p) => {
-                let mut po = JsonObj::new();
-                po.num("born_near_entries", p.born_near_entries as f64);
-                po.num("born_far_entries", p.born_far_entries as f64);
-                po.num("epol_near_entries", p.epol_near_entries as f64);
-                po.num("epol_far_entries", p.epol_far_entries as f64);
-                po.num("plan_bytes", p.plan_bytes as f64);
-                o.raw("plan", &po.finish());
-            }
-            None => o.raw("plan", "null"),
-        }
-        match &self.fault {
-            Some(f) => o.raw("fault", &f.to_json()),
-            None => o.raw("fault", "null"),
-        }
-        o.num("memory_bytes", self.memory_bytes as f64);
-        o.finish()
+        json_of(self)
     }
 
     /// The fixed CSV column set (flattened: one record per line).
     pub fn csv_header() -> String {
-        [
-            "molecule",
-            "mode",
-            "kernel_mode",
-            "n_atoms",
-            "n_qpoints",
-            "eps_born",
-            "eps_epol",
-            "epol_kcal",
-            "born_wall_s",
-            "born_pair_ops",
-            "born_far_ops",
-            "born_nodes_visited",
-            "epol_wall_s",
-            "epol_pair_ops",
-            "epol_far_ops",
-            "epol_nodes_visited",
-            "tree_a_leaves",
-            "tree_a_max_depth",
-            "tree_a_mean_leaf_depth",
-            "tree_q_leaves",
-            "tree_q_max_depth",
-            "tree_q_mean_leaf_depth",
-            "workers",
-            "total_executed",
-            "total_steals",
-            "imbalance",
-            "ranks",
-            "comm_sim_s",
-            "bytes_sent",
-            "replicated_bytes",
-            "plan_born_near",
-            "plan_born_far",
-            "plan_epol_near",
-            "plan_epol_far",
-            "plan_bytes",
-            "fault_seed",
-            "fault_crashes",
-            "fault_drops",
-            "fault_msg_retries",
-            "fault_worker_retries",
-            "fault_recovered_items",
-            "memory_bytes",
-        ]
-        .join(",")
+        csv_header_of::<SolveReport>()
     }
 
     /// One CSV record matching [`SolveReport::csv_header`]. Optional
-    /// sections (steal/comm) emit empty fields when absent.
+    /// sections (steal/comm/plan/fault) emit empty fields when absent.
     pub fn to_csv_row(&self) -> String {
-        let born = self.stage("born");
-        let epol = self.stage("epol");
-        let steal = self.steal.clone().unwrap_or_default();
-        let (workers, executed, steals, imbalance) = match self.steal {
-            Some(_) => (
-                steal.workers.to_string(),
-                steal.total_executed.to_string(),
-                steal.total_steals.to_string(),
-                format!("{}", steal.imbalance),
-            ),
-            None => (String::new(), String::new(), String::new(), String::new()),
-        };
-        let (ranks, comm_s, bytes, repl) = match self.comm {
-            Some(c) => (
-                c.ranks.to_string(),
-                format!("{}", c.sim_seconds),
-                c.bytes_sent.to_string(),
-                c.replicated_bytes.to_string(),
-            ),
-            None => (String::new(), String::new(), String::new(), String::new()),
-        };
-        let (pb_near, pb_far, pe_near, pe_far, p_bytes) = match self.plan {
-            Some(p) => (
-                p.born_near_entries.to_string(),
-                p.born_far_entries.to_string(),
-                p.epol_near_entries.to_string(),
-                p.epol_far_entries.to_string(),
-                p.plan_bytes.to_string(),
-            ),
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-        };
-        let (f_seed, f_crashes, f_drops, f_mretries, f_wretries, f_recovered) = match &self.fault {
-            Some(f) => (
-                f.seed.to_string(),
-                f.crashes.to_string(),
-                f.drops.to_string(),
-                f.msg_retries.to_string(),
-                f.worker_retries.to_string(),
-                f.recovered_items.to_string(),
-            ),
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-        };
-        [
-            csv_field(&self.molecule),
-            csv_field(&self.mode),
-            csv_field(&self.kernel_mode),
-            self.n_atoms.to_string(),
-            self.n_qpoints.to_string(),
-            format!("{}", self.eps_born),
-            format!("{}", self.eps_epol),
-            format!("{}", self.epol_kcal),
-            format!("{}", born.wall_seconds),
-            born.work.pair_ops.to_string(),
-            born.work.far_ops.to_string(),
-            born.work.nodes_visited.to_string(),
-            format!("{}", epol.wall_seconds),
-            epol.work.pair_ops.to_string(),
-            epol.work.far_ops.to_string(),
-            epol.work.nodes_visited.to_string(),
-            self.tree_a.leaf_count.to_string(),
-            self.tree_a.max_depth.to_string(),
-            format!("{}", self.tree_a.mean_leaf_depth),
-            self.tree_q.leaf_count.to_string(),
-            self.tree_q.max_depth.to_string(),
-            format!("{}", self.tree_q.mean_leaf_depth),
-            workers,
-            executed,
-            steals,
-            imbalance,
-            ranks,
-            comm_s,
-            bytes,
-            repl,
-            pb_near,
-            pb_far,
-            pe_near,
-            pe_far,
-            p_bytes,
-            f_seed,
-            f_crashes,
-            f_drops,
-            f_mretries,
-            f_wretries,
-            f_recovered,
-            self.memory_bytes.to_string(),
-        ]
-        .join(",")
+        csv_row_of(self)
     }
 
     /// Header plus this report's record.
@@ -615,72 +383,12 @@ impl BatchReport {
 
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("schema", "batch_report/v1");
-        o.num("jobs", self.jobs as f64);
-        o.num("succeeded", self.succeeded as f64);
-        o.num("failed", self.failed as f64);
-        o.num("cache_hits", self.cache_hits as f64);
-        o.num("cache_patched", self.cache_patched as f64);
-        o.num("cache_misses", self.cache_misses as f64);
-        o.num("cache_hit_rate", self.hit_rate());
-        o.num("cache_evictions", self.cache_evictions as f64);
-        o.num("poison_evictions", self.poison_evictions as f64);
-        o.num("cache_bytes_held", self.cache_bytes_held as f64);
-        o.num("cache_capacity_bytes", self.cache_capacity_bytes as f64);
-        o.num("arenas", self.arenas as f64);
-        o.num("arena_reuses", self.arena_reuses as f64);
-        o.num("arena_bytes", self.arena_bytes as f64);
-        o.num("retries", self.retries as f64);
-        o.num("recovered_jobs", self.recovered_jobs as f64);
-        o.num("total_epol_kcal", self.total_epol_kcal);
-        o.num("total_pair_ops", self.total_work.pair_ops as f64);
-        o.num("total_far_ops", self.total_work.far_ops as f64);
-        o.num("wall_seconds", self.wall_seconds);
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut ro = JsonObj::new();
-                ro.str("name", &r.name);
-                ro.num("n_atoms", r.n_atoms as f64);
-                ro.str("kernel_mode", &r.kernel_mode);
-                ro.num("epol_kcal", r.epol_kcal);
-                ro.raw("cache_hit", if r.cache_hit { "true" } else { "false" });
-                ro.raw(
-                    "cache_patched",
-                    if r.cache_patched { "true" } else { "false" },
-                );
-                ro.num("pair_ops", r.pair_ops as f64);
-                ro.num("far_ops", r.far_ops as f64);
-                ro.num("wall_seconds", r.wall_seconds);
-                match &r.error {
-                    Some(e) => ro.str("error", e),
-                    None => ro.raw("error", "null"),
-                }
-                ro.finish()
-            })
-            .collect();
-        o.raw("rows", &format!("[{}]", rows.join(",")));
-        o.finish()
+        json_of(self)
     }
 
-    /// The per-job CSV column set.
+    /// The per-job CSV column set: the submission index, then the row.
     pub fn csv_header() -> String {
-        [
-            "job",
-            "name",
-            "n_atoms",
-            "kernel_mode",
-            "epol_kcal",
-            "cache_hit",
-            "cache_patched",
-            "pair_ops",
-            "far_ops",
-            "wall_s",
-            "error",
-        ]
-        .join(",")
+        format!("job,{}", csv_header_of::<BatchJobRow>())
     }
 
     /// Header plus one record per job; failed jobs leave `epol_kcal`
@@ -689,23 +397,7 @@ impl BatchReport {
         let mut out = Self::csv_header();
         out.push('\n');
         for (i, r) in self.rows.iter().enumerate() {
-            let epol = if r.epol_kcal.is_finite() {
-                format!("{}", r.epol_kcal)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "{i},{},{},{},{epol},{},{},{},{},{},{}\n",
-                csv_field(&r.name),
-                r.n_atoms,
-                csv_field(&r.kernel_mode),
-                r.cache_hit,
-                r.cache_patched,
-                r.pair_ops,
-                r.far_ops,
-                r.wall_seconds,
-                csv_field(r.error.as_deref().unwrap_or("")),
-            ));
+            out.push_str(&format!("{i},{}\n", csv_row_of(r)));
         }
         out
     }
@@ -798,82 +490,17 @@ impl ReplanReport {
 
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("schema", "replan_report/v1");
-        o.str("molecule", &self.molecule);
-        o.num("n_atoms", self.n_atoms as f64);
-        o.num("frames", self.frames as f64);
-        o.num("patched_frames", self.patched_frames as f64);
-        o.num("rebuilt_frames", self.rebuilt_frames as f64);
-        o.num("reused_frames", self.reused_frames as f64);
-        o.num("cold_plan_seconds", self.cold_plan_seconds);
-        o.num("mean_patch_seconds", self.mean_patch_seconds);
-        o.num("speedup", self.speedup);
-        o.num("wall_seconds", self.wall_seconds);
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut ro = JsonObj::new();
-                ro.num("frame", r.frame as f64);
-                ro.str("action", &r.action);
-                ro.num("max_disp", r.max_disp);
-                ro.num("dirty_born", r.dirty_born as f64);
-                ro.num("total_born", r.total_born as f64);
-                ro.num("dirty_epol", r.dirty_epol as f64);
-                ro.num("total_epol", r.total_epol as f64);
-                ro.num("patch_seconds", r.patch_seconds);
-                ro.num("plan_seconds", r.plan_seconds);
-                ro.num("exec_seconds", r.exec_seconds);
-                ro.num("epol_kcal", r.epol_kcal);
-                ro.finish()
-            })
-            .collect();
-        o.raw("rows", &format!("[{}]", rows.join(",")));
-        o.finish()
+        json_of(self)
     }
 
     /// The per-frame CSV column set.
     pub fn csv_header() -> String {
-        [
-            "frame",
-            "action",
-            "max_disp",
-            "dirty_born",
-            "total_born",
-            "dirty_epol",
-            "total_epol",
-            "patch_s",
-            "plan_s",
-            "exec_s",
-            "wall_s",
-            "epol_kcal",
-        ]
-        .join(",")
+        csv_header_of::<ReplanFrameRow>()
     }
 
     /// Header plus one record per frame.
     pub fn to_csv(&self) -> String {
-        let mut out = Self::csv_header();
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.frame,
-                csv_field(&r.action),
-                r.max_disp,
-                r.dirty_born,
-                r.total_born,
-                r.dirty_epol,
-                r.total_epol,
-                r.patch_seconds,
-                r.plan_seconds,
-                r.exec_seconds,
-                r.patch_seconds + r.plan_seconds + r.exec_seconds,
-                r.epol_kcal,
-            ));
-        }
-        out
+        csv_table(&self.rows)
     }
 }
 
@@ -951,84 +578,17 @@ impl GradientReport {
 
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("schema", "gradient_report/v1");
-        o.str("molecule", &self.molecule);
-        o.str("mode", &self.mode);
-        o.str("kernel_mode", &self.kernel_mode);
-        o.num("n_atoms", self.n_atoms as f64);
-        o.raw("converged", if self.converged { "true" } else { "false" });
-        o.raw("stalled", if self.stalled { "true" } else { "false" });
-        o.num("iters", self.iters as f64);
-        o.num("final_energy_kcal", self.final_energy_kcal);
-        o.num("final_grad_max", self.final_grad_max);
-        o.num("total_patched", self.total_patched as f64);
-        o.num("total_rebuilt", self.total_rebuilt as f64);
-        o.num("total_reused", self.total_reused as f64);
-        o.num("grad_seconds", self.grad_seconds);
-        o.num("wall_s", self.wall_s);
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut ro = JsonObj::new();
-                ro.num("iter", r.iter as f64);
-                ro.num("energy_kcal", r.energy_kcal);
-                ro.num("grad_max", r.grad_max);
-                ro.num("grad_rms", r.grad_rms);
-                ro.num("step", r.step);
-                ro.num("energy_evals", r.energy_evals as f64);
-                ro.num("patched", r.patched as f64);
-                ro.num("rebuilt", r.rebuilt as f64);
-                ro.num("reused", r.reused as f64);
-                ro.num("grad_seconds", r.grad_seconds);
-                ro.num("energy_seconds", r.energy_seconds);
-                ro.finish()
-            })
-            .collect();
-        o.raw("rows", &format!("[{}]", rows.join(",")));
-        o.finish()
+        json_of(self)
     }
 
     /// The per-iteration CSV column set.
     pub fn csv_header() -> String {
-        [
-            "iter",
-            "energy_kcal",
-            "grad_max",
-            "grad_rms",
-            "step",
-            "energy_evals",
-            "patched",
-            "rebuilt",
-            "reused",
-            "grad_s",
-            "energy_s",
-        ]
-        .join(",")
+        csv_header_of::<GradientIterRow>()
     }
 
     /// Header plus one record per accepted iteration.
     pub fn to_csv(&self) -> String {
-        let mut out = Self::csv_header();
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.iter,
-                r.energy_kcal,
-                r.grad_max,
-                r.grad_rms,
-                r.step,
-                r.energy_evals,
-                r.patched,
-                r.rebuilt,
-                r.reused,
-                r.grad_seconds,
-                r.energy_seconds,
-            ));
-        }
-        out
+        csv_table(&self.rows)
     }
 }
 
@@ -1051,45 +611,27 @@ pub struct InductionReport {
     pub residuals: Vec<f64>,
 }
 
+/// One CSV record of an [`InductionReport`]: 1-based iteration, residual.
+struct ResidualRow(u64, f64);
+
 impl InductionReport {
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("schema", "induction_report/v1");
-        o.str("molecule", &self.molecule);
-        o.str("mode", &self.mode);
-        o.num("n_atoms", self.n_atoms as f64);
-        o.num("iters", self.iters as f64);
-        o.raw("converged", if self.converged { "true" } else { "false" });
-        o.num("u_ind_kcal", self.u_ind_kcal);
-        let rows: Vec<String> = self
-            .residuals
-            .iter()
-            .map(|r| {
-                if r.is_finite() {
-                    format!("{r}")
-                } else {
-                    "null".into()
-                }
-            })
-            .collect();
-        o.raw("residuals", &format!("[{}]", rows.join(",")));
-        o.finish()
+        json_of(self)
     }
 
     /// The per-iteration CSV column set.
     pub fn csv_header() -> String {
-        ["iter", "residual"].join(",")
+        csv_header_of::<ResidualRow>()
     }
 
     /// Header plus one record per fixed-point iteration.
     pub fn to_csv(&self) -> String {
-        let mut out = Self::csv_header();
-        out.push('\n');
-        for (i, r) in self.residuals.iter().enumerate() {
-            out.push_str(&format!("{},{}\n", i + 1, r));
-        }
-        out
+        let rows: Vec<ResidualRow> = (1..)
+            .zip(&self.residuals)
+            .map(|(i, &r)| ResidualRow(i, r))
+            .collect();
+        csv_table(&rows)
     }
 }
 
@@ -1198,30 +740,7 @@ impl Histogram {
     /// Serialize to a self-contained JSON object with cumulative-style
     /// buckets (`le` = upper bound; the overflow bucket has `le: null`).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.num("total", self.total as f64);
-        o.num("sum", self.sum);
-        o.num("max", self.max);
-        o.num("mean", self.mean());
-        o.num("p50", self.quantile(0.50));
-        o.num("p90", self.quantile(0.90));
-        o.num("p99", self.quantile(0.99));
-        let buckets: Vec<String> = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let mut bo = JsonObj::new();
-                match self.bounds.get(i) {
-                    Some(&b) => bo.num("le", b),
-                    None => bo.raw("le", "null"),
-                }
-                bo.num("count", c as f64);
-                bo.finish()
-            })
-            .collect();
-        o.raw("buckets", &format!("[{}]", buckets.join(",")));
-        o.finish()
+        json_of(self)
     }
 }
 
@@ -1358,128 +877,216 @@ impl ServeReport {
 
     /// Serialize to a self-contained JSON object (stable field order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("schema", "serve_report/v1");
-        o.num("requests", self.requests as f64);
-        o.num("rejected", self.rejected as f64);
-        o.num("admitted", self.admitted as f64);
-        o.num("completed", self.completed as f64);
-        o.num("shed", self.shed as f64);
-        o.num("deadline_exceeded", self.deadline_exceeded as f64);
-        o.num("panicked", self.panicked as f64);
-        o.num("failed", self.failed as f64);
-        o.num("control", self.control as f64);
-        o.raw(
-            "reconciles",
-            if self.reconciles() { "true" } else { "false" },
-        );
-        o.num("cache_hits", self.cache_hits as f64);
-        o.num("cache_patched", self.cache_patched as f64);
-        o.num("cache_misses", self.cache_misses as f64);
-        o.num("cache_hit_rate", self.hit_rate());
-        o.num("cache_evictions", self.cache_evictions as f64);
-        o.num("quota_evictions", self.quota_evictions as f64);
-        o.num("poison_evictions", self.poison_evictions as f64);
-        o.num("cache_bytes_held", self.cache_bytes_held as f64);
-        o.num("cache_capacity_bytes", self.cache_capacity_bytes as f64);
-        o.num("tenants", self.tenants as f64);
-        o.num("arena_reuses", self.arena_reuses as f64);
-        o.num("connections", self.connections as f64);
-        o.num("workers", self.workers as f64);
-        o.num("queue_capacity", self.queue_capacity as f64);
-        o.num("peak_queue_depth", self.peak_queue_depth as f64);
-        o.num("peak_inflight_bytes", self.peak_inflight_bytes as f64);
-        o.raw("latency_ms", &self.latency_ms.to_json());
-        o.raw("queue_depth", &self.queue_depth.to_json());
-        o.raw("drained", if self.drained { "true" } else { "false" });
-        o.num("wall_seconds", self.wall_seconds);
-        o.finish()
+        json_of(self)
     }
 
     /// The flat CSV column set (histograms flatten to p50/p90/p99/max).
     pub fn csv_header() -> String {
-        [
-            "requests",
-            "rejected",
-            "admitted",
-            "completed",
-            "shed",
-            "deadline_exceeded",
-            "panicked",
-            "failed",
-            "control",
-            "cache_hits",
-            "cache_patched",
-            "cache_misses",
-            "cache_hit_rate",
-            "cache_evictions",
-            "quota_evictions",
-            "poison_evictions",
-            "cache_bytes_held",
-            "cache_capacity_bytes",
-            "tenants",
-            "arena_reuses",
-            "connections",
-            "workers",
-            "queue_capacity",
-            "peak_queue_depth",
-            "peak_inflight_bytes",
-            "latency_p50_ms",
-            "latency_p90_ms",
-            "latency_p99_ms",
-            "latency_max_ms",
-            "drained",
-            "wall_s",
-        ]
-        .join(",")
+        csv_header_of::<ServeReport>()
     }
 
     /// Header plus one record. NaN quantiles (no completed requests)
     /// leave their field empty, keeping the arity fixed.
     pub fn to_csv(&self) -> String {
-        let q = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                String::new()
-            }
-        };
-        format!(
-            "{}\n{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            Self::csv_header(),
-            self.requests,
-            self.rejected,
-            self.admitted,
-            self.completed,
-            self.shed,
-            self.deadline_exceeded,
-            self.panicked,
-            self.failed,
-            self.control,
-            self.cache_hits,
-            self.cache_patched,
-            self.cache_misses,
-            q(self.hit_rate()),
-            self.cache_evictions,
-            self.quota_evictions,
-            self.poison_evictions,
-            self.cache_bytes_held,
-            self.cache_capacity_bytes,
-            self.tenants,
-            self.arena_reuses,
-            self.connections,
-            self.workers,
-            self.queue_capacity,
-            self.peak_queue_depth,
-            self.peak_inflight_bytes,
-            q(self.latency_ms.quantile(0.50)),
-            q(self.latency_ms.quantile(0.90)),
-            q(self.latency_ms.quantile(0.99)),
-            q(self.latency_ms.max()),
-            self.drained,
-            self.wall_seconds,
-        )
+        format!("{}\n{}\n", Self::csv_header(), csv_row_of(self))
     }
+}
+
+// ----------------------------------------------------------------------
+// Field lists and the sink that serializes them.
+// ----------------------------------------------------------------------
+
+/// What a declared field evaluates to; `write_val` and `csv_cell` are the
+/// only code that formats one.
+enum Val<'a> {
+    Str(&'a str),
+    Int(u64),
+    /// JSON `null` when non-finite; CSV prints it as is (`NaN`, `inf`).
+    Num(f64),
+    /// As `Num`, but an empty CSV cell when non-finite.
+    NumOrBlank(f64),
+    Bool(bool),
+    /// JSON `null`, empty CSV cell.
+    Null,
+    // Nested values exist in JSON only; declare them with an empty column.
+    Rec(&'a dyn WriteJson),
+    List(Vec<Val<'a>>),
+    Obj(Vec<(&'static str, Val<'a>)>),
+}
+
+/// A report type: its fields, declared once, in output order.
+trait Record: Sized {
+    fn fields(s: &mut Sink<'_, Self>);
+}
+
+type Get<T> = for<'a> fn(&'a T) -> Val<'a>;
+type GetRec<T, R> = for<'a> fn(&'a T) -> Option<&'a R>;
+
+/// One pass over a field list: into a JSON object, the CSV header or a
+/// CSV row.
+struct Sink<'s, T> {
+    /// The record being written; `None` for the header, and for the
+    /// empty cells of an absent section.
+    rec: Option<&'s T>,
+    out: Out<'s>,
+}
+
+enum Out<'s> {
+    Json(&'s mut JsonWriter),
+    /// Column names, each behind the enclosing sections' prefix.
+    Header(String, &'s mut Vec<String>),
+    Row(&'s mut Vec<String>),
+}
+
+impl<T> Sink<'_, T> {
+    /// A field with JSON key `key` and CSV column `col`; an empty name
+    /// keeps it out of that format.
+    fn field(&mut self, key: &'static str, col: &'static str, get: Get<T>) {
+        match (&mut self.out, self.rec) {
+            (Out::Json(w), Some(rec)) if !key.is_empty() => {
+                w.key(key);
+                write_val(w, get(rec));
+            }
+            (Out::Header(prefix, cols), _) if !col.is_empty() => {
+                cols.push(format!("{prefix}{col}"));
+            }
+            (Out::Row(cells), rec) if !col.is_empty() => {
+                cells.push(rec.map_or_else(String::new, |r| csv_cell(get(r))));
+            }
+            _ => {}
+        }
+    }
+
+    /// A nested record: a JSON object under `key` (`null` when absent),
+    /// and its own columns, each behind `prefix`, in the CSV (empty
+    /// cells when absent).
+    fn section<R: Record>(&mut self, key: &'static str, prefix: &'static str, get: GetRec<T, R>) {
+        let rec = self.rec.and_then(get);
+        match &mut self.out {
+            Out::Json(w) if !key.is_empty() => {
+                w.key(key);
+                write_val(w, rec.map_or(Null, |r| Rec(r)));
+            }
+            Out::Json(_) => {}
+            Out::Header(outer, cols) => {
+                let out = Out::Header(format!("{outer}{prefix}"), cols);
+                R::fields(&mut Sink { rec, out });
+            }
+            Out::Row(cells) => R::fields(&mut Sink {
+                rec,
+                out: Out::Row(cells),
+            }),
+        }
+    }
+
+    /// A field whose JSON key is also its CSV column.
+    fn both(&mut self, name: &'static str, get: Get<T>) {
+        self.field(name, name, get)
+    }
+
+    fn json(&mut self, key: &'static str, get: Get<T>) {
+        self.field(key, "", get)
+    }
+
+    fn csv(&mut self, col: &'static str, get: Get<T>) {
+        self.field("", col, get)
+    }
+}
+
+/// Object-safe face of [`Record`], so a [`Val`] can hold any nested record.
+trait WriteJson {
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+impl<T: Record> WriteJson for T {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        let out = Out::Json(w);
+        T::fields(&mut Sink {
+            rec: Some(self),
+            out,
+        });
+        w.end_object();
+    }
+}
+
+/// A JSON array of nested records.
+fn recs<R: Record>(rows: &[R]) -> Val<'_> {
+    List(rows.iter().map(|r| Rec(r)).collect())
+}
+
+fn write_val(w: &mut JsonWriter, v: Val<'_>) {
+    match v {
+        Str(s) => w.str(s),
+        Int(n) => w.u64(n),
+        Num(x) | NumOrBlank(x) => w.f64(x),
+        Bool(b) => w.bool(b),
+        Null => w.null(),
+        Rec(r) => {
+            r.write_json(w);
+            w
+        }
+        List(items) => {
+            w.begin_array();
+            for item in items {
+                write_val(w, item);
+            }
+            w.end_array()
+        }
+        Obj(members) => {
+            w.begin_object();
+            for (key, member) in members {
+                w.key(key);
+                write_val(w, member);
+            }
+            w.end_object()
+        }
+    };
+}
+
+fn csv_cell(v: Val<'_>) -> String {
+    match v {
+        Str(s) => csv_field(s),
+        Int(n) => n.to_string(),
+        Num(x) => x.to_string(),
+        NumOrBlank(x) if x.is_finite() => x.to_string(),
+        Bool(b) => b.to_string(),
+        NumOrBlank(_) | Null | Rec(_) | List(_) | Obj(_) => String::new(),
+    }
+}
+
+fn json_of<T: Record>(rec: &T) -> String {
+    let mut w = JsonWriter::new();
+    rec.write_json(&mut w);
+    w.finish()
+}
+
+fn csv_header_of<T: Record>() -> String {
+    let mut cols = Vec::new();
+    let out = Out::Header(String::new(), &mut cols);
+    T::fields(&mut Sink { rec: None, out });
+    cols.join(",")
+}
+
+fn csv_row_of<T: Record>(rec: &T) -> String {
+    let mut cells = Vec::new();
+    let out = Out::Row(&mut cells);
+    T::fields(&mut Sink {
+        rec: Some(rec),
+        out,
+    });
+    cells.join(",")
+}
+
+/// Header plus one line per row.
+fn csv_table<T: Record>(rows: &[T]) -> String {
+    let mut out = csv_header_of::<T>();
+    out.push('\n');
+    for row in rows {
+        out.push_str(&csv_row_of(row));
+        out.push('\n');
+    }
+    out
 }
 
 /// Quote a CSV field only when it needs quoting (comma, quote, newline).
@@ -1491,506 +1098,317 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Minimal JSON object builder: escapes strings, prints numbers with
-/// round-trip `{}` formatting (integers stay integral).
-struct JsonObj {
-    fields: Vec<String>,
-}
-
-impl JsonObj {
-    fn new() -> JsonObj {
-        JsonObj { fields: Vec::new() }
-    }
-
-    fn str(&mut self, key: &str, value: &str) {
-        self.fields
-            .push(format!("{}:{}", json_string(key), json_string(value)));
-    }
-
-    fn num(&mut self, key: &str, value: f64) {
-        let printed = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push(format!("{}:{printed}", json_string(key)));
-    }
-
-    /// Insert a pre-serialized JSON value.
-    fn raw(&mut self, key: &str, value: &str) {
-        self.fields.push(format!("{}:{value}", json_string(key)));
-    }
-
-    fn finish(self) -> String {
-        format!("{{{}}}", self.fields.join(","))
+impl Record for StageReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("name", |r| Str(&r.name));
+        s.field("wall_seconds", "wall_s", |r| Num(r.wall_seconds));
+        s.both("pair_ops", |r| Int(r.work.pair_ops));
+        s.both("far_ops", |r| Int(r.work.far_ops));
+        s.both("nodes_visited", |r| Int(r.work.nodes_visited));
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl Record for TreeDepthStats {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("node_count", |r| Int(r.node_count as u64));
+        s.field("leaf_count", "leaves", |r| Int(r.leaf_count as u64));
+        s.both("max_depth", |r| Int(r.max_depth as u64));
+        s.both("mean_leaf_depth", |r| Num(r.mean_leaf_depth));
     }
-    out.push('"');
-    out
+}
+
+impl Record for StealReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("workers", |r| Int(r.workers as u64));
+        s.both("total_executed", |r| Int(r.total_executed));
+        s.both("total_steals", |r| Int(r.total_steals));
+        s.both("imbalance", |r| Num(r.imbalance));
+    }
+}
+
+impl Record for CommReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("ranks", |r| Int(r.ranks as u64));
+        s.field("sim_seconds", "comm_sim_s", |r| Num(r.sim_seconds));
+        s.both("bytes_sent", |r| Int(r.bytes_sent));
+        s.both("replicated_bytes", |r| Int(r.replicated_bytes));
+    }
+}
+
+/// CSV columns sit behind the `plan_` prefix [`SolveReport`] gives them.
+impl Record for PlanReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.field("born_near_entries", "born_near", |r| {
+            Int(r.born_near_entries)
+        });
+        s.field("born_far_entries", "born_far", |r| Int(r.born_far_entries));
+        s.field("epol_near_entries", "epol_near", |r| {
+            Int(r.epol_near_entries)
+        });
+        s.field("epol_far_entries", "epol_far", |r| Int(r.epol_far_entries));
+        s.field("plan_bytes", "bytes", |r| Int(r.plan_bytes));
+    }
+}
+
+impl Record for FaultEvent {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("at_collective", |r| Int(r.at_collective));
+        s.json("kind", |r| Str(&r.kind));
+        s.json("rank", |r| Int(r.rank as u64));
+        s.json("peer", |r| r.peer.map_or(Null, |p| Int(p as u64)));
+        s.json("detail", |r| Str(&r.detail));
+    }
+}
+
+/// CSV columns sit behind the `fault_` prefix [`SolveReport`] gives them.
+impl Record for FaultReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("seed", |r| Int(r.seed));
+        s.both("crashes", |r| Int(r.crashes));
+        s.both("drops", |r| Int(r.drops));
+        s.both("msg_retries", |r| Int(r.msg_retries));
+        s.both("worker_retries", |r| Int(r.worker_retries));
+        s.json("redivisions", |r| Int(r.redivisions));
+        s.both("recovered_items", |r| Int(r.recovered_items));
+        s.json("dead_ranks", |r| {
+            List(r.dead_ranks.iter().map(|&d| Int(d as u64)).collect())
+        });
+        s.json(
+            "straggler_extra_seconds",
+            |r| Num(r.straggler_extra_seconds),
+        );
+        s.json("events", |r| recs(&r.events));
+    }
+}
+
+impl Record for SolveReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("molecule", |r| Str(&r.molecule));
+        s.both("mode", |r| Str(&r.mode));
+        s.both("kernel_mode", |r| Str(&r.kernel_mode));
+        s.both("n_atoms", |r| Int(r.n_atoms as u64));
+        s.both("n_qpoints", |r| Int(r.n_qpoints as u64));
+        s.both("eps_born", |r| Num(r.eps_born));
+        s.both("eps_epol", |r| Num(r.eps_epol));
+        s.both("epol_kcal", |r| Num(r.epol_kcal));
+        // JSON lists every stage; the CSV has fixed Born and E_pol columns.
+        s.json("stages", |r| recs(&r.stages));
+        s.section("", "born_", |r| Some(r.stage_or_zero("born")));
+        s.section("", "epol_", |r| Some(r.stage_or_zero("epol")));
+        s.section("tree_a", "tree_a_", |r| Some(&r.tree_a));
+        s.section("tree_q", "tree_q_", |r| Some(&r.tree_q));
+        s.section("steal", "", |r| r.steal.as_ref());
+        s.section("comm", "", |r| r.comm.as_ref());
+        s.section("plan", "plan_", |r| r.plan.as_ref());
+        s.section("fault", "fault_", |r| r.fault.as_ref());
+        s.both("memory_bytes", |r| Int(r.memory_bytes));
+    }
+}
+
+impl Record for BatchJobRow {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("name", |r| Str(&r.name));
+        s.both("n_atoms", |r| Int(r.n_atoms as u64));
+        s.both("kernel_mode", |r| Str(&r.kernel_mode));
+        s.both("epol_kcal", |r| NumOrBlank(r.epol_kcal));
+        s.both("cache_hit", |r| Bool(r.cache_hit));
+        s.both("cache_patched", |r| Bool(r.cache_patched));
+        s.both("pair_ops", |r| Int(r.pair_ops));
+        s.both("far_ops", |r| Int(r.far_ops));
+        s.field("wall_seconds", "wall_s", |r| Num(r.wall_seconds));
+        s.both("error", |r| r.error.as_deref().map_or(Null, Str));
+    }
+}
+
+impl Record for BatchReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("schema", |_| Str("batch_report/v1"));
+        s.json("jobs", |r| Int(r.jobs as u64));
+        s.json("succeeded", |r| Int(r.succeeded as u64));
+        s.json("failed", |r| Int(r.failed as u64));
+        s.json("cache_hits", |r| Int(r.cache_hits));
+        s.json("cache_patched", |r| Int(r.cache_patched));
+        s.json("cache_misses", |r| Int(r.cache_misses));
+        s.json("cache_hit_rate", |r| Num(r.hit_rate()));
+        s.json("cache_evictions", |r| Int(r.cache_evictions));
+        s.json("poison_evictions", |r| Int(r.poison_evictions));
+        s.json("cache_bytes_held", |r| Int(r.cache_bytes_held));
+        s.json("cache_capacity_bytes", |r| Int(r.cache_capacity_bytes));
+        s.json("arenas", |r| Int(r.arenas as u64));
+        s.json("arena_reuses", |r| Int(r.arena_reuses));
+        s.json("arena_bytes", |r| Int(r.arena_bytes));
+        s.json("retries", |r| Int(r.retries));
+        s.json("recovered_jobs", |r| Int(r.recovered_jobs));
+        s.json("total_epol_kcal", |r| Num(r.total_epol_kcal));
+        s.json("total_pair_ops", |r| Int(r.total_work.pair_ops));
+        s.json("total_far_ops", |r| Int(r.total_work.far_ops));
+        s.json("wall_seconds", |r| Num(r.wall_seconds));
+        s.json("rows", |r| recs(&r.rows));
+    }
+}
+
+impl Record for ReplanFrameRow {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("frame", |r| Int(r.frame as u64));
+        s.both("action", |r| Str(&r.action));
+        s.both("max_disp", |r| Num(r.max_disp));
+        s.both("dirty_born", |r| Int(r.dirty_born));
+        s.both("total_born", |r| Int(r.total_born));
+        s.both("dirty_epol", |r| Int(r.dirty_epol));
+        s.both("total_epol", |r| Int(r.total_epol));
+        s.field("patch_seconds", "patch_s", |r| Num(r.patch_seconds));
+        s.field("plan_seconds", "plan_s", |r| Num(r.plan_seconds));
+        s.field("exec_seconds", "exec_s", |r| Num(r.exec_seconds));
+        s.csv("wall_s", |r| {
+            Num(r.patch_seconds + r.plan_seconds + r.exec_seconds)
+        });
+        s.both("epol_kcal", |r| Num(r.epol_kcal));
+    }
+}
+
+impl Record for ReplanReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("schema", |_| Str("replan_report/v1"));
+        s.json("molecule", |r| Str(&r.molecule));
+        s.json("n_atoms", |r| Int(r.n_atoms as u64));
+        s.json("frames", |r| Int(r.frames as u64));
+        s.json("patched_frames", |r| Int(r.patched_frames));
+        s.json("rebuilt_frames", |r| Int(r.rebuilt_frames));
+        s.json("reused_frames", |r| Int(r.reused_frames));
+        s.json("cold_plan_seconds", |r| Num(r.cold_plan_seconds));
+        s.json("mean_patch_seconds", |r| Num(r.mean_patch_seconds));
+        s.json("speedup", |r| Num(r.speedup));
+        s.json("wall_seconds", |r| Num(r.wall_seconds));
+        s.json("rows", |r| recs(&r.rows));
+    }
+}
+
+impl Record for GradientIterRow {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.both("iter", |r| Int(r.iter));
+        s.both("energy_kcal", |r| Num(r.energy_kcal));
+        s.both("grad_max", |r| Num(r.grad_max));
+        s.both("grad_rms", |r| Num(r.grad_rms));
+        s.both("step", |r| Num(r.step));
+        s.both("energy_evals", |r| Int(r.energy_evals));
+        s.both("patched", |r| Int(r.patched));
+        s.both("rebuilt", |r| Int(r.rebuilt));
+        s.both("reused", |r| Int(r.reused));
+        s.field("grad_seconds", "grad_s", |r| Num(r.grad_seconds));
+        s.field("energy_seconds", "energy_s", |r| Num(r.energy_seconds));
+    }
+}
+
+impl Record for GradientReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("schema", |_| Str("gradient_report/v1"));
+        s.json("molecule", |r| Str(&r.molecule));
+        s.json("mode", |r| Str(&r.mode));
+        s.json("kernel_mode", |r| Str(&r.kernel_mode));
+        s.json("n_atoms", |r| Int(r.n_atoms));
+        s.json("converged", |r| Bool(r.converged));
+        s.json("stalled", |r| Bool(r.stalled));
+        s.json("iters", |r| Int(r.iters));
+        s.json("final_energy_kcal", |r| Num(r.final_energy_kcal));
+        s.json("final_grad_max", |r| Num(r.final_grad_max));
+        s.json("total_patched", |r| Int(r.total_patched));
+        s.json("total_rebuilt", |r| Int(r.total_rebuilt));
+        s.json("total_reused", |r| Int(r.total_reused));
+        s.json("grad_seconds", |r| Num(r.grad_seconds));
+        s.json("wall_s", |r| Num(r.wall_s));
+        s.json("rows", |r| recs(&r.rows));
+    }
+}
+
+impl Record for InductionReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("schema", |_| Str("induction_report/v1"));
+        s.json("molecule", |r| Str(&r.molecule));
+        s.json("mode", |r| Str(&r.mode));
+        s.json("n_atoms", |r| Int(r.n_atoms));
+        s.json("iters", |r| Int(r.iters));
+        s.json("converged", |r| Bool(r.converged));
+        s.json("u_ind_kcal", |r| Num(r.u_ind_kcal));
+        s.json("residuals", |r| {
+            List(r.residuals.iter().map(|&x| Num(x)).collect())
+        });
+    }
+}
+
+impl Record for ResidualRow {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.csv("iter", |r| Int(r.0));
+        s.csv("residual", |r| Num(r.1));
+    }
+}
+
+impl Record for Histogram {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("total", |r| Int(r.total));
+        s.json("sum", |r| Num(r.sum));
+        s.json("max", |r| Num(r.max));
+        s.json("mean", |r| Num(r.mean()));
+        s.json("p50", |r| Num(r.quantile(0.5)));
+        s.json("p90", |r| Num(r.quantile(0.9)));
+        s.json("p99", |r| Num(r.quantile(0.99)));
+        s.json("buckets", |r| {
+            let bucket = |(i, &count): (usize, &u64)| {
+                let le = r.bounds.get(i).map_or(Null, |&b| Num(b));
+                Obj(vec![("le", le), ("count", Int(count))])
+            };
+            List(r.counts.iter().enumerate().map(bucket).collect())
+        });
+    }
+}
+
+impl Record for ServeReport {
+    fn fields(s: &mut Sink<'_, Self>) {
+        s.json("schema", |_| Str("serve_report/v1"));
+        s.both("requests", |r| Int(r.requests));
+        s.both("rejected", |r| Int(r.rejected));
+        s.both("admitted", |r| Int(r.admitted));
+        s.both("completed", |r| Int(r.completed));
+        s.both("shed", |r| Int(r.shed));
+        s.both("deadline_exceeded", |r| Int(r.deadline_exceeded));
+        s.both("panicked", |r| Int(r.panicked));
+        s.both("failed", |r| Int(r.failed));
+        s.both("control", |r| Int(r.control));
+        s.json("reconciles", |r| Bool(r.reconciles()));
+        s.both("cache_hits", |r| Int(r.cache_hits));
+        s.both("cache_patched", |r| Int(r.cache_patched));
+        s.both("cache_misses", |r| Int(r.cache_misses));
+        s.both("cache_hit_rate", |r| NumOrBlank(r.hit_rate()));
+        s.both("cache_evictions", |r| Int(r.cache_evictions));
+        s.both("quota_evictions", |r| Int(r.quota_evictions));
+        s.both("poison_evictions", |r| Int(r.poison_evictions));
+        s.both("cache_bytes_held", |r| Int(r.cache_bytes_held));
+        s.both("cache_capacity_bytes", |r| Int(r.cache_capacity_bytes));
+        s.both("tenants", |r| Int(r.tenants));
+        s.both("arena_reuses", |r| Int(r.arena_reuses));
+        s.both("connections", |r| Int(r.connections));
+        s.both("workers", |r| Int(r.workers as u64));
+        s.both("queue_capacity", |r| Int(r.queue_capacity as u64));
+        s.both("peak_queue_depth", |r| Int(r.peak_queue_depth));
+        s.both("peak_inflight_bytes", |r| Int(r.peak_inflight_bytes));
+        // The histograms are JSON objects; the CSV flattens the latency
+        // one to four quantile columns.
+        s.json("latency_ms", |r| Rec(&r.latency_ms));
+        s.csv("latency_p50_ms", |r| NumOrBlank(r.latency_ms.quantile(0.5)));
+        s.csv("latency_p90_ms", |r| NumOrBlank(r.latency_ms.quantile(0.9)));
+        s.csv("latency_p99_ms", |r| {
+            NumOrBlank(r.latency_ms.quantile(0.99))
+        });
+        s.csv("latency_max_ms", |r| NumOrBlank(r.latency_ms.max()));
+        s.json("queue_depth", |r| Rec(&r.queue_depth));
+        s.both("drained", |r| Bool(r.drained));
+        s.field("wall_seconds", "wall_s", |r| Num(r.wall_seconds));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use polar_octree::OctreeConfig;
-
-    fn sample() -> SolveReport {
-        SolveReport {
-            molecule: "glob,ule".into(),
-            mode: "serial".into(),
-            kernel_mode: "strict".into(),
-            n_atoms: 100,
-            n_qpoints: 2000,
-            eps_born: 0.9,
-            eps_epol: 0.9,
-            epol_kcal: -123.456,
-            stages: vec![
-                StageReport {
-                    name: "born".into(),
-                    wall_seconds: 0.25,
-                    work: WorkCounts {
-                        pair_ops: 10,
-                        far_ops: 20,
-                        nodes_visited: 30,
-                    },
-                },
-                StageReport {
-                    name: "epol".into(),
-                    wall_seconds: 0.5,
-                    work: WorkCounts {
-                        pair_ops: 1,
-                        far_ops: 2,
-                        nodes_visited: 3,
-                    },
-                },
-            ],
-            tree_a: TreeDepthStats {
-                node_count: 9,
-                leaf_count: 8,
-                max_depth: 1,
-                mean_leaf_depth: 1.0,
-            },
-            tree_q: TreeDepthStats::default(),
-            steal: Some(StealReport {
-                workers: 4,
-                total_executed: 64,
-                total_steals: 7,
-                imbalance: 1.25,
-            }),
-            comm: None,
-            plan: Some(PlanReport {
-                born_near_entries: 11,
-                born_far_entries: 22,
-                epol_near_entries: 33,
-                epol_far_entries: 44,
-                plan_bytes: 1234,
-            }),
-            fault: None,
-            memory_bytes: 4096,
-        }
-    }
-
-    #[test]
-    fn json_contains_all_sections() {
-        let j = sample().to_json();
-        for key in [
-            "\"molecule\"",
-            "\"stages\"",
-            "\"tree_a\"",
-            "\"steal\"",
-            "\"comm\":null",
-            "\"plan\"",
-            "\"born_near_entries\":11",
-            "\"epol_kcal\":-123.456",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // Escaped comma-containing molecule name survives.
-        assert!(j.contains("glob,ule"));
-        // Plan-less reports emit an explicit null.
-        let mut r = sample();
-        r.plan = None;
-        assert!(r.to_json().contains("\"plan\":null"));
-        // Fault-free reports emit an explicit null fault section.
-        assert!(sample().to_json().contains("\"fault\":null"));
-    }
-
-    #[test]
-    fn fault_report_serializes_deterministically() {
-        let f = FaultReport {
-            seed: 7,
-            crashes: 1,
-            drops: 2,
-            msg_retries: 3,
-            worker_retries: 1,
-            redivisions: 2,
-            recovered_items: 17,
-            dead_ranks: vec![1, 3],
-            straggler_extra_seconds: 0.25,
-            events: vec![
-                FaultEvent {
-                    at_collective: 0,
-                    kind: "crash".into(),
-                    rank: 1,
-                    peer: None,
-                    detail: "injected".into(),
-                },
-                FaultEvent {
-                    at_collective: 0,
-                    kind: "redivide".into(),
-                    rank: 0,
-                    peer: None,
-                    detail: "born: 17 items over 3 survivors".into(),
-                },
-            ],
-        };
-        // Byte-identical across repeated serializations (the chaos-test
-        // reproducibility contract).
-        assert_eq!(f.to_json(), f.to_json());
-        let j = f.to_json();
-        for key in [
-            "\"seed\":7",
-            "\"dead_ranks\":[1,3]",
-            "\"kind\":\"crash\"",
-            "\"peer\":null",
-            "\"recovered_items\":17",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // In a SolveReport, the fault section rides along in JSON and the
-        // CSV fault columns fill in.
-        let mut r = sample();
-        r.fault = Some(f);
-        assert!(r.to_json().contains("\"fault\":{\"seed\":7"));
-        let row = r.to_csv_row();
-        assert!(row.contains(",7,1,2,3,1,17,"), "{row}");
-    }
-
-    #[test]
-    fn json_escapes_control_and_quote_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    /// Minimal recursive-descent JSON value, for the parse-back test only.
-    #[derive(Debug, PartialEq)]
-    enum Json {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Strict-enough JSON parser: rejects bare `NaN`/`inf` tokens, which
-    /// is exactly what the emitter regression guards against.
-    fn parse_json(s: &str) -> Result<Json, String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let v = parse_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing garbage at {i}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let key = match parse_value(b, i)? {
-                        Json::Str(s) => s,
-                        other => return Err(format!("non-string key {other:?}")),
-                    };
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    *i += 1;
-                    fields.push((key, parse_value(b, i)?));
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                let mut items = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at {i}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *i += 1;
-                let mut out = String::new();
-                while let Some(&c) = b.get(*i) {
-                    *i += 1;
-                    match c {
-                        b'"' => return Ok(Json::Str(out)),
-                        b'\\' => {
-                            let esc = *b.get(*i).ok_or("eof in escape")?;
-                            *i += 1;
-                            match esc {
-                                b'"' => out.push('"'),
-                                b'\\' => out.push('\\'),
-                                b'n' => out.push('\n'),
-                                b'r' => out.push('\r'),
-                                b't' => out.push('\t'),
-                                b'u' => {
-                                    let hex = std::str::from_utf8(&b[*i..*i + 4])
-                                        .map_err(|e| e.to_string())?;
-                                    let cp =
-                                        u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                                    out.push(char::from_u32(cp).ok_or("bad codepoint")?);
-                                    *i += 4;
-                                }
-                                other => return Err(format!("bad escape {other}")),
-                            }
-                        }
-                        c => out.push(c as char),
-                    }
-                }
-                Err("unterminated string".into())
-            }
-            Some(b'n') if b[*i..].starts_with(b"null") => {
-                *i += 4;
-                Ok(Json::Null)
-            }
-            Some(b't') if b[*i..].starts_with(b"true") => {
-                *i += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*i..].starts_with(b"false") => {
-                *i += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(&c) if c == b'-' || c.is_ascii_digit() => {
-                let start = *i;
-                while *i < b.len()
-                    && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *i += 1;
-                }
-                let text = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?;
-                let n: f64 = text.parse().map_err(|_| format!("bad number {text:?}"))?;
-                if !n.is_finite() {
-                    return Err(format!("non-finite literal {text:?}"));
-                }
-                Ok(Json::Num(n))
-            }
-            other => Err(format!("unexpected token {other:?} at {i}")),
-        }
-    }
-
-    #[test]
-    fn non_finite_fields_emit_null_and_parse_back() {
-        // Regression for the report-poisoning bug: NaN/inf written
-        // verbatim produce invalid JSON that breaks artifact consumers.
-        let mut r = sample();
-        r.epol_kcal = f64::NAN;
-        r.stages[0].wall_seconds = f64::INFINITY;
-        r.tree_a.mean_leaf_depth = f64::NEG_INFINITY;
-        if let Some(s) = r.steal.as_mut() {
-            s.imbalance = f64::NAN;
-        }
-        let j = r.to_json();
-        assert!(!j.contains("NaN") && !j.contains("inf"), "{j}");
-        let v = parse_json(&j).expect("emitted JSON must parse");
-        assert_eq!(v.get("epol_kcal"), Some(&Json::Null));
-        assert_eq!(
-            v.get("tree_a").and_then(|t| t.get("mean_leaf_depth")),
-            Some(&Json::Null)
-        );
-        assert_eq!(
-            v.get("steal").and_then(|s| s.get("imbalance")),
-            Some(&Json::Null)
-        );
-        match v.get("stages") {
-            Some(Json::Arr(stages)) => {
-                assert_eq!(stages[0].get("wall_seconds"), Some(&Json::Null));
-                assert_eq!(stages[1].get("wall_seconds"), Some(&Json::Num(0.5)));
-            }
-            other => panic!("stages missing: {other:?}"),
-        }
-        // A fully finite report parses with its values intact.
-        let clean = parse_json(&sample().to_json()).expect("clean JSON parses");
-        assert_eq!(clean.get("epol_kcal"), Some(&Json::Num(-123.456)));
-        assert_eq!(clean.get("molecule"), Some(&Json::Str("glob,ule".into())));
-        assert_eq!(
-            clean.get("plan").and_then(|p| p.get("plan_bytes")),
-            Some(&Json::Num(1234.0))
-        );
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let header = SolveReport::csv_header();
-        let row = sample().to_csv_row();
-        assert_eq!(header.split(',').count(), 42);
-        // The quoted molecule field contains a comma; strip it first.
-        let row_fields = row.replace("\"glob,ule\"", "molecule");
-        assert_eq!(row_fields.split(',').count(), 42, "{row}");
-        assert!(row.starts_with("\"glob,ule\",serial,strict,100,2000,"));
-        // Plan columns carry the sample's entry counts.
-        assert!(row.contains(",11,22,33,44,1234,"));
-    }
-
-    /// Column-count lock: parse the *emitted* headers, not a hand-kept
-    /// constant, so any accidental schema drift (added, dropped, or
-    /// reordered columns) fails here before it corrupts results/*.csv
-    /// concatenation downstream.
-    #[test]
-    fn csv_schemas_are_locked() {
-        let solve_header = SolveReport::csv_header();
-        let solve_cols: Vec<&str> = solve_header.split(',').collect();
-        assert_eq!(solve_cols.len(), 42);
-        assert_eq!(solve_cols[0], "molecule");
-        assert_eq!(solve_cols[1], "mode");
-        assert_eq!(solve_cols[2], "kernel_mode");
-        assert_eq!(solve_cols[3], "n_atoms");
-        assert_eq!(solve_cols[41], "memory_bytes");
-
-        let batch_header = BatchReport::csv_header();
-        let batch_cols: Vec<&str> = batch_header.split(',').collect();
-        assert_eq!(batch_cols.len(), 11);
-        assert_eq!(
-            batch_cols,
-            [
-                "job",
-                "name",
-                "n_atoms",
-                "kernel_mode",
-                "epol_kcal",
-                "cache_hit",
-                "cache_patched",
-                "pair_ops",
-                "far_ops",
-                "wall_s",
-                "error",
-            ]
-        );
-
-        let serve_header = ServeReport::csv_header();
-        let serve_cols: Vec<&str> = serve_header.split(',').collect();
-        assert_eq!(serve_cols.len(), 31);
-        assert_eq!(serve_cols[0], "requests");
-        assert_eq!(serve_cols[8], "control");
-        assert_eq!(serve_cols[10], "cache_patched");
-        assert_eq!(serve_cols[25], "latency_p50_ms");
-        assert_eq!(serve_cols[30], "wall_s");
-        // Arity holds even for an all-empty report (NaN quantiles leave
-        // empty fields, never drop columns).
-        let csv = ServeReport::default().to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), serve_header);
-        assert_eq!(lines.next().unwrap().split(',').count(), 31);
-
-        let replan_header = ReplanReport::csv_header();
-        let replan_cols: Vec<&str> = replan_header.split(',').collect();
-        assert_eq!(replan_cols.len(), 12);
-        assert_eq!(replan_cols[0], "frame");
-        assert_eq!(replan_cols[11], "epol_kcal");
-
-        let gradient_header = GradientReport::csv_header();
-        let gradient_cols: Vec<&str> = gradient_header.split(',').collect();
-        assert_eq!(
-            gradient_cols,
-            [
-                "iter",
-                "energy_kcal",
-                "grad_max",
-                "grad_rms",
-                "step",
-                "energy_evals",
-                "patched",
-                "rebuilt",
-                "reused",
-                "grad_s",
-                "energy_s",
-            ]
-        );
-        let gr = GradientReport {
-            rows: vec![GradientIterRow::default()],
-            ..GradientReport::default()
-        };
-        let mut lines = gr.to_csv();
-        lines.pop();
-        for line in lines.lines() {
-            assert_eq!(line.split(',').count(), 11, "{line}");
-        }
-        parse_json(&gr.to_json()).expect("gradient report JSON must parse");
-
-        let induction_header = InductionReport::csv_header();
-        assert_eq!(induction_header, "iter,residual");
-        let ir = InductionReport {
-            residuals: vec![1.0, 0.1, f64::NAN],
-            ..InductionReport::default()
-        };
-        for line in ir.to_csv().lines() {
-            assert_eq!(line.split(',').count(), 2, "{line}");
-        }
-        parse_json(&ir.to_json()).expect("induction report JSON must parse");
-    }
 
     #[test]
     fn histogram_quantiles_are_bucket_bound_estimates() {
@@ -2013,7 +1431,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), 9999.0);
         let j = h.to_json();
         assert!(j.contains("\"le\":null"), "overflow bucket in JSON: {j}");
-        parse_json(&j).expect("histogram JSON must parse");
+        crate::json::Json::parse(&j).expect("histogram JSON must parse");
     }
 
     #[test]
@@ -2036,122 +1454,6 @@ mod tests {
         r.completed -= 1;
         r.requests += 1; // a read line no counter claims
         assert!(!r.reconciles());
-    }
-
-    #[test]
-    fn serve_report_json_has_schema_and_null_hit_rate_when_cold() {
-        let r = ServeReport::default();
-        assert!(r.reconciles(), "all-zero report reconciles");
-        let j = r.to_json();
-        assert!(j.contains("\"schema\":\"serve_report/v1\""));
-        assert!(j.contains("\"cache_hit_rate\":null"), "{j}");
-        assert!(j.contains("\"reconciles\":true"), "{j}");
-        assert!(!j.contains("NaN"), "{j}");
-        parse_json(&j).expect("serve report JSON must parse");
-    }
-
-    #[test]
-    fn batch_hit_rate_of_empty_batch_is_null_in_json() {
-        let empty = BatchReport {
-            jobs: 0,
-            succeeded: 0,
-            failed: 0,
-            cache_hits: 0,
-            cache_patched: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            poison_evictions: 0,
-            cache_bytes_held: 0,
-            cache_capacity_bytes: 0,
-            arenas: 0,
-            arena_reuses: 0,
-            arena_bytes: 0,
-            retries: 0,
-            recovered_jobs: 0,
-            total_epol_kcal: 0.0,
-            total_work: WorkCounts::ZERO,
-            wall_seconds: 0.0,
-            rows: Vec::new(),
-        };
-        assert!(empty.hit_rate().is_nan());
-        let j = empty.to_json();
-        assert!(
-            j.contains("\"cache_hit_rate\":null"),
-            "zero-job hit rate must serialize as null: {j}"
-        );
-        assert!(!j.contains("NaN"), "{j}");
-        parse_json(&j).expect("empty batch JSON must parse");
-    }
-
-    #[test]
-    fn batch_rows_carry_kernel_mode_in_json_and_csv() {
-        let mut r = BatchReport {
-            jobs: 1,
-            succeeded: 1,
-            failed: 0,
-            cache_hits: 1,
-            cache_patched: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            poison_evictions: 0,
-            cache_bytes_held: 0,
-            cache_capacity_bytes: 0,
-            arenas: 1,
-            arena_reuses: 0,
-            arena_bytes: 0,
-            retries: 0,
-            recovered_jobs: 0,
-            total_epol_kcal: -1.0,
-            total_work: WorkCounts::ZERO,
-            wall_seconds: 0.0,
-            rows: vec![BatchJobRow {
-                name: "mol".into(),
-                n_atoms: 10,
-                kernel_mode: "lane".into(),
-                epol_kcal: -1.0,
-                cache_hit: true,
-                cache_patched: false,
-                pair_ops: 5,
-                far_ops: 6,
-                wall_seconds: 0.0,
-                error: None,
-            }],
-        };
-        assert!(r.to_json().contains("\"kernel_mode\":\"lane\""));
-        let csv = r.to_csv();
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        let row = lines.next().unwrap();
-        assert_eq!(header.split(',').count(), row.split(',').count());
-        assert!(row.starts_with("0,mol,10,lane,-1,true,"), "{row}");
-        // A failed job keeps the arity: empty epol, filled error.
-        r.rows[0].epol_kcal = f64::NAN;
-        r.rows[0].error = Some("boom".into());
-        let failed_row = r.to_csv().lines().nth(1).unwrap().to_string();
-        assert_eq!(
-            failed_row.split(',').count(),
-            BatchReport::csv_header().split(',').count(),
-            "{failed_row}"
-        );
-    }
-
-    #[test]
-    fn csv_empty_optional_sections_leave_fields_blank() {
-        let mut r = sample();
-        r.steal = None;
-        let row = r.to_csv_row();
-        assert!(row.contains(",,,,"), "steal fields should be empty: {row}");
-    }
-
-    #[test]
-    fn stage_lookup_and_totals() {
-        let r = sample();
-        assert_eq!(r.stage("born").work.pair_ops, 10);
-        assert_eq!(r.stage("missing").work, WorkCounts::ZERO);
-        let total = r.total_work();
-        assert_eq!(total.pair_ops, 11);
-        assert_eq!(total.far_ops, 22);
-        assert!((r.total_wall_seconds() - 0.75).abs() < 1e-12);
     }
 
     #[test]

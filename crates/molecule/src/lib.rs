@@ -19,6 +19,7 @@
 pub mod atom;
 pub mod generators;
 pub mod io;
+pub mod json;
 pub mod manifest;
 pub mod molecule;
 pub mod registry;

@@ -19,14 +19,15 @@
 //! under many poses and the plan cache should hit. Omitted fields fall
 //! back to defaults (`eps_* = 0.9`, `repeat = 1`, `seed = 0`).
 //!
-//! The parser is a self-contained recursive-descent JSON reader (the
-//! workspace vendors no serde); malformed input surfaces as
-//! [`ParseError::Invalid`] with the offending key or byte offset.
+//! The text is read by the workspace's one JSON codec ([`crate::json`]:
+//! `\uXXXX` escapes accepted, duplicate keys and nesting past
+//! [`crate::json::MAX_DEPTH`] rejected); malformed input surfaces as
+//! [`ParseError::Invalid`] with the offending key and byte offset.
 
 use crate::generators;
 use crate::io::{self, ParseError};
+use crate::json::{Json, JsonError};
 use crate::molecule::Molecule;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Where a job's molecule comes from.
@@ -164,22 +165,19 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
     let mut jobs: Vec<ManifestJob> = Vec::with_capacity(entries.len());
     let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     for (i, e) in entries.iter().enumerate() {
-        let job = parse_job_with_ctx(e, &format!("jobs[{i}]"))?;
+        let job = parse_job_with_ctx(e, &format!("jobs[{i}]"), &[])?;
         // Names become request ids downstream (serve mode), so two
         // entries resolving to the same name would be indistinguishable
         // in reports and responses. `repeat` copies are intentional
         // duplicates of *one* entry and stay allowed.
         if let Some(&first) = seen.get(&job.name) {
-            let name_pos = e
-                .as_object("job")
-                .ok()
-                .and_then(|o| o.get("name"))
-                .and_then(Json::string_pos);
-            return Err(match name_pos {
-                Some(pos) => invalid(
-                    pos,
-                    &format!("jobs[{i}].name {:?} duplicates jobs[{first}]", job.name),
-                ),
+            return Err(match e.get("name") {
+                Some(name) => name
+                    .error(format!(
+                        "jobs[{i}].name {:?} duplicates jobs[{first}]",
+                        job.name
+                    ))
+                    .into(),
                 None => ParseError::Invalid(format!(
                     "jobs[{i}]: derived name {:?} duplicates jobs[{first}]; \
                      add explicit distinct \"name\" fields",
@@ -193,15 +191,28 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, ParseError> {
     Ok(Manifest { jobs })
 }
 
+/// Manifest and wire errors read `manifest JSON, byte N: …`.
+impl From<JsonError> for ParseError {
+    fn from(e: JsonError) -> ParseError {
+        ParseError::Invalid(format!("manifest JSON, {e}"))
+    }
+}
+
 /// Parse one job object. `ctx` labels errors (`jobs[3]` for manifests,
-/// `request` for the serve wire format, which reuses this reader).
-pub(crate) fn parse_job_with_ctx(v: &Json, ctx: &str) -> Result<ManifestJob, ParseError> {
+/// `request` for the serve wire format, which reuses this reader and
+/// names its own keys in `extra_keys` so they are not reported unknown).
+pub(crate) fn parse_job_with_ctx(
+    v: &Json,
+    ctx: &str,
+    extra_keys: &[&str],
+) -> Result<ManifestJob, ParseError> {
     let ctx = || ctx.to_string();
     let obj = v.as_object(&ctx())?;
     for key in obj.keys() {
         match key.as_str() {
             "name" | "generate" | "n_atoms" | "seed" | "file" | "eps_born" | "eps_epol"
             | "repeat" | "frames" => {}
+            other if extra_keys.contains(&other) => {}
             other => {
                 return Err(ParseError::Invalid(format!(
                     "{}: unknown key {other:?}",
@@ -220,7 +231,7 @@ pub(crate) fn parse_job_with_ctx(v: &Json, ctx: &str) -> Result<ManifestJob, Par
         (Some(g), None) => {
             let kind = g.as_str(&format!("{}.generate", ctx()))?.to_string();
             let n_atoms = match obj.get("n_atoms") {
-                Some(n) => n.as_usize(&format!("{}.n_atoms", ctx()))?,
+                Some(n) => n.as_u32(&format!("{}.n_atoms", ctx()))? as usize,
                 None => {
                     return Err(ParseError::Invalid(format!(
                         "{}: \"generate\" requires \"n_atoms\"",
@@ -229,7 +240,7 @@ pub(crate) fn parse_job_with_ctx(v: &Json, ctx: &str) -> Result<ManifestJob, Par
                 }
             };
             let seed = match obj.get("seed") {
-                Some(s) => s.as_usize(&format!("{}.seed", ctx()))? as u64,
+                Some(s) => s.as_u64(&format!("{}.seed", ctx()))?,
                 None => 0,
             };
             JobSource::Generate {
@@ -278,14 +289,13 @@ pub(crate) fn parse_job_with_ctx(v: &Json, ctx: &str) -> Result<ManifestJob, Par
     }
     let repeat = match obj.get("repeat") {
         Some(r) => {
-            let val = r.as_usize(&format!("{}.repeat", ctx()))?;
+            let val = r.as_u32(&format!("{}.repeat", ctx()))? as usize;
             if val == 0 {
                 // Point at the offending token: a zero repeat silently
                 // expands to no jobs, so it must fail loudly and precisely.
-                return Err(invalid(
-                    r.number_pos().unwrap_or(0),
-                    &format!("{}.repeat must be at least 1, got 0", ctx()),
-                ));
+                return Err(r
+                    .error(format!("{}.repeat must be at least 1, got 0", ctx()))
+                    .into());
             }
             val
         }
@@ -317,12 +327,11 @@ fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
     }
     let mut spec = FrameSpec::default();
     if let Some(c) = obj.get("count") {
-        spec.count = c.as_usize(&format!("{ctx}.count"))?;
+        spec.count = c.as_u32(&format!("{ctx}.count"))? as usize;
         if spec.count == 0 {
-            return Err(invalid(
-                c.number_pos().unwrap_or(0),
-                &format!("{ctx}.count must be at least 1, got 0"),
-            ));
+            return Err(c
+                .error(format!("{ctx}.count must be at least 1, got 0"))
+                .into());
         }
     }
     if let Some(s) = obj.get("max_step") {
@@ -335,239 +344,9 @@ fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
         }
     }
     if let Some(s) = obj.get("seed") {
-        spec.seed = s.as_usize(&format!("{ctx}.seed"))? as u64;
+        spec.seed = s.as_u64(&format!("{ctx}.seed"))?;
     }
     Ok(spec)
-}
-
-// ----------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, numbers, literals).
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Object(BTreeMap<String, Json>),
-    Array(Vec<Json>),
-    /// A string and the byte offset of its opening quote — kept so
-    /// semantic errors (e.g. duplicate names) can point at the token.
-    String(String, usize),
-    /// A number and the byte offset of its first character — kept so
-    /// semantic errors (e.g. `repeat: 0`) can point at the exact token.
-    Number(f64, usize),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    pub(crate) fn parse(text: &str) -> Result<Json, ParseError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(invalid(pos, "trailing content after the JSON value"));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Json>, ParseError> {
-        match self {
-            Json::Object(m) => Ok(m),
-            _ => Err(ParseError::Invalid(format!("{what} must be an object"))),
-        }
-    }
-
-    pub(crate) fn as_array(&self, what: &str) -> Result<&[Json], ParseError> {
-        match self {
-            Json::Array(v) => Ok(v),
-            _ => Err(ParseError::Invalid(format!("{what} must be an array"))),
-        }
-    }
-
-    pub(crate) fn as_str(&self, what: &str) -> Result<&str, ParseError> {
-        match self {
-            Json::String(s, _) => Ok(s),
-            _ => Err(ParseError::Invalid(format!("{what} must be a string"))),
-        }
-    }
-
-    pub(crate) fn as_f64(&self, what: &str) -> Result<f64, ParseError> {
-        match self {
-            Json::Number(x, _) => Ok(*x),
-            _ => Err(ParseError::Invalid(format!("{what} must be a number"))),
-        }
-    }
-
-    pub(crate) fn as_bool(&self, what: &str) -> Result<bool, ParseError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(ParseError::Invalid(format!("{what} must be a boolean"))),
-        }
-    }
-
-    /// Byte offset of a number token in the manifest text, if this is one.
-    fn number_pos(&self) -> Option<usize> {
-        match self {
-            Json::Number(_, pos) => Some(*pos),
-            _ => None,
-        }
-    }
-
-    /// Byte offset of a string token's opening quote, if this is one.
-    pub(crate) fn string_pos(&self) -> Option<usize> {
-        match self {
-            Json::String(_, pos) => Some(*pos),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_usize(&self, what: &str) -> Result<usize, ParseError> {
-        let x = self.as_f64(what)?;
-        if x < 0.0 || x.fract() != 0.0 || x > u32::MAX as f64 {
-            return Err(ParseError::Invalid(format!(
-                "{what} must be a non-negative integer, got {x}"
-            )));
-        }
-        Ok(x as usize)
-    }
-}
-
-pub(crate) fn invalid(pos: usize, what: &str) -> ParseError {
-    ParseError::Invalid(format!("manifest JSON, byte {pos}: {what}"))
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => {
-            let start = *pos;
-            Ok(Json::String(parse_string(b, pos)?, start))
-        }
-        Some(b't') => parse_literal(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(b, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(invalid(*pos, &format!("unexpected byte {:?}", *c as char))),
-        None => Err(invalid(*pos, "unexpected end of input")),
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, word: &str, v: Json) -> Result<Json, ParseError> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(v)
-    } else {
-        Err(invalid(*pos, &format!("expected {word:?}")))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|x| x.is_finite())
-        .map(|x| Json::Number(x, start))
-        .ok_or_else(|| invalid(start, "malformed number"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = Vec::new();
-    loop {
-        match b.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| invalid(*pos, "invalid UTF-8"));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = b
-                    .get(*pos)
-                    .ok_or_else(|| invalid(*pos, "dangling escape"))?;
-                match esc {
-                    b'"' | b'\\' | b'/' => out.push(*esc),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    _ => return Err(invalid(*pos, "unsupported escape sequence")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-            None => return Err(invalid(*pos, "unterminated string")),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(invalid(*pos, "expected a string key"));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(invalid(*pos, "expected ':' after key"));
-        }
-        *pos += 1;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            _ => return Err(invalid(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err(invalid(*pos, "expected ',' or ']' in array")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@
 //! batch manifest is where fan-out lives.
 
 use crate::io::ParseError;
-use crate::manifest::{self, Json, ManifestJob};
+use crate::json::Json;
+use crate::manifest::{self, ManifestJob};
 
 /// One parsed line of the serve wire protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +64,10 @@ pub struct ServeJob {
 
 /// Parse one request line. Errors carry the offending key or byte
 /// offset, exactly like manifest errors — they become `bad_request`
-/// responses, never dropped connections.
+/// responses, never dropped connections. The line goes through
+/// [`crate::json`]: `\uXXXX` escapes (what Python's `json.dumps` writes
+/// for non-ASCII ids) are accepted; a duplicate key, nesting past
+/// [`crate::json::MAX_DEPTH`] and out-of-range integers are errors.
 pub fn parse_request(line: &str) -> Result<ServeRequest, ParseError> {
     let v = Json::parse(line)?;
     let obj = v.as_object("request")?;
@@ -103,22 +107,17 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, ParseError> {
         None => "default".to_string(),
     };
     let deadline_ms = match obj.get("deadline_ms") {
-        Some(d) => Some(d.as_usize("request.deadline_ms")? as u64),
+        Some(d) => Some(d.as_u64("request.deadline_ms")?),
         None => None,
     };
     let panic = match obj.get("panic") {
         Some(p) => p.as_bool("request.panic")?,
         None => false,
     };
-    let id_token = obj.get("id").cloned();
-    // Everything else is the manifest job schema; strip the serve-only
-    // keys and hand the object to the shared reader.
-    let mut rest = obj.clone();
-    for key in ["id", "tenant", "deadline_ms", "panic"] {
-        rest.remove(key);
-    }
-    let job = manifest::parse_job_with_ctx(&Json::Object(rest), "request")?;
-    let id = match &id_token {
+    // Everything else is the manifest job schema.
+    let job =
+        manifest::parse_job_with_ctx(&v, "request", &["id", "tenant", "deadline_ms", "panic"])?;
+    let id = match obj.get("id") {
         Some(t) => t.as_str("request.id")?.to_string(),
         None => job.name.clone(),
     };

@@ -19,6 +19,11 @@
 //! * **worker panic** — inside the rank's work-stealing pool, one task of
 //!   a named stage panics its first `panics` attempts; the pool isolates
 //!   the panic (`catch_unwind`) and retries on another worker.
+//!
+//! Specs are read and written as JSON by the workspace's one codec
+//! (`polar_gb::json`, i.e. `polar_molecule::json`).
+
+use polar_gb::json::{Json, JsonError, JsonWriter};
 
 /// One scheduled rank crash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,302 +214,134 @@ impl FaultSpec {
 
     /// Serialize as JSON (stable field order, no whitespace).
     pub fn to_json(&self) -> String {
-        let crashes: Vec<String> = self
-            .crashes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"rank\":{},\"at_collective\":{}}}",
-                    c.rank, c.at_collective
-                )
-            })
-            .collect();
-        let drops: Vec<String> = self
-            .drops
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"from\":{},\"to\":{},\"at_collective\":{},\"times\":{}}}",
-                    d.from, d.to, d.at_collective, d.times
-                )
-            })
-            .collect();
-        let stragglers: Vec<String> = self
-            .stragglers
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"rank\":{},\"at_collective\":{},\"extra_seconds\":{}}}",
-                    t.rank, t.at_collective, t.extra_seconds
-                )
-            })
-            .collect();
-        let panics: Vec<String> = self
-            .worker_panics
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"rank\":{},\"stage\":\"{}\",\"task_index\":{},\"panics\":{}}}",
-                    w.rank, w.stage, w.task_index, w.panics
-                )
-            })
-            .collect();
-        format!(
-            "{{\"seed\":{},\"max_retries\":{},\"worker_retry_budget\":{},\
-             \"base_timeout_s\":{},\"crashes\":[{}],\"drops\":[{}],\
-             \"stragglers\":[{}],\"worker_panics\":[{}]}}",
-            self.seed,
-            self.max_retries,
-            self.worker_retry_budget,
-            self.base_timeout_s,
-            crashes.join(","),
-            drops.join(","),
-            stragglers.join(","),
-            panics.join(",")
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("seed").u64(self.seed);
+        w.key("max_retries").u64(self.max_retries.into());
+        w.key("worker_retry_budget")
+            .u64(self.worker_retry_budget.into());
+        w.key("base_timeout_s").f64(self.base_timeout_s);
+        w.key("crashes").begin_array();
+        for c in &self.crashes {
+            w.begin_object();
+            w.key("rank").u64(c.rank as u64);
+            w.key("at_collective").u64(c.at_collective);
+            w.end_object();
+        }
+        w.end_array().key("drops").begin_array();
+        for d in &self.drops {
+            w.begin_object();
+            w.key("from").u64(d.from as u64);
+            w.key("to").u64(d.to as u64);
+            w.key("at_collective").u64(d.at_collective);
+            w.key("times").u64(d.times.into());
+            w.end_object();
+        }
+        w.end_array().key("stragglers").begin_array();
+        for t in &self.stragglers {
+            w.begin_object();
+            w.key("rank").u64(t.rank as u64);
+            w.key("at_collective").u64(t.at_collective);
+            w.key("extra_seconds").f64(t.extra_seconds);
+            w.end_object();
+        }
+        w.end_array().key("worker_panics").begin_array();
+        for p in &self.worker_panics {
+            w.begin_object();
+            w.key("rank").u64(p.rank as u64);
+            w.key("stage").str(&p.stage);
+            w.key("task_index").u64(p.task_index as u64);
+            w.key("panics").u64(p.panics.into());
+            w.end_object();
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Parse a spec from JSON (the format `to_json` emits, whitespace
-    /// tolerated; unknown keys rejected with a descriptive error).
+    /// tolerated). Top-level keys are optional and default to
+    /// [`FaultSpec::none`]; every key of a `crashes` / `drops` /
+    /// `stragglers` / `worker_panics` item is required. Unknown keys,
+    /// integers outside their field's range and negative or non-finite
+    /// durations are rejected with the byte offset of the value.
     pub fn parse_json(text: &str) -> Result<FaultSpec, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj("fault spec")?;
+        Json::parse(text)
+            .and_then(|v| Self::from_json(&v))
+            .map_err(|e| e.to_string())
+    }
+
+    fn from_json(v: &Json) -> Result<FaultSpec, JsonError> {
         let mut spec = FaultSpec::none();
-        for (key, val) in obj {
+        for (key, val) in v.as_object("fault spec")? {
             match key.as_str() {
                 "seed" => spec.seed = val.as_u64(key)?,
-                "max_retries" => spec.max_retries = val.as_u64(key)? as u32,
-                "worker_retry_budget" => spec.worker_retry_budget = val.as_u64(key)? as u32,
-                "base_timeout_s" => spec.base_timeout_s = val.as_f64(key)?,
+                "max_retries" => spec.max_retries = val.as_u32(key)?,
+                "worker_retry_budget" => spec.worker_retry_budget = val.as_u32(key)?,
+                "base_timeout_s" => spec.base_timeout_s = seconds(val, key)?,
                 "crashes" => {
-                    for item in val.as_arr(key)? {
-                        let o = item.as_obj("crash")?;
+                    for item in val.as_array(key)? {
                         spec.crashes.push(CrashFault {
-                            rank: json::field(o, "rank")?.as_u64("rank")? as usize,
-                            at_collective: json::field(o, "at_collective")?
+                            rank: required(item, "rank")?.as_usize("rank")?,
+                            at_collective: required(item, "at_collective")?
                                 .as_u64("at_collective")?,
                         });
                     }
                 }
                 "drops" => {
-                    for item in val.as_arr(key)? {
-                        let o = item.as_obj("drop")?;
+                    for item in val.as_array(key)? {
                         spec.drops.push(DropFault {
-                            from: json::field(o, "from")?.as_u64("from")? as usize,
-                            to: json::field(o, "to")?.as_u64("to")? as usize,
-                            at_collective: json::field(o, "at_collective")?
+                            from: required(item, "from")?.as_usize("from")?,
+                            to: required(item, "to")?.as_usize("to")?,
+                            at_collective: required(item, "at_collective")?
                                 .as_u64("at_collective")?,
-                            times: json::field(o, "times")?.as_u64("times")? as u32,
+                            times: required(item, "times")?.as_u32("times")?,
                         });
                     }
                 }
                 "stragglers" => {
-                    for item in val.as_arr(key)? {
-                        let o = item.as_obj("straggler")?;
+                    for item in val.as_array(key)? {
                         spec.stragglers.push(StragglerFault {
-                            rank: json::field(o, "rank")?.as_u64("rank")? as usize,
-                            at_collective: json::field(o, "at_collective")?
+                            rank: required(item, "rank")?.as_usize("rank")?,
+                            at_collective: required(item, "at_collective")?
                                 .as_u64("at_collective")?,
-                            extra_seconds: json::field(o, "extra_seconds")?
-                                .as_f64("extra_seconds")?,
+                            extra_seconds: seconds(
+                                required(item, "extra_seconds")?,
+                                "extra_seconds",
+                            )?,
                         });
                     }
                 }
                 "worker_panics" => {
-                    for item in val.as_arr(key)? {
-                        let o = item.as_obj("worker panic")?;
+                    for item in val.as_array(key)? {
                         spec.worker_panics.push(WorkerPanicFault {
-                            rank: json::field(o, "rank")?.as_u64("rank")? as usize,
-                            stage: json::field(o, "stage")?.as_str("stage")?.to_string(),
-                            task_index: json::field(o, "task_index")?.as_u64("task_index")?
-                                as usize,
-                            panics: json::field(o, "panics")?.as_u64("panics")? as u32,
+                            rank: required(item, "rank")?.as_usize("rank")?,
+                            stage: required(item, "stage")?.as_str("stage")?.to_string(),
+                            task_index: required(item, "task_index")?.as_usize("task_index")?,
+                            panics: required(item, "panics")?.as_u32("panics")?,
                         });
                     }
                 }
-                other => return Err(format!("unknown fault-spec key {other:?}")),
+                other => return Err(val.error(format!("unknown fault-spec key {other:?}"))),
             }
         }
         Ok(spec)
     }
 }
 
-/// A deliberately tiny JSON reader — just what the fault-spec schema
-/// needs (objects, arrays, numbers, strings); no dependency on a JSON
-/// crate, mirroring the workspace's hand-rolled report serialization.
-mod json {
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
+/// Member `key` of a fault item, which must be an object holding it.
+fn required<'a>(item: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
+    item.as_object("fault item")?
+        .get(key)
+        .ok_or_else(|| item.error(format!("missing required key {key:?}")))
+}
 
-    impl Value {
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-                other => Err(format!(
-                    "{what}: expected non-negative integer, got {other:?}"
-                )),
-            }
-        }
-        pub fn as_f64(&self, what: &str) -> Result<f64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                other => Err(format!("{what}: expected number, got {other:?}")),
-            }
-        }
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("{what}: expected string, got {other:?}")),
-            }
-        }
-        pub fn as_arr(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-        pub fn as_obj(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-    }
-
-    pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing required key {key:?}"))
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", ch as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut entries = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match parse_value(b, pos)? {
-                        Value::Str(s) => s,
-                        other => return Err(format!("object key must be string, got {other:?}")),
-                    };
-                    expect(b, pos, b':')?;
-                    entries.push((key, parse_value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(entries));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                while *pos < b.len() {
-                    match b[*pos] {
-                        b'"' => {
-                            *pos += 1;
-                            return Ok(Value::Str(s));
-                        }
-                        b'\\' => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            *pos += 1;
-                        }
-                        c => {
-                            s.push(c as char);
-                            *pos += 1;
-                        }
-                    }
-                }
-                Err("unterminated string".into())
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len()
-                    && (b[*pos].is_ascii_digit()
-                        || matches!(b[*pos], b'.' | b'e' | b'E' | b'-' | b'+'))
-                {
-                    *pos += 1;
-                }
-                let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number {text:?}: {e}"))
-            }
-            other => Err(format!("unexpected {other:?} at byte {}", *pos)),
-        }
+/// A duration in simulated seconds: finite and non-negative.
+fn seconds(v: &Json, what: &str) -> Result<f64, JsonError> {
+    let x = v.as_f64(what)?;
+    if x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(v.error(format!("{what} must be a non-negative number, got {x}")))
     }
 }
 
@@ -541,6 +378,24 @@ mod tests {
             let back = FaultSpec::parse_json(&text).unwrap();
             assert_eq!(spec, back, "{text}");
         }
+        // Seeds past 2^53 and stage names that need escaping survive too.
+        for seed in [0, (1 << 53) + 1, u64::MAX] {
+            let mut spec = FaultSpec::from_seed(seed, 4);
+            spec.crashes.push(CrashFault {
+                rank: 2,
+                at_collective: u64::MAX - 1,
+            });
+            spec.worker_panics.push(WorkerPanicFault {
+                rank: 1,
+                stage: "b\"ørn\n".into(),
+                task_index: 3,
+                panics: 1,
+            });
+            let text = spec.to_json();
+            assert!(text.starts_with(&format!("{{\"seed\":{seed},")), "{text}");
+            assert!(text.contains(r#""stage":"b\"ørn\n""#), "{text}");
+            assert_eq!(FaultSpec::parse_json(&text).unwrap(), spec, "{text}");
+        }
         // Whitespace-tolerant.
         let spec = FaultSpec::parse_json(
             r#"{
@@ -573,6 +428,38 @@ mod tests {
         assert!(FaultSpec::parse_json("not json").is_err());
         let e = FaultSpec::parse_json("{\"seed\":1} trailing").unwrap_err();
         assert!(e.contains("trailing"), "{e}");
+        // Out-of-range values are errors at their byte, not truncations.
+        for (text, needle) in [
+            (
+                r#"{"max_retries":4294967296}"#,
+                "byte 15: max_retries must be at most",
+            ),
+            (
+                r#"{"worker_retry_budget":1e10}"#,
+                "worker_retry_budget must be at most",
+            ),
+            (
+                r#"{"base_timeout_s":-0.5}"#,
+                "byte 18: base_timeout_s must be a non-negative",
+            ),
+            (r#"{"base_timeout_s":1e999}"#, "byte 18: malformed number"),
+            (
+                r#"{"drops":[{"from":0,"to":1,"at_collective":1,"times":-1}]}"#,
+                "times must be a non-negative integer, got -1",
+            ),
+            (
+                r#"{"stragglers":[{"rank":0,"at_collective":1,"extra_seconds":-1}]}"#,
+                "extra_seconds must be a non-negative number",
+            ),
+            (
+                r#"{"worker_panics":[{"rank":0,"stage":"born","task_index":0,"panics":1e12}]}"#,
+                "panics must be at most 4294967295",
+            ),
+            (r#"{"seed":1,"seed":2}"#, "byte 10: duplicate key \"seed\""),
+        ] {
+            let e = FaultSpec::parse_json(text).unwrap_err();
+            assert!(e.contains(needle), "{text} -> {e}");
+        }
     }
 
     #[test]

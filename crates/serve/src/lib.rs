@@ -36,7 +36,7 @@ use polar_gb::{BatchJob, GbParams, RescoreError, ServeEngine, ServeReport};
 use polar_molecule::request::{parse_request, Control, ServeRequest};
 use polar_molecule::{manifest::JobSource, ServeJob};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -280,22 +280,44 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 
 /// Per-connection reader: one thread per client, one response line per
 /// request line. Read timeouts let the thread notice a server stop even
-/// while the client holds the connection open silently.
+/// while the client holds the connection open silently; whatever arrived
+/// before a timeout stays in `line`, so a request (or one multi-byte
+/// character) split across ticks is reassembled. One byte past
+/// `max_request_bytes` is the most a line ever buffers: that byte shows
+/// the line is over the limit, it is answered on the spot, and the rest
+/// of it is discarded as it streams in.
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
+    let limit = shared.cfg.max_request_bytes;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    // Inside an over-limit line that has already been answered.
+    let mut discarding = false;
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
+        let room = (limit + 1 - line.len()) as u64;
+        let read = (&mut reader).take(room).read_until(b'\n', &mut line);
+        let ended = line.last() == Some(&b'\n');
+        if ended || line.len() > limit {
+            if !discarding {
                 handle_line(&line, &writer, shared);
-                line.clear();
             }
+            discarding = !ended;
+            line.clear();
+        }
+        match read {
+            Ok(0) => {
+                // EOF (`room` is never zero). A last line without its
+                // newline still gets its one answer.
+                if !line.is_empty() && !discarding {
+                    handle_line(&line, &writer, shared);
+                }
+                return;
+            }
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
@@ -319,33 +341,30 @@ fn respond(writer: &Arc<Mutex<TcpStream>>, line: &str) {
     let _ = w.flush();
 }
 
-fn handle_line(raw: &str, writer: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>) {
-    let line = raw.trim();
-    if line.is_empty() {
-        return;
-    }
+/// Answer one request line (`raw` is the bytes as read, newline included;
+/// an over-limit line arrives cut at one byte past the limit).
+fn handle_line(raw: &[u8], writer: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>) {
     let received_at = Instant::now();
     let c = &shared.counters;
-    c.requests.fetch_add(1, Ordering::Relaxed);
-
-    if raw.len() > shared.cfg.max_request_bytes {
-        c.rejected.fetch_add(1, Ordering::Relaxed);
-        respond(
-            writer,
-            &wire::bad_request(&format!(
-                "request of {} bytes exceeds the {}-byte limit",
-                raw.len(),
-                shared.cfg.max_request_bytes
+    let limit = shared.cfg.max_request_bytes;
+    let parsed = if raw.len() > limit {
+        Err(format!("request exceeds the {limit}-byte limit"))
+    } else {
+        match std::str::from_utf8(raw).map(str::trim) {
+            Ok("") => return,
+            Ok(line) => parse_request(line).map_err(|e| e.to_string()),
+            Err(e) => Err(format!(
+                "request is not valid UTF-8 (byte {})",
+                e.valid_up_to()
             )),
-        );
-        return;
-    }
-
-    let request = match parse_request(line) {
+        }
+    };
+    c.requests.fetch_add(1, Ordering::Relaxed);
+    let request = match parsed {
         Ok(r) => r,
         Err(e) => {
             c.rejected.fetch_add(1, Ordering::Relaxed);
-            respond(writer, &wire::bad_request(&e.to_string()));
+            respond(writer, &wire::bad_request(&e));
             return;
         }
     };

@@ -156,3 +156,97 @@ fn chaos_mix_keeps_the_server_answering_and_the_report_reconciles() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two line-reader regressions. A request whose multi-byte character
+/// straddles a read-timeout tick used to lose its prefix and get the
+/// connection closed with no response; a client that never sent a newline
+/// grew the server's buffer without bound and was only judged oversized
+/// once (if ever) the newline came.
+#[test]
+fn split_utf8_and_newline_less_streams_get_exactly_one_response_each() {
+    let cfg = ServeConfig {
+        max_request_bytes: 4096,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg).expect("bind");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let r = &mut reader;
+    let s = &mut stream;
+
+    // "café": stop after the first byte of the two-byte é, wait out
+    // several 100 ms read ticks, then send the rest.
+    let line = "{\"id\":\"café\",\"generate\":\"ligand\",\"n_atoms\":40}\n";
+    let split = line.find('é').unwrap() + 1;
+    s.write_all(&line.as_bytes()[..split]).unwrap();
+    s.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    s.write_all(&line.as_bytes()[split..]).unwrap();
+    let mut resp = String::new();
+    r.read_line(&mut resp).expect("the split line is answered");
+    assert!(
+        resp.contains("\"status\":\"ok\"") && resp.contains("\"id\":\"café\""),
+        "{resp}"
+    );
+
+    // Bytes that are not UTF-8 at all: a typed rejection, same connection.
+    s.write_all(b"{\"id\":\"\xff\xfe\"}\n").unwrap();
+    let bad = roundtrip(r, s, r#"{"cmd":"health"}"#);
+    assert!(
+        bad.contains("\"status\":\"bad_request\"") && bad.contains("UTF-8"),
+        "{bad}"
+    );
+    let mut health = String::new();
+    r.read_line(&mut health).unwrap();
+    assert!(health.contains("\"healthy\":true"), "{health}");
+
+    // 64 KiB with no newline: answered as soon as the limit is crossed,
+    // while the line is still open...
+    s.write_all(&vec![b'['; 64 << 10]).unwrap();
+    s.flush().unwrap();
+    let mut over = String::new();
+    r.read_line(&mut over).expect("answered before the newline");
+    assert!(
+        over.contains("\"status\":\"bad_request\"") && over.contains("4096-byte limit"),
+        "{over}"
+    );
+    // ...and only once: the rest of the line, newline included, is
+    // discarded, so the next response belongs to the next request.
+    s.write_all(&vec![b'['; 8 << 10]).unwrap();
+    let health = roundtrip(r, s, "]\n{\"cmd\":\"health\"}");
+    assert!(health.contains("\"healthy\":true"), "{health}");
+
+    // A deeply nested line inside the limit: the reader's depth bound
+    // answers with a byte offset instead of overflowing the stack.
+    let deep = roundtrip(r, s, &"[".repeat(4000));
+    assert!(
+        deep.contains("\"status\":\"bad_request\"") && deep.contains("byte 64: nesting deeper"),
+        "{deep}"
+    );
+    // The `\\uXXXX` spelling of the same id (Python's default) parses too.
+    let ok = roundtrip(
+        r,
+        s,
+        r#"{"id":"caf\u00e9-\ud83d\ude00","generate":"ligand","n_atoms":40}"#,
+    );
+    assert!(
+        ok.contains("\"status\":\"ok\"") && ok.contains("\"id\":\"café-😀\""),
+        "{ok}"
+    );
+    // A duplicate key is refused, not last-wins: this does not drain.
+    let dup = roundtrip(r, s, r#"{"cmd":"health","cmd":"drain"}"#);
+    assert!(
+        dup.contains("\"status\":\"bad_request\"") && dup.contains("byte 16: duplicate key"),
+        "{dup}"
+    );
+
+    let report = handle.drain();
+    assert!(report.reconciles(), "{report:?}");
+    assert_eq!(report.completed, 2, "{report:?}");
+    assert_eq!(report.rejected, 4, "{report:?}");
+    assert_eq!(report.control, 2, "{report:?}");
+    assert_eq!(report.requests, 8, "{report:?}");
+}
