@@ -4,9 +4,12 @@
 //! of each stage on this host — octree construction (the pre-processing
 //! cost the paper amortizes), the hierarchical vs naive Born/E_pol
 //! kernels (the headline asymptotic win), surface generation, and the
-//! approximate-math kernels.
+//! approximate-math kernels, and the five dispatched lane kernels on the
+//! list shapes a real plan feeds them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use polar_gb::born::octree::QDipole;
+use polar_gb::kernels;
 use polar_gb::{GbParams, GbSolver};
 use polar_geom::{fastmath, MathMode};
 use polar_molecule::generators;
@@ -106,6 +109,142 @@ fn bench_fastmath(c: &mut Criterion) {
     g.finish();
 }
 
+/// Uniform f64 columns from a fixed splitmix64 stream.
+fn columns<const C: usize>(n: usize, lo: f64, hi: f64, seed: &mut u64) -> [Vec<f64>; C] {
+    [(); C].map(|_| {
+        (0..n)
+            .map(|_| {
+                *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = *seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                lo + (hi - lo) * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect()
+    })
+}
+
+/// `len` distinct ids below `pool` (a prime), different per `group`.
+fn id_list(group: usize, len: usize, pool: usize) -> impl Iterator<Item = u32> {
+    (0..len).map(move |k| ((group * 131 + k * 37) % pool) as u32)
+}
+
+/// The lane kernels, one case each, on the shapes `InteractionPlan`
+/// builds for the seed-47 2,500-atom globule (the `warm_rescore`
+/// receptor): 22,235 q-leaves of ~3.2 q-points with ~26 near slots and
+/// ~331 far node ids each (1,212 `T_A` nodes), and 1,015 atom leaves of
+/// ~2.5 atoms with ~361 gathered near partners and ~88 far entries over
+/// histogram rows of 1–2 nonzero bins. The shape decides the result: a
+/// Born near group is three full id windows and a ragged one over three
+/// q-points, so per-window set-up and the tail are a third of its time;
+/// with 2,500-id groups and 24 q-points they vanish, and a kernel that
+/// runs the real plan's Born near half 1.7x slower looks level.
+fn bench_lane_kernels(c: &mut Criterion) {
+    const ATOMS: usize = 2_503; // primes, so `id_list` ids are distinct
+    const NODES: usize = 1_213;
+    let mut g = c.benchmark_group("lane_kernels");
+    g.sample_size(10);
+    let mut seed = 47;
+    let [x, y, z]: [Vec<f64>; 3] = columns(ATOMS, -20.0, 20.0, &mut seed);
+    let [charge]: [Vec<f64>; 1] = columns(ATOMS, -0.8, 0.8, &mut seed);
+    let [born]: [Vec<f64>; 1] = columns(ATOMS, 1.0, 4.0, &mut seed);
+    let inv_born: Vec<f64> = born.iter().map(|r| 1.0 / r).collect();
+    let xyz: [&[f64]; 3] = [&x, &y, &z];
+    let atoms: [&[f64]; 6] = [&x, &y, &z, &charge, &born, &inv_born];
+
+    let q_leaves = 22_235;
+    let q: [Vec<f64>; 7] = columns(q_leaves * 4, -21.0, 21.0, &mut seed);
+    let q_len = |leaf: usize| if leaf % 5 == 4 { 4 } else { 3 }; // mean 3.2
+    let near: Vec<u32> = (0..q_leaves)
+        .flat_map(|leaf| id_list(leaf, 26, ATOMS))
+        .collect();
+    let mut s_atom = vec![0.0; ATOMS];
+    g.bench_function("born_near_gather", |b| {
+        b.iter(|| {
+            for (leaf, idx) in near.chunks_exact(26).enumerate() {
+                let block = q.each_ref().map(|c| &c[4 * leaf..4 * leaf + q_len(leaf)]);
+                kernels::born_near_gather(idx, xyz, block, &mut s_atom);
+            }
+            black_box(s_atom[0])
+        })
+    });
+
+    // 7.4 M ids (29 MB): like the real list, it streams from DRAM.
+    let far: Vec<u32> = (0..q_leaves)
+        .flat_map(|leaf| id_list(leaf, 331, NODES))
+        .collect();
+    let [nx, ny, nz]: [Vec<f64>; 3] = columns(NODES, 30.0, 60.0, &mut seed);
+    let dip = QDipole {
+        m: [0.4, -0.1, 0.2, 0.3, -0.5, 0.1, -0.2, 0.6, 0.3],
+    };
+    let mut s_node = vec![0.0; NODES];
+    g.bench_function("born_far_r6_entries", |b| {
+        b.iter(|| {
+            for ids in far.chunks_exact(331) {
+                let (qc, nsum) = ([0.5, -1.0, 2.0], [0.3, -1.1, 0.7]);
+                kernels::born_far_r6_entries(ids, [&nx, &ny, &nz], qc, nsum, &dip, &mut s_node);
+            }
+            black_box(s_node[0])
+        })
+    });
+
+    // Atom leaves: slots 5·leaf/2 .. +2 or +3 (mean 2.5).
+    let a_leaves = 1_000;
+    let leaf_slots = |leaf: usize| 5 * leaf / 2..5 * (leaf + 1) / 2;
+    let partners: Vec<u32> = (0..a_leaves)
+        .flat_map(|leaf| id_list(leaf, 361, ATOMS))
+        .collect();
+    g.bench_function("epol_near_gather", |b| {
+        b.iter(|| {
+            let mut e = 0.0;
+            for (leaf, idx) in partners.chunks_exact(361).enumerate() {
+                e += kernels::epol_near_gather(idx, atoms, atoms.map(|c| &c[leaf_slots(leaf)]));
+            }
+            black_box(e)
+        })
+    });
+
+    // Compact rows: U streams its 1–2 real bins, V is one padded lane.
+    let (vq, vr) = (
+        [0.3, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.8, 2.9, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    );
+    let vri = vr.map(|r| 1.0 / r);
+    let v: [&[f64]; 3] = [&vq, &vr, &vri];
+    g.bench_function("epol_far_compact", |b| {
+        b.iter(|| {
+            let mut e = 0.0;
+            for entry in 0..a_leaves * 88 {
+                let d_sq = 400.0 + (entry % 97) as f64;
+                e += kernels::epol_far_compact(d_sq, v.map(|row| &row[..1 + entry % 2]), v);
+            }
+            black_box(e)
+        })
+    });
+
+    // Gradient near blocks: the leaf's atoms against its gathered
+    // partners, padded to a lane multiple as the execute layer pads them.
+    let padded = 361usize.div_ceil(kernels::LANE_WIDTH) * kernels::LANE_WIDTH;
+    let [px, py, pz]: [Vec<f64>; 3] = columns(padded, -20.0, 20.0, &mut seed);
+    let [pq]: [Vec<f64>; 1] = columns(padded, -0.8, 0.8, &mut seed);
+    let [pr]: [Vec<f64>; 1] = columns(padded, 1.0, 4.0, &mut seed);
+    let pri: Vec<f64> = pr.iter().map(|r| 1.0 / r).collect();
+    let p: [&[f64]; 6] = [&px, &py, &pz, &pq, &pr, &pri];
+    let mut grad = [vec![0.0; ATOMS], vec![0.0; ATOMS], vec![0.0; ATOMS]];
+    g.bench_function("epol_grad_block", |b| {
+        b.iter(|| {
+            let mut suspects = 0;
+            for leaf in 0..a_leaves {
+                let r = leaf_slots(leaf);
+                let out = grad.each_mut().map(|c| &mut c[r.clone()]);
+                suspects += kernels::epol_grad_block(atoms.map(|c| &c[r.clone()]), p, 300.0, out);
+            }
+            black_box(suspects)
+        })
+    });
+    g.finish();
+}
+
 fn bench_full_solve_math_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("solve_math_mode");
     g.sample_size(10);
@@ -125,6 +264,7 @@ fn bench_full_solve_math_modes(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_lane_kernels,
     bench_octree_build,
     bench_surface,
     bench_born,

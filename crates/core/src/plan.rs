@@ -74,8 +74,9 @@
 //!   results add in rank order in the drivers.
 //!
 //! Changing the lane width would silently reorder the lane reductions —
-//! `kernels::width_is_pinned` and the cross-width test in
-//! `tests/kernel_modes.rs` lock that down.
+//! the `width_is_pinned` unit test of [`crate::kernels`] locks it, and
+//! `tests/kernel_modes.rs` pins each mode's bits run-to-run and across
+//! segment chunkings.
 //!
 //! `WorkCounts` from execute report the same `pair_ops`/`far_ops` as the
 //! recursive traversal in both modes; `nodes_visited` is counted once at
@@ -603,6 +604,19 @@ impl InteractionPlan {
         plan
     }
 
+    /// The slot-indexed atom columns the energy and gradient kernels
+    /// read: x, y, z, charge, Born radius, reciprocal Born radius.
+    fn atom_columns<'a>(&'a self, born: &'a [f64], inv_born: &'a [f64]) -> [&'a [f64]; 6] {
+        [
+            &self.ax,
+            &self.ay,
+            &self.az,
+            &self.charge_slot,
+            born,
+            inv_born,
+        ]
+    }
+
     /// (Re)copy the solver's per-slot inputs into the plan's SoA streams.
     /// Run at build time and again by [`InteractionPlan::patch`] so a
     /// patched plan executes over the frame's fresh coordinates.
@@ -861,9 +875,7 @@ impl InteractionPlan {
                 let ns = ctx.q_nsum[q_id as usize];
                 kernels::born_far_r6_entries(
                     g.far,
-                    &self.anx,
-                    &self.any_,
-                    &self.anz,
+                    [&self.anx, &self.any_, &self.anz],
                     [qc.x, qc.y, qc.z],
                     [ns.x, ns.y, ns.z],
                     &ctx.q_dipole[q_id as usize],
@@ -889,18 +901,13 @@ impl InteractionPlan {
             if kernel == KernelMode::Lane && !g.near.is_empty() {
                 // The kernel gathers/scatters straight through the near
                 // list — no scratch copies.
+                let q = [
+                    &self.qx, &self.qy, &self.qz, &self.qnx, &self.qny, &self.qnz, &self.qw,
+                ];
                 kernels::born_near_gather(
                     g.near,
-                    &self.ax,
-                    &self.ay,
-                    &self.az,
-                    &self.qx[q_range.clone()],
-                    &self.qy[q_range.clone()],
-                    &self.qz[q_range.clone()],
-                    &self.qnx[q_range.clone()],
-                    &self.qny[q_range.clone()],
-                    &self.qnz[q_range.clone()],
-                    &self.qw[q_range],
+                    [&self.ax, &self.ay, &self.az],
+                    q.map(|c| &c[q_range.clone()]),
                     &mut partials.s_atom,
                 );
                 continue;
@@ -963,14 +970,6 @@ impl InteractionPlan {
         } else {
             Vec::new()
         };
-        // Gather scratch for the lane path, reused across the segment's
-        // leaves (grown once, refilled per leaf).
-        let mut gx: Vec<f64> = Vec::new();
-        let mut gy: Vec<f64> = Vec::new();
-        let mut gz: Vec<f64> = Vec::new();
-        let mut gq: Vec<f64> = Vec::new();
-        let mut gr: Vec<f64> = Vec::new();
-        let mut gri: Vec<f64> = Vec::new();
         let mut acc = 0.0;
         for leaf in leaf_range {
             // Per-leaf sub-accumulator: keeps the summation tree close to
@@ -982,57 +981,11 @@ impl InteractionPlan {
             // whole slot range `V`.
             counts.pair_ops += (gidx.len() * v_range.len()) as u64;
             if lane && !gidx.is_empty() {
-                // Fill one dense block through the near list and run the
-                // lanes over the long gathered side (the leaf's few atoms
-                // broadcast).
-                if let Some(s) = kernels::epol_near_gather(
-                    gidx,
-                    &self.ax,
-                    &self.ay,
-                    &self.az,
-                    &self.charge_slot,
-                    born_slot,
-                    &inv_born,
-                    &self.ax[v_range.clone()],
-                    &self.ay[v_range.clone()],
-                    &self.az[v_range.clone()],
-                    &self.charge_slot[v_range.clone()],
-                    &born_slot[v_range.clone()],
-                    &inv_born[v_range.clone()],
-                ) {
-                    leaf_acc += s;
-                } else {
-                    let n = gidx.len();
-                    gx.resize(n, 0.0);
-                    gy.resize(n, 0.0);
-                    gz.resize(n, 0.0);
-                    gq.resize(n, 0.0);
-                    gr.resize(n, 0.0);
-                    gri.resize(n, 0.0);
-                    for (k, &slot) in gidx.iter().enumerate() {
-                        let s = slot as usize;
-                        gx[k] = self.ax[s];
-                        gy[k] = self.ay[s];
-                        gz[k] = self.az[s];
-                        gq[k] = self.charge_slot[s];
-                        gr[k] = born_slot[s];
-                        gri[k] = inv_born[s];
-                    }
-                    leaf_acc += kernels::epol_near_block_pre(
-                        &self.ax[v_range.clone()],
-                        &self.ay[v_range.clone()],
-                        &self.az[v_range.clone()],
-                        &self.charge_slot[v_range.clone()],
-                        &born_slot[v_range.clone()],
-                        &inv_born[v_range],
-                        &gx[..n],
-                        &gy[..n],
-                        &gz[..n],
-                        &gq[..n],
-                        &gr[..n],
-                        &gri[..n],
-                    );
-                }
+                // Lanes run over the long gathered side, straight
+                // through the near list (the leaf's few atoms broadcast).
+                let atoms = self.atom_columns(born_slot, &inv_born);
+                leaf_acc +=
+                    kernels::epol_near_gather(gidx, atoms, atoms.map(|c| &c[v_range.clone()]));
             } else {
                 for &a in gidx {
                     let a = a as usize;
@@ -1061,12 +1014,8 @@ impl InteractionPlan {
                         let (vq, vr, vri) = ectx.compact_row(v_id);
                         leaf_acc += kernels::epol_far_compact(
                             d_sq,
-                            &uq[..nzu],
-                            &ur[..nzu],
-                            &uri[..nzu],
-                            vq,
-                            vr,
-                            vri,
+                            [&uq[..nzu], &ur[..nzu], &uri[..nzu]],
+                            [vq, vr, vri],
                         );
                     }
                     counts.far_ops += ((nzu * nzv) as u64).max(1);
@@ -1189,23 +1138,14 @@ impl InteractionPlan {
                     pr[k] = 1.0;
                     pri[k] = 1.0;
                 }
+                let atoms = self.atom_columns(born_slot, inv_born);
+                let targets = atoms.map(|c| &c[v_range.clone()]);
+                let [ox, oy, oz] = [&mut *gx, &mut *gy, &mut *gz].map(|c| &mut c[out.clone()]);
                 let mut suspects = kernels::epol_grad_block(
-                    &self.ax[v_range.clone()],
-                    &self.ay[v_range.clone()],
-                    &self.az[v_range.clone()],
-                    &self.charge_slot[v_range.clone()],
-                    &born_slot[v_range.clone()],
-                    &inv_born[v_range.clone()],
-                    &px[..n_pad],
-                    &py[..n_pad],
-                    &pz[..n_pad],
-                    &pq[..n_pad],
-                    &pr[..n_pad],
-                    &pri[..n_pad],
+                    targets,
+                    [&px, &py, &pz, &pq, &pr, &pri].map(|c| &c[..n_pad]),
                     tau,
-                    &mut gx[out.clone()],
-                    &mut gy[out.clone()],
-                    &mut gz[out.clone()],
+                    [&mut *ox, &mut *oy, &mut *oz],
                 );
                 for &u_id in g.far {
                     let u = tree.node(u_id);
@@ -1216,22 +1156,10 @@ impl InteractionPlan {
                     // (and their clamped tail replicas) cannot be
                     // sub-guard — dense slices are safe as-is.
                     suspects += kernels::epol_grad_block(
-                        &self.ax[v_range.clone()],
-                        &self.ay[v_range.clone()],
-                        &self.az[v_range.clone()],
-                        &self.charge_slot[v_range.clone()],
-                        &born_slot[v_range.clone()],
-                        &inv_born[v_range.clone()],
-                        &self.ax[u_range.clone()],
-                        &self.ay[u_range.clone()],
-                        &self.az[u_range.clone()],
-                        &self.charge_slot[u_range.clone()],
-                        &born_slot[u_range.clone()],
-                        &inv_born[u_range],
+                        targets,
+                        atoms.map(|c| &c[u_range.clone()]),
                         tau,
-                        &mut gx[out.clone()],
-                        &mut gy[out.clone()],
-                        &mut gz[out.clone()],
+                        [&mut *ox, &mut *oy, &mut *oz],
                     );
                 }
                 // Each target meets exactly itself at r = 0 — one
