@@ -129,19 +129,46 @@ fn id_list(group: usize, len: usize, pool: usize) -> impl Iterator<Item = u32> {
     (0..len).map(move |k| ((group * 131 + k * 37) % pool) as u32)
 }
 
+/// One block's window list in the plan's bucket order: `full` windows
+/// that every leaf of the block meets in every lane, then windows met by
+/// 7, 6, … 1 leaves (a run of leaves starting at a rotating position).
+/// Ids are distinct within the block, as the plan's are.
+fn block_windows(block: usize, windows: usize, full: usize, pool: usize) -> Vec<kernels::Window> {
+    let mut ids = id_list(block, windows * kernels::LANE_WIDTH, pool);
+    (0..windows)
+        .map(|w| {
+            let leaves = match w.checked_sub(full) {
+                None => 0xffu8,
+                Some(k) => {
+                    let met = 7 - 7 * k / (windows - full);
+                    (((1u16 << met) - 1) as u8).rotate_left(w as u32 % 8)
+                }
+            };
+            kernels::Window {
+                ids: [(); kernels::LANE_WIDTH].map(|_| ids.next().expect("ids for every lane")),
+                by_leaf: core::array::from_fn(|l| if leaves >> l & 1 == 1 { 0xff } else { 0 }),
+            }
+        })
+        .collect()
+}
+
 /// The lane kernels, one case each, on the shapes `InteractionPlan`
 /// builds for the seed-47 2,500-atom globule (the `warm_rescore`
-/// receptor): 22,235 q-leaves of ~3.2 q-points with ~26 near slots and
-/// ~331 far node ids each (1,212 `T_A` nodes), and 1,015 atom leaves of
-/// ~2.5 atoms with ~361 gathered near partners and ~88 far entries over
-/// histogram rows of 1–2 nonzero bins. The shape decides the result: a
-/// Born near group is three full id windows and a ragged one over three
-/// q-points, so per-window set-up and the tail are a third of its time;
-/// with 2,500-id groups and 24 q-points they vanish, and a kernel that
-/// runs the real plan's Born near half 1.7x slower looks level.
+/// receptor): 22,235 q-leaves of ~3.2 q-points in 2,780 blocks of eight,
+/// each block holding ~55 far windows over 1,212 `T_A` node ids (51 %
+/// of them met by all eight leaves in all eight lanes, 75 % of all
+/// (lane, leaf) bits set) and ~29 near windows over atom slots (35 %
+/// full, 63 % of bits set); and 1,015 atom leaves of ~2.5 atoms with
+/// ~361 gathered near partners and ~88 far entries over histogram rows
+/// of 1–2 nonzero bins. The shape decides the result: a near window's
+/// set-up (three gathers, the accumulator gather and the scatter) is
+/// shared by up to eight leaves of three q-points each, so with one
+/// leaf per window, or 24 q-points per leaf, the kernels look nothing
+/// like they do under the real plan.
 fn bench_lane_kernels(c: &mut Criterion) {
     const ATOMS: usize = 2_503; // primes, so `id_list` ids are distinct
     const NODES: usize = 1_213;
+    const BLOCKS: usize = 2_780;
     let mut g = c.benchmark_group("lane_kernels");
     g.sample_size(10);
     let mut seed = 47;
@@ -152,37 +179,54 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let xyz: [&[f64]; 3] = [&x, &y, &z];
     let atoms: [&[f64]; 6] = [&x, &y, &z, &charge, &born, &inv_born];
 
-    let q_leaves = 22_235;
-    let q: [Vec<f64>; 7] = columns(q_leaves * 4, -21.0, 21.0, &mut seed);
+    let q_leaves = BLOCKS * kernels::QLEAF_BLOCK;
     let q_len = |leaf: usize| if leaf % 5 == 4 { 4 } else { 3 }; // mean 3.2
-    let near: Vec<u32> = (0..q_leaves)
-        .flat_map(|leaf| id_list(leaf, 26, ATOMS))
+    let mut q_start = vec![0u32];
+    for leaf in 0..q_leaves {
+        q_start.push(q_start[leaf] + q_len(leaf));
+    }
+    let q: [Vec<f64>; 7] = columns(q_start[q_leaves] as usize, -21.0, 21.0, &mut seed);
+    let q: [&[f64]; 7] = q.each_ref().map(|c| c.as_slice());
+    // 80 k windows (3.2 MB).
+    const NEAR: usize = 29;
+    let near: Vec<kernels::Window> = (0..BLOCKS)
+        .flat_map(|block| block_windows(block, NEAR, 10, ATOMS))
         .collect();
     let mut s_atom = vec![0.0; ATOMS];
-    g.bench_function("born_near_gather", |b| {
+    g.bench_function("born_near_blocks", |b| {
         b.iter(|| {
-            for (leaf, idx) in near.chunks_exact(26).enumerate() {
-                let block = q.each_ref().map(|c| &c[4 * leaf..4 * leaf + q_len(leaf)]);
-                kernels::born_near_gather(idx, xyz, block, &mut s_atom);
+            for (block, windows) in near.chunks_exact(NEAR).enumerate() {
+                let leaves = block * kernels::QLEAF_BLOCK..=(block + 1) * kernels::QLEAF_BLOCK;
+                kernels::born_near_blocks(windows, 0, &q_start[leaves], xyz, q, &mut s_atom);
             }
             black_box(s_atom[0])
         })
     });
 
-    // 7.4 M ids (29 MB): like the real list, it streams from DRAM.
-    let far: Vec<u32> = (0..q_leaves)
-        .flat_map(|leaf| id_list(leaf, 331, NODES))
+    // 153 k windows (6.1 MB): like the real list, past the L2.
+    const FAR: usize = 55;
+    let far: Vec<kernels::Window> = (0..BLOCKS)
+        .flat_map(|block| block_windows(block, FAR, 28, NODES))
         .collect();
     let [nx, ny, nz]: [Vec<f64>; 3] = columns(NODES, 30.0, 60.0, &mut seed);
-    let dip = QDipole {
-        m: [0.4, -0.1, 0.2, 0.3, -0.5, 0.1, -0.2, 0.6, 0.3],
-    };
+    let [cx, cy, cz]: [Vec<f64>; 3] = columns(q_leaves, -2.0, 2.0, &mut seed);
+    let moments: Vec<kernels::QLeafMoments> = (0..q_leaves)
+        .map(|leaf| kernels::QLeafMoments {
+            center: [cx[leaf], cy[leaf], cz[leaf]],
+            nsum: [0.3, -1.1, 0.7],
+            dipole: QDipole {
+                m: [0.4, -0.1, 0.2, 0.3, -0.5, 0.1, -0.2, 0.6, 0.3],
+            },
+        })
+        .collect();
     let mut s_node = vec![0.0; NODES];
-    g.bench_function("born_far_r6_entries", |b| {
+    g.bench_function("born_far_blocks", |b| {
         b.iter(|| {
-            for ids in far.chunks_exact(331) {
-                let (qc, nsum) = ([0.5, -1.0, 2.0], [0.3, -1.1, 0.7]);
-                kernels::born_far_r6_entries(ids, [&nx, &ny, &nz], qc, nsum, &dip, &mut s_node);
+            for (windows, leaves) in far
+                .chunks_exact(FAR)
+                .zip(moments.chunks_exact(kernels::QLEAF_BLOCK))
+            {
+                kernels::born_far_blocks(windows, 0, leaves, [&nx, &ny, &nz], &mut s_node);
             }
             black_box(s_node[0])
         })

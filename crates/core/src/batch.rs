@@ -7,7 +7,8 @@
 //!
 //! * each job's geometry is fingerprinted ([`geometry_hash`]) and routed
 //!   through a keyed **LRU plan cache** (key = geometry hash + both ε;
-//!   capacity in bytes, accounted via `InteractionPlan::memory_bytes`),
+//!   capacity in bytes, accounted via `Prepared::memory_bytes`: the plan
+//!   and the solver it rides with),
 //!   so recurring conformations build their solver + plan once;
 //! * solves execute out of **per-worker scratch arenas**
 //!   ([`crate::solver::SolveScratch`]) — Born partials, Born radii and
@@ -262,6 +263,16 @@ pub struct Prepared {
     pub plan: InteractionPlan,
 }
 
+impl Prepared {
+    /// Bytes the unit keeps resident: the plan's lists and the solver
+    /// they execute against (atoms, q-points, both octrees, moments) —
+    /// about as much again as the plan since the Born lists are stored
+    /// per block. What the cache charges for an entry.
+    pub fn memory_bytes(&self) -> usize {
+        self.plan.memory_bytes() + self.solver.memory_bytes()
+    }
+}
+
 struct CacheSlot {
     entry: Arc<Prepared>,
     last_used: u64,
@@ -271,7 +282,7 @@ struct CacheSlot {
 
 /// Byte-capacity LRU over prepared plans, with optional per-tenant
 /// byte quotas. Capacity is accounted with
-/// `InteractionPlan::memory_bytes`; the most recently inserted entry is
+/// [`Prepared::memory_bytes`]; the most recently inserted entry is
 /// always retained, so a single oversized plan can still serve its
 /// batch before being evicted by the next insertion.
 ///
@@ -336,7 +347,7 @@ impl PlanCache {
     /// Drop one slot, fixing both byte ledgers and the topology index.
     fn drop_slot(&mut self, key: &PlanKey) -> Option<CacheSlot> {
         let slot = self.map.remove(key)?;
-        let bytes = slot.entry.plan.memory_bytes();
+        let bytes = slot.entry.memory_bytes();
         self.bytes_held -= bytes;
         if let Some(held) = self.tenant_bytes.get_mut(&slot.tenant) {
             *held = held.saturating_sub(bytes);
@@ -374,7 +385,7 @@ impl PlanCache {
     /// inserted is never the victim.
     fn insert(&mut self, key: PlanKey, entry: Arc<Prepared>, tenant: &str) {
         self.tick += 1;
-        let bytes = entry.plan.memory_bytes();
+        let bytes = entry.memory_bytes();
         if self.map.contains_key(&key) {
             self.drop_slot(&key);
         }
@@ -1166,6 +1177,14 @@ mod tests {
     use crate::kernels::KernelMode;
     use polar_molecule::generators;
 
+    /// What the cache charges for one prepared molecule.
+    fn entry_bytes(mol: &Molecule, p: &GbParams) -> usize {
+        let solver =
+            GbSolver::for_molecule(mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
+        let plan = solver.plan(p);
+        Prepared { solver, plan }.memory_bytes()
+    }
+
     fn jobs_of(geometries: &[(usize, u64)], repeat: usize) -> Vec<BatchJob> {
         let mut jobs = Vec::new();
         for _ in 0..repeat {
@@ -1261,12 +1280,7 @@ mod tests {
     fn lru_evicts_at_byte_capacity() {
         // Capacity fits roughly one plan: alternating geometries force
         // evictions, and the evicted key re-misses on the next batch.
-        let probe = {
-            let mol = generators::globular("probe", 130, 5);
-            let s =
-                GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-            s.plan(&GbParams::default()).memory_bytes()
-        };
+        let probe = entry_bytes(&generators::globular("probe", 130, 5), &GbParams::default());
         let mut engine = BatchEngine::new(probe + probe / 2, 2);
         let jobs = jobs_of(&[(130, 5), (130, 6)], 1);
         let (_, first) = engine.run(&jobs);
@@ -1283,16 +1297,12 @@ mod tests {
     fn cache_byte_ledger_matches_resident_plan_bytes() {
         // `bytes_held` is an incremental ledger (updated on every insert
         // and drop); it must always reconcile with the ground truth —
-        // the sum of `InteractionPlan::memory_bytes` (segment-capacity
-        // accounting) over the entries actually resident — including
+        // the sum of `Prepared::memory_bytes` (plan lists at
+        // segment-capacity accounting + the solver) over the entries
+        // actually resident — including
         // across LRU evictions under capacity pressure.
         let p = GbParams::default();
-        let probe = {
-            let mol = generators::globular("probe", 130, 5);
-            let s =
-                GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-            s.plan(&p).memory_bytes()
-        };
+        let probe = entry_bytes(&generators::globular("probe", 130, 5), &p);
         let capacity = 2 * probe + probe / 2;
         let mut engine = BatchEngine::new(capacity, 2);
         let reconcile = |engine: &BatchEngine, held: u64| {
@@ -1300,7 +1310,7 @@ mod tests {
                 .cache
                 .map
                 .values()
-                .map(|slot| slot.entry.plan.memory_bytes())
+                .map(|slot| slot.entry.memory_bytes())
                 .sum();
             assert_eq!(engine.cache.bytes_held, ground_truth);
             assert_eq!(held as usize, ground_truth);
@@ -1437,11 +1447,7 @@ mod tests {
         use polar_molecule::trajectory;
         let p = GbParams::default();
         let mol = generators::globular("evictee", 130, 8);
-        let probe = {
-            let s =
-                GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-            s.plan(&p).memory_bytes()
-        };
+        let probe = entry_bytes(&mol, &p);
         let mut engine = BatchEngine::new(probe + probe / 2, 2);
         engine.run(&[BatchJob::new(mol.clone(), p)]);
         // A different geometry class evicts the walker's plan...
@@ -1605,12 +1611,7 @@ mod tests {
 
     #[test]
     fn tenant_quotas_evict_own_entries_not_neighbors() {
-        let probe = {
-            let mol = generators::globular("probe", 130, 5);
-            let s =
-                GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-            s.plan(&GbParams::default()).memory_bytes()
-        };
+        let probe = entry_bytes(&generators::globular("probe", 130, 5), &GbParams::default());
         // Quota fits roughly one plan per tenant; total capacity is huge
         // so only the quota can force evictions.
         let engine = ServeEngine::new(1 << 30, Some(probe + probe / 2), 2);

@@ -1,11 +1,11 @@
-//! SIMD-lane kernels for the plan execute phase: one source per kernel,
+//! SIMD-lane kernels for the plan engine: one source per kernel,
 //! instantiated once per ISA tier.
 //!
 //! The flat interaction lists built by [`crate::plan::InteractionPlan`]
 //! turn the two hot traversals into dense block loops — exactly the shape
 //! explicit f64 lanes want. This module supplies:
 //!
-//! * the `Simd` tier trait — an 8-wide f64 vector type and the ~20
+//! * the `Simd` tier trait — an 8-wide f64 vector type and the ~25
 //!   operations the kernels are written in — with three impls:
 //!   `Portable` (`[f64; 8]`), `Avx2` (two `__m256d` halves) and
 //!   `Avx512` (one `__m512d`);
@@ -16,19 +16,23 @@
 //!   magic-shift rounding to split `x = k·ln2 + r`, a degree-12 Taylor
 //!   polynomial on `|r| ≤ ln2/2`, and a bit-assembled `2^k` scale;
 //! * the five kernels the execute phase runs, each written **once** as a
-//!   generic `fn …<S: Simd>`: [`born_near_gather`] (descreening integrals
-//!   of a q-leaf group's gathered atom slots), [`born_far_r6_entries`]
-//!   (R6 pseudo-q-point terms over a far node-id list),
-//!   [`epol_near_gather`] (STILL pair sums of a leaf against its gathered
-//!   near partners), [`epol_far_compact`] (binned-charge node-node
-//!   interaction over precompacted histogram rows) and
-//!   [`epol_grad_block`] (frozen-radii gradient of a targets × partners
-//!   block). [`epol_near_block`] and [`epol_far_entry`] are dense-slice
-//!   conveniences over the same kernels.
+//!   generic `fn …<S: Simd>`: [`born_near_blocks`] (descreening integrals
+//!   of a block of eight q-leaves over the block's [`Window`]s of atom
+//!   slots), [`born_far_blocks`] (R6 pseudo-q-point terms of the block
+//!   over its windows of `T_A` node ids), [`epol_near_gather`] (STILL
+//!   pair sums of a leaf against its gathered near partners),
+//!   [`epol_far_compact`] (binned-charge node-node interaction over
+//!   precompacted histogram rows) and [`epol_grad_block`] (frozen-radii
+//!   gradient of a targets × partners block). [`epol_near_block`] and
+//!   [`epol_far_entry`] are dense-slice conveniences over the same
+//!   kernels;
+//! * the one kernel the planner runs, `born_block_walk`: the Fig. 2
+//!   separation test of a `T_A` node against eight q-leaves in one
+//!   8-lane step, inside the joint walk that plans a Born block.
 //!
 //! ## Dispatch
 //!
-//! Every public kernel is declared by one `tiers!` line, which emits a
+//! Every dispatched kernel is declared by one `tiers!` line, which emits a
 //! `#[target_feature]` wrapper per x86 tier around the generic body and
 //! picks the widest tier the CPU has on each call: AVX-512F, then
 //! AVX2+FMA, then portable. `is_x86_feature_detected!` is the only
@@ -46,8 +50,10 @@
 //! an `impl Simd for` block behind it. Indexed loads go further: a
 //! window of eight ids becomes an `Ids` only after it has been checked
 //! against the shortest slice it will index (one `vpcmpud` on AVX-512),
-//! so `gather`/`scatter_add` never touch memory outside their slice
-//! whatever ids a caller passes — an id out of range is a panic.
+//! so `gather`/`scatter_mask` never touch memory outside their slice
+//! whatever ids a caller passes — an id out of range is a panic. The
+//! blocked Born kernels pay that check once per window, for up to eight
+//! leaves' terms.
 //!
 //! Each tier fixes its own op sequence, and the generic bodies do not
 //! vary it: `Portable` never contracts `a·b + c` (off the FMA units
@@ -69,16 +75,18 @@
 //! memory (two closures cost the prototype of this design 17× on
 //! `warm_rescore`). The same
 //! goes for any non-`inline(always)` helper. Full id windows are read
-//! in place (`as_chunks::<8>()`); only the ragged last window of a list
-//! is copied, because eight scalar stores reloaded as one vector stall
-//! on store forwarding.
+//! in place (a [`Window`]'s ids, `as_chunks::<8>()` of a flat list);
+//! only the ragged last window of a flat list is copied, because eight
+//! scalar stores reloaded as one vector stall on store forwarding.
 //!
 //! ## Accuracy contract and summation order
 //!
-//! Lane kernels are *not* bitwise-reproducible against the scalar
+//! The execute kernels are *not* bitwise-reproducible against the scalar
 //! reference loops ([`KernelMode::Strict`] in [`crate::plan`]): each
 //! 8-wide accumulator re-associates the sum, and FMA contracts rounding
-//! steps. They are exact-grade — every elementary term is computed to a
+//! steps. (The planner's separation test is: it uses no FMA and no
+//! reciprocal, and its decisions and margins are bit-equal to the scalar
+//! test on every tier.) They are exact-grade — every elementary term is computed to a
 //! few ulp — so planned energies stay within 1 e−12 relative of the
 //! recursive reference (asserted by tests and the CI bench floor).
 //! Within one build on one machine the kernels are deterministic: the
@@ -99,11 +107,14 @@
 //! Born near kernel additionally clamps `r²` away from the subnormal
 //! range and masks on the same `r² > 1e-12` guard as the scalar kernel,
 //! so coincident atom/q-point pairs contribute an exact 0.0 rather than
-//! a garbage `inf·0`. The one exception is [`born_far_r6_entries`],
-//! whose last `len % 8` entries run one at a time in plain f64.
+//! a garbage `inf·0`. The plan pads the last [`Window`] of a Born list
+//! itself, repeating its last id in lanes that no leaf's row names; the
+//! blocked kernels compute those lanes and never store them.
 
 use crate::born::octree::QDipole;
 use crate::energy::octree::BinScheme;
+use polar_geom::Vec3;
+use polar_octree::NodeId;
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
@@ -235,10 +246,6 @@ trait Simd: Copy {
     /// `src[ids[k]]` in lane `k`. Panics unless `src` is at least as
     /// long as the limit `w` was checked against.
     fn gather(self, src: &[f64], w: Ids<'_>) -> Self::V;
-    /// `dst[ids[k]] += v[k]`. The ids of one window must be distinct
-    /// (the vector form reads all eight before it writes any). Panics
-    /// like [`Simd::gather`].
-    fn scatter_add(self, dst: &mut [f64], w: Ids<'_>, v: Self::V);
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn sub(self, a: Self::V, b: Self::V) -> Self::V;
     fn mul(self, a: Self::V, b: Self::V) -> Self::V;
@@ -259,6 +266,17 @@ trait Simd: Copy {
     /// `p·2^k`, where `m = k + 1.5·2⁵²` carries the integer `k` in its
     /// low mantissa bits (`|k| ≤ 1022`).
     fn exp2_scale(self, p: Self::V, m: Self::V) -> Self::V;
+    /// Correctly rounded `√x` (IEEE 754), bit-equal to `f64::sqrt`.
+    fn sqrt(self, x: Self::V) -> Self::V;
+    fn abs(self, x: Self::V) -> Self::V;
+    /// Bit `k` is set iff `a[k] > b[k]` (false on NaN).
+    fn gt_bits(self, a: Self::V, b: Self::V) -> u8;
+    /// `on[k]` in the lanes whose bit is set, `off[k]` in the others.
+    fn select(self, bits: u8, on: Self::V, off: Self::V) -> Self::V;
+    /// `dst[ids[k]] = v[k]` for the lanes whose bit is set; the other
+    /// lanes are not written. The ids of the set lanes must be distinct.
+    /// Panics like [`Simd::gather`].
+    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: Self::V, bits: u8);
 }
 
 /// The `fast_rsqrt` bit-trick seed (~3 % error).
@@ -268,11 +286,13 @@ const MANTISSA: u64 = (1 << 52) - 1;
 /// `2^k` has exponent field `k + 1023`; `m`'s mantissa holds `k + 2⁵¹`.
 const EXP2_BIAS: i64 = 1023 - (1 << 51);
 
-/// `dst[ids[k]] += v[k]` for as many lanes as `ids` has.
+/// `dst[ids[k]] = v[k]` for the lanes whose bit is set.
 #[inline(always)]
-fn add_lanes(dst: &mut [f64], ids: &[u32], v: &[f64; 8]) {
-    for (&id, &x) in ids.iter().zip(v) {
-        dst[id as usize] += x;
+fn store_lanes(dst: &mut [f64], ids: &[u32; 8], v: &[f64; 8], bits: u8) {
+    for k in 0..8 {
+        if bits >> k & 1 == 1 {
+            dst[ids[k] as usize] = v[k];
+        }
     }
 }
 
@@ -300,10 +320,6 @@ impl Simd for Portable {
     #[inline(always)]
     fn gather(self, src: &[f64], w: Ids<'_>) -> [f64; 8] {
         core::array::from_fn(|k| src[w.ids[k] as usize])
-    }
-    #[inline(always)]
-    fn scatter_add(self, dst: &mut [f64], w: Ids<'_>, v: [f64; 8]) {
-        add_lanes(dst, w.ids, &v);
     }
     #[inline(always)]
     fn add(self, a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
@@ -352,6 +368,30 @@ impl Simd for Portable {
             p[k] * f64::from_bits((exponent as u64) << 52)
         })
     }
+    #[inline(always)]
+    fn sqrt(self, x: [f64; 8]) -> [f64; 8] {
+        core::array::from_fn(|k| x[k].sqrt())
+    }
+    #[inline(always)]
+    fn abs(self, x: [f64; 8]) -> [f64; 8] {
+        core::array::from_fn(|k| x[k].abs())
+    }
+    #[inline(always)]
+    fn gt_bits(self, a: [f64; 8], b: [f64; 8]) -> u8 {
+        let mut bits = 0;
+        for k in 0..8 {
+            bits |= ((a[k] > b[k]) as u8) << k;
+        }
+        bits
+    }
+    #[inline(always)]
+    fn select(self, bits: u8, on: [f64; 8], off: [f64; 8]) -> [f64; 8] {
+        core::array::from_fn(|k| if bits >> k & 1 == 1 { on[k] } else { off[k] })
+    }
+    #[inline(always)]
+    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: [f64; 8], bits: u8) {
+        store_lanes(dst, w.ids, &v, bits);
+    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -397,10 +437,6 @@ impl Simd for Avx2 {
     #[inline(always)]
     fn gather(self, src: &[f64], w: Ids<'_>) -> Self::V {
         self.load(&Portable.gather(src, w))
-    }
-    #[inline(always)]
-    fn scatter_add(self, dst: &mut [f64], w: Ids<'_>, v: Self::V) {
-        add_lanes(dst, w.ids, &self.to_array(v));
     }
     #[inline(always)]
     fn add(self, a: Self::V, b: Self::V) -> Self::V {
@@ -498,6 +534,48 @@ impl Simd for Avx2 {
             [_mm256_mul_pd(p[0], s0), _mm256_mul_pd(p[1], s1)]
         }
     }
+    #[inline(always)]
+    fn sqrt(self, x: Self::V) -> Self::V {
+        // SAFETY: `self` proves AVX.
+        unsafe { [_mm256_sqrt_pd(x[0]), _mm256_sqrt_pd(x[1])] }
+    }
+    #[inline(always)]
+    fn abs(self, x: Self::V) -> Self::V {
+        // SAFETY: `self` proves AVX.
+        unsafe {
+            let sign = _mm256_set1_pd(-0.0);
+            [_mm256_andnot_pd(sign, x[0]), _mm256_andnot_pd(sign, x[1])]
+        }
+    }
+    #[inline(always)]
+    fn gt_bits(self, a: Self::V, b: Self::V) -> u8 {
+        // SAFETY: `self` proves AVX.
+        unsafe {
+            let lo = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(a[0], b[0]));
+            let hi = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(a[1], b[1]));
+            (lo | hi << 4) as u8
+        }
+    }
+    /// Each lane tests its own bit of the broadcast `bits`.
+    #[inline(always)]
+    fn select(self, bits: u8, on: Self::V, off: Self::V) -> Self::V {
+        // SAFETY: `self` proves AVX2.
+        unsafe {
+            let b = _mm256_set1_epi64x(bits as i64);
+            let lane0 = _mm256_set_epi64x(8, 4, 2, 1);
+            let lane1 = _mm256_set_epi64x(128, 64, 32, 16);
+            let m0 = _mm256_cmpeq_epi64(_mm256_and_si256(b, lane0), lane0);
+            let m1 = _mm256_cmpeq_epi64(_mm256_and_si256(b, lane1), lane1);
+            [
+                _mm256_blendv_pd(off[0], on[0], _mm256_castsi256_pd(m0)),
+                _mm256_blendv_pd(off[1], on[1], _mm256_castsi256_pd(m1)),
+            ]
+        }
+    }
+    #[inline(always)]
+    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: Self::V, bits: u8) {
+        store_lanes(dst, w.ids, &self.to_array(v), bits);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -549,20 +627,6 @@ impl Simd for Avx512 {
         // below 2³¹, so the sign-extended index is the id; scale 8 is
         // `size_of::<f64>()`.
         unsafe { _mm512_i32gather_pd::<8>(_mm256_loadu_si256(w.ids.as_ptr().cast()), src.as_ptr()) }
-    }
-    #[inline(always)]
-    fn scatter_add(self, dst: &mut [f64], w: Ids<'_>, v: __m512d) {
-        assert!(
-            w.limit <= dst.len(),
-            "scatter target shorter than the checked limit"
-        );
-        // SAFETY: as in `gather`, every lane addresses inside `dst`,
-        // which is exclusively borrowed.
-        unsafe {
-            let idx = _mm256_loadu_si256(w.ids.as_ptr().cast());
-            let cur = _mm512_i32gather_pd::<8>(idx, dst.as_ptr());
-            _mm512_i32scatter_pd::<8>(dst.as_mut_ptr(), idx, _mm512_add_pd(cur, v));
-        }
     }
     #[inline(always)]
     fn add(self, a: __m512d, b: __m512d) -> __m512d {
@@ -624,17 +688,52 @@ impl Simd for Avx512 {
             _mm512_mul_pd(p, _mm512_castsi512_pd(_mm512_slli_epi64::<52>(exponent)))
         }
     }
+    #[inline(always)]
+    fn sqrt(self, x: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F.
+        unsafe { _mm512_sqrt_pd(x) }
+    }
+    #[inline(always)]
+    fn abs(self, x: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F.
+        unsafe { _mm512_abs_pd(x) }
+    }
+    #[inline(always)]
+    fn gt_bits(self, a: __m512d, b: __m512d) -> u8 {
+        // SAFETY: `self` proves AVX-512F.
+        unsafe { _mm512_cmp_pd_mask::<_CMP_GT_OQ>(a, b) }
+    }
+    /// A blend through the mask register; around an `add` it folds
+    /// into one masked add.
+    #[inline(always)]
+    fn select(self, bits: u8, on: __m512d, off: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F.
+        unsafe { _mm512_mask_blend_pd(bits, off, on) }
+    }
+    #[inline(always)]
+    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: __m512d, bits: u8) {
+        assert!(
+            w.limit <= dst.len(),
+            "scatter target shorter than the checked limit"
+        );
+        // SAFETY: as in `gather`, every lane addresses inside `dst`,
+        // which is exclusively borrowed; unset lanes are not stored.
+        unsafe {
+            let idx = _mm256_loadu_si256(w.ids.as_ptr().cast());
+            _mm512_mask_i32scatter_pd::<8>(dst.as_mut_ptr(), bits, idx, v);
+        }
+    }
 }
 
-/// Declare one dispatched kernel: a public function with the given
-/// signature that runs the generic `$body` on the widest tier the CPU
+/// Declare one dispatched kernel: a function with the given visibility
+/// and signature that runs the generic `$body` on the widest tier the CPU
 /// has (AVX-512F, then AVX2+FMA, then portable). Each x86 tier gets a
 /// `#[target_feature]` wrapper so the `#[inline(always)]` body, and the
 /// intrinsics inside it, are compiled with that tier's instructions.
 macro_rules! tiers {
-    ($(#[$attr:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident) => {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident) => {
         $(#[$attr])*
-        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx512f")]
@@ -778,19 +877,67 @@ fn common_len<const N: usize>(cols: &[&[f64]; N]) -> usize {
     n
 }
 
-/// `Σ_j w_j·(d⃗·n⃗_j)/r⁶` over the q-point block `q` (columns x, y, z,
-/// nx, ny, nz, w) for the eight atoms of window `w`, one per lane —
-/// accumulators live in lanes, so there is no horizontal reduction.
+/// `acc + term` in the lanes whose bit is set; the others keep `acc`.
+#[inline(always)]
+fn add_mask<S: Simd>(s: S, acc: S::V, term: S::V, bits: u8) -> S::V {
+    s.select(bits, s.add(acc, term), acc)
+}
+
+/// Q-leaves per Born block: the plan groups consecutive `T_Q` leaves
+/// eight at a time and stores each partner id once per block. A constant
+/// of the list format like [`LANE_WIDTH`], not a setting — no sum depends
+/// on it (every accumulator takes its terms in ascending q-leaf order
+/// whatever the grouping).
+pub const QLEAF_BLOCK: usize = 8;
+
+/// Eight partner ids shared by the q-leaves of one block — `T_A` node
+/// ids in a far list, atom slots in a near list — and which leaves meet
+/// which of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct Window {
+    /// Partner ids, one per lane. The ids of lanes that some leaf
+    /// contributes to must be distinct; a padding lane repeats a real id
+    /// and is in no leaf's row.
+    pub ids: [u32; LANE_WIDTH],
+    /// `by_leaf[l]` bit `k` is set iff leaf `l` of the block has a term
+    /// for `ids[k]`.
+    pub by_leaf: [u8; QLEAF_BLOCK],
+}
+
+/// Panics unless the leaves `first..first + n` a call covers (their rows
+/// of every window's `by_leaf`) lie inside one block.
+#[inline(always)]
+fn assert_leaves_in_block(first: usize, n: usize) {
+    assert!(
+        first + n <= QLEAF_BLOCK,
+        "leaves {first}..{} are not inside one block of {QLEAF_BLOCK}",
+        first + n
+    );
+}
+
+/// The lanes any of the leaves `rows` contributes to.
+#[inline(always)]
+fn union_rows(rows: &[u8]) -> u8 {
+    let mut any = 0;
+    for &row in rows {
+        any |= row;
+    }
+    any
+}
+
+/// `Σ_j w_j·(d⃗·n⃗_j)/r⁶` over the q-points `q` (columns x, y, z, nx, ny,
+/// nz, w) for eight atoms at `a`, one per lane — accumulators live in
+/// lanes, so there is no horizontal reduction.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // j indexes all seven q columns
-fn born_near_window<S: Simd>(s: S, w: Ids<'_>, a: [&[f64]; 3], q: [&[f64]; 7]) -> S::V {
-    let (x, y, z) = (s.gather(a[0], w), s.gather(a[1], w), s.gather(a[2], w));
+fn born_near_term<S: Simd>(s: S, a: [S::V; 3], q: &[&[f64]; 7]) -> S::V {
     let (floor, guard) = (s.splat(R2_FLOOR), s.splat(R2_GUARD));
     let mut acc = s.splat(0.0);
     for j in 0..q[0].len() {
-        let dx = s.sub(s.splat(q[0][j]), x);
-        let dy = s.sub(s.splat(q[1][j]), y);
-        let dz = s.sub(s.splat(q[2][j]), z);
+        let dx = s.sub(s.splat(q[0][j]), a[0]);
+        let dy = s.sub(s.splat(q[1][j]), a[1]);
+        let dz = s.sub(s.splat(q[2][j]), a[2]);
         let r2 = s.fma(dz, dz, s.fma(dy, dy, s.mul(dx, dx)));
         let dot = s.mul(
             s.fma(
@@ -810,64 +957,93 @@ fn born_near_window<S: Simd>(s: S, w: Ids<'_>, a: [&[f64]; 3], q: [&[f64]; 7]) -
 }
 
 #[inline(always)]
-fn born_near_gather_body<S: Simd>(
+fn born_near_blocks_body<S: Simd>(
     s: S,
-    idx: &[u32],
+    windows: &[Window],
+    first: usize,
+    q_bounds: &[u32],
     a: [&[f64]; 3],
     q: [&[f64]; 7],
-    out: &mut [f64],
+    s_atom: &mut [f64],
 ) {
-    if idx.is_empty() || common_len(&q) == 0 {
-        return;
+    let n = q_bounds.len().saturating_sub(1);
+    assert_leaves_in_block(first, n);
+    common_len(&q); // panics if the q columns differ in length
+                    // Each leaf's q-points, sliced once per call.
+    let mut leaf_q = [[&[] as &[f64]; 7]; QLEAF_BLOCK];
+    for l in 0..n {
+        for (col, src) in leaf_q[l].iter_mut().zip(q) {
+            *col = &src[q_bounds[l] as usize..q_bounds[l + 1] as usize];
+        }
     }
-    let limit = common_len(&a).min(out.len());
-    let (windows, rem) = idx.as_chunks::<8>();
-    for ids in windows {
-        let acc = born_near_window(s, checked(s, ids, limit), a, q);
-        add_lanes(out, ids, &s.to_array(acc));
-    }
-    if !rem.is_empty() {
-        // The replicated lanes are computed and dropped: only the real
-        // ones are added back.
-        let acc = born_near_window(s, checked(s, &pad_last(rem), limit), a, q);
-        add_lanes(out, rem, &s.to_array(acc));
+    let limit = common_len(&a).min(s_atom.len());
+    for win in windows {
+        let w = checked(s, &win.ids, limit);
+        let rows = &win.by_leaf[first..first + n];
+        let pos = [s.gather(a[0], w), s.gather(a[1], w), s.gather(a[2], w)];
+        let mut sum = s.gather(s_atom, w);
+        for (q, &row) in leaf_q.iter().zip(rows) {
+            if row != 0 {
+                sum = add_mask(s, sum, born_near_term(s, pos, q), row);
+            }
+        }
+        s.scatter_mask(s_atom, w, sum, union_rows(rows));
     }
 }
 
 tiers! {
-    /// Gather-form Born near kernel: for every atom slot in `idx` (the
-    /// concatenated near-entry ranges of one plan group), accumulate the
-    /// descreening integrals `Σ_j w_j·(d⃗·n⃗_j)/r⁶` of the q-leaf block
-    /// `q` (columns x, y, z, nx, ny, nz, w) into `out[idx[k]]`. Gathers
-    /// straight from the molecule SoA columns `a` (x, y, z) — no scratch
-    /// copies, no separate scatter pass.
+    /// Blocked Born near kernel: for every window of one block's near
+    /// list and every leaf `l` of `first..first + n` (block-local,
+    /// `n = q_bounds.len() − 1`) with a nonzero row, add the descreening
+    /// integrals `Σ_j w_j·(d⃗·n⃗_j)/r⁶` of leaf `l`'s q-points — slots
+    /// `q_bounds[l − first]..q_bounds[l − first + 1]` of the columns `q`
+    /// (x, y, z, nx, ny, nz, w) — to `s_atom[ids[k]]` in the lanes of
+    /// its row. A window's positions (columns `a`: x, y, z) and its
+    /// accumulators are gathered once and scattered once, and leaves
+    /// add in ascending order, so every accumulator receives its terms
+    /// in ascending q-leaf order however the leaves are split over
+    /// calls.
     ///
     /// # Panics
-    /// If an id is out of range for `a` or `out`, or the columns of `a`
-    /// or of `q` differ in length.
-    pub fn born_near_gather(idx: &[u32], a: [&[f64]; 3], q: [&[f64]; 7], out: &mut [f64])
-        = born_near_gather_body
+    /// If an id is out of range for `a` or `s_atom`, the leaves do not
+    /// fit one block, a bound is outside `q`, or the columns of `a` or
+    /// of `q` differ in length.
+    pub fn born_near_blocks(
+        windows: &[Window],
+        first: usize,
+        q_bounds: &[u32],
+        a: [&[f64]; 3],
+        q: [&[f64]; 7],
+        s_atom: &mut [f64],
+    ) = born_near_blocks_body
 }
 
-/// The broadcast q-node side of a Born far group.
-struct FarNode<S: Simd> {
-    center: [S::V; 3],
-    nsum: [S::V; 3],
-    trace: S::V,
-    m: [S::V; 9],
-    six: S::V,
+/// The pseudo-q-point of one `T_Q` leaf: its centroid, weighted normal
+/// sum and dipole moment about the centroid.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QLeafMoments {
+    pub center: [f64; 3],
+    pub nsum: [f64; 3],
+    pub dipole: QDipole,
 }
 
-/// Eight R6 far terms `(ñ·d + tr D)/r⁶ − 6·(dᵀDd)/r⁸` from gathered
-/// a-node centers `an` (columns x, y, z).
+/// Eight R6 far terms `(ñ·d + tr D)/r⁶ − 6·(dᵀDd)/r⁸` of the a-node
+/// centers `an`, one per lane, against the broadcast q-leaf `q`.
 #[inline(always)]
-fn born_far_window<S: Simd>(s: S, w: Ids<'_>, an: [&[f64]; 3], q: &FarNode<S>) -> S::V {
-    let dx = s.sub(q.center[0], s.gather(an[0], w));
-    let dy = s.sub(q.center[1], s.gather(an[1], w));
-    let dz = s.sub(q.center[2], s.gather(an[2], w));
+fn born_far_term<S: Simd>(s: S, an: [S::V; 3], q: &QLeafMoments) -> S::V {
+    let dx = s.sub(s.splat(q.center[0]), an[0]);
+    let dy = s.sub(s.splat(q.center[1]), an[1]);
+    let dz = s.sub(s.splat(q.center[2]), an[2]);
     let r2 = s.fma(dz, dz, s.fma(dy, dy, s.mul(dx, dx)));
-    let dot = s.fma(dz, q.nsum[2], s.fma(dy, q.nsum[1], s.mul(dx, q.nsum[0])));
-    let m = &q.m;
+    let dot = s.fma(
+        dz,
+        s.splat(q.nsum[2]),
+        s.fma(dy, s.splat(q.nsum[1]), s.mul(dx, s.splat(q.nsum[0]))),
+    );
+    let mut m = [s.splat(0.0); 9];
+    for (lanes, &v) in m.iter_mut().zip(&q.dipole.m) {
+        *lanes = s.splat(v);
+    }
     let quad = s.fma(
         dz,
         s.fma(dz, m[8], s.fma(dy, m[7], s.mul(dx, m[6]))),
@@ -880,90 +1056,181 @@ fn born_far_window<S: Simd>(s: S, w: Ids<'_>, an: [&[f64]; 3], q: &FarNode<S>) -
     let inv_r2 = rcp(s, r2);
     let inv_rp = s.mul(s.mul(inv_r2, inv_r2), inv_r2);
     s.sub(
-        s.mul(s.add(dot, q.trace), inv_rp),
-        s.mul(s.mul(q.six, quad), s.mul(inv_rp, inv_r2)),
+        s.mul(s.add(dot, s.splat(q.dipole.trace())), inv_rp),
+        s.mul(s.mul(s.splat(6.0), quad), s.mul(inv_rp, inv_r2)),
     )
 }
 
 #[inline(always)]
-fn born_far_r6_body<S: Simd>(
+fn born_far_blocks_body<S: Simd>(
     s: S,
-    a_ids: &[u32],
+    windows: &[Window],
+    first: usize,
+    leaves: &[QLeafMoments],
     an: [&[f64]; 3],
-    qc: [f64; 3],
-    nsum: [f64; 3],
-    dip: &QDipole,
     s_node: &mut [f64],
 ) {
+    assert_leaves_in_block(first, leaves.len());
     let limit = common_len(&an).min(s_node.len());
-    let (tr, m) = (dip.trace(), &dip.m);
-    let mut moments = [s.splat(0.0); 9];
-    for (lanes, &v) in moments.iter_mut().zip(m) {
-        *lanes = s.splat(v);
-    }
-    // The q-side of a far group is one node: moments broadcast, only
-    // the a-node centers are gathered per lane.
-    let q = FarNode::<S> {
-        center: [s.splat(qc[0]), s.splat(qc[1]), s.splat(qc[2])],
-        nsum: [s.splat(nsum[0]), s.splat(nsum[1]), s.splat(nsum[2])],
-        trace: s.splat(tr),
-        m: moments,
-        six: s.splat(6.0),
-    };
-    let (windows, rem) = a_ids.as_chunks::<8>();
     // The centers and `s_node` fit in L1 for realistic trees, so the
     // loop is bound by gather throughput; out-of-order execution
-    // overlaps consecutive windows (a hand interleave of four measured
-    // no faster).
-    for ids in windows {
-        let w = checked(s, ids, limit);
-        let t = born_far_window(s, w, an, &q);
-        s.scatter_add(s_node, w, t);
-    }
-    if rem.is_empty() {
-        return;
-    }
-    // The last `len % 8` entries, one at a time in plain f64 with the
-    // lanes' reciprocal-multiply formulation (the two divisions of the
-    // strict term become one reciprocal).
-    checked(s, &pad_last(rem), limit);
-    for &a_id in rem {
-        let a = a_id as usize;
-        let dx = qc[0] - an[0][a];
-        let dy = qc[1] - an[1][a];
-        let dz = qc[2] - an[2][a];
-        let r2 = dx * dx + dy * dy + dz * dz;
-        let dot = nsum[0] * dx + nsum[1] * dy + nsum[2] * dz;
-        let quad = dx * (m[0] * dx + m[1] * dy + m[2] * dz)
-            + dy * (m[3] * dx + m[4] * dy + m[5] * dz)
-            + dz * (m[6] * dx + m[7] * dy + m[8] * dz);
-        let inv_r2 = 1.0 / r2;
-        let inv_rp = inv_r2 * inv_r2 * inv_r2;
-        s_node[a] += (dot + tr) * inv_rp - 6.0 * quad * inv_rp * inv_r2;
+    // overlaps consecutive windows.
+    for win in windows {
+        let w = checked(s, &win.ids, limit);
+        let rows = &win.by_leaf[first..first + leaves.len()];
+        let c = [s.gather(an[0], w), s.gather(an[1], w), s.gather(an[2], w)];
+        let mut sum = s.gather(s_node, w);
+        for (q, &row) in leaves.iter().zip(rows) {
+            if row != 0 {
+                sum = add_mask(s, sum, born_far_term(s, c, q), row);
+            }
+        }
+        s.scatter_mask(s_node, w, sum, union_rows(rows));
     }
 }
 
 tiers! {
-    /// Far-field Born kernel: adds the R6 pseudo-q-point term of
-    /// (a-node, q-node) to `s_node[a_id]` for every id in `a_ids`, with
-    /// the q-side (one node per far group) broadcast. `an` holds the
-    /// node-center columns (x, y, z) indexed by node id. Uses the lane
-    /// reciprocal-multiply formulation — ulp-grade against the strict
-    /// two-division scalar term, not bitwise. The ids of one call must
-    /// be distinct (each a-node is visited once per q-leaf); a repeated
-    /// id inside an 8-id window would lose all but one of its terms.
+    /// Blocked Born far kernel: for every window of one block's far
+    /// list and every leaf `l` of `first..first + leaves.len()`
+    /// (block-local) with a nonzero row, add the R6 pseudo-q-point term
+    /// of (a-node, leaf `l`) to `s_node[ids[k]]` in the lanes of its
+    /// row. `an` holds the node-center columns (x, y, z) by node id. A
+    /// window's centers and accumulators are gathered once and
+    /// scattered once under the union of the rows, with leaves adding in
+    /// ascending order in between — see [`born_near_blocks`]. The lane
+    /// reciprocal-multiply formulation is ulp-grade against the strict
+    /// two-division scalar term, not bitwise.
     ///
     /// # Panics
-    /// If an id is out of range for `an` or `s_node`, or the columns of
-    /// `an` differ in length.
-    pub fn born_far_r6_entries(
-        a_ids: &[u32],
+    /// If an id is out of range for `an` or `s_node`, the leaves do not
+    /// fit one block, or the columns of `an` differ in length.
+    pub fn born_far_blocks(
+        windows: &[Window],
+        first: usize,
+        leaves: &[QLeafMoments],
         an: [&[f64]; 3],
-        qc: [f64; 3],
-        nsum: [f64; 3],
-        dip: &QDipole,
         s_node: &mut [f64],
-    ) = born_far_r6_body
+    ) = born_far_blocks_body
+}
+
+/// One `T_A` node as the planner's pre-order walks read it: the
+/// separation-test inputs, the slot range, and where the walk resumes
+/// when the node's subtree is cut. 48 bytes against the 128-byte
+/// `OctreeNode`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkNode {
+    pub center: Vec3,
+    pub radius: f64,
+    /// Id one past the node's subtree: the next node in pre-order that is
+    /// not a descendant.
+    pub skip: NodeId,
+    pub start: u32,
+    pub end: u32,
+    pub depth: u8,
+    pub leaf: bool,
+}
+
+/// What one block's joint walk of `T_A` decided.
+#[derive(Debug, Default)]
+pub(crate) struct BlockWalk {
+    /// (`T_A` node id, leaves it is separated from), in pre-order.
+    pub far: Vec<(NodeId, u8)>,
+    /// (atom slot, leaves whose walk reached its leaf), slots ascending.
+    pub near: Vec<(u32, u8)>,
+    /// Per leaf, the minimum `|d − sep|` over its separation tests.
+    pub margin: [f64; QLEAF_BLOCK],
+    /// Per leaf, the `T_A` leaves its walk reached.
+    pub near_blocks: [u32; QLEAF_BLOCK],
+    /// Σ over leaves of the nodes each one's own walk visits.
+    pub visited: u64,
+}
+
+/// The Fig. 2 separation test of one `T_A` node against eight q-leaves
+/// (`q`: center x, y, z and radius, one leaf per lane): the lanes that
+/// are separated, and every lane's `|d − sep|`. The operation order is
+/// the scalar test's — `sub, mul, add, add` for `d²`, no FMA, IEEE `√` —
+/// so both are bit-equal to `recurse_qleaf`'s on every tier.
+#[inline(always)]
+fn separation_test<S: Simd>(s: S, node: &WalkNode, q: &[S::V; 4], factor: S::V) -> (u8, S::V) {
+    let dx = s.sub(s.splat(node.center.x), q[0]);
+    let dy = s.sub(s.splat(node.center.y), q[1]);
+    let dz = s.sub(s.splat(node.center.z), q[2]);
+    let d_sq = s.add(s.add(s.mul(dx, dx), s.mul(dy, dy)), s.mul(dz, dz));
+    let sep = s.mul(s.add(s.splat(node.radius), q[3]), factor);
+    let gap = s.abs(s.sub(s.sqrt(d_sq), sep));
+    let far = s.gt_bits(d_sq, s.mul(sep, sep)) & s.gt_bits(d_sq, s.splat(0.0));
+    (far, gap)
+}
+
+#[inline(always)]
+fn born_block_walk_body<S: Simd>(
+    s: S,
+    table: &[WalkNode],
+    q: &[[f64; 8]; 4],
+    active: u8,
+    factor: f64,
+    out: &mut BlockWalk,
+) {
+    out.far.clear();
+    out.near.clear();
+    out.near_blocks = [0; QLEAF_BLOCK];
+    out.visited = 0;
+    let q = [s.load(&q[0]), s.load(&q[1]), s.load(&q[2]), s.load(&q[3])];
+    let factor = s.splat(factor);
+    let mut margin = s.splat(f64::INFINITY);
+    // The leaves still walking at each depth: a node's mask is what its
+    // parent left undecided, and pre-order guarantees the parent was the
+    // last node written at the depth above.
+    let mut open = [0u8; 257];
+    open[0] = active;
+    let mut id = 0;
+    while let Some(node) = table.get(id) {
+        let here = open[node.depth as usize];
+        out.visited += here.count_ones() as u64;
+        let (far, gap) = separation_test(s, node, &q, factor);
+        margin = s.select(here, s.min(margin, gap), margin);
+        let far = far & here;
+        if far != 0 {
+            out.far.push((id as NodeId, far));
+        }
+        let near = here & !far;
+        if near != 0 {
+            if !node.leaf {
+                open[node.depth as usize + 1] = near;
+                id += 1;
+                continue;
+            }
+            for slot in node.start..node.end {
+                out.near.push((slot, near));
+            }
+            let mut rest = near;
+            while rest != 0 {
+                out.near_blocks[rest.trailing_zeros() as usize] += 1;
+                rest &= rest - 1;
+            }
+        }
+        id = node.skip as usize;
+    }
+    out.margin = s.to_array(margin);
+}
+
+tiers! {
+    /// One joint pre-order walk of the flattened `T_A` (`table`, see
+    /// `plan::walk_table`) for a block of up to eight q-leaves — `q`
+    /// holds their centers (x, y, z) and radii one leaf per lane,
+    /// `active` the lanes that are leaves — replacing `out`'s contents
+    /// with every leaf's decisions. Lane `l` is tested on exactly the
+    /// nodes leaf `l`'s own walk would visit, with bit-equal arithmetic
+    /// (see `separation_test`), so the far/near sets, the margins and
+    /// the visit count are those of eight separate `recurse_qleaf`
+    /// walks.
+    pub(crate) fn born_block_walk(
+        table: &[WalkNode],
+        q: &[[f64; 8]; 4],
+        active: u8,
+        factor: f64,
+        out: &mut BlockWalk,
+    ) = born_block_walk_body
 }
 
 /// Equally long atom columns: position, charge, Born radius and its
@@ -1515,117 +1782,295 @@ mod tests {
         (a, Vec::from_iter(q).try_into().unwrap())
     }
 
-    /// The strict loop's per-atom descreening sum.
-    #[allow(clippy::needless_range_loop)] // j indexes all seven q columns
-    fn born_near_scalar(a: &[Vec<f64>; 3], q: &[Vec<f64>; 7], i: usize) -> f64 {
-        let mut sum = 0.0;
-        for j in 0..q[0].len() {
+    /// The strict loop's descreening terms of atom `i` against the
+    /// q-points `range`: their sum and the sum of their magnitudes.
+    fn born_near_scalar(
+        a: &[Vec<f64>; 3],
+        q: &[Vec<f64>; 7],
+        range: std::ops::Range<usize>,
+        i: usize,
+    ) -> (f64, f64) {
+        let (mut sum, mut scale) = (0.0, 0.0);
+        for j in range {
             let d = [q[0][j] - a[0][i], q[1][j] - a[1][i], q[2][j] - a[2][i]];
             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
             let dot = q[6][j] * (d[0] * q[3][j] + d[1] * q[4][j] + d[2] * q[5][j]);
             if r2 > R2_GUARD {
                 sum += dot / (r2 * r2 * r2);
+                scale += (dot / (r2 * r2 * r2)).abs();
             }
         }
-        sum
+        (sum, scale)
     }
 
-    #[test]
-    fn born_near_gather_matches_scalar_on_every_tier() {
-        // (ids, q-points): full windows, ragged and single-element
-        // tails, and the 2.5k-globule shape (~26 slots × ~3 q-points).
-        for (n, n_q) in [(8, 8), (13, 11), (1, 1), (7, 23), (16, 3), (26, 3)] {
-            let pool = 101;
-            let (a, q) = born_fixture(pool, n_q, 0x5eed + n as u64);
-            for (order, ids) in id_lists(n, pool) {
-                let mut per_tier = Vec::new();
-                each_tier!(|s, tier| {
-                    let mut got = vec![0.0; pool];
-                    born_near_gather_body(s, &ids, cols(&a), cols(&q), &mut got);
-                    for (i, g) in got.iter().enumerate() {
-                        if ids.contains(&(i as u32)) {
-                            let w = born_near_scalar(&a, &q, i);
-                            assert!(rel(*g, w) < 1e-12, "{tier} {order} {n}x{n_q} #{i}: {g}");
-                        } else {
-                            assert_eq!(g.to_bits(), 0, "{tier}: wrote unlisted atom {i}");
-                        }
+    /// Windows over `ids` in order, id `k` meeting the leaves
+    /// `leaves[k]`; the last window is padded as the plan pads it.
+    fn windows(ids: &[u32], leaves: &[u8]) -> Vec<Window> {
+        ids.chunks(8)
+            .zip(leaves.chunks(8))
+            .map(|(ids, leaves)| {
+                let mut w = Window {
+                    ids: pad_last(ids),
+                    by_leaf: [0; QLEAF_BLOCK],
+                };
+                for (k, &m) in leaves.iter().enumerate() {
+                    for l in 0..QLEAF_BLOCK {
+                        w.by_leaf[l] |= (m >> l & 1) << k;
                     }
-                    let mut twice = got.clone();
-                    born_near_gather_body(s, &ids, cols(&a), cols(&q), &mut twice);
-                    assert_doubled(&twice, &got, tier);
-                    per_tier.push(got);
-                });
-                let mut dispatched = vec![0.0; pool];
-                born_near_gather(&ids, cols(&a), cols(&q), &mut dispatched);
-                assert_widest(&per_tier, &dispatched);
+                }
+                w
+            })
+            .collect()
+    }
+
+    /// Leaf sets for `n` ids: every leaf, one leaf, none (an id only
+    /// other calls' leaves meet, so whole windows can be empty), and a
+    /// seeded mix in which some ids meet no leaf of a sub-range.
+    fn leaf_patterns(n: usize, seed: &mut u64) -> [(&'static str, Vec<u8>); 4] {
+        [
+            ("every leaf", vec![0xff; n]),
+            ("one leaf", vec![1 << 5; n]),
+            ("no leaf", vec![0; n]),
+            (
+                "mixed",
+                (0..n).map(|_| rng(seed, 0.0, 256.0) as u8).collect(),
+            ),
+        ]
+    }
+
+    /// The sub-ranges `(first, n)` of a block's leaves a call may cover:
+    /// the whole block, each count 1–8 from the front, and interior and
+    /// trailing cuts.
+    fn leaf_ranges() -> Vec<(usize, usize)> {
+        let mut ranges: Vec<(usize, usize)> = (1..=QLEAF_BLOCK).map(|n| (0, n)).collect();
+        ranges.extend([(5, 1), (3, 4), (7, 1), (2, 6), (4, 0)]);
+        ranges
+    }
+
+    /// Hold one blocked kernel run `got` (from zeros) to the scalar
+    /// reference `want(leaf, id) -> (term, scale)` summed over the
+    /// leaves `first..first + n` that meet each id; unmet ids must not
+    /// have been written.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_blocked_sums(
+        got: &[f64],
+        ids: &[u32],
+        leaves: &[u8],
+        (first, n): (usize, usize),
+        want: &dyn Fn(usize, usize) -> (f64, f64),
+        what: &str,
+    ) {
+        let mut met = vec![false; got.len()];
+        for (&id, &m) in ids.iter().zip(leaves) {
+            let (mut sum, mut scale) = (0.0, 0.0);
+            for l in (first..first + n).filter(|l| m >> l & 1 == 1) {
+                let (t, s) = want(l, id as usize);
+                sum += t;
+                scale += s;
+                met[id as usize] = true;
             }
+            let g = got[id as usize];
+            assert!(
+                (g - sum).abs() <= 1e-12 * scale,
+                "{what} #{id}: {g} vs {sum}"
+            );
+        }
+        for (i, g) in got.iter().enumerate() {
+            assert!(met[i] || g.to_bits() == 0, "{what}: wrote unmet id {i}");
         }
     }
 
     #[test]
-    fn born_near_gather_masks_coincident_pairs_exactly() {
-        // A q-point sitting exactly on an atom: the r² guard must produce
-        // an exact 0 contribution, not inf·0 = NaN.
-        let (a, mut q) = born_fixture(9, 9, 77);
+    fn born_near_blocks_matches_scalar_on_every_tier() {
+        // Leaves of 1–5 q-points (the plan's are ~3.2); leaf 5 is where
+        // the "one leaf" pattern lands.
+        let bounds: [u32; 9] = [0, 3, 4, 8, 11, 16, 19, 22, 25];
+        let pool = 101;
+        let (a, mut q) = born_fixture(pool, 25, 0x5eed);
+        // A q-point of leaf 5 sitting exactly on atom 6: the r² guard
+        // must contribute an exact 0, not inf·0 = NaN.
         for k in 0..3 {
-            q[k][4] = a[k][6];
+            q[k][17] = a[k][6];
         }
-        let ids: Vec<u32> = (0..9).rev().collect();
-        each_tier!(|s, tier| {
-            let mut got = vec![0.0; 9];
-            born_near_gather_body(s, &ids, cols(&a), cols(&q), &mut got);
-            for (i, g) in got.iter().enumerate() {
-                let w = born_near_scalar(&a, &q, i);
-                assert!(g.is_finite() && rel(*g, w) < 1e-12, "{tier} #{i}: {g}");
+        let want = |l: usize, i: usize| {
+            born_near_scalar(&a, &q, bounds[l] as usize..bounds[l + 1] as usize, i)
+        };
+        // (ids): full windows, a padded last window, a single id.
+        for n in [8, 13, 1, 32] {
+            let mut seed = 0xb10c + n as u64;
+            for (order, ids) in id_lists(n, pool) {
+                for (pattern, leaves) in leaf_patterns(n, &mut seed) {
+                    let win = windows(&ids, &leaves);
+                    for (first, count) in leaf_ranges() {
+                        let what = format!("{order} {n} ids, {pattern}, leaves {first}+{count}");
+                        let q_bounds = &bounds[first..=first + count];
+                        let mut per_tier = Vec::new();
+                        each_tier!(|s, tier| {
+                            let what = format!("{tier} {what}");
+                            let mut got = vec![0.0; pool];
+                            born_near_blocks_body(
+                                s,
+                                &win,
+                                first,
+                                q_bounds,
+                                cols(&a),
+                                cols(&q),
+                                &mut got,
+                            );
+                            assert_blocked_sums(&got, &ids, &leaves, (first, count), &want, &what);
+                            // Leaf by leaf, in ascending order, into one
+                            // buffer: the same bits as the one call.
+                            let mut pieced = vec![0.0; pool];
+                            for l in first..first + count {
+                                let one = &bounds[l..=l + 1];
+                                born_near_blocks_body(
+                                    s,
+                                    &win,
+                                    l,
+                                    one,
+                                    cols(&a),
+                                    cols(&q),
+                                    &mut pieced,
+                                );
+                            }
+                            assert_eq!(bits(&pieced), bits(&got), "{what}: depends on the cut");
+                            per_tier.push(got);
+                        });
+                        let mut dispatched = vec![0.0; pool];
+                        born_near_blocks(
+                            &win,
+                            first,
+                            q_bounds,
+                            cols(&a),
+                            cols(&q),
+                            &mut dispatched,
+                        );
+                        assert_widest(&per_tier, &dispatched);
+                    }
+                }
             }
-            // A lone coincident pair: exactly zero.
+        }
+        // A lone coincident pair: exactly zero.
+        each_tier!(|s, tier| {
             let (at, normal, mut z) = ([&[1.0][..], &[2.0], &[3.0]], &[0.5][..], [0.0]);
             let q = [at[0], at[1], at[2], normal, normal, normal, &[1.0]];
-            born_near_gather_body(s, &[0], at, q, &mut z);
-            assert_eq!(z[0], 0.0, "{tier}");
+            born_near_blocks_body(s, &windows(&[0], &[1]), 0, &[0, 1], at, q, &mut z);
+            assert_eq!(z[0].to_bits(), 0, "{tier}");
         });
     }
 
     #[test]
-    fn born_far_r6_matches_the_strict_far_term_for_every_remainder() {
+    fn born_far_blocks_matches_the_strict_far_term_on_every_tier() {
         let pool = 101;
         let mut seed = 0xfa2u64;
-        // Node centers 12–30 Å from the q node: far, as the plan's
+        // Node centers 12–30 Å from the q-leaves: far, as the plan's
         // separation test guarantees.
         let an = [(); 3].map(|_| column(&mut seed, pool, 7.0, 17.0));
-        let (qc, nsum) = ([-1.0, 0.5, -2.0], [0.3, -1.1, 0.7]);
-        let dip = QDipole {
-            m: core::array::from_fn(|_| rng(&mut seed, -2.0, 2.0)),
+        let block: [QLeafMoments; QLEAF_BLOCK] = core::array::from_fn(|_| QLeafMoments {
+            center: core::array::from_fn(|_| rng(&mut seed, -2.0, 1.0)),
+            nsum: core::array::from_fn(|_| rng(&mut seed, -1.2, 1.2)),
+            dipole: QDipole {
+                m: core::array::from_fn(|_| rng(&mut seed, -2.0, 2.0)),
+            },
+        });
+        let want = |l: usize, i: usize| {
+            let (q, v) = (&block[l], |c: [f64; 3]| Vec3::new(c[0], c[1], c[2]));
+            let d = v(q.center) - Vec3::new(an[0][i], an[1][i], an[2][i]);
+            let r2 = d.dot(d);
+            let term = BornKernel::R6.far_term(v(q.nsum), &q.dipole, d, r2);
+            // The two parts cancel: measure against their sizes.
+            let r6 = r2 * r2 * r2;
+            let scale = (v(q.nsum).dot(d) + q.dipole.trace()).abs() / r6
+                + 6.0 * q.dipole.quad(d).abs() / (r6 * r2);
+            (term, scale)
         };
-        for n in [0, 1, 7, 8, 9, 31, 32, 33] {
+        for n in [0, 1, 7, 8, 9, 32, 33] {
             for (order, ids) in id_lists(n, pool) {
-                let (mut want, mut scale) = (vec![0.0; pool], vec![0.0; pool]);
-                for i in ids.iter().map(|&i| i as usize) {
-                    let d = Vec3::new(qc[0] - an[0][i], qc[1] - an[1][i], qc[2] - an[2][i]);
-                    let (r2, ns) = (d.dot(d), Vec3::new(nsum[0], nsum[1], nsum[2]));
-                    want[i] = BornKernel::R6.far_term(ns, &dip, d, r2);
-                    // The two parts cancel: measure against their sizes.
-                    let r6 = r2 * r2 * r2;
-                    scale[i] =
-                        (ns.dot(d) + dip.trace()).abs() / r6 + 6.0 * dip.quad(d).abs() / (r6 * r2);
-                }
-                let mut per_tier = Vec::new();
-                each_tier!(|s, tier| {
-                    let mut got = vec![0.0; pool];
-                    born_far_r6_body(s, &ids, cols(&an), qc, nsum, &dip, &mut got);
-                    for i in 0..pool {
-                        let (g, tol) = (got[i], 1e-12 * scale[i]);
-                        assert!((g - want[i]).abs() <= tol, "{tier} {order} {n} #{i}: {g}");
+                for (pattern, leaves) in leaf_patterns(n, &mut seed) {
+                    let win = windows(&ids, &leaves);
+                    for (first, count) in leaf_ranges() {
+                        let what = format!("{order} {n} ids, {pattern}, leaves {first}+{count}");
+                        let in_range = &block[first..first + count];
+                        let mut per_tier = Vec::new();
+                        each_tier!(|s, tier| {
+                            let what = format!("{tier} {what}");
+                            let mut got = vec![0.0; pool];
+                            born_far_blocks_body(s, &win, first, in_range, cols(&an), &mut got);
+                            assert_blocked_sums(&got, &ids, &leaves, (first, count), &want, &what);
+                            let mut pieced = vec![0.0; pool];
+                            for l in first..first + count {
+                                born_far_blocks_body(
+                                    s,
+                                    &win,
+                                    l,
+                                    &block[l..=l],
+                                    cols(&an),
+                                    &mut pieced,
+                                );
+                            }
+                            assert_eq!(bits(&pieced), bits(&got), "{what}: depends on the cut");
+                            per_tier.push(got);
+                        });
+                        let mut dispatched = vec![0.0; pool];
+                        born_far_blocks(&win, first, in_range, cols(&an), &mut dispatched);
+                        assert_widest(&per_tier, &dispatched);
                     }
-                    let mut twice = got.clone();
-                    born_far_r6_body(s, &ids, cols(&an), qc, nsum, &dip, &mut twice);
-                    assert_doubled(&twice, &got, tier);
-                    per_tier.push(got);
-                });
-                let mut dispatched = vec![0.0; pool];
-                born_far_r6_entries(&ids, cols(&an), qc, nsum, &dip, &mut dispatched);
-                assert_widest(&per_tier, &dispatched);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn separation_test_is_bit_equal_to_the_scalar_test_on_every_tier() {
+        let mut seed = 0x5e9;
+        for case in 0..400 {
+            // Eight leaves: centers x, y, z and radii.
+            let mut q = [(-30.0, 30.0), (-30.0, 30.0), (-30.0, 30.0), (0.0, 4.0)]
+                .map(|(lo, hi)| [(); 8].map(|_| rng(&mut seed, lo, hi)));
+            let mut node = WalkNode {
+                center: Vec3::new(
+                    rng(&mut seed, -30.0, 30.0),
+                    rng(&mut seed, -30.0, 30.0),
+                    rng(&mut seed, -30.0, 30.0),
+                ),
+                radius: rng(&mut seed, 0.0, 12.0),
+                skip: 1,
+                start: 0,
+                end: 1,
+                depth: 0,
+                leaf: true,
+            };
+            let factor = 1.0 + 2.0 / [0.1, 0.5, 0.9][case % 3];
+            // Coincident centers (`d² = 0` is never far), a zero-radius
+            // pair on top of them (`sep = 0`, margin 0), and a lane
+            // exactly on the boundary `d = sep`.
+            node.center = match case % 8 {
+                0 | 1 => Vec3::new(q[0][3], q[1][3], q[2][3]),
+                _ => node.center,
+            };
+            if case % 8 == 1 {
+                (node.radius, q[3][3]) = (0.0, 0.0);
+            }
+            if case % 8 == 2 {
+                (q[1][5], q[2][5]) = (node.center.y, node.center.z);
+                (node.radius, q[3][5]) = (1.5, 0.5);
+                q[0][5] = node.center.x + 2.0 * factor;
+            }
+            each_tier!(|s, tier| {
+                let lanes = [s.load(&q[0]), s.load(&q[1]), s.load(&q[2]), s.load(&q[3])];
+                let (far, gap) = separation_test(s, &node, &lanes, s.splat(factor));
+                let gap = s.to_array(gap);
+                for lane in 0..8 {
+                    // `recurse_qleaf`, word for word.
+                    let c = Vec3::new(q[0][lane], q[1][lane], q[2][lane]);
+                    let d_sq = node.center.dist_sq(c);
+                    let sep = (node.radius + q[3][lane]) * factor;
+                    let want = d_sq > sep * sep && d_sq > 0.0;
+                    assert_eq!(far >> lane & 1 == 1, want, "{tier} case {case} lane {lane}");
+                    let want = (d_sq.sqrt() - sep).abs();
+                    assert_eq!(gap[lane].to_bits(), want.to_bits(), "{tier} case {case}");
+                }
+            });
         }
     }
 
@@ -1840,33 +2285,39 @@ mod tests {
         let (a, u) = (atoms_fixture(40, &mut seed), atoms_fixture(3, &mut seed));
         let (a6, xyz, u6) = (cols(&a), [&a[0][..], &a[1], &a[2]], cols(&u));
         let (_, q) = born_fixture(0, 3, 9);
-        let (q, dip) = (cols(&q), QDipole::default());
+        let (q, far_leaf) = (cols(&q), [QLeafMoments::default()]);
         // Every kernel that takes ids, over 40-element columns and a
-        // `short`-element output.
+        // `short`-element output. The blocked kernels check a window
+        // whatever its rows say: here no leaf meets the bad id.
         let panics = |ids: &[u32], short: usize| {
+            let leaves = Vec::from_iter(ids.iter().map(|&id| (id < 40) as u8));
+            let win = windows(ids, &leaves);
             each_tier!(|s, tier| {
                 let near = catch_unwind(AssertUnwindSafe(|| {
-                    born_near_gather_body(s, ids, xyz, q, &mut vec![0.0; short])
+                    born_near_blocks_body(s, &win, 0, &[0, 3], xyz, q, &mut vec![0.0; short])
                 }));
                 let far = catch_unwind(AssertUnwindSafe(|| {
-                    born_far_r6_body(
-                        s,
-                        ids,
-                        xyz,
-                        [90.0; 3],
-                        [1.0; 3],
-                        &dip,
-                        &mut vec![0.0; short],
-                    )
+                    born_far_blocks_body(s, &win, 0, &far_leaf, xyz, &mut vec![0.0; short])
                 }));
                 let epol = catch_unwind(|| epol_near_gather_body(s, ids, a6, u6));
-                assert!(near.is_err(), "{tier} born_near_gather accepted {ids:?}");
-                assert!(far.is_err(), "{tier} born_far_r6_entries accepted {ids:?}");
+                assert!(near.is_err(), "{tier} born_near_blocks accepted {ids:?}");
+                assert!(far.is_err(), "{tier} born_far_blocks accepted {ids:?}");
                 assert!(
                     epol.is_err() || short < 40,
                     "{tier} epol_near accepted {ids:?}"
                 );
             });
+            // The public dispatchers run the widest tier.
+            let near = catch_unwind(AssertUnwindSafe(|| {
+                born_near_blocks(&win, 0, &[0, 3], xyz, q, &mut vec![0.0; short])
+            }));
+            let far = catch_unwind(AssertUnwindSafe(|| {
+                born_far_blocks(&win, 0, &far_leaf, xyz, &mut vec![0.0; short])
+            }));
+            assert!(
+                near.is_err() && far.is_err(),
+                "dispatchers accepted {ids:?}"
+            );
         };
         // One bad id — one past the end, negative as an i32, the sign
         // bit alone — at the start, middle and end of lists that are
@@ -1887,30 +2338,33 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn born_near_gather_rejects_an_out_of_range_id() {
+    fn born_near_blocks_rejects_an_out_of_range_id() {
         let (a, q) = born_fixture(12, 3, 1);
-        born_near_gather(
-            &[0, 1, 2, 3, 4, 5, 6, 12],
-            cols(&a),
-            cols(&q),
-            &mut [0.0; 12],
-        );
+        let win = windows(&[0, 1, 2, 3, 4, 5, 6, 12], &[1; 8]);
+        born_near_blocks(&win, 0, &[0, 3], cols(&a), cols(&q), &mut [0.0; 12]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn born_far_r6_entries_rejects_an_out_of_range_id() {
+    fn born_far_blocks_rejects_an_out_of_range_id() {
         let (a, _) = born_fixture(12, 0, 2);
-        // In the ragged tail, and negative as an i32.
+        // In the padded last window, and negative as an i32.
         let ids = [0, 1, 2, 3, 4, 5, 6, 7, 8, u32::MAX];
-        born_far_r6_entries(
-            &ids,
-            cols(&a),
-            [90.0; 3],
-            [1.0; 3],
-            &QDipole::default(),
-            &mut [0.0; 12],
-        );
+        let win = windows(&ids, &[1; 10]);
+        let leaf = [QLeafMoments {
+            center: [90.0; 3],
+            nsum: [1.0; 3],
+            dipole: QDipole::default(),
+        }];
+        born_far_blocks(&win, 0, &leaf, cols(&a), &mut [0.0; 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside one block")]
+    fn blocked_kernels_reject_leaves_past_the_block() {
+        let (a, _) = born_fixture(12, 0, 2);
+        let leaves = [QLeafMoments::default(); 3];
+        born_far_blocks(&[], 6, &leaves, cols(&a), &mut [0.0; 12]);
     }
 
     #[test]

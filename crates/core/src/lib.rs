@@ -58,7 +58,8 @@ pub use induction::{induce_naive, induce_with_plan, InductionConfig, InductionRe
 pub use kernels::KernelMode;
 pub use minimize::{minimize, MinimizeConfig, MinimizeOutcome};
 pub use plan::{
-    InteractionPlan, PlanDelta, PlanError, RebuildReason, ReplanConfig, ReplanStats, StageLists,
+    BornBlocks, InteractionPlan, PlanDelta, PlanError, RebuildReason, ReplanConfig, ReplanStats,
+    StageLists,
 };
 /// The workspace's JSON codec, re-exported for crates that depend on
 /// `polar-gb` but not on `polar-molecule`.

@@ -8,16 +8,25 @@
 //! module splits the work FMM-style:
 //!
 //! * **plan** ([`InteractionPlan::build`]): run each traversal once and
-//!   record its decisions as flat interaction lists, one list segment
-//!   per source leaf so the node-based work division still applies. A
-//!   segment names its source leaf once and every entry stores only the
-//!   partner — one `u32` atom slot per near-field partner, one `u32`
-//!   node id per far-field (node, node) pair (see [`StageLists`]);
+//!   record its decisions as flat interaction lists, segmented by source
+//!   leaf so the node-based work division still applies. The energy
+//!   stage keeps one list segment per `T_A` leaf: the segment names its
+//!   source leaf once and every entry stores only the partner — one
+//!   `u32` atom slot per near-field partner, one `u32` node id per
+//!   far-field (node, node) pair (see [`StageLists`]). The Born stage,
+//!   whose source leaves hold ~3 q-points each and whose neighbours'
+//!   lists are nearly equal, plans and stores **blocks of eight
+//!   consecutive `T_Q` leaves**: one joint walk of `T_A` per block, each
+//!   partner id stored once per block in 40-byte windows of eight ids
+//!   with a lane mask per leaf (see [`BornBlocks`]) — a fifth of the
+//!   bytes of per-leaf lists for the same (leaf, partner) pairs;
 //! * **execute** ([`InteractionPlan::execute_born_segment`],
 //!   [`InteractionPlan::execute_epol_segment`]): branch-free loops over
 //!   those buffers reading SoA position/charge arrays (cache-friendly and
 //!   auto-vectorizable), chunked through `polar_runtime::run_batch` by the
-//!   parallel drivers so steal counters keep working.
+//!   parallel drivers so steal counters keep working. A Born segment is
+//!   still a range of q-leaves; a range that cuts a block takes the
+//!   block's windows with only its own leaves' rows.
 //!
 //! A plan built once is reusable across repeated solves of the same
 //! prepared [`GbSolver`] — the paper's ZDock re-scoring workload
@@ -27,10 +36,10 @@
 //!
 //! ## Fidelity to the recursive reference
 //!
-//! The plan records entries in exactly the order the recursive traversal
-//! visits them (q-leaves ascending, depth-first over the atoms tree).
-//! How faithfully execute replays that arithmetic is selected per solve
-//! by [`KernelMode`]:
+//! The plan records exactly the (source leaf, partner) pairs the
+//! recursive traversal evaluates; the energy lists keep them in its
+//! visit order (depth-first over the atoms tree). How faithfully execute
+//! replays the arithmetic is selected per solve by [`KernelMode`]:
 //!
 //! * **[`KernelMode::Strict`]** runs the scalar reference loops, which
 //!   replicate the recursive kernels' arithmetic term-for-term:
@@ -39,22 +48,22 @@
 //!   E_pol agrees to machine precision (≲ 1e-12 relative — per-leaf
 //!   contributions are re-associated: all near entries, then all far
 //!   entries, instead of the recursion's interleaved nesting).
-//! * **[`KernelMode::Lane`]** (the default) routes every list — near
-//!   blocks, the Born far entry stream and energy far entries — through
-//!   the hand-vectorized kernels of [`crate::kernels`]. Near blocks
-//!   gather atom slots straight through the plan's flat near list (the
-//!   same list the strict loops walk), Born far entries vectorize over
-//!   the entry stream itself (the group's one q node broadcasts while
-//!   a-node centers gather), and energy far entries run over the
-//!   [`EpolCtx`]-precompacted histogram rows. Exact-grade, not bitwise:
-//!   lane accumulators re-associate sums, FMA contracts roundings and
-//!   divisions become seeded Newton reciprocals, but every elementary
-//!   term is computed to a few ulp, so E_pol stays within 1e-12 relative
-//!   of the recursive reference and Born radii differ only at the ulp
-//!   level. Lane energy kernels implement exact-grade math only; when a
-//!   solve asks for [`MathMode::Approximate`] the energy stage falls
-//!   back to the strict scalar loops so the fast-math ablation keeps its
-//!   exact semantics.
+//! * **[`KernelMode::Lane`]** (the default) routes every list through
+//!   the hand-vectorized kernels of [`crate::kernels`]. A Born window
+//!   gathers its eight a-node centers (far) or atoms (near) and their
+//!   accumulators once, adds each leaf's eight terms under that leaf's
+//!   lane mask with the leaf's q side broadcast, and scatters once;
+//!   energy near blocks gather atom slots straight through the flat near
+//!   list (the same list the strict loops walk) and energy far entries
+//!   run over the [`EpolCtx`]-precompacted histogram rows. Exact-grade,
+//!   not bitwise: lane accumulators re-associate sums, FMA contracts
+//!   roundings and divisions become seeded Newton reciprocals, but every
+//!   elementary term is computed to a few ulp, so E_pol stays within
+//!   1e-12 relative of the recursive reference and Born radii differ
+//!   only at the ulp level. Lane energy kernels implement exact-grade
+//!   math only; when a solve asks for [`MathMode::Approximate`] the
+//!   energy stage falls back to the strict scalar loops so the fast-math
+//!   ablation keeps its exact semantics.
 //!
 //! ### Pinned summation order
 //!
@@ -62,36 +71,43 @@
 //! partitions, because the order of every floating-point reduction is
 //! part of this module's contract:
 //!
-//! * per q-leaf (Born) / per `T_A` leaf (energy): far and near lists in
-//!   plan order, near blocks in list order;
-//! * within a group's near work: both modes run the group's near slot
-//!   list in list order; strict mode sums the source leaf's slot range
-//!   ascending per listed slot, lane mode accumulates
-//!   [`kernels::LANE_WIDTH`]-wide partial sums that reduce low → high
-//!   (Born lanes scatter per-atom partials directly, so only the energy
-//!   kernels have a horizontal reduction);
+//! * Born stage: **every accumulator (`s_node[a]`, `s_atom[slot]`)
+//!   receives its terms in ascending q-leaf order**, one term per leaf
+//!   that meets it — the recursion's order. A block stores each id in
+//!   exactly one window and a window's ids are distinct, so the order of
+//!   windows inside a block is free (it is the bucket order of
+//!   [`BornBlocks`]); what is pinned is that the leaves of a window add
+//!   in ascending order and blocks run in ascending order. Lanes hold
+//!   accumulators, so there is no horizontal reduction, and no sum
+//!   depends on the block size or on where a leaf range cuts a block;
+//! * energy stage, per `T_A` leaf: near list, then far list, each in
+//!   plan order; strict mode sums the source leaf's slot range ascending
+//!   per listed slot, lane mode accumulates [`kernels::LANE_WIDTH`]-wide
+//!   partial sums that reduce low → high;
 //! * leaves combine in ascending order within a segment, and segment
 //!   results add in rank order in the drivers.
 //!
 //! Changing the lane width would silently reorder the lane reductions —
 //! the `width_is_pinned` unit test of [`crate::kernels`] locks it, and
 //! `tests/kernel_modes.rs` pins each mode's bits run-to-run and across
-//! segment chunkings.
+//! segment chunkings (for the Born stage, across cuts at every offset
+//! into a block).
 //!
 //! `WorkCounts` from execute report the same `pair_ops`/`far_ops` as the
 //! recursive traversal in both modes; `nodes_visited` is counted once at
-//! plan time (in [`InteractionPlan::plan_work`]) and is zero during
-//! execute — that is the point of planning.
+//! plan time (in [`InteractionPlan::plan_work`], summed per leaf as if
+//! each had walked alone) and is zero during execute — that is the point
+//! of planning.
 
 use crate::born::octree::{separation_factor_r6, BornKernel, BornOctreeCtx, BornPartials};
 use crate::energy::exact::gb_pair;
 use crate::energy::gradient::{pair_dedr_over_r, GradientError, COINCIDENT_R_SQ};
 use crate::energy::octree::{separation_factor_epol, EpolCtx};
-use crate::kernels::{self, KernelMode};
+use crate::kernels::{self, BlockWalk, KernelMode, QLeafMoments, WalkNode, Window, QLEAF_BLOCK};
 use crate::report::PlanReport;
 use crate::solver::{FrameDelta, GbParams, GbSolver};
 use crate::stats::WorkCounts;
-use polar_geom::{MathMode, Vec3};
+use polar_geom::MathMode;
 use polar_octree::{NodeId, Octree};
 use std::fmt;
 use std::ops::Range;
@@ -290,13 +306,12 @@ pub struct ReplanStats {
     pub total_epol: usize,
 }
 
-/// Segmented flat interaction lists of one stage, grouped by source leaf.
-///
-/// Both hot traversals record into the same shape. For the Born stage
-/// (`APPROX-INTEGRALS`, Fig. 2) the source leaves are `T_Q` leaves and the
-/// partner side is the `T_A` recursion; for the energy stage
-/// (`APPROX-EPOL`, Fig. 3) the source leaves are `T_A` leaves `V` and the
-/// partner side is the `U` recursion over the same tree.
+/// Segmented flat interaction lists of the energy stage
+/// (`APPROX-EPOL`, Fig. 3), grouped by source leaf: the source leaves are
+/// `T_A` leaves `V` and the partner side is the `U` recursion over the
+/// same tree. (The Born stage is stored as [`BornBlocks`]; the planner
+/// here walks its recursion only in tests, as the per-leaf oracle those
+/// blocks are expanded against.)
 ///
 /// A group is one source leaf's recursion. What identifies the source is
 /// stored **once per group** (`src` node id, its slot range, the number
@@ -453,11 +468,7 @@ impl StageLists {
     /// margins age by `erosion` — the worst-case test drift this update
     /// could have caused — so margins stay safe across repeated patches
     /// without re-measuring; dirty leaves take their exact fresh margin.
-    ///
-    /// One pass over the lists into exact-sized columns, O(total list
-    /// size): rebuilding by copy beats repeated mid-vector splices as
-    /// soon as more than one leaf is dirty. The source columns are the
-    /// tree's leaves and do not change.
+    /// The source columns are the tree's leaves and do not change.
     fn splice(&mut self, dirty: &[u32], fresh: &StageLists, erosion: f64) {
         debug_assert_eq!(dirty.len(), fresh.groups());
         for m in &mut self.margin {
@@ -466,47 +477,244 @@ impl StageLists {
         if dirty.is_empty() {
             return;
         }
-        let mut near_len = self.near.len() + fresh.near.len();
-        let mut far_len = self.far.len() + fresh.far.len();
-        for &leaf in dirty {
-            let replaced = self.group(leaf as usize);
-            near_len -= replaced.near.len();
-            far_len -= replaced.far.len();
+        for (k, &leaf) in dirty.iter().enumerate() {
+            debug_assert_eq!(fresh.src[k], self.src[leaf as usize]);
+            self.near_blocks[leaf as usize] = fresh.near_blocks[k];
+            self.margin[leaf as usize] = fresh.margin[k];
         }
-        let mut near = Vec::with_capacity(near_len);
-        let mut far = Vec::with_capacity(far_len);
-        let mut near_off = offsets_with_capacity(self.groups());
-        let mut far_off = offsets_with_capacity(self.groups());
-        let mut k = 0usize;
-        for leaf in 0..self.groups() {
-            let g = if k < dirty.len() && dirty[k] as usize == leaf {
-                debug_assert_eq!(fresh.src[k], self.src[leaf]);
-                self.near_blocks[leaf] = fresh.near_blocks[k];
-                self.margin[leaf] = fresh.margin[k];
-                k += 1;
-                fresh.group(k - 1)
-            } else {
-                self.group(leaf)
-            };
-            near.extend_from_slice(g.near);
-            far.extend_from_slice(g.far);
-            near_off.push(near.len());
-            far_off.push(far.len());
+        (self.near, self.near_off) = splice_segments(
+            &self.near,
+            &self.near_off,
+            dirty,
+            &fresh.near,
+            &fresh.near_off,
+        );
+        (self.far, self.far_off) =
+            splice_segments(&self.far, &self.far_off, dirty, &fresh.far, &fresh.far_off);
+    }
+}
+
+/// A segmented list (`off` delimits segment `i` as `off[i]..off[i + 1]`)
+/// with the `dirty` segments (ascending) replaced by the segments of
+/// `fresh`, in order, and every other segment kept verbatim.
+///
+/// One pass into an exact-sized list, O(total list size): rebuilding by
+/// copy beats repeated mid-vector splices as soon as more than one
+/// segment is dirty.
+fn splice_segments<T: Copy>(
+    list: &[T],
+    off: &[usize],
+    dirty: &[u32],
+    fresh: &[T],
+    fresh_off: &[usize],
+) -> (Vec<T>, Vec<usize>) {
+    let segments = off.len() - 1;
+    let replaced: usize = dirty
+        .iter()
+        .map(|&d| off[d as usize + 1] - off[d as usize])
+        .sum();
+    let mut out = Vec::with_capacity(list.len() + fresh.len() - replaced);
+    let mut out_off = offsets_with_capacity(segments);
+    let mut k = 0;
+    for i in 0..segments {
+        if k < dirty.len() && dirty[k] as usize == i {
+            out.extend_from_slice(&fresh[fresh_off[k]..fresh_off[k + 1]]);
+            k += 1;
+        } else {
+            out.extend_from_slice(&list[off[i]..off[i + 1]]);
         }
-        debug_assert_eq!(k, dirty.len());
-        (self.near, self.far) = (near, far);
-        (self.near_off, self.far_off) = (near_off, far_off);
+        out_off.push(out.len());
+    }
+    debug_assert_eq!(k, dirty.len());
+    (out, out_off)
+}
+
+/// Source leaves whose margin no longer survives `erosion` — the
+/// segments that must be re-planned for this update.
+fn dirty_leaves(margin: &[f64], erosion: f64) -> Vec<u32> {
+    margin
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| m <= erosion)
+        .map(|(i, _)| i as u32)
+        .collect()
+}
+
+/// The q-leaves of block `block` among `n_leaves`: eight, fewer in a
+/// ragged last block.
+fn block_leaves(block: usize, n_leaves: usize) -> Range<usize> {
+    let lo = block * QLEAF_BLOCK;
+    lo..(lo + QLEAF_BLOCK).min(n_leaves)
+}
+
+/// The Born stage's interaction lists (`APPROX-INTEGRALS`, Fig. 2),
+/// stored per **block** of [`QLEAF_BLOCK`] consecutive `T_Q` leaves.
+///
+/// Neighbouring q-leaves see almost the same `T_A`: on a 2.5k-atom
+/// globule the union of eight consecutive leaves' far lists is 6× smaller
+/// than their sum. So block `b` (leaves `8b..8b + 8`) stores each partner
+/// id **once**, in [`Window`]s of eight ids — `T_A` node ids in the far
+/// list, atom slots in the near list — and each window says per leaf
+/// which of its lanes that leaf has a term for (`by_leaf`). A block's
+/// ids are distinct, so every (leaf, partner) pair of the per-leaf
+/// recursions is exactly one set bit.
+///
+/// Within a block, ids are bucketed by the set of leaves that meet them
+/// — most leaves first, then by mask value, ids ascending inside a
+/// bucket — and cut into windows in that order, so windows are
+/// homogeneous: about half carry a term for all 64 (lane, leaf) pairs,
+/// and a leaf's empty rows are skipped whole. The order is a function of
+/// the per-leaf sets alone, which keeps a patched plan list-equal to a
+/// cold one. The last window of a list repeats its last id in the unused
+/// lanes, with no bit set.
+///
+/// What stays per q-leaf is what the delta path and the reports read:
+/// the separation margin, the `T_A` leaves reached ([`PlanReport`]'s
+/// near-entry count) and the two entry counts. A dirty leaf re-plans its
+/// whole block and [`BornBlocks::splice`] swaps whole blocks.
+///
+/// All windows live in **one** list, block after block, a block's far
+/// list before its near list. One list, because it is then the only
+/// allocation that grows while the blocks are planned: it stays last in
+/// the heap and grows in place. With the far and near windows in two
+/// lists growing in turns, each growth copied one of them to fresh pages
+/// past the other, and whether the allocator had such pages at hand
+/// moved a cold build by 15 % from one process, or one call site, to the
+/// next. Every column is exact-sized after a build and after a splice,
+/// like [`StageLists`]'.
+#[derive(Debug, Clone, Default)]
+pub struct BornBlocks {
+    // Per-q-leaf columns.
+    /// Minimum `|d − sep|` over the leaf's separation tests (see
+    /// [`StageLists`]).
+    margin: Vec<f64>,
+    /// `T_A` leaves the leaf's recursion reached.
+    near_blocks: Vec<u32>,
+    /// Near partner slots of the leaf: the set bits of its rows in the
+    /// block's near windows.
+    near_slots: Vec<u32>,
+    /// Far partner nodes of the leaf, likewise.
+    far_nodes: Vec<u32>,
+    /// Per block, where its windows start (`blocks + 1` offsets).
+    start: Vec<usize>,
+    /// Per block, the length of its far list.
+    far_len: Vec<u32>,
+    /// Every block's far list, then its near list.
+    windows: Vec<Window>,
+}
+
+/// The ids leaf `l` of a block has a term for, in window order.
+fn leaf_partners(windows: &[Window], l: usize) -> impl Iterator<Item = u32> + '_ {
+    windows.iter().flat_map(move |w| {
+        let row = w.by_leaf[l];
+        (0..kernels::LANE_WIDTH)
+            .filter(move |k| row >> k & 1 == 1)
+            .map(move |k| w.ids[k])
+    })
+}
+
+impl BornBlocks {
+    /// Number of near-field (leaf, leaf) blocks — `T_A` leaves reached,
+    /// summed over q-leaves.
+    pub fn near_entries(&self) -> usize {
+        self.near_blocks.iter().map(|&b| b as usize).sum()
     }
 
-    /// Source leaves whose margin no longer survives `erosion` — the
-    /// segments that must be re-planned for this update.
-    fn dirty_leaves(&self, erosion: f64) -> Vec<u32> {
-        self.margin
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m <= erosion)
-            .map(|(i, _)| i as u32)
-            .collect()
+    /// Near-field (q-leaf, atom slot) pairs: the set bits of the near
+    /// windows.
+    pub fn near_slots(&self) -> usize {
+        self.near_slots.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Far-field (q-leaf, `T_A` node) entries: the set bits of the far
+    /// windows.
+    pub fn far_entries(&self) -> usize {
+        self.far_nodes.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Number of q-leaf segments the lists cover — the unit of
+    /// [`InteractionPlan::execute_born_segment`] ranges, margins and
+    /// dirty sets.
+    pub fn groups(&self) -> usize {
+        self.margin.len()
+    }
+
+    /// Number of q-leaf blocks.
+    pub fn blocks(&self) -> usize {
+        self.far_len.len()
+    }
+
+    /// Per-q-leaf separation margins (see [`StageLists::margins`]).
+    pub fn margins(&self) -> &[f64] {
+        &self.margin
+    }
+
+    /// The far windows (`T_A` node ids) of one block.
+    pub fn far_windows(&self, block: usize) -> &[Window] {
+        let start = self.start[block];
+        &self.windows[start..start + self.far_len[block] as usize]
+    }
+
+    /// The near windows (atom slots) of one block.
+    pub fn near_windows(&self, block: usize) -> &[Window] {
+        &self.windows[self.start[block] + self.far_len[block] as usize..self.start[block + 1]]
+    }
+
+    /// The `T_A` node ids q-leaf `qleaf` is separated from, in stored
+    /// (window) order — the far list of its own recursion as a set.
+    pub fn leaf_far(&self, qleaf: usize) -> impl Iterator<Item = u32> + '_ {
+        leaf_partners(self.far_windows(qleaf / QLEAF_BLOCK), qleaf % QLEAF_BLOCK)
+    }
+
+    /// The atom slots q-leaf `qleaf` meets pairwise, in stored order.
+    pub fn leaf_near(&self, qleaf: usize) -> impl Iterator<Item = u32> + '_ {
+        leaf_partners(self.near_windows(qleaf / QLEAF_BLOCK), qleaf % QLEAF_BLOCK)
+    }
+
+    /// Heap bytes held (capacities, which builds and splices keep equal
+    /// to the lengths).
+    fn memory_bytes(&self) -> usize {
+        self.margin.capacity() * std::mem::size_of::<f64>()
+            + (self.near_blocks.capacity()
+                + self.near_slots.capacity()
+                + self.far_nodes.capacity()
+                + self.far_len.capacity())
+                * std::mem::size_of::<u32>()
+            + self.start.capacity() * std::mem::size_of::<usize>()
+            + self.windows.capacity() * std::mem::size_of::<Window>()
+    }
+
+    /// Replace the `dirty` blocks (ascending) with the freshly re-planned
+    /// blocks of `fresh` (the same blocks, in order), keeping every other
+    /// block verbatim. Margins of leaves in clean blocks age by `erosion`
+    /// (see [`StageLists::splice`]); every leaf of a re-planned block
+    /// takes its exact fresh margin.
+    fn splice(&mut self, dirty: &[u32], fresh: &BornBlocks, erosion: f64) {
+        debug_assert_eq!(dirty.len(), fresh.blocks());
+        for m in &mut self.margin {
+            *m -= erosion;
+        }
+        let mut at = 0;
+        for (k, &block) in dirty.iter().enumerate() {
+            let leaves = block_leaves(block as usize, self.groups());
+            let from = at..at + leaves.len();
+            at = from.end;
+            self.margin[leaves.clone()].copy_from_slice(&fresh.margin[from.clone()]);
+            self.near_blocks[leaves.clone()].copy_from_slice(&fresh.near_blocks[from.clone()]);
+            self.near_slots[leaves.clone()].copy_from_slice(&fresh.near_slots[from.clone()]);
+            self.far_nodes[leaves].copy_from_slice(&fresh.far_nodes[from]);
+            self.far_len[block as usize] = fresh.far_len[k];
+        }
+        debug_assert_eq!(at, fresh.margin.len());
+        if !dirty.is_empty() {
+            (self.windows, self.start) = splice_segments(
+                &self.windows,
+                &self.start,
+                dirty,
+                &fresh.windows,
+                &fresh.start,
+            );
+        }
     }
 }
 
@@ -530,8 +738,8 @@ pub struct InteractionPlan {
     /// fingerprint that keeps a moved solver from silently executing a
     /// plan whose SoA coordinates predate the move.
     pub geom_version: u64,
-    /// Born-stage lists (source leaves: `T_Q` leaves).
-    pub born: StageLists,
+    /// Born-stage lists (blocks of `T_Q` leaves).
+    pub born: BornBlocks,
     /// Energy-stage lists (source leaves: `T_A` leaves).
     pub epol: StageLists,
     /// Traversal work spent planning (the one-off cost a reused plan
@@ -555,17 +763,21 @@ pub struct InteractionPlan {
     qny: Vec<f64>,
     qnz: Vec<f64>,
     qw: Vec<f64>,
+    /// First q-point slot of each `T_Q` leaf, plus the q-point count:
+    /// leaf `i` covers slots `q_leaf_start[i]..q_leaf_start[i + 1]`.
+    q_leaf_start: Vec<u32>,
 }
 
 impl InteractionPlan {
     /// Run both separation traversals once and record their decisions.
     pub fn build(solver: &GbSolver, p: &GbParams) -> InteractionPlan {
         let mut plan_work = WorkCounts::ZERO;
-        let born = plan_stage(
+        let n_blocks = solver.tree_q.leaves().len().div_ceil(QLEAF_BLOCK);
+        let born = plan_born_blocks(
             &solver.tree_a,
             &solver.tree_q,
-            solver.tree_q.leaves(),
-            Walk::born(p.eps_born),
+            &Vec::from_iter(0..n_blocks as u32),
+            p.eps_born,
             &mut plan_work,
         );
         let epol = plan_stage(
@@ -599,6 +811,7 @@ impl InteractionPlan {
             qny: Vec::new(),
             qnz: Vec::new(),
             qw: Vec::new(),
+            q_leaf_start: Vec::new(),
         };
         plan.fill_soa(solver);
         plan
@@ -672,6 +885,13 @@ impl InteractionPlan {
             self.qnz.push(q.normal.z);
             self.qw.push(q.weight);
         }
+        self.q_leaf_start.clear();
+        self.q_leaf_start
+            .reserve_exact(solver.tree_q.leaves().len() + 1);
+        for &leaf in solver.tree_q.leaves() {
+            self.q_leaf_start.push(solver.tree_q.node(leaf).start);
+        }
+        self.q_leaf_start.push(solver.n_qpoints() as u32);
     }
 
     /// Identity part of the compatibility check: counts plus both ε.
@@ -745,8 +965,8 @@ impl InteractionPlan {
                 * (frame.a.max_radius_delta + frame.q.max_radius_delta);
         let erosion_epol = 2.0 * frame.a.max_center_shift
             + 2.0 * separation_factor_epol(p.eps_epol) * frame.a.max_radius_delta;
-        let dirty_born = self.born.dirty_leaves(erosion_born);
-        let dirty_epol = self.epol.dirty_leaves(erosion_epol);
+        let dirty_born = dirty_leaves(&self.born.margin, erosion_born);
+        let dirty_epol = dirty_leaves(&self.epol.margin, erosion_epol);
         let dirty = dirty_born.len() + dirty_epol.len();
         let total = self.born.groups() + self.epol.groups();
         if total > 0 && dirty as f64 > cfg.max_dirty_fraction * total as f64 {
@@ -765,7 +985,8 @@ impl InteractionPlan {
     }
 
     /// Apply a [`PatchSet`]: re-run the separation recursion for the
-    /// dirty source leaves only, splice the fresh segments in place,
+    /// dirty source leaves only (Born: for the blocks that hold one),
+    /// splice the fresh segments in place,
     /// refresh the SoA coordinate streams, and catch the plan's geometry
     /// version up to the solver's. After a patch the plan's lists are
     /// identical to what a cold [`InteractionPlan::build`] on the moved
@@ -779,21 +1000,22 @@ impl InteractionPlan {
     ) -> Result<ReplanStats, PlanError> {
         self.check_fingerprint(solver, p)?;
         let mut patch_work = WorkCounts::ZERO;
-        let leaf_ids = |tree: &Octree, dirty: &[u32]| -> Vec<NodeId> {
-            dirty.iter().map(|&l| tree.leaves()[l as usize]).collect()
-        };
-        let fresh = plan_stage(
+        let mut dirty_blocks =
+            Vec::from_iter(set.dirty_born.iter().map(|&l| l / QLEAF_BLOCK as u32));
+        dirty_blocks.dedup();
+        let fresh = plan_born_blocks(
             &solver.tree_a,
             &solver.tree_q,
-            &leaf_ids(&solver.tree_q, &set.dirty_born),
-            Walk::born(p.eps_born),
+            &dirty_blocks,
+            p.eps_born,
             &mut patch_work,
         );
-        self.born.splice(&set.dirty_born, &fresh, set.erosion_born);
+        self.born.splice(&dirty_blocks, &fresh, set.erosion_born);
+        let leaves = solver.tree_a.leaves();
         let fresh = plan_stage(
             &solver.tree_a,
             &solver.tree_a,
-            &leaf_ids(&solver.tree_a, &set.dirty_epol),
+            &Vec::from_iter(set.dirty_epol.iter().map(|&l| leaves[l as usize])),
             Walk::epol(p.eps_epol),
             &mut patch_work,
         );
@@ -831,6 +1053,7 @@ impl InteractionPlan {
                 + self.qnz.capacity()
                 + self.qw.capacity())
                 * std::mem::size_of::<f64>()
+            + self.q_leaf_start.capacity() * std::mem::size_of::<u32>()
     }
 
     /// List-length statistics for the [`crate::report::SolveReport`].
@@ -858,80 +1081,103 @@ impl InteractionPlan {
         partials: &mut BornPartials,
         counts: &mut WorkCounts,
     ) {
-        if self.born.groups() == 0 {
+        if self.born.groups() == 0 || qleaf_range.is_empty() {
             return;
         }
-        for qleaf in qleaf_range {
-            let g = self.born.group(qleaf);
-            let q_id = g.src;
-            // Far entries first, then near blocks — within one q-leaf the
-            // two lists write disjoint accumulators (s_node vs s_atom), so
-            // per-accumulator order matches the recursive interleaving.
-            counts.far_ops += g.far.len() as u64;
-            if kernel == KernelMode::Lane && !g.far.is_empty() {
-                // Every far entry of this group shares the one q node, so
-                // its moments broadcast and only a-node centers gather.
-                let qc = ctx.tree_q.node(q_id).center;
-                let ns = ctx.q_nsum[q_id as usize];
-                kernels::born_far_r6_entries(
-                    g.far,
-                    [&self.anx, &self.any_, &self.anz],
-                    [qc.x, qc.y, qc.z],
-                    [ns.x, ns.y, ns.z],
-                    &ctx.q_dipole[q_id as usize],
-                    &mut partials.s_node,
-                );
-            } else {
-                let q = ctx.tree_q.node(q_id);
-                for &a_id in g.far {
-                    let a = ctx.tree_a.node(a_id);
-                    let d = q.center - a.center;
-                    let d_sq = a.center.dist_sq(q.center);
-                    partials.s_node[a_id as usize] += BornKernel::R6.far_term(
-                        ctx.q_nsum[q_id as usize],
-                        &ctx.q_dipole[q_id as usize],
-                        d,
-                        d_sq,
-                    );
-                }
+        let leaf_ids = ctx.tree_q.leaves();
+        for block in qleaf_range.start / QLEAF_BLOCK..=(qleaf_range.end - 1) / QLEAF_BLOCK {
+            // The leaves of this block inside the requested range.
+            let base = block * QLEAF_BLOCK;
+            let lo = qleaf_range.start.max(base);
+            let hi = qleaf_range.end.min(base + QLEAF_BLOCK);
+            let (far, near) = (self.born.far_windows(block), self.born.near_windows(block));
+            for leaf in lo..hi {
+                counts.accumulate(self.born_work(leaf));
             }
-            // Every near partner slot meets the q-leaf's whole slot range.
-            let q_range = g.slots;
-            counts.pair_ops += (g.near.len() * q_range.len()) as u64;
-            if kernel == KernelMode::Lane && !g.near.is_empty() {
-                // The kernel gathers/scatters straight through the near
-                // list — no scratch copies.
-                let q = [
-                    &self.qx, &self.qy, &self.qz, &self.qnx, &self.qny, &self.qnz, &self.qw,
-                ];
-                kernels::born_near_gather(
-                    g.near,
-                    [&self.ax, &self.ay, &self.az],
-                    q.map(|c| &c[q_range.clone()]),
-                    &mut partials.s_atom,
-                );
-                continue;
-            }
-            for &a in g.near {
-                let a = a as usize;
-                let (x, y, z) = (self.ax[a], self.ay[a], self.az[a]);
-                let mut s = 0.0;
-                for j in q_range.clone() {
-                    let dx = self.qx[j] - x;
-                    let dy = self.qy[j] - y;
-                    let dz = self.qz[j] - z;
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    let dot = self.qw[j] * (dx * self.qnx[j] + dy * self.qny[j] + dz * self.qnz[j]);
-                    // Same guard as the recursive kernel; adding the
-                    // masked 0.0 never flips the accumulator's bits.
-                    s += if r2 > 1e-12 {
-                        dot / (r2 * r2 * r2)
-                    } else {
-                        0.0
+            if kernel == KernelMode::Lane {
+                // The q side broadcasts per leaf; a window's a-node
+                // centers (far) or atoms (near) and its accumulators are
+                // gathered once for all of them.
+                let mut moments = [QLeafMoments::default(); QLEAF_BLOCK];
+                for (m, &q_id) in moments.iter_mut().zip(&leaf_ids[lo..hi]) {
+                    let (c, ns) = (ctx.tree_q.node(q_id).center, ctx.q_nsum[q_id as usize]);
+                    *m = QLeafMoments {
+                        center: [c.x, c.y, c.z],
+                        nsum: [ns.x, ns.y, ns.z],
+                        dipole: ctx.q_dipole[q_id as usize],
                     };
                 }
-                partials.s_atom[a] += s;
+                kernels::born_far_blocks(
+                    far,
+                    lo - base,
+                    &moments[..hi - lo],
+                    [&self.anx, &self.any_, &self.anz],
+                    &mut partials.s_node,
+                );
+                kernels::born_near_blocks(
+                    near,
+                    lo - base,
+                    &self.q_leaf_start[lo..=hi],
+                    [&self.ax, &self.ay, &self.az],
+                    [
+                        &self.qx, &self.qy, &self.qz, &self.qnx, &self.qny, &self.qnz, &self.qw,
+                    ],
+                    &mut partials.s_atom,
+                );
+            } else {
+                for leaf in lo..hi {
+                    self.strict_born_leaf(ctx, far, near, leaf, partials);
+                }
             }
+        }
+    }
+
+    /// Strict replay of one q-leaf against its block's windows: the
+    /// recursive kernels' scalar terms. Within one q-leaf the far and
+    /// near lists write disjoint accumulators (`s_node` vs `s_atom`) and
+    /// each id once, so the window order is free and, run leaf by leaf,
+    /// every accumulator still takes its terms in ascending q-leaf
+    /// order, as in the recursion.
+    fn strict_born_leaf(
+        &self,
+        ctx: &BornOctreeCtx<'_>,
+        far: &[Window],
+        near: &[Window],
+        leaf: usize,
+        partials: &mut BornPartials,
+    ) {
+        let q_id = ctx.tree_q.leaves()[leaf];
+        let q = ctx.tree_q.node(q_id);
+        for a_id in leaf_partners(far, leaf % QLEAF_BLOCK) {
+            let a = ctx.tree_a.node(a_id);
+            let d = q.center - a.center;
+            let d_sq = a.center.dist_sq(q.center);
+            partials.s_node[a_id as usize] += BornKernel::R6.far_term(
+                ctx.q_nsum[q_id as usize],
+                &ctx.q_dipole[q_id as usize],
+                d,
+                d_sq,
+            );
+        }
+        for a in leaf_partners(near, leaf % QLEAF_BLOCK) {
+            let a = a as usize;
+            let (x, y, z) = (self.ax[a], self.ay[a], self.az[a]);
+            let mut s = 0.0;
+            for j in self.q_leaf_slots(leaf) {
+                let dx = self.qx[j] - x;
+                let dy = self.qy[j] - y;
+                let dz = self.qz[j] - z;
+                let r2 = dx * dx + dy * dy + dz * dz;
+                let dot = self.qw[j] * (dx * self.qnx[j] + dy * self.qny[j] + dz * self.qnz[j]);
+                // Same guard as the recursive kernel; adding the
+                // masked 0.0 never flips the accumulator's bits.
+                s += if r2 > 1e-12 {
+                    dot / (r2 * r2 * r2)
+                } else {
+                    0.0
+                };
+            }
+            partials.s_atom[a] += s;
         }
     }
 
@@ -1270,20 +1516,28 @@ impl InteractionPlan {
         (&self.ax, &self.ay, &self.az, &self.charge_slot)
     }
 
+    /// The q-point slots of one `T_Q` leaf.
+    fn q_leaf_slots(&self, qleaf: usize) -> Range<usize> {
+        self.q_leaf_start[qleaf] as usize..self.q_leaf_start[qleaf + 1] as usize
+    }
+
+    /// One q-leaf's Born-stage work: every near partner slot meets the
+    /// leaf's whole slot range, every far node is one term.
+    fn born_work(&self, qleaf: usize) -> WorkCounts {
+        WorkCounts {
+            pair_ops: self.born.near_slots[qleaf] as u64 * self.q_leaf_slots(qleaf).len() as u64,
+            far_ops: self.born.far_nodes[qleaf] as u64,
+            ..WorkCounts::ZERO
+        }
+    }
+
     /// Per-`T_Q`-leaf Born-stage work implied by the lists — the task
     /// sizes the cluster simulator replays, derived without re-running
     /// the traversal. `pair_ops`/`far_ops` sum to the recursive
     /// traversal's totals; `nodes_visited` is zero (spent at plan time).
     pub fn born_leaf_work(&self) -> Vec<WorkCounts> {
         (0..self.born.groups())
-            .map(|qleaf| {
-                let g = self.born.group(qleaf);
-                WorkCounts {
-                    pair_ops: (g.near.len() * g.slots.len()) as u64,
-                    far_ops: g.far.len() as u64,
-                    ..WorkCounts::ZERO
-                }
-            })
+            .map(|qleaf| self.born_work(qleaf))
             .collect()
     }
 
@@ -1319,21 +1573,6 @@ fn coincident_error(tree: &Octree, slot_a: usize, slot_b: usize, r_sq: f64) -> G
     }
 }
 
-/// One `T_A` node as the planner's walk reads it: the separation-test
-/// inputs, the slot range, and where the pre-order walk resumes when the
-/// node's subtree is cut. 48 bytes against the 128-byte `OctreeNode`.
-#[derive(Clone, Copy)]
-struct WalkNode {
-    center: Vec3,
-    radius: f64,
-    /// Id one past the node's subtree: the next node in pre-order that is
-    /// not a descendant.
-    skip: NodeId,
-    start: u32,
-    end: u32,
-    leaf: bool,
-}
-
 /// The partner tree flattened for the stackless walk. Relies on the
 /// octree's id order being DFS pre-order with children ascending in
 /// octant order and every subtree a contiguous id range
@@ -1351,6 +1590,7 @@ fn walk_table(tree: &Octree) -> Vec<WalkNode> {
             skip: 0,
             start: n.start,
             end: n.end,
+            depth: n.depth,
             leaf: n.is_leaf,
         })
         .collect();
@@ -1379,6 +1619,7 @@ struct Walk {
 }
 
 impl Walk {
+    #[cfg(test)]
     fn born(eps: f64) -> Walk {
         Walk {
             factor: separation_factor_r6(eps),
@@ -1455,6 +1696,147 @@ fn plan_stage(
     lists
 }
 
+/// The 255 nonempty leaf sets in bucket order: most leaves first, then
+/// by value.
+const MASK_ORDER: [u8; 255] = {
+    let mut order = [0u8; 255];
+    let (mut at, mut leaves) = (0, QLEAF_BLOCK as u32);
+    while leaves > 0 {
+        let mut mask = 1usize;
+        while mask < 256 {
+            if (mask as u8).count_ones() == leaves {
+                order[at] = mask as u8;
+                at += 1;
+            }
+            mask += 1;
+        }
+        leaves -= 1;
+    }
+    order
+};
+
+/// Transpose an 8×8 bit matrix held one row per byte (Hacker's Delight
+/// 7-3): bit `c` of byte `r` becomes bit `r` of byte `c`.
+fn transpose_bits(rows: [u8; 8]) -> [u8; 8] {
+    let mut x = u64::from_le_bytes(rows);
+    let mut t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+    x ^= t ^ (t << 28);
+    x.to_le_bytes()
+}
+
+/// Append one block's window list to `out`: the walk's (id, leaf set)
+/// pairs bucketed by leaf set in [`MASK_ORDER`] — a stable counting
+/// sort, so ids stay ascending inside a bucket — and cut into windows of
+/// eight in that order. Returns each leaf's entry count.
+fn pack_windows(pairs: &[(u32, u8)], out: &mut Vec<Window>) -> [u32; QLEAF_BLOCK] {
+    // Bucket sizes, then each bucket's first position.
+    let mut next = [0usize; 256];
+    for &(_, leaves) in pairs {
+        next[leaves as usize] += 1;
+    }
+    let mut at = 0;
+    for mask in MASK_ORDER {
+        at += std::mem::replace(&mut next[mask as usize], at);
+    }
+    debug_assert_eq!(at, pairs.len(), "an id with no leaf");
+    let first = out.len();
+    let empty = Window {
+        ids: [0; kernels::LANE_WIDTH],
+        by_leaf: [0; QLEAF_BLOCK],
+    };
+    out.resize(first + pairs.len().div_ceil(kernels::LANE_WIDTH), empty);
+    let windows = &mut out[first..];
+    // `by_leaf` holds one *lane* per byte until the transposition below.
+    for &(id, leaves) in pairs {
+        let pos = next[leaves as usize];
+        next[leaves as usize] += 1;
+        let w = &mut windows[pos / kernels::LANE_WIDTH];
+        w.ids[pos % kernels::LANE_WIDTH] = id;
+        w.by_leaf[pos % kernels::LANE_WIDTH] = leaves;
+    }
+    // Unused lanes of the last window repeat its last id, in no leaf's
+    // row: gathers stay in range and the masked scatter skips them.
+    let used = pairs.len() % kernels::LANE_WIDTH;
+    if used > 0 {
+        let ids = &mut windows[pairs.len() / kernels::LANE_WIDTH].ids;
+        let last = ids[used - 1];
+        ids[used..].fill(last);
+    }
+    let mut entries = [0; QLEAF_BLOCK];
+    for w in windows {
+        w.by_leaf = transpose_bits(w.by_leaf);
+        for (n, row) in entries.iter_mut().zip(w.by_leaf) {
+            *n += row.count_ones();
+        }
+    }
+    entries
+}
+
+/// Plan the Born lists of the listed q-leaf `blocks` (ascending; all of
+/// them at build time, the ones holding a dirty leaf on the patch path):
+/// one joint walk of `T_A` per block ([`kernels::born_block_walk`]) that
+/// makes, for each of its leaves, the decisions `recurse_qleaf` makes,
+/// then one [`pack_windows`] per list.
+///
+/// A block's walk is independent of every other block's, so a block
+/// planned here is bitwise the block a cold plan records.
+fn plan_born_blocks(
+    tree_a: &Octree,
+    tree_q: &Octree,
+    blocks: &[u32],
+    eps: f64,
+    counts: &mut WorkCounts,
+) -> BornBlocks {
+    if tree_a.is_empty() || blocks.is_empty() {
+        return BornBlocks::default();
+    }
+    let table = walk_table(tree_a);
+    let factor = separation_factor_r6(eps);
+    let q_leaves = tree_q.leaves();
+    let leaves_of = |block: u32| block_leaves(block as usize, q_leaves.len());
+    let n_leaves = blocks.iter().map(|&b| leaves_of(b).len()).sum();
+    let mut lists = BornBlocks {
+        margin: Vec::with_capacity(n_leaves),
+        near_blocks: Vec::with_capacity(n_leaves),
+        near_slots: Vec::with_capacity(n_leaves),
+        far_nodes: Vec::with_capacity(n_leaves),
+        start: offsets_with_capacity(blocks.len()),
+        far_len: Vec::with_capacity(blocks.len()),
+        windows: Vec::new(),
+    };
+    let mut walk = BlockWalk::default();
+    for &block in blocks {
+        let ids = &q_leaves[leaves_of(block)];
+        // One leaf per lane; the lanes past a ragged last block repeat
+        // its last leaf and are never active.
+        let mut q = [[0.0; kernels::LANE_WIDTH]; 4];
+        for lane in 0..kernels::LANE_WIDTH {
+            let leaf = tree_q.node(ids[lane.min(ids.len() - 1)]);
+            (q[0][lane], q[1][lane], q[2][lane]) = (leaf.center.x, leaf.center.y, leaf.center.z);
+            q[3][lane] = leaf.radius;
+        }
+        let active = u8::MAX >> (QLEAF_BLOCK - ids.len());
+        kernels::born_block_walk(&table, &q, active, factor, &mut walk);
+        counts.nodes_visited += walk.visited;
+        let start = lists.windows.len();
+        let far_nodes = pack_windows(&walk.far, &mut lists.windows);
+        lists.far_len.push((lists.windows.len() - start) as u32);
+        let near_slots = pack_windows(&walk.near, &mut lists.windows);
+        lists.start.push(lists.windows.len());
+        lists.margin.extend(&walk.margin[..ids.len()]);
+        lists.near_blocks.extend(&walk.near_blocks[..ids.len()]);
+        lists.near_slots.extend(&near_slots[..ids.len()]);
+        lists.far_nodes.extend(&far_nodes[..ids.len()]);
+    }
+    // Give back the growth slack of appending (see `plan_stage`).
+    lists.windows.shrink_to_fit();
+    lists
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1462,6 +1844,7 @@ mod tests {
     use crate::constants::{tau, EPS_WATER};
     use crate::energy::octree::epol_for_leaf_segment;
     use crate::solver::GbSolver;
+    use polar_geom::Vec3;
     use polar_molecule::generators;
     use polar_octree::OctreeConfig;
     use polar_surface::SurfaceConfig;
@@ -1683,9 +2066,10 @@ mod tests {
     #[test]
     fn memory_bytes_sums_every_segment_capacity() {
         // `memory_bytes` feeds the batch cache's byte-capacity LRU, so
-        // it must account for *every* backing segment — both stages'
-        // group/offset/near/far/margin columns plus the SoA coordinate
-        // mirrors — and charge for entries, not growth slack: after a
+        // it must account for *every* backing segment — the Born
+        // blocks' per-leaf, offset and window columns, the energy
+        // stage's group/offset/near/far/margin columns and the SoA
+        // coordinate mirrors — and charge for entries, not growth slack: after a
         // cold build and after a patch every column holds
         // `capacity == len`, so the ledger equals the sum of lengths.
         fn exact<T>(v: &Vec<T>, what: &str, when: &str) -> usize {
@@ -1693,6 +2077,15 @@ mod tests {
             v.len() * std::mem::size_of::<T>()
         }
         fn held(plan: &InteractionPlan, when: &str) -> usize {
+            let born = |l: &BornBlocks| {
+                exact(&l.margin, "born margin", when)
+                    + exact(&l.near_blocks, "born near_blocks", when)
+                    + exact(&l.near_slots, "born near_slots", when)
+                    + exact(&l.far_nodes, "born far_nodes", when)
+                    + exact(&l.start, "born start", when)
+                    + exact(&l.far_len, "born far_len", when)
+                    + exact(&l.windows, "born windows", when)
+            };
             let stage = |l: &StageLists| {
                 exact(&l.src, "src", when)
                     + exact(&l.src_start, "src_start", when)
@@ -1720,8 +2113,9 @@ mod tests {
                 (&plan.qnz, "qnz"),
                 (&plan.qw, "qw"),
             ];
-            stage(&plan.born)
+            born(&plan.born)
                 + stage(&plan.epol)
+                + exact(&plan.q_leaf_start, "q_leaf_start", when)
                 + soa
                     .iter()
                     .map(|(v, what)| exact(v, what, when))
@@ -1733,6 +2127,7 @@ mod tests {
         assert!(plan.born.far_entries() > 0 && plan.epol.far_entries() > 0);
         assert_eq!(plan.memory_bytes(), held(&plan, "build"));
 
+        assert_eq!(std::mem::size_of::<Window>(), 40);
         // Exact-geometry frame with every segment allowed to go dirty:
         // the splice really rebuilds both stages' columns.
         let cfg = ReplanConfig {
@@ -1905,6 +2300,126 @@ mod tests {
         (idx, ids)
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Hold the blocked Born lists to the per-leaf planner's: every
+    /// q-leaf's far and near sets, block count and margin bits, the
+    /// per-leaf entry counts, the summed `nodes_visited`, and the window
+    /// format itself (distinct ids per block, bucket order, padding).
+    fn assert_blocks_match_per_leaf_lists(
+        s: &GbSolver,
+        eps: f64,
+        built: &BornBlocks,
+        per_leaf: &StageLists,
+        nodes_visited: u64,
+        what: &str,
+    ) {
+        let n_leaves = s.tree_q.leaves().len();
+        let all_blocks = Vec::from_iter(0..n_leaves.div_ceil(QLEAF_BLOCK) as u32);
+        let mut counts = WorkCounts::ZERO;
+        let cold = plan_born_blocks(&s.tree_a, &s.tree_q, &all_blocks, eps, &mut counts);
+        assert_eq!(counts.nodes_visited, nodes_visited, "{what}: nodes_visited");
+        assert_eq!((counts.pair_ops, counts.far_ops), (0, 0));
+        assert_eq!(cold.windows, built.windows, "{what}: rebuilt windows");
+        assert_eq!(
+            (&cold.start, &cold.far_len),
+            (&built.start, &built.far_len),
+            "{what}: rebuilt block ranges"
+        );
+        assert_eq!(built.groups(), n_leaves, "{what}: leaves covered");
+        assert_eq!(built.blocks(), all_blocks.len(), "{what}: block count");
+        assert_eq!(
+            bits(&built.margin),
+            bits(&per_leaf.margin),
+            "{what}: margins"
+        );
+        assert_eq!(built.near_blocks, per_leaf.near_blocks, "{what}: blocks");
+        let sorted = |ids: &mut dyn Iterator<Item = u32>| {
+            let mut v = Vec::from_iter(ids);
+            v.sort_unstable();
+            v
+        };
+        for leaf in 0..n_leaves {
+            let want = per_leaf.group(leaf);
+            // The recursion lists both in ascending order.
+            assert_eq!(
+                sorted(&mut built.leaf_far(leaf)),
+                want.far,
+                "{what}: leaf {leaf} far"
+            );
+            assert_eq!(
+                sorted(&mut built.leaf_near(leaf)),
+                want.near,
+                "{what}: leaf {leaf} near"
+            );
+            assert_eq!(built.far_nodes[leaf] as usize, want.far.len());
+            assert_eq!(built.near_slots[leaf] as usize, want.near.len());
+        }
+        for block in 0..built.blocks() {
+            let in_block = block_leaves(block, n_leaves).len();
+            for windows in [built.far_windows(block), built.near_windows(block)] {
+                // Lane by lane: the leaves that meet the id.
+                let lanes = windows.iter().flat_map(|w| {
+                    let leaves = transpose_bits(w.by_leaf);
+                    (0..8).map(move |k| (w.ids[k], leaves[k]))
+                });
+                let used = Vec::from_iter(lanes.clone().filter(|&(_, leaves)| leaves != 0));
+                let key = |&(id, leaves): &(u32, u8)| (8 - leaves.count_ones(), leaves, id);
+                assert!(
+                    used.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+                    "{what}: block {block} is not in bucket order with distinct ids"
+                );
+                assert!(used
+                    .iter()
+                    .all(|&(_, leaves)| leaves as u16 >> in_block == 0));
+                // Padding: only at the very end, repeating the last id.
+                let padding = Vec::from_iter(lanes.skip(used.len()));
+                assert!(
+                    padding.len() < 8,
+                    "{what}: block {block} holds an empty window"
+                );
+                assert!(padding
+                    .iter()
+                    .all(|&(id, leaves)| leaves == 0 && id == used[used.len() - 1].0));
+            }
+        }
+    }
+
+    /// Re-plan the blocks holding the `dirty` leaves and splice them
+    /// into a copy of `built`: nothing changes, window for window.
+    fn assert_block_splice_reproduces_the_cold_blocks(
+        s: &GbSolver,
+        eps: f64,
+        built: &BornBlocks,
+        dirty: &[u32],
+    ) {
+        let mut blocks = Vec::from_iter(dirty.iter().map(|&l| l / QLEAF_BLOCK as u32));
+        blocks.dedup();
+        // Every third leaf dirties every block; thin the set so clean
+        // blocks are copied too.
+        blocks.retain(|b| b % 2 == 0);
+        let fresh = plan_born_blocks(
+            &s.tree_a,
+            &s.tree_q,
+            &blocks,
+            eps,
+            &mut WorkCounts::default(),
+        );
+        let mut spliced = built.clone();
+        spliced.splice(&blocks, &fresh, 0.0);
+        assert_eq!(spliced.windows, built.windows);
+        assert_eq!(
+            (&spliced.start, &spliced.far_len),
+            (&built.start, &built.far_len)
+        );
+        assert_eq!(spliced.near_blocks, built.near_blocks);
+        assert_eq!(spliced.near_slots, built.near_slots);
+        assert_eq!(spliced.far_nodes, built.far_nodes);
+        assert_eq!(bits(&spliced.margin), bits(&built.margin));
+    }
+
     fn assert_planner_matches_oracle(s: &GbSolver, seed: u64, what: &str) {
         for eps in [0.1, 0.5, 0.9] {
             let what = format!("{what} seed {seed} eps {eps}");
@@ -1917,9 +2432,18 @@ mod tests {
             let born_oracle = |ids: &[NodeId]| oracle::born(&s.tree_a, &s.tree_q, eps, ids);
             let epol_oracle = |ids: &[NodeId]| oracle::epol(&s.tree_a, eps, ids);
             type Oracle<'a> = &'a dyn Fn(&[NodeId]) -> Vec<oracle::Group>;
-            let stages: [(&Octree, Walk, &StageLists, &str, Oracle<'_>); 2] = [
-                (&s.tree_q, Walk::born(eps), &plan.born, "born", &born_oracle),
-                (&s.tree_a, Walk::epol(eps), &plan.epol, "epol", &epol_oracle),
+            // The per-leaf planner runs both walks here; in the library
+            // it plans the energy stage only, so only that stage has
+            // built lists and a splice to hold it to.
+            let stages: [(&Octree, Walk, Option<&StageLists>, &str, Oracle<'_>); 2] = [
+                (&s.tree_q, Walk::born(eps), None, "born", &born_oracle),
+                (
+                    &s.tree_a,
+                    Walk::epol(eps),
+                    Some(&plan.epol),
+                    "epol",
+                    &epol_oracle,
+                ),
             ];
             let mut report = Vec::new();
             for (sources, walk, built, stage, run_oracle) in stages {
@@ -1929,17 +2453,23 @@ mod tests {
                 let expected = run_oracle(all);
                 let cold =
                     assert_stage_matches_oracle(&s.tree_a, sources, all, walk, &expected, &what);
+                report.push(expected.iter().map(|g| g.blocks as u64).sum::<u64>());
+                report.push(expected.iter().map(|g| g.far.len() as u64).sum::<u64>());
+                let (dirty, ids) = leaf_subset(sources, seed as usize % 3, 3);
+                let Some(built) = built else {
+                    let visited = expected.iter().map(|g| g.nodes_visited).sum();
+                    assert_blocks_match_per_leaf_lists(s, eps, &plan.born, &cold, visited, &what);
+                    assert_block_splice_reproduces_the_cold_blocks(s, eps, &plan.born, &dirty);
+                    continue;
+                };
                 assert_eq!(cold.groups(), built.groups());
                 for g in 0..cold.groups() {
                     assert_eq!(cold.group(g).near, built.group(g).near);
                     assert_eq!(cold.group(g).far, built.group(g).far);
                 }
-                report.push(expected.iter().map(|g| g.blocks as u64).sum::<u64>());
-                report.push(expected.iter().map(|g| g.far.len() as u64).sum::<u64>());
 
                 // Patch path: a dirty subset plans to the same groups,
                 // and splicing them back reproduces the cold lists.
-                let (dirty, ids) = leaf_subset(sources, seed as usize % 3, 3);
                 let fresh = assert_stage_matches_oracle(
                     &s.tree_a,
                     sources,
@@ -1956,9 +2486,11 @@ mod tests {
                 assert_eq!(spliced.far_off, built.far_off);
                 assert_eq!(spliced.near_blocks, built.near_blocks);
                 assert_eq!(spliced.src, built.src);
-                let bits =
-                    |l: &StageLists| l.margin.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&spliced), bits(built), "{what}: spliced margins");
+                assert_eq!(
+                    bits(&spliced.margin),
+                    bits(&built.margin),
+                    "{what}: spliced margins"
+                );
                 // One leaf at a time: `nodes_visited` per group.
                 for &leaf in &ids {
                     assert_stage_matches_oracle(
@@ -2099,8 +2631,13 @@ mod tests {
         let s = build(&one_per_leaf);
         assert!(coincident(&s.tree_a, &s.tree_a), "epol case missing");
         let plan = InteractionPlan::build(&s, &GbParams::default());
-        let tightest = |l: &StageLists| l.margins().iter().copied().fold(f64::INFINITY, f64::min);
-        assert_eq!(tightest(&plan.born), 0.0, "zero-radius pair at d = 0");
+        let tightest = plan
+            .born
+            .margins()
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(tightest, 0.0, "zero-radius pair at d = 0");
     }
 
     #[test]

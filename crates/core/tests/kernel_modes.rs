@@ -148,29 +148,34 @@ fn dispatched_near_kernel_agrees_with_the_scalar_order_to_tolerance_only() {
 fn born_segment_is_pinned_the_same_way() {
     // Same contract for the Born stage: per-mode determinism for both
     // lists (strict replays the recursive arithmetic, lane runs the
-    // gathered kernels with the pinned width), all of it
-    // chunking-invariant — each q-leaf group's work is self-contained.
+    // blocked kernels with the pinned width), all of it
+    // chunking-invariant although eight q-leaves share one window list:
+    // every accumulator takes its terms in ascending q-leaf order, so a
+    // range may cut a block at any of its seven interior offsets.
     let s = big_solver();
     let p = GbParams::default();
     let plan = s.plan(&p);
     let ctx = s.born_ctx();
     let n_qleaves = s.tree_q.leaves().len();
+    assert_eq!(kernels::QLEAF_BLOCK, 8);
 
     for kernel in [KernelMode::Strict, KernelMode::Lane] {
         let mut whole = polar_gb::born::octree::BornPartials::zeros(&s.tree_a);
         let mut w = WorkCounts::ZERO;
         plan.execute_born_segment(&ctx, 0..n_qleaves, kernel, &mut whole, &mut w);
 
-        let mut chunked = polar_gb::born::octree::BornPartials::zeros(&s.tree_a);
-        let step = n_qleaves.div_ceil(5);
-        let mut start = 0;
-        while start < n_qleaves {
-            let end = (start + step).min(n_qleaves);
-            let mut w = WorkCounts::ZERO;
-            plan.execute_born_segment(&ctx, start..end, kernel, &mut chunked, &mut w);
-            start = end;
+        // A fifth of the leaves at a time, then strides of 9 … 15
+        // leaves, which walk through every offset into a block.
+        for step in std::iter::once(n_qleaves.div_ceil(5)).chain(9..16) {
+            let mut chunked = polar_gb::born::octree::BornPartials::zeros(&s.tree_a);
+            let mut cw = WorkCounts::ZERO;
+            for start in (0..n_qleaves).step_by(step) {
+                let end = (start + step).min(n_qleaves);
+                plan.execute_born_segment(&ctx, start..end, kernel, &mut chunked, &mut cw);
+            }
+            assert_eq!(whole.s_node, chunked.s_node, "{kernel:?} step {step}");
+            assert_eq!(whole.s_atom, chunked.s_atom, "{kernel:?} step {step}");
+            assert_eq!(w, cw, "{kernel:?} step {step}");
         }
-        assert_eq!(whole.s_node, chunked.s_node, "{kernel:?}");
-        assert_eq!(whole.s_atom, chunked.s_atom, "{kernel:?}");
     }
 }

@@ -240,6 +240,80 @@ proptest! {
 }
 
 #[test]
+fn patched_born_blocks_equal_cold_blocks_window_for_window() {
+    // The Born lists are spliced a block of eight q-leaves at a time. In
+    // exact mode (tolerance 0: every moved node refreshed) each jittered
+    // frame dirties real leaves, and after every patch the live plan
+    // must hold exactly the windows a cold build records — same ids,
+    // same lanes, same order — with no byte of slack.
+    let mol = generators::globular("walk", 180, 3);
+    let cfg = ReplanConfig {
+        tolerance: 0.0,
+        max_dirty_fraction: 1.0,
+        ..ReplanConfig::default()
+    };
+    let p = GbParams::default();
+    let frames = trajectory::jitter_frames(&mol, 25, 0.004, 104);
+    let mut solver = GbSolver::for_molecule(
+        &frames[0],
+        &SurfaceConfig::coarse(),
+        &OctreeConfig::default(),
+    );
+    let mut plan = solver.plan(&p);
+    let (mut patched, mut dirty_leaves, mut partly_dirty) = (0, 0, 0);
+    for (k, frame) in frames[1..].iter().enumerate() {
+        let delta = solver
+            .apply_frame(&frame.positions(), cfg.slack, cfg.tolerance)
+            .expect("a 0.004 A jitter stays inside the slack");
+        match plan.delta(&solver, &p, &delta, &cfg) {
+            PlanDelta::Patchable(set) => {
+                let blocks: std::collections::BTreeSet<u32> =
+                    set.dirty_born.iter().map(|l| l / 8).collect();
+                partly_dirty += (set.dirty_born.len() < 8 * blocks.len()) as usize;
+                dirty_leaves += set.dirty_born.len();
+                let stats = plan.patch(&solver, &p, &set).expect("patch set fits");
+                assert_eq!(stats.dirty_born, set.dirty_born.len());
+                assert_eq!(stats.total_born, solver.tree_q.leaves().len());
+                patched += 1;
+            }
+            other => panic!("frame {k}: expected a patch, got {other:?}"),
+        }
+        let cold = solver.plan(&p);
+        assert_eq!(plan.born.blocks(), cold.born.blocks());
+        for b in 0..cold.born.blocks() {
+            assert_eq!(
+                plan.born.far_windows(b),
+                cold.born.far_windows(b),
+                "frame {k} block {b}: far windows"
+            );
+            assert_eq!(
+                plan.born.near_windows(b),
+                cold.born.near_windows(b),
+                "frame {k} block {b}: near windows"
+            );
+        }
+        assert_eq!(
+            format!("{:?}", plan.stats()),
+            format!("{:?}", cold.stats()),
+            "frame {k}"
+        );
+        assert_eq!(plan.memory_bytes(), cold.memory_bytes(), "frame {k}");
+        // Aged margins never overstate a fresh one.
+        for (live, fresh) in plan.born.margins().iter().zip(cold.born.margins()) {
+            assert!(
+                live <= fresh,
+                "frame {k}: margin {live} above the cold {fresh}"
+            );
+        }
+    }
+    assert!(patched >= 20, "{patched} patched frames");
+    assert!(
+        dirty_leaves > 0 && partly_dirty > 0,
+        "no block was re-planned for a single leaf"
+    );
+}
+
+#[test]
 fn plan_report_mode_and_stats_round_trip() {
     let s = solver_for(150, 7);
     let p = GbParams::default();

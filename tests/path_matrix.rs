@@ -171,11 +171,12 @@ fn every_path_agrees_with_the_serial_traversal() {
     }
 }
 
-/// Footprint cell: a plan holds two `u32` words per entry class (near
-/// partner slots, far partner node ids), a handful of per-group columns
-/// and the SoA coordinate mirrors — nothing else, and no `Vec` growth
-/// slack. A reintroduced per-entry column (a source id or a slot range
-/// beside every partner) breaks the equality and the ceiling.
+/// Footprint cell: a plan holds 40-byte windows of eight partner ids per
+/// block of eight q-leaves (Born stage), one `u32` per partner (energy
+/// stage), a handful of per-leaf and per-block columns and the SoA
+/// coordinate mirrors — nothing else, and no `Vec` growth slack. A
+/// reintroduced per-leaf Born list or per-entry column breaks the
+/// equality and the ceiling.
 #[test]
 fn plan_footprint_is_its_list_lengths() {
     let mol = generators::globular("matrix", 300, 12);
@@ -185,23 +186,145 @@ fn plan_footprint_is_its_list_lengths() {
     const U32: usize = std::mem::size_of::<u32>();
     const WORD: usize = std::mem::size_of::<usize>();
     const F64: usize = std::mem::size_of::<f64>();
-    let stage_bytes = |l: &polar_energy::gb::StageLists| {
-        // src id, slot start, slot end, block count (u32) + margin
-        // (f64) per group; two usize offset columns of groups + 1.
-        l.groups() * (4 * U32 + F64)
-            + (l.groups() + 1) * 2 * WORD
-            + (l.near_slots() + l.far_entries()) * U32
-    };
+    let born = &plan.born;
+    let windows: usize = (0..born.blocks())
+        .map(|b| born.far_windows(b).len() + born.near_windows(b).len())
+        .sum();
+    // Margin (f64), block count and two entry counts (u32) per q-leaf;
+    // the far list's length (u32) per block and a usize offset column of
+    // blocks + 1.
+    let born_bytes = born.groups() * (F64 + 3 * U32)
+        + born.blocks() * U32
+        + (born.blocks() + 1) * WORD
+        + windows * 40;
+    let epol = &plan.epol;
+    // src id, slot start, slot end, block count (u32) + margin (f64) per
+    // group; two usize offset columns of groups + 1.
+    let epol_bytes = epol.groups() * (4 * U32 + F64)
+        + (epol.groups() + 1) * 2 * WORD
+        + (epol.near_slots() + epol.far_entries()) * U32;
     // x, y, z, charge per atom; center x, y, z per `T_A` node; position,
-    // normal, weight per q-point.
+    // normal, weight per q-point; the first slot of each q-leaf.
     let soa_bytes =
-        (4 * solver.n_atoms() + 3 * solver.tree_a.node_count() + 7 * solver.n_qpoints()) * F64;
-    let expected = stage_bytes(&plan.born) + stage_bytes(&plan.epol) + soa_bytes;
+        (4 * solver.n_atoms() + 3 * solver.tree_a.node_count() + 7 * solver.n_qpoints()) * F64
+            + (born.groups() + 1) * U32;
     let held = plan.stats().plan_bytes as usize;
-    assert_eq!(held, expected, "plan bytes vs list lengths");
+    assert_eq!(
+        held,
+        born_bytes + epol_bytes + soa_bytes,
+        "plan bytes vs list lengths"
+    );
     assert_eq!(held, plan.memory_bytes());
+    // A (q-leaf, partner) pair is a bit, so eight leaves' lists cost
+    // little more than one leaf's: under a byte and a half per pair here.
+    assert!(windows * 40 < (born.far_entries() + born.near_slots()) * 3 / 2);
 
-    // 9,286 B/atom on this molecule; the ceiling sits 10 % above.
+    // 3,873 B/atom on this molecule (9,286 with per-leaf Born lists);
+    // the ceiling sits 10 % above.
     let per_atom = held as f64 / solver.n_atoms() as f64;
-    assert!(per_atom <= 10_200.0, "{per_atom:.0} B/atom");
+    assert!(per_atom <= 4_260.0, "{per_atom:.0} B/atom");
+}
+
+/// Block cell: the Born lists are shared by blocks of eight q-leaves,
+/// and nothing a caller can observe depends on where a leaf range cuts
+/// them — on a globule, a capsid shell, an elongated chain and
+/// degenerate inputs (one and two atoms, fewer than eight q-leaves, a
+/// ragged last block). Strict replay of any partition is the recursive
+/// traversal bit for bit; lane replay has its own bits, the same for
+/// every partition; work counts are the traversal's on every path.
+#[test]
+fn born_blocks_cut_at_any_leaf_replay_the_same_sums() {
+    use polar_energy::gb::born::octree::approx_integrals;
+    use polar_energy::gb::born::BornPartials;
+    use polar_energy::gb::kernels::QLEAF_BLOCK;
+
+    let few_qpoints = {
+        // Two atoms, three q-points: one q-leaf, one ragged block.
+        let q = |x: f64| polar_energy::surface::QuadPoint {
+            pos: Vec3::new(x, 0.3, 0.0),
+            normal: Vec3::X,
+            weight: 0.7,
+            owner: 0,
+        };
+        GbSolver::from_parts(
+            "few".into(),
+            vec![Vec3::ZERO, Vec3::new(2.5, 0.0, 0.0)],
+            vec![1.5; 2],
+            vec![0.4, -0.4],
+            vec![q(1.9), q(-1.7), q(4.2)],
+            &OctreeConfig::default(),
+        )
+    };
+    let prepared =
+        |mol| GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
+    let inputs = [
+        ("globule", prepared(generators::globular("g", 260, 5))),
+        (
+            "capsid shell",
+            prepared(generators::virus_shell("v", 300, 6.0, 5)),
+        ),
+        ("elongated chain", prepared(generators::ligand("l", 60, 5))),
+        ("one atom", prepared(generators::globular("g1", 1, 5))),
+        ("two atoms", prepared(generators::globular("g2", 2, 5))),
+        ("three q-points", few_qpoints),
+    ];
+    let mut ragged = 0;
+    for (name, solver) in &inputs {
+        let p = GbParams::default();
+        let plan = solver.plan(&p);
+        let ctx = solver.born_ctx();
+        let n = solver.tree_q.leaves().len();
+        assert_eq!(plan.born.groups(), n, "{name}");
+        assert_eq!(plan.born.blocks(), n.div_ceil(QLEAF_BLOCK), "{name}");
+        ragged += (n % QLEAF_BLOCK != 0) as usize;
+
+        let mut rec_work = WorkCounts::ZERO;
+        let recursive = approx_integrals(&ctx, p.eps_born, 0..n, &mut rec_work);
+        let replay = |kernel: KernelMode, cuts: &[usize]| {
+            let mut partials = BornPartials::zeros(&solver.tree_a);
+            let mut work = WorkCounts::ZERO;
+            for range in cuts.windows(2) {
+                plan.execute_born_segment(
+                    &ctx,
+                    range[0]..range[1],
+                    kernel,
+                    &mut partials,
+                    &mut work,
+                );
+            }
+            assert_eq!(
+                (work.pair_ops, work.far_ops, work.nodes_visited),
+                (rec_work.pair_ops, rec_work.far_ops, 0),
+                "{name} {kernel:?} {cuts:?}"
+            );
+            partials
+        };
+        let strict = replay(KernelMode::Strict, &[0, n]);
+        assert_eq!(strict, recursive, "{name}: strict replay vs recursion");
+        let lane = replay(KernelMode::Lane, &[0, n]);
+        // Every offset 1..7 into a block, as a lone cut, as the first
+        // of a stride of 8 + offset (so later cuts land on every other
+        // offset too), and one leaf per call.
+        let mut partitions: Vec<Vec<usize>> = vec![(0..=n).collect()];
+        for offset in 1..QLEAF_BLOCK {
+            partitions.push(vec![0, offset.min(n), n]);
+            let stride = QLEAF_BLOCK + offset;
+            partitions.push((0..n).step_by(stride).chain([n]).collect());
+        }
+        for cuts in &partitions {
+            assert_eq!(
+                replay(KernelMode::Strict, cuts),
+                strict,
+                "{name} strict {cuts:?}"
+            );
+            assert_eq!(replay(KernelMode::Lane, cuts), lane, "{name} lane {cuts:?}");
+        }
+        let per_leaf: WorkCounts = plan.born_leaf_work().into_iter().sum();
+        assert_eq!(
+            (per_leaf.pair_ops, per_leaf.far_ops),
+            (rec_work.pair_ops, rec_work.far_ops),
+            "{name}: born_leaf_work"
+        );
+    }
+    assert!(ragged >= 2, "no input ends in a ragged block");
 }
