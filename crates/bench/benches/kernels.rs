@@ -4,8 +4,9 @@
 //! of each stage on this host — octree construction (the pre-processing
 //! cost the paper amortizes), the hierarchical vs naive Born/E_pol
 //! kernels (the headline asymptotic win), surface generation, and the
-//! approximate-math kernels, and the five dispatched lane kernels on the
-//! list shapes a real plan feeds them.
+//! approximate-math kernels, the five dispatched lane kernels on the
+//! list shapes a real plan feeds them, and the hardware gather those
+//! kernels do not use against the scalar loads they do.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polar_gb::born::octree::QDipole;
@@ -159,8 +160,8 @@ fn block_windows(block: usize, windows: usize, full: usize, pool: usize) -> Vec<
 /// of them met by all eight leaves in all eight lanes, 75 % of all
 /// (lane, leaf) bits set) and ~29 near windows over atom slots (35 %
 /// full, 63 % of bits set); and 1,015 atom leaves of ~2.5 atoms with
-/// ~361 gathered near partners and ~88 far entries over histogram rows
-/// of 1–2 nonzero bins. The shape decides the result: a near window's
+/// ~361 near partners in five slot runs and ~88 far entries over
+/// histogram rows of 1–2 nonzero bins. The shape decides the result: a near window's
 /// set-up (three gathers, the accumulator gather and the scatter) is
 /// shared by up to eight leaves of three q-points each, so with one
 /// leaf per window, or 24 q-points per leaf, the kernels look nothing
@@ -235,40 +236,52 @@ fn bench_lane_kernels(c: &mut Criterion) {
     // Atom leaves: slots 5·leaf/2 .. +2 or +3 (mean 2.5).
     let a_leaves = 1_000;
     let leaf_slots = |leaf: usize| 5 * leaf / 2..5 * (leaf + 1) / 2;
-    let partners: Vec<u32> = (0..a_leaves)
-        .flat_map(|leaf| id_list(leaf, 361, ATOMS))
+    // 361 partners per leaf as five runs of 17–131 slots; windows 16,
+    // 18, 30 and 38 of the 46 straddle two runs.
+    const RUNS: [u32; 5] = [131, 17, 96, 64, 53];
+    let partners: Vec<kernels::Run> = (0..a_leaves)
+        .flat_map(|leaf| {
+            RUNS.iter().enumerate().map(move |(k, &len)| kernels::Run {
+                start: ((leaf * 131 + k * 499) % (ATOMS - 131)) as u32,
+                len,
+            })
+        })
         .collect();
-    g.bench_function("epol_near_gather", |b| {
+    g.bench_function("epol_near_runs", |b| {
         b.iter(|| {
             let mut e = 0.0;
-            for (leaf, idx) in partners.chunks_exact(361).enumerate() {
-                e += kernels::epol_near_gather(idx, atoms, atoms.map(|c| &c[leaf_slots(leaf)]));
+            for (leaf, runs) in partners.chunks_exact(RUNS.len()).enumerate() {
+                e += kernels::epol_near_runs(runs, atoms, atoms.map(|c| &c[leaf_slots(leaf)]));
             }
             black_box(e)
         })
     });
 
-    // Compact rows: U streams its 1–2 real bins, V is one padded lane.
-    let (vq, vr) = (
-        [0.3, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.8, 2.9, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-    );
-    let vri = vr.map(|r| 1.0 / r);
-    let v: [&[f64]; 3] = [&vq, &vr, &vri];
-    g.bench_function("epol_far_compact", |b| {
+    // Far rows: 88 far nodes of 1–2 real bins per leaf, laid end to end
+    // as the execute layer lays them, against the leaf's own 1–2 bins.
+    let (bq, br) = ([0.3, -0.2], [1.8, 2.9]);
+    let bri = br.map(|r| 1.0 / r);
+    let mut rows = kernels::FarRows::default();
+    g.bench_function("epol_far_rows", |b| {
         b.iter(|| {
             let mut e = 0.0;
-            for entry in 0..a_leaves * 88 {
-                let d_sq = 400.0 + (entry % 97) as f64;
-                e += kernels::epol_far_compact(d_sq, v.map(|row| &row[..1 + entry % 2]), v);
+            for leaf in 0..a_leaves {
+                rows.clear();
+                for entry in 88 * leaf..88 * (leaf + 1) {
+                    let nz = 1 + entry % 2;
+                    let d_sq = 400.0 + (entry % 97) as f64;
+                    rows.push_row(d_sq, [&bq[..nz], &br[..nz], &bri[..nz]]);
+                }
+                let nz = 1 + leaf % 2;
+                e += kernels::epol_far_rows(&rows, [&bq[..nz], &br[..nz], &bri[..nz]]);
             }
             black_box(e)
         })
     });
 
-    // Gradient near blocks: the leaf's atoms against its gathered
+    // Gradient near blocks: the leaf's atoms against its copied
     // partners, padded to a lane multiple as the execute layer pads them.
-    let padded = 361usize.div_ceil(kernels::LANE_WIDTH) * kernels::LANE_WIDTH;
+    let padded = 361usize.next_multiple_of(kernels::LANE_WIDTH);
     let [px, py, pz]: [Vec<f64>; 3] = columns(padded, -20.0, 20.0, &mut seed);
     let [pq]: [Vec<f64>; 1] = columns(padded, -0.8, 0.8, &mut seed);
     let [pr]: [Vec<f64>; 1] = columns(padded, 1.0, 4.0, &mut seed);
@@ -288,6 +301,78 @@ fn bench_lane_kernels(c: &mut Criterion) {
     });
     g.finish();
 }
+
+/// Why no tier of `polar_gb::kernels` uses the hardware gather: one
+/// window's four column gathers (the Born near kernel's x, y, z and
+/// accumulator) over the 29-window near list of a block, as
+/// `vgatherdpd zmm` and as the eight scalar loads `Simd::gather`
+/// assembles (copied here — the trait is private), each after the id
+/// range check both need; ns per iteration ÷ 29 is ns per window.
+#[cfg(target_arch = "x86_64")]
+fn bench_gather(c: &mut Criterion) {
+    use std::arch::x86_64::*;
+    if !std::arch::is_x86_feature_detected!("avx512f") {
+        return;
+    }
+    const ATOMS: usize = 2_503;
+    let mut seed = 47;
+    let cols: [Vec<f64>; 4] = columns(ATOMS, -20.0, 20.0, &mut seed);
+    let windows: Vec<[u32; 8]> = (0..29)
+        .map(|w| {
+            let mut ids = id_list(w, 8, ATOMS);
+            [(); 8].map(|_| ids.next().expect("eight ids"))
+        })
+        .collect();
+
+    #[target_feature(enable = "avx512f")]
+    fn hardware(cols: &[Vec<f64>; 4], windows: &[[u32; 8]]) -> f64 {
+        let mut acc = _mm512_setzero_pd();
+        for ids in windows {
+            assert!(ids.iter().all(|&i| (i as usize) < ATOMS));
+            for col in cols {
+                assert!(col.len() >= ATOMS);
+                // SAFETY: every id is below `ATOMS ≤ col.len()`.
+                let v = unsafe {
+                    _mm512_i32gather_pd::<8>(_mm256_loadu_si256(ids.as_ptr().cast()), col.as_ptr())
+                };
+                acc = _mm512_add_pd(acc, v);
+            }
+        }
+        _mm512_reduce_add_pd(acc)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn eight_loads(cols: &[Vec<f64>; 4], windows: &[[u32; 8]]) -> f64 {
+        let mut acc = _mm512_setzero_pd();
+        for ids in windows {
+            assert!(ids.iter().all(|&i| (i as usize) < ATOMS));
+            for col in cols {
+                assert!(col.len() >= ATOMS);
+                let mut lanes = [0.0; 8];
+                for k in 0..8 {
+                    lanes[k] = col[ids[k] as usize];
+                }
+                // SAFETY: `lanes` is eight readable f64s.
+                acc = _mm512_add_pd(acc, unsafe { _mm512_loadu_pd(lanes.as_ptr()) });
+            }
+        }
+        _mm512_reduce_add_pd(acc)
+    }
+
+    let mut g = c.benchmark_group("gather");
+    g.sample_size(10);
+    // SAFETY (both): avx512f was detected above.
+    g.bench_function("vgatherdpd_zmm", |b| {
+        b.iter(|| unsafe { hardware(black_box(&cols), black_box(&windows)) })
+    });
+    g.bench_function("eight_loads", |b| {
+        b.iter(|| unsafe { eight_loads(black_box(&cols), black_box(&windows)) })
+    });
+    g.finish();
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn bench_gather(_: &mut Criterion) {}
 
 fn bench_full_solve_math_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("solve_math_mode");
@@ -309,6 +394,7 @@ fn bench_full_solve_math_modes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lane_kernels,
+    bench_gather,
     bench_octree_build,
     bench_surface,
     bench_born,

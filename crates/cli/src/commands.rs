@@ -4,6 +4,7 @@ use crate::args::{ArgError, Args};
 use polar_cluster::Layout;
 use polar_gb::{GbParams, GbSolver, LeafEval};
 use polar_geom::MathMode;
+use polar_molecule::manifest::check_eps;
 use polar_molecule::{generators, io, Molecule};
 use polar_mpi::data_dist::run_data_distributed;
 use polar_mpi::recovery::run_distributed_ft;
@@ -20,9 +21,11 @@ fn load_molecule(a: &Args) -> Result<Molecule, Box<dyn std::error::Error>> {
 }
 
 fn params_from(a: &Args) -> Result<GbParams, ArgError> {
+    let eps =
+        |name: &str| check_eps(&format!("--{name}"), a.get_parsed(name, 0.9)?).map_err(ArgError);
     Ok(GbParams {
-        eps_born: a.get_parsed("eps-born", 0.9)?,
-        eps_epol: a.get_parsed("eps-epol", 0.9)?,
+        eps_born: eps("eps-born")?,
+        eps_epol: eps("eps-epol")?,
         math: if a.flag("approx-math") {
             MathMode::Approximate
         } else {

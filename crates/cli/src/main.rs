@@ -107,7 +107,8 @@ fn main() {
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        // A bad option value is a usage error, like an unknown option.
+        std::process::exit(if e.is::<args::ArgError>() { 2 } else { 1 });
     }
 }
 

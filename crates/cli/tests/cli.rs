@@ -443,3 +443,52 @@ fn serve_accepts_jobs_over_tcp_and_drains_to_exit_zero() {
     assert!(rest.contains("\"reconciles\":true"), "{rest}");
     assert!(rest.contains("\"completed\":2"), "{rest}");
 }
+
+#[test]
+fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
+    // `--eps-born 0` used to reach the separation tests' `assert!(ε > 0)`.
+    let path = tmp_pqr("bad_eps", 60);
+    let commands = [
+        "energy",
+        "trajectory",
+        "minimize",
+        "induce",
+        "distributed",
+        "project",
+    ];
+    let bad = [
+        ("--eps-born", "0"),
+        ("--eps-epol", "nan"),
+        ("--eps-epol", "-0.5"),
+    ];
+    for (k, command) in commands.into_iter().enumerate() {
+        // All three values on `energy`, one each on the others.
+        let values = if k == 0 {
+            &bad[..]
+        } else {
+            &bad[k % 3..k % 3 + 1]
+        };
+        for (option, value) in values {
+            let out = polar()
+                .arg(command)
+                .arg(&path)
+                .args([option, value])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{command} {option} {value}: {err}"
+            );
+            assert!(
+                err.contains(&format!("{option}: must be a finite positive number, got")),
+                "{command} {option} {value}: {err}"
+            );
+            assert!(
+                !err.contains("panicked"),
+                "{command} {option} {value}: {err}"
+            );
+        }
+    }
+}

@@ -113,36 +113,61 @@ pub struct EpolCtx<'a> {
     /// Per-node total |q| (quick emptiness check for bins loops).
     nonzero_bins: Vec<u32>,
     /// Compacted nonzero-bin rows for the lane far kernel, concatenated
-    /// over nodes and padded per node to a `LANE_WIDTH` multiple:
-    /// charges (pad 0), representative radii (pad 1) and radius
-    /// reciprocals (pad 1). `coff[id]..coff[id+1]` is node `id`'s row.
+    /// over nodes: charges, representative radii and radius
+    /// reciprocals. `coff[id]..coff[id+1]` is node `id`'s row.
     cq: Vec<f64>,
     cr: Vec<f64>,
     cri: Vec<f64>,
     coff: Vec<u32>,
+    /// `1/R` per atom in Morton slot order, for the division-free lane
+    /// kernels: one divide per atom per solve, not per leaf segment.
+    inv_born_slot: Vec<f64>,
+}
+
+/// The per-solve buffers of an [`EpolCtx`] that a scratch arena hands
+/// from one solve to the next (capacity is kept, contents are rebuilt).
+#[derive(Debug, Default)]
+pub struct EpolBuffers {
+    hist: Vec<f64>,
+    nonzero_bins: Vec<u32>,
+    inv_born_slot: Vec<f64>,
+}
+
+impl EpolBuffers {
+    /// Heap bytes the buffers hold.
+    pub fn memory_bytes(&self) -> usize {
+        (self.hist.capacity() + self.inv_born_slot.capacity()) * 8
+            + self.nonzero_bins.capacity() * 4
+    }
 }
 
 impl<'a> EpolCtx<'a> {
     /// Build histograms bottom-up (the pseudo-particle aggregation for
     /// energies). O(nodes · M_ε + atoms).
     pub fn new(tree: &'a Octree, charges: &'a [f64], born: &'a [f64], eps: f64) -> EpolCtx<'a> {
-        Self::new_reusing(tree, charges, born, eps, Vec::new(), Vec::new())
+        Self::new_reusing(tree, charges, born, eps, EpolBuffers::default())
     }
 
     /// As [`EpolCtx::new`], but refills caller-supplied buffers instead
     /// of allocating — the batch engine's scratch arenas hand the same
-    /// charge-bin buffers to every solve and recover them afterwards via
+    /// buffers to every solve and recover them afterwards via
     /// [`EpolCtx::into_buffers`].
     pub fn new_reusing(
         tree: &'a Octree,
         charges: &'a [f64],
         born: &'a [f64],
         eps: f64,
-        mut hist: Vec<f64>,
-        mut nonzero_bins: Vec<u32>,
+        buffers: EpolBuffers,
     ) -> EpolCtx<'a> {
         assert_eq!(charges.len(), tree.len());
         assert_eq!(born.len(), tree.len());
+        let EpolBuffers {
+            mut hist,
+            mut nonzero_bins,
+            mut inv_born_slot,
+        } = buffers;
+        inv_born_slot.clear();
+        inv_born_slot.extend(tree.order().iter().map(|&o| 1.0 / born[o as usize]));
         let bins = BinScheme::new(born, eps);
         let nb = bins.nbins;
         hist.clear();
@@ -176,11 +201,7 @@ impl<'a> EpolCtx<'a> {
         // execute phase reads each node's row once per far entry, and
         // rescanning 256 mostly-zero bins there costs more than the
         // whole STILL evaluation.
-        let lane = crate::kernels::LANE_WIDTH;
-        let total: usize = nonzero_bins
-            .iter()
-            .map(|&n| (n as usize).div_ceil(lane) * lane)
-            .sum();
+        let total: usize = nonzero_bins.iter().map(|&n| n as usize).sum();
         let mut cq = Vec::with_capacity(total);
         let mut cr = Vec::with_capacity(total);
         let mut cri = Vec::with_capacity(total);
@@ -195,13 +216,6 @@ impl<'a> EpolCtx<'a> {
                     cri.push(1.0 / r);
                 }
             }
-            // Rows start lane-aligned, so padding to a multiple of the
-            // global length lane-pads this row.
-            while cq.len() % lane != 0 {
-                cq.push(0.0);
-                cr.push(1.0);
-                cri.push(1.0);
-            }
             coff.push(cq.len() as u32);
         }
         EpolCtx {
@@ -215,7 +229,15 @@ impl<'a> EpolCtx<'a> {
             cr,
             cri,
             coff,
+            inv_born_slot,
         }
+    }
+
+    /// Reciprocal Born radii in Morton slot order (the layout of
+    /// `GbSolver::born_by_slot`).
+    #[inline]
+    pub fn inv_born_slot(&self) -> &[f64] {
+        &self.inv_born_slot
     }
 
     /// One node's binned-charge histogram (`q_U[k]`, Fig. 3). Public so
@@ -235,12 +257,9 @@ impl<'a> EpolCtx<'a> {
         self.nonzero_bins[id as usize]
     }
 
-    /// One node's compacted nonzero-bin row, padded to a `LANE_WIDTH`
-    /// multiple with charge 0 / radius 1: `(charges, radii, radius
-    /// reciprocals)`. The first [`EpolCtx::nonzero_bin_count`] entries
-    /// are real — the V-side contract of
-    /// [`crate::kernels::epol_far_compact`] wants the padded slices, the
-    /// U side the real prefix.
+    /// One node's compacted row — `(charges, radii, radius
+    /// reciprocals)` of its [`EpolCtx::nonzero_bin_count`] nonzero bins,
+    /// in bin order — as [`crate::kernels::epol_far_rows`] reads it.
     #[inline]
     pub fn compact_row(&self, id: NodeId) -> (&[f64], &[f64], &[f64]) {
         let (s, e) = (
@@ -250,15 +269,20 @@ impl<'a> EpolCtx<'a> {
         (&self.cq[s..e], &self.cr[s..e], &self.cri[s..e])
     }
 
-    /// Histogram memory in bytes (for space accounting).
+    /// Histogram and reciprocal memory in bytes (for space accounting).
     pub fn memory_bytes(&self) -> usize {
-        (self.hist.len() + 3 * self.cq.len()) * 8 + (self.nonzero_bins.len() + self.coff.len()) * 4
+        (self.hist.len() + 3 * self.cq.len() + self.inv_born_slot.len()) * 8
+            + (self.nonzero_bins.len() + self.coff.len()) * 4
     }
 
-    /// Recover the histogram buffers so a scratch arena can hand them to
-    /// the next solve (capacity is kept, contents are rebuilt).
-    pub fn into_buffers(self) -> (Vec<f64>, Vec<u32>) {
-        (self.hist, self.nonzero_bins)
+    /// Recover the recyclable buffers so a scratch arena can hand them
+    /// to the next solve.
+    pub fn into_buffers(self) -> EpolBuffers {
+        EpolBuffers {
+            hist: self.hist,
+            nonzero_bins: self.nonzero_bins,
+            inv_born_slot: self.inv_born_slot,
+        }
     }
 }
 

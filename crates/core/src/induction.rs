@@ -182,7 +182,7 @@ pub fn induce_with_plan(
         })
         .collect();
 
-    // Per-leaf coverage: (target slot range, near partner slots, far
+    // Per-leaf coverage: (target slot range, near partner slot runs, far
     // partner node ids). Materialized once; both matvecs replay it.
     let n_leaves = tree.leaves().len();
     let mut covers = Vec::with_capacity(n_leaves);
@@ -216,8 +216,8 @@ pub fn induce_with_plan(
                 acc += d * (q_slot[s] / (r_sq * r_sq.sqrt()));
                 Ok(())
             };
-            for &g in *near {
-                add(g as usize)?;
+            for s in near.iter().flat_map(|run| run.slots()) {
+                add(s)?;
             }
             for &p in *far {
                 let node = tree.node(p);
@@ -241,8 +241,8 @@ pub fn induce_with_plan(
                         acc += dipole_field_term(xt - pos_slot[s], mu[s]);
                     }
                 };
-                for &g in *near {
-                    add(g as usize);
+                for s in near.iter().flat_map(|run| run.slots()) {
+                    add(s);
                 }
                 for &p in *far {
                     let node = tree.node(p);

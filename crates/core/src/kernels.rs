@@ -19,13 +19,12 @@
 //!   generic `fn …<S: Simd>`: [`born_near_blocks`] (descreening integrals
 //!   of a block of eight q-leaves over the block's [`Window`]s of atom
 //!   slots), [`born_far_blocks`] (R6 pseudo-q-point terms of the block
-//!   over its windows of `T_A` node ids), [`epol_near_gather`] (STILL
-//!   pair sums of a leaf against its gathered near partners),
-//!   [`epol_far_compact`] (binned-charge node-node interaction over
-//!   precompacted histogram rows) and [`epol_grad_block`] (frozen-radii
-//!   gradient of a targets × partners block). [`epol_near_block`] and
-//!   [`epol_far_entry`] are dense-slice conveniences over the same
-//!   kernels;
+//!   over its windows of `T_A` node ids), [`epol_near_runs`] (STILL
+//!   pair sums of a leaf against its near partners, stored as slot
+//!   [`Run`]s), [`epol_far_rows`] (binned-charge interaction of a leaf
+//!   with all its far nodes' precompacted histogram rows, laid end to
+//!   end as [`FarRows`]) and [`epol_grad_block`] (frozen-radii gradient
+//!   of a targets × partners block);
 //! * the one kernel the planner runs, `born_block_walk`: the Fig. 2
 //!   separation test of a `T_A` node against eight q-leaves in one
 //!   8-lane step, inside the joint walk that plans a Born block.
@@ -47,22 +46,32 @@
 //! only be obtained from `detect()`, so holding one proves the CPU has
 //! the tier's instructions; that proof is what makes the trait's
 //! methods safe to call, and every intrinsic in the crate sits inside
-//! an `impl Simd for` block behind it. Indexed loads go further: a
-//! window of eight ids becomes an `Ids` only after it has been checked
-//! against the shortest slice it will index (one `vpcmpud` on AVX-512),
-//! so `gather`/`scatter_mask` never touch memory outside their slice
-//! whatever ids a caller passes — an id out of range is a panic. The
-//! blocked Born kernels pay that check once per window, for up to eight
-//! leaves' terms.
+//! an `impl Simd for` block behind it. A window of eight ids becomes an
+//! `Ids` — what `gather`/`scatter_mask` take — only after it has been
+//! checked against the shortest slice it will index (one `vpcmpud` on
+//! AVX-512): an id out of range is a panic that names the whole window,
+//! whether or not a lane mask would have used it. The blocked Born
+//! kernels pay that check once per window, for up to eight leaves'
+//! terms.
+//!
+//! `gather` and `scatter_mask` are the same on every tier: eight scalar
+//! loads assembled into a register, and scalar stores of the lanes a
+//! mask names. No tier uses the hardware gather or scatter. On the
+//! AVX-512 host these kernels were tuned on, one `vgatherdpd zmm` costs
+//! 25 cycles (9.5 ns at 2.6 GHz; the `gather` rows of
+//! `crates/bench/benches/kernels.rs` reproduce it) against 6 for the
+//! eight loads and inserts, where a zmm FMA costs half a cycle — with
+//! hardware gathers the execute kernels were bound by how operands
+//! reached the lanes, not by the paper's arithmetic. CI fails if a
+//! gather or scatter intrinsic appears under `crates/*/src`.
 //!
 //! Each tier fixes its own op sequence, and the generic bodies do not
 //! vary it: `Portable` never contracts `a·b + c` (off the FMA units
 //! `mul_add` is a slow libm call) and divides for `1/x`; `Avx2` seeds
 //! `rsqrt` with the bit trick (4 Newton steps) and `rcp` with `rcpps`
-//! through an f32 round-trip (3 steps), gathers with scalar loads and
-//! blends with an AND mask; `Avx512` seeds both with the 2⁻¹⁴ hardware
-//! estimates (2 steps), gathers with `vgatherdpd` and blends through a
-//! mask register.
+//! through an f32 round-trip (3 steps) and blends with an AND mask;
+//! `Avx512` seeds both with the 2⁻¹⁴ hardware estimates (2 steps) and
+//! blends through a mask register.
 //!
 //! ## Why the bodies contain no closures
 //!
@@ -74,10 +83,8 @@
 //! intrinsics into it and every vector op turns into a call through
 //! memory (two closures cost the prototype of this design 17× on
 //! `warm_rescore`). The same
-//! goes for any non-`inline(always)` helper. Full id windows are read
-//! in place (a [`Window`]'s ids, `as_chunks::<8>()` of a flat list);
-//! only the ragged last window of a flat list is copied, because eight
-//! scalar stores reloaded as one vector stall on store forwarding.
+//! goes for any non-`inline(always)` helper. A [`Window`]'s ids are
+//! read in place.
 //!
 //! ## Accuracy contract and summation order
 //!
@@ -112,7 +119,6 @@
 //! blocked kernels compute those lanes and never store them.
 
 use crate::born::octree::QDipole;
-use crate::energy::octree::BinScheme;
 use polar_geom::Vec3;
 use polar_octree::NodeId;
 #[cfg(target_arch = "x86")]
@@ -198,25 +204,22 @@ mod tier {
     }
 }
 
-/// A window of eight ids, every one below `limit` and below 2³¹ (the
-/// hardware gather sign-extends 32-bit indices). Built only by
-/// [`checked`]; the invariant is what lets `Avx512::gather` and
-/// `Avx512::scatter_add` skip per-lane bounds checks.
+/// A window of eight ids that [`checked`] has held to a limit — the only
+/// way to make one, so [`Simd::gather`] and [`Simd::scatter_mask`] take
+/// no window whose bad id has not already been reported whole.
 #[derive(Clone, Copy)]
-struct Ids<'a> {
-    ids: &'a [u32; 8],
-    limit: usize,
-}
+struct Ids<'a>(&'a [u32; 8]);
 
 /// Check one id window against `limit` — the length of the shortest
 /// slice the window will index. Panics on an id out of range.
 #[inline(always)]
 fn checked<S: Simd>(s: S, ids: &[u32; 8], limit: usize) -> Ids<'_> {
+    // The AVX-512 check compares ids as 32-bit lanes.
     let limit = limit.min(1 << 31);
     if !s.ids_in_range(ids, limit) {
         id_out_of_range(ids, limit);
     }
-    Ids { ids, limit }
+    Ids(ids)
 }
 
 /// Out of line, so the kernels' loops carry no formatting state.
@@ -243,9 +246,20 @@ trait Simd: Copy {
     fn to_array(self, v: Self::V) -> [f64; 8];
     /// Whether every id is `< limit` (`limit ≤ 2³¹`).
     fn ids_in_range(self, ids: &[u32; 8], limit: usize) -> bool;
-    /// `src[ids[k]]` in lane `k`. Panics unless `src` is at least as
-    /// long as the limit `w` was checked against.
-    fn gather(self, src: &[f64], w: Ids<'_>) -> Self::V;
+    /// `src[ids[k]]` in lane `k`: eight scalar loads assembled into one
+    /// register, on every tier (see the module docs — the hardware
+    /// gather costs more). Panics if `src` is shorter than the limit `w`
+    /// was checked against and an id falls past it.
+    #[inline(always)]
+    fn gather(self, src: &[f64], w: Ids<'_>) -> Self::V {
+        // A plain loop: `array::map` takes a closure, which is compiled
+        // outside the tier's target features (see the module docs).
+        let mut lanes = [0.0; 8];
+        for k in 0..8 {
+            lanes[k] = src[w.0[k] as usize];
+        }
+        self.load(&lanes)
+    }
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn sub(self, a: Self::V, b: Self::V) -> Self::V;
     fn mul(self, a: Self::V, b: Self::V) -> Self::V;
@@ -273,10 +287,18 @@ trait Simd: Copy {
     fn gt_bits(self, a: Self::V, b: Self::V) -> u8;
     /// `on[k]` in the lanes whose bit is set, `off[k]` in the others.
     fn select(self, bits: u8, on: Self::V, off: Self::V) -> Self::V;
-    /// `dst[ids[k]] = v[k]` for the lanes whose bit is set; the other
-    /// lanes are not written. The ids of the set lanes must be distinct.
-    /// Panics like [`Simd::gather`].
-    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: Self::V, bits: u8);
+    /// `dst[ids[k]] = v[k]` for the lanes whose bit is set, as scalar
+    /// stores; the other lanes are not written. Panics like
+    /// [`Simd::gather`].
+    #[inline(always)]
+    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: Self::V, bits: u8) {
+        let lanes = self.to_array(v);
+        for k in 0..8 {
+            if bits >> k & 1 == 1 {
+                dst[w.0[k] as usize] = lanes[k];
+            }
+        }
+    }
 }
 
 /// The `fast_rsqrt` bit-trick seed (~3 % error).
@@ -285,16 +307,6 @@ const RSQRT_MAGIC: u64 = 0x5fe6_eb50_c7b5_37a9;
 const MANTISSA: u64 = (1 << 52) - 1;
 /// `2^k` has exponent field `k + 1023`; `m`'s mantissa holds `k + 2⁵¹`.
 const EXP2_BIAS: i64 = 1023 - (1 << 51);
-
-/// `dst[ids[k]] = v[k]` for the lanes whose bit is set.
-#[inline(always)]
-fn store_lanes(dst: &mut [f64], ids: &[u32; 8], v: &[f64; 8], bits: u8) {
-    for k in 0..8 {
-        if bits >> k & 1 == 1 {
-            dst[ids[k] as usize] = v[k];
-        }
-    }
-}
 
 impl Simd for Portable {
     type V = [f64; 8];
@@ -316,10 +328,6 @@ impl Simd for Portable {
     #[inline(always)]
     fn ids_in_range(self, ids: &[u32; 8], limit: usize) -> bool {
         ids.iter().all(|&i| (i as usize) < limit)
-    }
-    #[inline(always)]
-    fn gather(self, src: &[f64], w: Ids<'_>) -> [f64; 8] {
-        core::array::from_fn(|k| src[w.ids[k] as usize])
     }
     #[inline(always)]
     fn add(self, a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
@@ -388,10 +396,6 @@ impl Simd for Portable {
     fn select(self, bits: u8, on: [f64; 8], off: [f64; 8]) -> [f64; 8] {
         core::array::from_fn(|k| if bits >> k & 1 == 1 { on[k] } else { off[k] })
     }
-    #[inline(always)]
-    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: [f64; 8], bits: u8) {
-        store_lanes(dst, w.ids, &v, bits);
-    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -432,11 +436,6 @@ impl Simd for Avx2 {
     #[inline(always)]
     fn ids_in_range(self, ids: &[u32; 8], limit: usize) -> bool {
         Portable.ids_in_range(ids, limit)
-    }
-    /// Eight scalar loads: on AVX2 they beat the 4-wide `vgatherdpd`.
-    #[inline(always)]
-    fn gather(self, src: &[f64], w: Ids<'_>) -> Self::V {
-        self.load(&Portable.gather(src, w))
     }
     #[inline(always)]
     fn add(self, a: Self::V, b: Self::V) -> Self::V {
@@ -572,10 +571,6 @@ impl Simd for Avx2 {
             ]
         }
     }
-    #[inline(always)]
-    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: Self::V, bits: u8) {
-        store_lanes(dst, w.ids, &self.to_array(v), bits);
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -615,18 +610,6 @@ impl Simd for Avx512 {
             let v = _mm512_zextsi256_si512(_mm256_loadu_si256(ids.as_ptr().cast()));
             _mm512_cmplt_epu32_mask(v, _mm512_set1_epi32(limit as u32 as i32)) == 0xffff
         }
-    }
-    #[inline(always)]
-    fn gather(self, src: &[f64], w: Ids<'_>) -> __m512d {
-        assert!(
-            w.limit <= src.len(),
-            "gather source shorter than the checked limit"
-        );
-        // SAFETY: `self` proves AVX-512F. Every id is below
-        // `w.limit ≤ src.len()`, so each lane reads inside `src`, and
-        // below 2³¹, so the sign-extended index is the id; scale 8 is
-        // `size_of::<f64>()`.
-        unsafe { _mm512_i32gather_pd::<8>(_mm256_loadu_si256(w.ids.as_ptr().cast()), src.as_ptr()) }
     }
     #[inline(always)]
     fn add(self, a: __m512d, b: __m512d) -> __m512d {
@@ -709,19 +692,6 @@ impl Simd for Avx512 {
     fn select(self, bits: u8, on: __m512d, off: __m512d) -> __m512d {
         // SAFETY: `self` proves AVX-512F.
         unsafe { _mm512_mask_blend_pd(bits, off, on) }
-    }
-    #[inline(always)]
-    fn scatter_mask(self, dst: &mut [f64], w: Ids<'_>, v: __m512d, bits: u8) {
-        assert!(
-            w.limit <= dst.len(),
-            "scatter target shorter than the checked limit"
-        );
-        // SAFETY: as in `gather`, every lane addresses inside `dst`,
-        // which is exclusively borrowed; unset lanes are not stored.
-        unsafe {
-            let idx = _mm256_loadu_si256(w.ids.as_ptr().cast());
-            _mm512_mask_i32scatter_pd::<8>(dst.as_mut_ptr(), bits, idx, v);
-        }
     }
 }
 
@@ -1072,9 +1042,8 @@ fn born_far_blocks_body<S: Simd>(
 ) {
     assert_leaves_in_block(first, leaves.len());
     let limit = common_len(&an).min(s_node.len());
-    // The centers and `s_node` fit in L1 for realistic trees, so the
-    // loop is bound by gather throughput; out-of-order execution
-    // overlaps consecutive windows.
+    // The centers and `s_node` fit in L1 for realistic trees;
+    // out-of-order execution overlaps consecutive windows.
     for win in windows {
         let w = checked(s, &win.ids, limit);
         let rows = &win.by_leaf[first..first + leaves.len()];
@@ -1130,6 +1099,16 @@ pub(crate) struct WalkNode {
     pub leaf: bool,
 }
 
+/// The q-leaves of one block as the joint walk reads them: center x, y,
+/// z and radius, one leaf per lane. Aligned to a cache line because the
+/// walk's loop reads the four rows from here on every node — they are
+/// reloaded, not held in registers, across its `push` calls — and rows
+/// that straddle two lines made the walk 30 % slower, or not, depending
+/// on how deep the caller's stack happened to be.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+pub(crate) struct QLeafLanes(pub [[f64; 8]; 4]);
+
 /// What one block's joint walk of `T_A` decided.
 #[derive(Debug, Default)]
 pub(crate) struct BlockWalk {
@@ -1166,7 +1145,7 @@ fn separation_test<S: Simd>(s: S, node: &WalkNode, q: &[S::V; 4], factor: S::V) 
 fn born_block_walk_body<S: Simd>(
     s: S,
     table: &[WalkNode],
-    q: &[[f64; 8]; 4],
+    q: &QLeafLanes,
     active: u8,
     factor: f64,
     out: &mut BlockWalk,
@@ -1175,7 +1154,12 @@ fn born_block_walk_body<S: Simd>(
     out.near.clear();
     out.near_blocks = [0; QLEAF_BLOCK];
     out.visited = 0;
-    let q = [s.load(&q[0]), s.load(&q[1]), s.load(&q[2]), s.load(&q[3])];
+    let q = [
+        s.load(&q.0[0]),
+        s.load(&q.0[1]),
+        s.load(&q.0[2]),
+        s.load(&q.0[3]),
+    ];
     let factor = s.splat(factor);
     let mut margin = s.splat(f64::INFINITY);
     // The leaves still walking at each depth: a node's mask is what its
@@ -1226,7 +1210,7 @@ tiers! {
     /// walks.
     pub(crate) fn born_block_walk(
         table: &[WalkNode],
-        q: &[[f64; 8]; 4],
+        q: &QLeafLanes,
         active: u8,
         factor: f64,
         out: &mut BlockWalk,
@@ -1336,170 +1320,202 @@ fn epol_near_window<S: Simd>(
     acc
 }
 
+/// A maximal run of consecutive atom slots, `start..start + len`, in an
+/// energy-stage near list: Morton order keeps a partner leaf's atoms —
+/// and usually its neighbours' — side by side, so a source leaf's
+/// partners are a few long runs rather than many ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct Run {
+    pub start: u32,
+    pub len: u32,
+}
+
+impl Run {
+    /// The slots of the run.
+    #[inline(always)]
+    pub fn slots(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// Out of line, like [`id_out_of_range`].
+#[cold]
+#[inline(never)]
+fn run_out_of_range(run: Run, limit: usize) -> ! {
+    panic!("lane id out of range: {run:?} must end at or below {limit}")
+}
+
+/// The full eight-slot windows of `col[slots]`.
 #[inline(always)]
-fn epol_near_gather_body<S: Simd>(s: S, idx: &[u32], a: [&[f64]; 6], u: [&[f64]; 6]) -> f64 {
+fn windows_of(col: &[f64], slots: std::ops::Range<usize>) -> &[[f64; 8]] {
+    col[slots].as_chunks::<8>().0
+}
+
+#[inline(always)]
+fn epol_near_runs_body<S: Simd>(s: S, runs: &[Run], a: [&[f64]; 6], u: [&[f64]; 6]) -> f64 {
     let ((a, limit), (u, n_u)) = (Atoms::new(a), Atoms::new(u));
-    if idx.is_empty() || n_u == 0 {
+    if n_u == 0 {
         return 0.0;
     }
+    let limit = limit.min(1 << 31);
     let mut acc = (s.splat(0.0), s.splat(0.0));
-    let (windows, rem) = idx.as_chunks::<8>();
-    for ids in windows {
-        let b = Lanes::gather(s, a, checked(s, ids, limit));
-        acc = epol_near_window(s, &b, u, acc);
+    // The window being assembled across a run boundary.
+    let (mut ids, mut held) = ([0u32; 8], 0);
+    for &run in runs {
+        let std::ops::Range { start: mut at, end } = run.slots();
+        if end > limit {
+            run_out_of_range(run, limit);
+        }
+        while held > 0 && at < end {
+            ids[held] = at as u32;
+            (held, at) = (held + 1, at + 1);
+            if held == 8 {
+                let b = Lanes::gather(s, a, checked(s, &ids, limit));
+                acc = epol_near_window(s, &b, u, acc);
+                held = 0;
+            }
+        }
+        // Inside the run a window is six contiguous loads, in range
+        // because the run is.
+        let body = at..end;
+        let (x, y, z) = (
+            windows_of(a.x, body.clone()),
+            windows_of(a.y, body.clone()),
+            windows_of(a.z, body.clone()),
+        );
+        let (q, r, ri) = (
+            windows_of(a.q, body.clone()),
+            windows_of(a.r, body.clone()),
+            windows_of(a.ri, body),
+        );
+        for j in 0..x.len() {
+            let b = Lanes::load(s, [&x[j], &y[j], &z[j], &q[j], &r[j], &ri[j]]);
+            acc = epol_near_window(s, &b, u, acc);
+        }
+        for slot in at + 8 * x.len()..end {
+            ids[held] = slot as u32;
+            held += 1;
+        }
     }
-    if !rem.is_empty() {
-        let mut b = Lanes::gather(s, a, checked(s, &pad_last(rem), limit));
+    if held > 0 {
+        let mut b = Lanes::gather(s, a, checked(s, &pad_last(&ids[..held]), limit));
         // The replicated lanes are real atoms (their f_GB stays
         // positive); zeroing their charge removes the duplicates.
-        b.q = s.load(&pad8(&s.to_array(b.q)[..rem.len()], 0.0));
+        b.q = s.load(&pad8(&s.to_array(b.q)[..held], 0.0));
         acc = epol_near_window(s, &b, u, acc);
     }
     hsum(s, s.add(acc.0, acc.1))
 }
 
 tiers! {
-    /// Energy near kernel: returns `Σ_{a∈U, b∈idx} q_a q_b /
+    /// Energy near kernel: returns `Σ_{a∈U, b∈runs} q_a q_b /
     /// f_GB(r²_ab, R_a, R_b)` with exact-grade lane math. The lane side
-    /// is `idx` into the slot-indexed atom SoA columns `a` (gathered
-    /// eight at a time, amortized over every U atom — no dense scratch
-    /// fill); `u` holds the broadcast side. Both are columns x, y, z,
-    /// charge, Born radius and reciprocal Born radius (the execute phase
-    /// computes the reciprocals once per segment). One horizontal sum at
-    /// the end, low → high.
+    /// is the slots of `runs`, taken eight at a time **as if the runs
+    /// were one flat list** — so a lane holds the atom it would hold if
+    /// every slot were stored, whatever the run lengths: a window inside
+    /// one run is six contiguous loads from the slot-indexed atom
+    /// columns `a`, a window that straddles runs gathers its eight
+    /// slots, and the ragged last window repeats its last slot with the
+    /// charge zeroed. `u` holds the broadcast side. Both are columns x,
+    /// y, z, charge, Born radius and reciprocal Born radius. One
+    /// horizontal sum at the end, low → high.
     ///
     /// # Panics
-    /// If an id is out of range for `a`, or the columns of one side
-    /// differ in length.
-    pub fn epol_near_gather(idx: &[u32], a: [&[f64]; 6], u: [&[f64]; 6]) -> f64
-        = epol_near_gather_body
+    /// If a run ends outside `a`, or the columns of one side differ in
+    /// length.
+    pub fn epol_near_runs(runs: &[Run], a: [&[f64]; 6], u: [&[f64]; 6]) -> f64
+        = epol_near_runs_body
 }
 
-/// Dense form of [`epol_near_gather`] that computes the Born radius
-/// reciprocals itself: `u*`/`v*` are the two leaves' slot ranges of
-/// positions, charges and Born radii, and the lanes run over all of `V`.
-#[allow(clippy::too_many_arguments)]
-pub fn epol_near_block(
-    ux: &[f64],
-    uy: &[f64],
-    uz: &[f64],
-    uq: &[f64],
-    ur: &[f64],
-    vx: &[f64],
-    vy: &[f64],
-    vz: &[f64],
-    vq: &[f64],
-    vr: &[f64],
-) -> f64 {
-    let uri: Vec<f64> = ur.iter().map(|&r| 1.0 / r).collect();
-    let vri: Vec<f64> = vr.iter().map(|&r| 1.0 / r).collect();
-    let all_v: Vec<u32> = (0..vx.len() as u32).collect();
-    let (u, v) = ([ux, uy, uz, uq, ur, &uri], [vx, vy, vz, vq, vr, &vri]);
-    epol_near_gather(&all_v, v, u)
+/// The far-field rows one source leaf `V` meets, laid end to end: for
+/// every real (nonzero-charge) bin of every far node `U`, the bin's
+/// charge and representative radius, `−d²_UV/(4·R)` and `d²_UV`. Lanes
+/// then run over bins of *all* the leaf's far nodes at once and are full
+/// but for one ragged tail per leaf, where a lane pass per (U, V) entry
+/// has `nz(V)` ≈ 1–3 of eight lanes live.
+#[derive(Debug, Default)]
+pub struct FarRows {
+    q: Vec<f64>,
+    r: Vec<f64>,
+    /// `−¼·d²·R⁻¹`: times `R_v⁻¹` it is the exponent argument, so the
+    /// term stays division-free.
+    s: Vec<f64>,
+    d_sq: Vec<f64>,
+}
+
+impl FarRows {
+    /// Empty the rows, keeping their capacity for the next leaf.
+    pub fn clear(&mut self) {
+        for col in [&mut self.q, &mut self.r, &mut self.s, &mut self.d_sq] {
+            col.clear();
+        }
+    }
+
+    /// Append one far node's real bins — charges, radii and radius
+    /// reciprocals (see
+    /// [`crate::energy::octree::EpolCtx::compact_row`]) — at squared
+    /// center distance `d_sq` from the source leaf.
+    ///
+    /// # Panics
+    /// If the three rows differ in length.
+    pub fn push_row(&mut self, d_sq: f64, u: [&[f64]; 3]) {
+        let n = common_len(&u);
+        self.q.extend_from_slice(u[0]);
+        self.r.extend_from_slice(u[1]);
+        self.s.extend(u[2].iter().map(|&ri| -0.25 * d_sq * ri));
+        self.d_sq.extend(std::iter::repeat_n(d_sq, n));
+    }
+}
+
+/// Eight far terms `q_u q_v / f_GB(d², R_u, R_v)`, one row entry per
+/// lane (`u`: charge, radius, `−¼d²/R`, `d²`), against the broadcast bin
+/// `v` (charge, radius, radius reciprocal).
+#[inline(always)]
+fn epol_far_term<S: Simd>(s: S, u: [&[f64; 8]; 4], v: [S::V; 3]) -> S::V {
+    let rr = s.mul(v[1], s.load(u[1]));
+    let arg = s.mul(s.load(u[2]), v[2]);
+    let f2 = s.fma(rr, exp(s, arg), s.load(u[3]));
+    s.mul(s.mul(s.load(u[0]), v[0]), rsqrt(s, f2))
 }
 
 #[inline(always)]
-fn epol_far_compact_body<S: Simd>(s: S, d_sq: f64, u: [&[f64]; 3], v: [&[f64]; 3]) -> f64 {
-    let (n_u, [uq, ur, uri]) = (common_len(&u), u);
-    let (vq, _) = v[0].as_chunks::<8>();
-    let (vr, _) = v[1].as_chunks::<8>();
-    let (vri, _) = v[2].as_chunks::<8>();
-    assert!(
-        common_len(&v) == 8 * vq.len(),
-        "V rows must be padded to a LANE_WIDTH multiple"
-    );
-    let d2 = s.splat(d_sq);
+fn epol_far_rows_body<S: Simd>(s: S, rows: &FarRows, v: [&[f64]; 3]) -> f64 {
+    let (n_v, [vq, vr, vri]) = (common_len(&v), v);
+    let (q, tq) = rows.q.as_chunks::<8>();
+    let (r, tr) = rows.r.as_chunks::<8>();
+    let (su, ts) = rows.s.as_chunks::<8>();
+    let (d_sq, td) = rows.d_sq.as_chunks::<8>();
+    // The ragged tail, padded once per leaf: charge 0 makes the padded
+    // terms vanish, radius 1 at distance 1 keeps their f_GB positive.
+    let tail = [pad8(tq, 0.0), pad8(tr, 1.0), pad8(ts, 0.0), pad8(td, 1.0)];
     let mut acc = s.splat(0.0);
-    for i in 0..n_u {
-        let qul = s.splat(uq[i]);
-        let pul = s.splat(ur[i]);
-        let su = s.splat(-0.25 * d_sq * uri[i]);
-        for j in 0..vq.len() {
-            let rr = s.mul(pul, s.load(&vr[j]));
-            let arg = s.mul(su, s.load(&vri[j]));
-            let f2 = s.fma(rr, exp(s, arg), d2);
-            acc = s.add(acc, s.mul(s.mul(qul, s.load(&vq[j])), rsqrt(s, f2)));
+    for i in 0..n_v {
+        let bin = [s.splat(vq[i]), s.splat(vr[i]), s.splat(vri[i])];
+        for j in 0..q.len() {
+            acc = s.add(acc, epol_far_term(s, [&q[j], &r[j], &su[j], &d_sq[j]], bin));
+        }
+        if !tq.is_empty() {
+            let [q, r, su, d_sq] = &tail;
+            acc = s.add(acc, epol_far_term(s, [q, r, su, d_sq], bin));
         }
     }
     hsum(s, acc)
 }
 
 tiers! {
-    /// One far (U, V) entry of the energy stage over *compacted*
-    /// histogram rows (see
-    /// [`crate::energy::octree::EpolCtx::compact_row`]): `u` holds U's
-    /// nonzero bin charges, representative radii and radius reciprocals
-    /// (real entries only); `v` holds the same three rows but padded to
-    /// a [`LANE_WIDTH`] multiple with charge 0 / radius 1, so every
-    /// chunk is a full lane and padded terms vanish exactly.
-    /// Division-free: the exponent argument factorizes as
-    /// `(−d²/4·R_u⁻¹)·R_v⁻¹`.
+    /// The whole far field of one source leaf of the energy stage in one
+    /// lane pass: `Σ q_u q_v / f_GB(d²_UV, R_u, R_v)` over every entry of
+    /// `rows` and every bin of `v` — the leaf's own real bins as charges,
+    /// representative radii and radius reciprocals, each broadcast over
+    /// the rows. Every term is the one a pass per (U, V) entry computes;
+    /// only the order they are summed in is the rows'. One horizontal
+    /// sum per leaf, low → high.
     ///
     /// # Panics
-    /// If the rows of one side differ in length or the V rows are not a
-    /// [`LANE_WIDTH`] multiple.
-    pub fn epol_far_compact(d_sq: f64, u: [&[f64]; 3], v: [&[f64]; 3]) -> f64
-        = epol_far_compact_body
-}
-
-/// Upper bound on histogram length, mirrored from [`BinScheme`]'s
-/// `MAX_BINS` cap so the nonzero-bin gather fits on the stack.
-const MAX_BINS: usize = 256;
-
-/// Compact one histogram row onto the stack: charge, bin radius and
-/// radius reciprocal for every nonzero bin. With `pad`, the row is
-/// extended to a [`LANE_WIDTH`] multiple with charge 0 / radius 1 (the
-/// V-side contract of [`epol_far_compact`]). Returns `(real, padded)`
-/// lengths.
-fn hist_compact_row(
-    h: &[f64],
-    bins: &BinScheme,
-    pad: bool,
-    q: &mut [f64; MAX_BINS],
-    r: &mut [f64; MAX_BINS],
-    ri: &mut [f64; MAX_BINS],
-) -> (usize, usize) {
-    let mut n = 0;
-    for (i, &c) in h.iter().enumerate() {
-        if c != 0.0 {
-            let rad = bins.bin_radius(i);
-            q[n] = c;
-            r[n] = rad;
-            ri[n] = 1.0 / rad;
-            n += 1;
-        }
-    }
-    let mut padded = n;
-    if pad {
-        padded = n.div_ceil(LANE_WIDTH) * LANE_WIDTH;
-        for k in n..padded {
-            q[k] = 0.0;
-            r[k] = 1.0;
-            ri[k] = 1.0;
-        }
-    }
-    (n, padded)
-}
-
-/// Histogram-slice form of the far entry: compacts both rows on the
-/// stack, runs [`epol_far_compact`] and returns the energy together with
-/// the nonzero-pair evaluation count. The execute phase uses the
-/// precompacted rows directly; this form serves callers (and tests)
-/// holding plain dense histograms.
-pub fn epol_far_entry(d_sq: f64, hu: &[f64], hv: &[f64], bins: &BinScheme) -> (f64, u64) {
-    let (mut uq, mut ur, mut uri) = ([0.0; MAX_BINS], [0.0; MAX_BINS], [0.0; MAX_BINS]);
-    let (mut vq, mut vr, mut vri) = ([0.0; MAX_BINS], [0.0; MAX_BINS], [0.0; MAX_BINS]);
-    let (nu, _) = hist_compact_row(hu, bins, false, &mut uq, &mut ur, &mut uri);
-    let (nv, pv) = hist_compact_row(hv, bins, true, &mut vq, &mut vr, &mut vri);
-    if nu == 0 || nv == 0 {
-        return (0.0, 0);
-    }
-    let e = epol_far_compact(
-        d_sq,
-        [&uq[..nu], &ur[..nu], &uri[..nu]],
-        [&vq[..pv], &vr[..pv], &vri[..pv]],
-    );
-    (e, (nu * nv) as u64)
+    /// If the rows of `v` differ in length.
+    pub fn epol_far_rows(rows: &FarRows, v: [&[f64]; 3]) -> f64
+        = epol_far_rows_body
 }
 
 /// One target against eight partners:
@@ -1609,8 +1625,8 @@ tiers! {
     /// Partner columns shorter than a lane multiple are tail-padded in
     /// registers (positions clamped, charges zeroed), which is only
     /// count-safe when real partners cannot coincide with targets (far
-    /// blocks); gathered near blocks must be pre-padded by the caller
-    /// with far sentinel positions instead.
+    /// blocks); near blocks must be pre-padded by the caller with far
+    /// sentinel positions instead.
     ///
     /// # Panics
     /// If the columns of one side differ in length or a `g` slice is
@@ -1625,6 +1641,7 @@ mod tests {
     use crate::born::octree::BornKernel;
     use crate::energy::exact::gb_pair;
     use crate::energy::gradient::pair_dedr_over_r;
+    use crate::energy::octree::BinScheme;
     use polar_geom::{MathMode, Vec3};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -2100,119 +2117,188 @@ mod tests {
         sum
     }
 
+    /// One one-slot run per id: every window is assembled on the stack
+    /// and gathered, whatever the ids.
+    fn one_slot_runs(ids: &[u32]) -> Vec<Run> {
+        Vec::from_iter(ids.iter().map(|&start| Run { start, len: 1 }))
+    }
+
+    fn runs(shape: &[(u32, u32)]) -> Vec<Run> {
+        Vec::from_iter(shape.iter().map(|&(start, len)| Run { start, len }))
+    }
+
     #[test]
-    fn epol_near_gather_matches_gb_pair_on_every_tier() {
-        // (broadcast atoms, ids): full windows, ragged and single-element
-        // tails, odd and even broadcast counts, and the 2.5k-globule
-        // shape (a ~3-atom leaf × its gathered partners).
-        for (n_u, n) in [(8, 8), (5, 17), (1, 1), (11, 2), (2, 9), (3, 90)] {
-            let pool = 277;
+    fn epol_near_runs_matches_gb_pair_on_every_tier() {
+        let pool = 277;
+        let many_short = Vec::from_iter((0..40).map(|k| (k * 5, 1 + k % 3)));
+        // (what, broadcast atoms, runs). The broadcast counts are odd and
+        // even; (3, 361 slots in five runs) is the 2.5k-globule shape.
+        type Shape<'a> = (&'a str, usize, &'a [(u32, u32)]);
+        let shapes: [Shape<'_>; 10] = [
+            ("one slot", 1, &[(5, 1)]),
+            ("seven", 2, &[(3, 7)]),
+            ("one window", 8, &[(16, 8)]),
+            ("nine", 5, &[(1, 9)]),
+            ("ending at the last slot", 3, &[(40, 8), (277 - 21, 21)]),
+            ("many short runs", 4, &many_short),
+            (
+                "straddling windows",
+                11,
+                &[(0, 5), (100, 6), (9, 13), (200, 1), (50, 31)],
+            ),
+            ("ragged tail", 2, &[(7, 16), (90, 3)]),
+            ("unmerged neighbours", 3, &[(10, 4), (14, 4), (18, 11)]),
+            (
+                "globule leaf",
+                3,
+                &[(2, 131), (140, 17), (160, 96), (0, 64), (200, 53)],
+            ),
+        ];
+        for (what, n_u, shape) in shapes {
             let mut seed = 0xabc + n_u as u64;
             let (u, mut a) = (
                 atoms_fixture(n_u, &mut seed),
                 atoms_fixture(pool, &mut seed),
             );
-            for (order, ids) in id_lists(n, pool) {
-                // An exact self-pair (r = 0, the Born self-energy).
-                for k in 0..6 {
-                    a[k][ids[0] as usize] = u[k][0];
+            let runs = runs(shape);
+            let ids = Vec::from_iter(runs.iter().flat_map(|r| r.slots()).map(|s| s as u32));
+            // An exact self-pair (r = 0, the Born self-energy).
+            for k in 0..6 {
+                a[k][ids[0] as usize] = u[k][0];
+            }
+            let want = epol_near_scalar(&u, &a, &ids);
+            let mut per_tier = Vec::new();
+            each_tier!(|s, tier| {
+                let got = epol_near_runs_body(s, &runs, cols(&a), cols(&u));
+                assert!(rel(got, want) < 1e-13, "{tier} {what}: {got} vs {want}");
+                // A lane holds the atom it holds in the flat list, loaded
+                // or gathered: the same bits.
+                let gathered = epol_near_runs_body(s, &one_slot_runs(&ids), cols(&a), cols(&u));
+                assert_eq!(
+                    got.to_bits(),
+                    gathered.to_bits(),
+                    "{tier} {what}: gather path"
+                );
+                per_tier.push(vec![got]);
+            });
+            let dispatched = epol_near_runs(&runs, cols(&a), cols(&u));
+            assert_widest(&per_tier, &[dispatched]);
+        }
+        // Ids in any order, through the gather path alone.
+        let mut seed = 0xabd;
+        let (u, a) = (atoms_fixture(5, &mut seed), atoms_fixture(pool, &mut seed));
+        for (order, ids) in id_lists(17, pool) {
+            let want = epol_near_scalar(&u, &a, &ids);
+            each_tier!(|s, tier| {
+                let got = epol_near_runs_body(s, &one_slot_runs(&ids), cols(&a), cols(&u));
+                assert!(rel(got, want) < 1e-13, "{tier} {order}: {got} vs {want}");
+            });
+        }
+        assert_eq!(epol_near_runs(&[], cols(&a), cols(&u)), 0.0);
+        let no_u = atoms_fixture(0, &mut seed);
+        assert_eq!(epol_near_runs(&runs(&[(0, 9)]), cols(&a), cols(&no_u)), 0.0);
+    }
+
+    #[test]
+    fn epol_far_rows_matches_the_per_entry_scalar_loop_on_every_tier() {
+        let born: Vec<f64> = (0..40).map(|i| 1.0 + 0.15 * i as f64).collect();
+        let bins = BinScheme::new(&born, 0.1);
+        let nb = bins.nbins;
+        assert!(nb >= 8);
+        let mut seed = 0x9d0u64;
+        // A histogram with a charge in every bin `keep` accepts, and its
+        // compacted row (charges, radii, reciprocals).
+        let mut hist = |keep: &dyn Fn(usize) -> bool| {
+            let h =
+                Vec::from_iter((0..nb).map(|k| keep(k) as u8 as f64 * rng(&mut seed, 0.1, 0.5)));
+            let real = Vec::from_iter((0..nb).filter(|&k| h[k] != 0.0));
+            let row = [
+                Vec::from_iter(real.iter().map(|&k| h[k])),
+                Vec::from_iter(real.iter().map(|&k| bins.bin_radius(k))),
+                Vec::from_iter(real.iter().map(|&k| 1.0 / bins.bin_radius(k))),
+            ];
+            (h, row)
+        };
+        // Far nodes with 1 (a single-bin U), 2, 3 and 8 real bins, in
+        // lists that end on a full lane and on a ragged one.
+        let us = [
+            hist(&|k| k == 2),
+            hist(&|k| k % 4 == 1),
+            hist(&|k| k % 3 == 0),
+            hist(&|k| k < 8),
+        ];
+        let lists: [&[usize]; 4] = [&[], &[0], &[3, 3], &[1, 0, 2, 3, 0, 1, 1, 2, 0]];
+        for (vh, vrow) in [hist(&|k| k == 5), hist(&|k| k % 2 == 0), hist(&|k| k < 8)] {
+            for list in lists {
+                let mut rows = FarRows::default();
+                let (mut want, mut want_evals) = (0.0, 0usize);
+                for (entry, &node) in list.iter().enumerate() {
+                    let (uh, urow) = &us[node];
+                    let d_sq = 400.0 + 37.0 * entry as f64;
+                    rows.push_row(d_sq, cols(urow));
+                    for (i, &qu) in uh.iter().enumerate().filter(|(_, &q)| q != 0.0) {
+                        for (j, &qv) in vh.iter().enumerate().filter(|(_, &q)| q != 0.0) {
+                            let rr = bins.radius_product(i, j);
+                            want += qu * qv / (d_sq + rr * (-d_sq / (4.0 * rr)).exp()).sqrt();
+                            want_evals += 1;
+                        }
+                    }
                 }
-                let want = epol_near_scalar(&u, &a, &ids);
+                let what = format!("nz(V) {} over {list:?}", vrow[0].len());
+                assert_eq!(rows.q.len() * vrow[0].len(), want_evals, "{what}: evals");
                 let mut per_tier = Vec::new();
                 each_tier!(|s, tier| {
-                    let got = epol_near_gather_body(s, &ids, cols(&a), cols(&u));
-                    assert!(rel(got, want) < 1e-13, "{tier} {order} {n_u}x{n}: {got}");
-                    let again = epol_near_gather_body(s, &ids, cols(&a), cols(&u));
-                    assert_eq!(got.to_bits(), again.to_bits(), "{tier}: not deterministic");
-                    per_tier.push(vec![got]);
+                    let e = epol_far_rows_body(s, &rows, cols(&vrow));
+                    assert!(
+                        rel(e, want) < 1e-13 || e == want,
+                        "{tier} {what}: {e} vs {want}"
+                    );
+                    let again = epol_far_rows_body(s, &rows, cols(&vrow));
+                    assert_eq!(e.to_bits(), again.to_bits(), "{tier}: not deterministic");
+                    per_tier.push(vec![e]);
                 });
-                let dispatched = epol_near_gather(&ids, cols(&a), cols(&u));
-                assert_widest(&per_tier, &[dispatched]);
+                assert_widest(&per_tier, &[epol_far_rows(&rows, cols(&vrow))]);
+                // Refilled rows hold nothing of the last leaf.
+                rows.clear();
+                assert_eq!(epol_far_rows(&rows, cols(&vrow)), 0.0);
             }
         }
     }
 
     #[test]
-    fn epol_near_block_is_the_dense_form() {
-        let mut seed = 0xfeed;
-        let (u, v) = (atoms_fixture(19, &mut seed), atoms_fixture(21, &mut seed));
-        let want = epol_near_scalar(&u, &v, &Vec::from_iter(0..21));
-        let got = epol_near_block(
-            &u[0], &u[1], &u[2], &u[3], &u[4], &v[0], &v[1], &v[2], &v[3], &v[4],
-        );
-        assert!(rel(got, want) < 1e-13, "{got} vs {want}");
-        let none = epol_near_block(&u[0], &u[1], &u[2], &u[3], &u[4], &[], &[], &[], &[], &[]);
-        assert_eq!(none, 0.0);
-    }
-
-    #[test]
-    fn epol_far_matches_scalar_and_counts_evals() {
-        let born: Vec<f64> = (0..40).map(|i| 1.0 + 0.15 * i as f64).collect();
-        let bins = BinScheme::new(&born, 0.9);
-        let mut s = 0x9d0u64;
-        let nb = bins.nbins;
-        let mut hu = vec![0.0; nb];
-        let mut hv = vec![0.0; nb];
-        for k in 0..nb {
-            if k % 2 == 0 {
-                hu[k] = rng(&mut s, -0.5, 0.5);
+    fn gather_and_scatter_mask_move_the_same_lanes_on_every_tier() {
+        let mut seed = 0x6a7;
+        let src = column(&mut seed, 40, -9.0, 9.0);
+        // Distinct ids, the last slot, and a padded window whose unused
+        // lanes repeat its last id (as the plan pads a Born list).
+        let windows: [([u32; 8], u8); 4] = [
+            ([0, 1, 2, 3, 4, 5, 6, 7], 0xff),
+            ([39, 0, 17, 5, 38, 20, 1, 9], 0b1010_0101),
+            ([3, 9, 4, 4, 4, 4, 4, 4], 0b0000_0111),
+            ([12; 8], 0),
+        ];
+        for (ids, mask) in windows {
+            let want = ids.map(|id| src[id as usize]);
+            let v: [f64; 8] = core::array::from_fn(|k| 100.0 + k as f64);
+            let mut want_dst = src.clone();
+            for k in (0..8).filter(|k| mask >> k & 1 == 1) {
+                want_dst[ids[k] as usize] = v[k];
             }
-            if k % 3 == 0 {
-                hv[k] = rng(&mut s, -0.5, 0.5);
-            }
+            each_tier!(|s, tier| {
+                let got = s.to_array(s.gather(&src, checked(s, &ids, src.len())));
+                assert_eq!(bits(&got), bits(&want), "{tier} gather {ids:?}");
+                let mut dst = src.clone();
+                s.scatter_mask(&mut dst, checked(s, &ids, 40), s.load(&v), mask);
+                assert_eq!(bits(&dst), bits(&want_dst), "{tier} scatter {ids:?}");
+            });
         }
-        let d_sq = 900.0;
-        let mut want = 0.0;
-        let mut want_evals = 0u64;
-        for (i, &qu) in hu.iter().enumerate() {
-            if qu == 0.0 {
-                continue;
-            }
-            for (j, &qv) in hv.iter().enumerate() {
-                if qv == 0.0 {
-                    continue;
-                }
-                let rr = bins.radius_product(i, j);
-                let f = (d_sq + rr * (-d_sq / (4.0 * rr)).exp()).sqrt();
-                want += qu * qv / f;
-                want_evals += 1;
-            }
-        }
-        let (got, evals) = epol_far_entry(d_sq, &hu, &hv, &bins);
-        assert!(rel(got, want) < 1e-13, "{got} vs {want}");
-        assert_eq!(evals, want_evals);
-        // Empty histograms short-circuit.
-        let (z, e0) = epol_far_entry(d_sq, &vec![0.0; nb], &hv, &bins);
-        assert_eq!((z, e0), (0.0, 0));
-
-        // The same rows on every tier.
-        let (mut uq, mut ur, mut uri) = ([0.0; MAX_BINS], [0.0; MAX_BINS], [0.0; MAX_BINS]);
-        let (mut vq, mut vr, mut vri) = ([0.0; MAX_BINS], [0.0; MAX_BINS], [0.0; MAX_BINS]);
-        let (nu, _) = hist_compact_row(&hu, &bins, false, &mut uq, &mut ur, &mut uri);
-        let (_, pv) = hist_compact_row(&hv, &bins, true, &mut vq, &mut vr, &mut vri);
-        let (u, v) = (
-            [&uq[..nu], &ur[..nu], &uri[..nu]],
-            [&vq[..pv], &vr[..pv], &vri[..pv]],
-        );
-        let mut per_tier = Vec::new();
         each_tier!(|s, tier| {
-            let e = epol_far_compact_body(s, d_sq, u, v);
-            assert!(rel(e, want) < 1e-13, "{tier}: {e} vs {want}");
-            let again = epol_far_compact_body(s, d_sq, u, v);
-            assert_eq!(e.to_bits(), again.to_bits(), "{tier}: not deterministic");
-            per_tier.push(vec![e]);
+            for bad in [40, u32::MAX, 1 << 31] {
+                let ids = [0, 1, 2, bad, 4, 5, 6, 7];
+                let out = catch_unwind(|| s.gather(&src, checked(s, &ids, src.len())));
+                assert!(out.is_err(), "{tier} gathered id {bad} of 40");
+            }
         });
-        assert_widest(&per_tier, &[got]);
-    }
-
-    #[test]
-    #[should_panic(expected = "LANE_WIDTH multiple")]
-    fn epol_far_compact_rejects_unpadded_rows() {
-        epol_far_compact(
-            900.0,
-            [&[0.1], &[1.0], &[1.0]],
-            [&[0.1; 9], &[1.0; 9], &[1.0; 9]],
-        );
     }
 
     #[test]
@@ -2299,7 +2385,7 @@ mod tests {
                 let far = catch_unwind(AssertUnwindSafe(|| {
                     born_far_blocks_body(s, &win, 0, &far_leaf, xyz, &mut vec![0.0; short])
                 }));
-                let epol = catch_unwind(|| epol_near_gather_body(s, ids, a6, u6));
+                let epol = catch_unwind(|| epol_near_runs_body(s, &one_slot_runs(ids), a6, u6));
                 assert!(near.is_err(), "{tier} born_near_blocks accepted {ids:?}");
                 assert!(far.is_err(), "{tier} born_far_blocks accepted {ids:?}");
                 assert!(
@@ -2369,9 +2455,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn epol_near_gather_rejects_an_out_of_range_id() {
+    fn epol_near_runs_rejects_a_run_past_the_columns() {
         let mut seed = 3;
         let (a, u) = (atoms_fixture(12, &mut seed), atoms_fixture(2, &mut seed));
-        epol_near_gather(&[3, 99, 4], cols(&a), cols(&u));
+        epol_near_runs(&runs(&[(0, 3), (8, 5)]), cols(&a), cols(&u));
     }
 }

@@ -18,7 +18,7 @@ use crate::born::octree::{
 use crate::constants::tau;
 use crate::energy::exact as energy_exact;
 use crate::energy::gradient::GradientError;
-use crate::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use crate::energy::octree::{epol_for_leaf_segment, EpolBuffers, EpolCtx};
 use crate::eval::LeafEval;
 use crate::kernels::KernelMode;
 use crate::partition::even_segments;
@@ -134,8 +134,7 @@ pub struct SolveScratch {
     partials: BornPartials,
     born: Vec<f64>,
     born_slot: Vec<f64>,
-    hist: Vec<f64>,
-    nonzero_bins: Vec<u32>,
+    epol: EpolBuffers,
     /// Number of solves that have run out of this arena.
     pub reuses: u64,
 }
@@ -151,8 +150,7 @@ impl SolveScratch {
             },
             born: Vec::new(),
             born_slot: Vec::new(),
-            hist: Vec::new(),
-            nonzero_bins: Vec::new(),
+            epol: EpolBuffers::default(),
             reuses: 0,
         }
     }
@@ -162,10 +160,9 @@ impl SolveScratch {
         (self.partials.s_node.capacity()
             + self.partials.s_atom.capacity()
             + self.born.capacity()
-            + self.born_slot.capacity()
-            + self.hist.capacity())
+            + self.born_slot.capacity())
             * 8
-            + self.nonzero_bins.capacity() * 4
+            + self.epol.memory_bytes()
     }
 
     /// Zeroed Born partials sized for `tree`, reusing capacity.
@@ -581,8 +578,7 @@ impl GbSolver {
             &self.charges,
             &scratch.born,
             p.eps_epol,
-            std::mem::take(&mut scratch.hist),
-            std::mem::take(&mut scratch.nonzero_bins),
+            std::mem::take(&mut scratch.epol),
         );
         scratch.born_slot.clear();
         scratch.born_slot.extend(
@@ -599,7 +595,7 @@ impl GbSolver {
             0..self.tree_a.leaves().len(),
             &mut work_epol,
         );
-        (scratch.hist, scratch.nonzero_bins) = ectx.into_buffers();
+        scratch.epol = ectx.into_buffers();
         scratch.reuses += 1;
         let epol_s = t1.elapsed().as_secs_f64();
         (

@@ -111,36 +111,45 @@ fn epol_segment_summation_order_is_pinned_across_widths_and_modes() {
 
 #[test]
 fn dispatched_near_kernel_agrees_with_the_scalar_order_to_tolerance_only() {
-    // Feed the dense near kernel real slices of the seeded 2k molecule
-    // (a ragged length, so the tail window executes too). Eight lanes
-    // reduce in a different order than the scalar double loop: they
-    // agree to ulp grade, and each is deterministic.
+    // Feed the near kernel real columns of the seeded 2k molecule: one
+    // run of a ragged length (125 loaded windows and a 3-lane tail)
+    // against the last six atoms. Eight lanes reduce in a different
+    // order than the scalar double loop: they agree to ulp grade, and
+    // each is deterministic.
     let s = big_solver();
     let p = GbParams::default();
     let (born, _) = s.born_radii(&p);
     let mol = generators::globular("pin2k", 2000, 42);
     let n = 1003; // ragged: not a multiple of the width
-    let ux: Vec<f64> = mol.atoms[..n].iter().map(|a| a.pos.x).collect();
-    let uy: Vec<f64> = mol.atoms[..n].iter().map(|a| a.pos.y).collect();
-    let uz: Vec<f64> = mol.atoms[..n].iter().map(|a| a.pos.z).collect();
-    let uq: Vec<f64> = mol.atoms[..n].iter().map(|a| a.charge).collect();
-    let ur: Vec<f64> = born[..n].to_vec();
-    let (vx, vy, vz) = (&ux[997..], &uy[997..], &uz[997..]);
-    let (vq, vr) = (&uq[997..], &ur[997..]);
+    let column = |f: &dyn Fn(usize) -> f64| Vec::from_iter((0..n).map(f));
+    let atoms = [
+        column(&|i| mol.atoms[i].pos.x),
+        column(&|i| mol.atoms[i].pos.y),
+        column(&|i| mol.atoms[i].pos.z),
+        column(&|i| mol.atoms[i].charge),
+        column(&|i| born[i]),
+        column(&|i| 1.0 / born[i]),
+    ];
+    let [x, y, z, q, r, _] = &atoms;
 
     let mut scalar = 0.0;
-    for a in 0..n {
-        for b in 0..vx.len() {
-            let r_sq = (vx[b] - ux[a]).powi(2) + (vy[b] - uy[a]).powi(2) + (vz[b] - uz[a]).powi(2);
-            scalar += gb_pair(uq[a], vq[b], r_sq, ur[a], vr[b], MathMode::Exact);
+    for a in 997..n {
+        for b in 0..n {
+            let r_sq = (x[b] - x[a]).powi(2) + (y[b] - y[a]).powi(2) + (z[b] - z[a]).powi(2);
+            scalar += gb_pair(q[a], q[b], r_sq, r[a], r[b], MathMode::Exact);
         }
     }
-    let dispatched = kernels::epol_near_block(&ux, &uy, &uz, &uq, &ur, vx, vy, vz, vq, vr);
+    let a = atoms.each_ref().map(|c| c.as_slice());
+    let run = [kernels::Run {
+        start: 0,
+        len: n as u32,
+    }];
+    let dispatched = kernels::epol_near_runs(&run, a, a.map(|c| &c[997..]));
     assert!(
         (dispatched - scalar).abs() <= 1e-12 * scalar.abs().max(1.0),
         "{dispatched} vs {scalar}"
     );
-    let again = kernels::epol_near_block(&ux, &uy, &uz, &uq, &ur, vx, vy, vz, vq, vr);
+    let again = kernels::epol_near_runs(&run, a, a.map(|c| &c[997..]));
     assert_eq!(dispatched.to_bits(), again.to_bits());
 }
 

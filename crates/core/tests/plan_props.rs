@@ -196,9 +196,9 @@ proptest! {
         // Dirty donor buffers from a context over the *unperturbed*
         // radii (different bin layout, stale contents).
         let donor = EpolCtx::new(&s.tree_a, &s.charges, &base.born, p.eps_epol);
-        let (hist, nz) = donor.into_buffers();
+        let buffers = donor.into_buffers();
         let fresh = EpolCtx::new(&s.tree_a, &s.charges, &perturbed, p.eps_epol);
-        let reused = EpolCtx::new_reusing(&s.tree_a, &s.charges, &perturbed, p.eps_epol, hist, nz);
+        let reused = EpolCtx::new_reusing(&s.tree_a, &s.charges, &perturbed, p.eps_epol, buffers);
         prop_assert_eq!(fresh.memory_bytes(), reused.memory_bytes());
         for id in 0..s.tree_a.node_count() as u32 {
             prop_assert_eq!(fresh.hist_row(id), reused.hist_row(id), "node {}", id);
@@ -209,6 +209,12 @@ proptest! {
             prop_assert_eq!(fr, rr);
             prop_assert_eq!(fri, rri);
         }
+        prop_assert_eq!(fresh.inv_born_slot(), reused.inv_born_slot());
+        let by_slot = s.born_by_slot(&perturbed);
+        prop_assert_eq!(
+            fresh.inv_born_slot(),
+            &Vec::from_iter(by_slot.iter().map(|&r| 1.0 / r))[..]
+        );
     }
 
     #[test]
@@ -240,12 +246,13 @@ proptest! {
 }
 
 #[test]
-fn patched_born_blocks_equal_cold_blocks_window_for_window() {
-    // The Born lists are spliced a block of eight q-leaves at a time. In
-    // exact mode (tolerance 0: every moved node refreshed) each jittered
-    // frame dirties real leaves, and after every patch the live plan
-    // must hold exactly the windows a cold build records — same ids,
-    // same lanes, same order — with no byte of slack.
+fn patched_lists_equal_cold_lists_window_for_window_and_run_for_run() {
+    // The Born lists are spliced a block of eight q-leaves at a time, the
+    // energy lists a source leaf at a time. In exact mode (tolerance 0:
+    // every moved node refreshed) each jittered frame dirties real
+    // leaves, and after every patch the live plan must hold exactly the
+    // windows and the near runs a cold build records — same ids, same
+    // lanes, same run boundaries, same order — with no byte of slack.
     let mol = generators::globular("walk", 180, 3);
     let cfg = ReplanConfig {
         tolerance: 0.0,
@@ -290,6 +297,21 @@ fn patched_born_blocks_equal_cold_blocks_window_for_window() {
                 plan.born.near_windows(b),
                 cold.born.near_windows(b),
                 "frame {k} block {b}: near windows"
+            );
+        }
+        assert_eq!(plan.epol.groups(), cold.epol.groups());
+        for leaf in 0..cold.epol.groups() {
+            let (live, fresh) = (plan.epol.leaf_near(leaf), cold.epol.leaf_near(leaf));
+            assert_eq!(live, fresh, "frame {k} leaf {leaf}: near runs");
+            assert!(
+                live.windows(2)
+                    .all(|w| w[0].slots().end != w[1].slots().start),
+                "frame {k} leaf {leaf}: runs are not maximal"
+            );
+            assert_eq!(
+                plan.epol.leaf_far(leaf),
+                cold.epol.leaf_far(leaf),
+                "frame {k} leaf {leaf}: far ids"
             );
         }
         assert_eq!(

@@ -280,12 +280,7 @@ pub(crate) fn parse_job_with_ctx(
         None => 0.9,
     };
     for (key, eps) in [("eps_born", eps_born), ("eps_epol", eps_epol)] {
-        if !eps.is_finite() || eps <= 0.0 {
-            return Err(ParseError::Invalid(format!(
-                "{}.{key}: must be a finite positive number, got {eps}",
-                ctx()
-            )));
-        }
+        check_eps(&format!("{}.{key}", ctx()), eps).map_err(ParseError::Invalid)?;
     }
     let repeat = match obj.get("repeat") {
         Some(r) => {
@@ -317,6 +312,21 @@ pub(crate) fn parse_job_with_ctx(
 
 /// Parse a `frames` object: `{ "count": 16, "max_step": 0.05, "seed": 3 }`.
 /// All keys are optional and fall back to [`FrameSpec::default`].
+/// The one rule for an approximation parameter ε, wherever it enters —
+/// a manifest job, a request line, a `--eps-*` option: a finite positive
+/// number. The separation tests divide by it and assert that it is
+/// positive, so anything else has to stop at the door. `what` names the
+/// input in the message.
+pub fn check_eps(what: &str, eps: f64) -> Result<f64, String> {
+    if eps.is_finite() && eps > 0.0 {
+        Ok(eps)
+    } else {
+        Err(format!(
+            "{what}: must be a finite positive number, got {eps}"
+        ))
+    }
+}
+
 fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
     let obj = v.as_object(ctx)?;
     for key in obj.keys() {

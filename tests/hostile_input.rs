@@ -206,6 +206,47 @@ fn a_megabyte_of_nesting_is_an_error_at_a_byte_not_a_stack_overflow() {
 }
 
 #[test]
+fn an_epsilon_that_would_panic_a_separation_test_is_refused_where_it_enters() {
+    use polar_energy::molecule::manifest::check_eps;
+    // `polar energy two.pqr --eps-born 0`, `--eps-epol nan` and
+    // `--eps-epol -0.5` used to die in `separation_factor_r6` /
+    // `BinScheme::new`; the CLI now holds both options to this rule.
+    for (option, text) in [
+        ("--eps-born", "0"),
+        ("--eps-epol", "nan"),
+        ("--eps-epol", "-0.5"),
+    ] {
+        let eps: f64 = text.parse().expect("f64 syntax");
+        let e = check_eps(option, eps).expect_err(text);
+        assert!(e.starts_with(option), "{e}");
+        assert!(e.contains("must be a finite positive number, got"), "{e}");
+    }
+    for eps in [f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+        assert!(check_eps("eps", eps).is_err(), "{eps}");
+    }
+    for eps in [f64::MIN_POSITIVE, 1e-6, 0.9, 50.0] {
+        assert_eq!(check_eps("eps", eps), Ok(eps));
+    }
+    // The same rule, with the same words, in the two JSON readers.
+    for text in ["0", "-0.5", "-0.0", "0e7"] {
+        for key in ["eps_born", "eps_epol"] {
+            let job = format!(r#"{{"generate":"ligand","n_atoms":5,"{key}":{text}}}"#);
+            let request = parse_request(&job).map(|_| ()).unwrap_err().to_string();
+            let manifest = parse_manifest(&format!(r#"{{"jobs":[{job}]}}"#))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+            for e in [request, manifest] {
+                assert!(
+                    e.contains(&format!("{key}: must be a finite positive number")),
+                    "{e}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn mutated_pqr_text_never_panics_and_names_a_line_inside_the_file() {
     on_small_stack(|| {
         let mut rng = StdRng::seed_from_u64(0x5eed_0015);

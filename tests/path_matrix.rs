@@ -172,7 +172,8 @@ fn every_path_agrees_with_the_serial_traversal() {
 }
 
 /// Footprint cell: a plan holds 40-byte windows of eight partner ids per
-/// block of eight q-leaves (Born stage), one `u32` per partner (energy
+/// block of eight q-leaves (Born stage), an eight-byte run per stretch of
+/// consecutive near partner slots and one `u32` per far partner (energy
 /// stage), a handful of per-leaf and per-block columns and the SoA
 /// coordinate mirrors — nothing else, and no `Vec` growth slack. A
 /// reintroduced per-leaf Born list or per-entry column breaks the
@@ -202,7 +203,11 @@ fn plan_footprint_is_its_list_lengths() {
     // group; two usize offset columns of groups + 1.
     let epol_bytes = epol.groups() * (4 * U32 + F64)
         + (epol.groups() + 1) * 2 * WORD
-        + (epol.near_slots() + epol.far_entries()) * U32;
+        + epol.near_runs() * 2 * U32
+        + epol.far_entries() * U32;
+    // Morton order keeps partners side by side: a run stands for many
+    // slots, so the runs cost a fraction of one `u32` per slot.
+    assert!(epol.near_runs() * 8 < epol.near_slots());
     // x, y, z, charge per atom; center x, y, z per `T_A` node; position,
     // normal, weight per q-point; the first slot of each q-leaf.
     let soa_bytes =
