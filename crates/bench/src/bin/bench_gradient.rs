@@ -4,10 +4,10 @@
 //!
 //! The workload is the minimizer's shape: one globular molecule
 //! replayed over a random-walk trajectory of bounded per-frame jitter
-//! (0.02 Å). The *reuse* pass moves the prepared solver in place
-//! (`apply_frame`), patches the existing plan where the delta
-//! classifier allows, and runs `gradient_with_plan`; the *cold* pass
-//! pays a full separation-test traversal before every gradient.
+//! (0.02 Å). The *reuse* pass steps the prepared solver frame to frame
+//! (`polar_gb::advance`: patch where the delta classifier allows) and
+//! runs `gradient_with_plan`; the *cold* pass pays a full
+//! separation-test traversal before every gradient.
 //!
 //! `speedup = mean_cold_seconds / mean_reuse_seconds` is the headline
 //! and is floored at 1.2x by CI (`gradient-smoke`).
@@ -21,7 +21,7 @@ use polar_bench::{fmt_secs, Scale, Table};
 use polar_gb::constants::tau;
 use polar_gb::energy::epol_gradient_naive;
 use polar_gb::energy::exact::epol_naive;
-use polar_gb::{minimize, GbParams, GbSolver, MinimizeConfig, PlanDelta, ReplanConfig};
+use polar_gb::{advance, minimize, FrameAction, GbParams, GbSolver, MinimizeConfig, ReplanConfig};
 use polar_molecule::{generators, trajectory};
 use polar_octree::OctreeConfig;
 use polar_surface::SurfaceConfig;
@@ -57,7 +57,7 @@ fn main() {
     );
     let wall = Instant::now();
 
-    // ---- Reuse pass: apply_frame + patch (or rebuild) + plan gradient.
+    // ---- Reuse pass: step the frame (patch or rebuild) + plan gradient.
     let mut solver = build(&mol);
     let t = Instant::now();
     let mut plan = solver.plan(&p);
@@ -71,26 +71,13 @@ fn main() {
     let mut max_fd_rel = 0.0f64;
     let mut naive_seconds = 0.0f64;
     for (k, frame) in frames.iter().enumerate().skip(1) {
-        let new_pos = frame.positions();
         let t_frame = Instant::now();
-        match solver.apply_frame(&new_pos, cfg.slack, cfg.tolerance) {
-            Ok(delta) => match plan.delta(&solver, &p, &delta, &cfg) {
-                PlanDelta::Reusable => reused += 1,
-                PlanDelta::Patchable(set) => {
-                    plan.patch(&solver, &p, &set)
-                        .expect("patch set built for this solver");
-                    patched += 1;
-                }
-                PlanDelta::Rebuild(_) => {
-                    solver.resync_geometry();
-                    plan = solver.plan(&p);
-                    rebuilt += 1;
-                }
-            },
-            Err(escaped) => {
+        match advance(&mut solver, &mut plan, &frame.positions(), &p, &cfg).action {
+            FrameAction::Reused => reused += 1,
+            FrameAction::Patched(_) => patched += 1,
+            FrameAction::Replanned(_) => rebuilt += 1,
+            FrameAction::Escaped(escaped) => {
                 eprintln!("[bench_gradient] frame {k}: {escaped} points escaped, cold rebuild");
-                solver = build(frame);
-                plan = solver.plan(&p);
                 rebuilt += 1;
             }
         }
@@ -164,20 +151,19 @@ fn main() {
     );
 
     // ---- Cold pass: same frames, full re-plan before every gradient.
+    // A negative displacement ceiling makes the stepper refuse every
+    // patch, so each frame pays the exact rescan and a cold plan.
+    let never_patch = ReplanConfig {
+        max_displacement: -1.0,
+        ..cfg
+    };
     let mut cold_solver = build(&mol);
+    let mut cold_plan = cold_solver.plan(&p);
     let mut cold_seconds = 0.0f64;
     for frame in frames.iter().skip(1) {
-        let new_pos = frame.positions();
         let t_frame = Instant::now();
-        if cold_solver
-            .apply_frame(&new_pos, cfg.slack, cfg.tolerance)
-            .is_err()
-        {
-            cold_solver = build(frame);
-        } else {
-            cold_solver.resync_geometry();
-        }
-        let cold_plan = cold_solver.plan(&p);
+        let pos = frame.positions();
+        advance(&mut cold_solver, &mut cold_plan, &pos, &p, &never_patch);
         cold_solver
             .gradient_with_plan(&cold_plan, &p)
             .expect("jittered geometry has no coincident atoms");

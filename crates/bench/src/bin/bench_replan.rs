@@ -6,8 +6,9 @@
 //! replayed over a random-walk trajectory of bounded per-frame jitter
 //! (0.02 Å — comfortably inside the default 0.1 Å node-drift
 //! tolerance). Frame 0 plans cold; every later frame moves the prepared
-//! solver in place (`apply_frame`) and asks the delta classifier
-//! whether the existing plan can be patched. Two numbers matter:
+//! solver in place and patches the existing plan when the delta
+//! classifier allows it (`polar_gb::replay_frames`, the loop `polar
+//! trajectory` runs). Two numbers matter:
 //!
 //! * `cold_plan_seconds` — what one full separation-test traversal
 //!   pass costs (the price every frame pays without the delta path),
@@ -23,12 +24,9 @@
 //! relative.
 
 use polar_bench::{fmt_secs, Scale, Table};
-use polar_gb::{GbParams, GbSolver, PlanDelta, ReplanConfig, ReplanFrameRow, ReplanReport};
+use polar_gb::{replay_frames, GbParams, ReplanConfig};
 use polar_molecule::{generators, trajectory};
-use polar_octree::OctreeConfig;
-use polar_surface::SurfaceConfig;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 fn main() {
     let scale = Scale::from_env();
@@ -50,124 +48,30 @@ fn main() {
         cfg.tolerance
     );
 
-    let wall = Instant::now();
-    let mut solver =
-        GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-    let t = Instant::now();
-    let mut plan = solver.plan(&p);
-    let cold_plan_seconds = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let first = solver
-        .solve_with_plan(&plan, &p)
-        .expect("cold plan fits its solver");
-    let mut rows = vec![ReplanFrameRow {
-        frame: 0,
-        action: "cold".into(),
-        max_disp: 0.0,
-        dirty_born: 0,
-        total_born: plan.born.groups() as u64,
-        dirty_epol: 0,
-        total_epol: plan.epol.groups() as u64,
-        patch_seconds: 0.0,
-        plan_seconds: cold_plan_seconds,
-        exec_seconds: t.elapsed().as_secs_f64(),
-        epol_kcal: first.epol_kcal,
-    }];
-
-    // Accuracy-contract accumulators over every patched frame.
+    // Accuracy contract (outside the timed regions), over every patched
+    // frame: a patched plan must be interchangeable with a cold plan built
+    // on the same refreshed solver — Born radii bitwise, E_pol to 1e-12.
     let mut max_epol_rel = 0.0f64;
     let mut contract_checks = 0usize;
-
-    for (k, frame) in frames.iter().enumerate().skip(1) {
-        let new_pos = frame.positions();
-        let mut row = ReplanFrameRow {
-            frame: k,
-            action: String::new(),
-            max_disp: 0.0,
-            dirty_born: 0,
-            total_born: 0,
-            dirty_epol: 0,
-            total_epol: 0,
-            patch_seconds: 0.0,
-            plan_seconds: 0.0,
-            exec_seconds: 0.0,
-            epol_kcal: 0.0,
-        };
-        let t_patch = Instant::now();
-        match solver.apply_frame(&new_pos, cfg.slack, cfg.tolerance) {
-            Ok(delta) => {
-                row.max_disp = delta.max_disp;
-                match plan.delta(&solver, &p, &delta, &cfg) {
-                    PlanDelta::Reusable => row.action = "reused".into(),
-                    PlanDelta::Patchable(set) => {
-                        let stats = plan
-                            .patch(&solver, &p, &set)
-                            .expect("patch set built for this solver");
-                        row.action = "patched".into();
-                        row.patch_seconds = t_patch.elapsed().as_secs_f64();
-                        row.dirty_born = stats.dirty_born as u64;
-                        row.dirty_epol = stats.dirty_epol as u64;
-                    }
-                    PlanDelta::Rebuild(_) => {
-                        let t = Instant::now();
-                        solver.resync_geometry();
-                        plan = solver.plan(&p);
-                        row.action = "rebuilt".into();
-                        row.plan_seconds = t.elapsed().as_secs_f64();
-                    }
-                }
-            }
-            Err(escaped) => {
-                eprintln!("[bench_replan] frame {k}: {escaped} points escaped, cold rebuild");
-                let t = Instant::now();
-                solver = GbSolver::for_molecule(
-                    frame,
-                    &SurfaceConfig::coarse(),
-                    &OctreeConfig::default(),
-                );
-                plan = solver.plan(&p);
-                row.action = "rebuilt".into();
-                row.plan_seconds = t.elapsed().as_secs_f64();
-            }
+    let report = replay_frames(&mol, &frames, &p, &cfg, |row, solver, result| {
+        if row.action != "patched" {
+            return;
         }
-        row.total_born = plan.born.groups() as u64;
-        row.total_epol = plan.epol.groups() as u64;
-        let t = Instant::now();
-        let result = solver
-            .solve_with_plan(&plan, &p)
-            .expect("plan is current for this solver");
-        row.exec_seconds = t.elapsed().as_secs_f64();
-        row.epol_kcal = result.epol_kcal;
-
-        // Accuracy contract (outside the timed regions): a patched plan
-        // must be interchangeable with a cold plan built on the same
-        // refreshed solver — Born radii bitwise, E_pol to 1e-12.
-        if row.action == "patched" {
-            let cold = solver.plan(&p);
-            let cold_result = solver
-                .solve_with_plan(&cold, &p)
-                .expect("cold control plan fits");
-            assert_eq!(
-                result.born, cold_result.born,
-                "frame {k}: patched Born radii diverged from cold plan"
-            );
-            let rel =
-                (result.epol_kcal - cold_result.epol_kcal).abs() / cold_result.epol_kcal.abs();
-            assert!(rel <= 1e-12, "frame {k}: patched E_pol drifted by {rel:e}");
-            max_epol_rel = max_epol_rel.max(rel);
-            contract_checks += 1;
-        }
-        rows.push(row);
-    }
-
-    let mut report = ReplanReport {
-        molecule: mol.name.clone(),
-        n_atoms,
-        rows,
-        ..ReplanReport::default()
-    };
-    report.summarize();
-    report.wall_seconds = wall.elapsed().as_secs_f64();
+        let k = row.frame;
+        let cold = solver.plan(&p);
+        let cold_result = solver
+            .solve_with_plan(&cold, &p)
+            .expect("cold control plan fits");
+        assert_eq!(
+            result.born, cold_result.born,
+            "frame {k}: patched Born radii diverged from cold plan"
+        );
+        let rel = (result.epol_kcal - cold_result.epol_kcal).abs() / cold_result.epol_kcal.abs();
+        assert!(rel <= 1e-12, "frame {k}: patched E_pol drifted by {rel:e}");
+        max_epol_rel = max_epol_rel.max(rel);
+        contract_checks += 1;
+    })
+    .expect("the stepper keeps the plan current for its solver");
     assert!(
         report.patched_frames > 0,
         "trajectory produced no patched frame — the delta path never engaged"

@@ -4,7 +4,7 @@ use crate::args::{ArgError, Args};
 use polar_cluster::Layout;
 use polar_gb::{GbParams, GbSolver, LeafEval};
 use polar_geom::MathMode;
-use polar_molecule::manifest::check_eps;
+use polar_molecule::manifest::{check_eps, mib_to_bytes};
 use polar_molecule::{generators, io, Molecule};
 use polar_mpi::data_dist::run_data_distributed;
 use polar_mpi::recovery::run_distributed_ft;
@@ -38,6 +38,11 @@ fn params_from(a: &Args) -> Result<GbParams, ArgError> {
         },
         ..GbParams::default()
     })
+}
+
+/// `--<name> N` (MiB) as a byte count.
+fn mib_bytes(a: &Args, name: &str, default_mb: usize) -> Result<usize, ArgError> {
+    mib_to_bytes(&format!("--{name}"), a.get_parsed(name, default_mb)?).map_err(ArgError)
 }
 
 /// Which serialization `--profile` asked for, if any.
@@ -196,10 +201,7 @@ pub fn batch(a: &Args) -> CmdResult {
     let manifest_path = a
         .get("manifest")
         .ok_or_else(|| ArgError("batch needs --manifest <jobs.json>".into()))?;
-    let path = std::path::Path::new(manifest_path);
-    let manifest = polar_molecule::manifest::load_manifest(path)?;
-    let base = path.parent().unwrap_or_else(|| std::path::Path::new("."));
-    let cache_mb: usize = a.get_parsed("cache-mb", 256)?;
+    let cache_bytes = mib_bytes(a, "cache-mb", 256)?;
     let workers: usize = a.get_parsed(
         "threads",
         std::thread::available_parallelism()
@@ -207,6 +209,9 @@ pub fn batch(a: &Args) -> CmdResult {
             .unwrap_or(1),
     )?;
     let profile = profile_format(a)?;
+    let path = std::path::Path::new(manifest_path);
+    let manifest = polar_molecule::manifest::load_manifest(path)?;
+    let base = path.parent().unwrap_or_else(|| std::path::Path::new("."));
 
     let mut jobs = Vec::with_capacity(manifest.expanded_len());
     for entry in &manifest.jobs {
@@ -221,12 +226,13 @@ pub fn batch(a: &Args) -> CmdResult {
         }
     }
     eprintln!(
-        "batch: {} jobs ({} manifest entries), cache {cache_mb} MB, {workers} workers",
+        "batch: {} jobs ({} manifest entries), cache {} MB, {workers} workers",
         jobs.len(),
-        manifest.jobs.len()
+        manifest.jobs.len(),
+        cache_bytes >> 20,
     );
 
-    let mut engine = BatchEngine::new(cache_mb << 20, workers);
+    let mut engine = BatchEngine::new(cache_bytes, workers);
     let (outcomes, report) = engine.run(&jobs);
     for (job, out) in jobs.iter().zip(&outcomes) {
         match out {
@@ -283,9 +289,10 @@ pub fn batch(a: &Args) -> CmdResult {
 
 /// `polar trajectory`: replay each manifest job's frame sequence through
 /// the incremental re-planning path — frame 0 plans cold, every later
-/// frame moves the prepared solver in place (`apply_frame`) and patches
-/// the existing plan when the delta classifier allows it — and report
-/// per-frame provenance plus the patch-time vs cold-plan-time comparison.
+/// frame moves the prepared solver in place and patches the existing
+/// plan when the delta classifier allows it (`polar_gb::replay_frames`)
+/// — and report per-frame provenance plus the patch-time vs
+/// cold-plan-time comparison.
 pub fn trajectory(a: &Args) -> CmdResult {
     use polar_gb::ReplanConfig;
     use polar_molecule::manifest::FrameSpec;
@@ -344,7 +351,7 @@ pub fn trajectory(a: &Args) -> CmdResult {
         }
         let frames =
             polar_molecule::trajectory::jitter_frames(&mol, spec.count, spec.max_step, spec.seed);
-        let report = replay_frames(&mol, &frames, &params, &cfg)?;
+        let report = polar_gb::replay_frames(&mol, &frames, &params, &cfg, |_, _, _| {})?;
         eprintln!(
             "{:<24} {} frames: {} patched / {} rebuilt / {} reused, \
              cold plan {:.2} ms, mean patch {:.2} ms ({:.1}x), {:.2}s",
@@ -379,113 +386,6 @@ pub fn trajectory(a: &Args) -> CmdResult {
         }
     }
     Ok(())
-}
-
-/// Replay `frames` (frame 0 = `mol` unperturbed) through one prepared
-/// solver, patching in place where possible, and assemble the
-/// [`polar_gb::ReplanReport`]. Shared by `polar trajectory` and kept
-/// engine-free so the timings isolate plan maintenance from cache and
-/// scheduling effects.
-fn replay_frames(
-    mol: &Molecule,
-    frames: &[Molecule],
-    params: &GbParams,
-    cfg: &polar_gb::ReplanConfig,
-) -> Result<polar_gb::ReplanReport, Box<dyn std::error::Error>> {
-    use polar_gb::{PlanDelta, ReplanFrameRow, ReplanReport};
-    let wall = Instant::now();
-    let mut rows = Vec::with_capacity(frames.len());
-    let mut solver =
-        GbSolver::for_molecule(mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-    let t = Instant::now();
-    let mut plan = solver.plan(params);
-    let cold_plan_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let first = solver.solve_with_plan(&plan, params)?;
-    rows.push(ReplanFrameRow {
-        frame: 0,
-        action: "cold".into(),
-        max_disp: 0.0,
-        dirty_born: 0,
-        total_born: plan.born.groups() as u64,
-        dirty_epol: 0,
-        total_epol: plan.epol.groups() as u64,
-        patch_seconds: 0.0,
-        plan_seconds: cold_plan_s,
-        exec_seconds: t.elapsed().as_secs_f64(),
-        epol_kcal: first.epol_kcal,
-    });
-    for (k, frame) in frames.iter().enumerate().skip(1) {
-        let new_pos = frame.positions();
-        let t_patch = Instant::now();
-        let mut row = ReplanFrameRow {
-            frame: k,
-            action: String::new(),
-            max_disp: 0.0,
-            dirty_born: 0,
-            total_born: 0,
-            dirty_epol: 0,
-            total_epol: 0,
-            patch_seconds: 0.0,
-            plan_seconds: 0.0,
-            exec_seconds: 0.0,
-            epol_kcal: 0.0,
-        };
-        match solver.apply_frame(&new_pos, cfg.slack, cfg.tolerance) {
-            Ok(delta) => {
-                row.max_disp = delta.max_disp;
-                match plan.delta(&solver, params, &delta, cfg) {
-                    PlanDelta::Reusable => row.action = "reused".into(),
-                    PlanDelta::Patchable(set) => {
-                        let stats = plan.patch(&solver, params, &set)?;
-                        row.action = "patched".into();
-                        row.patch_seconds = t_patch.elapsed().as_secs_f64();
-                        row.dirty_born = stats.dirty_born as u64;
-                        row.dirty_epol = stats.dirty_epol as u64;
-                    }
-                    PlanDelta::Rebuild(_) => {
-                        let t = Instant::now();
-                        // Clear accumulated drift first so the fresh
-                        // plan measures margins against exact geometry
-                        // and later frames regain full patch headroom.
-                        solver.resync_geometry();
-                        plan = solver.plan(params);
-                        row.action = "rebuilt".into();
-                        row.plan_seconds = t.elapsed().as_secs_f64();
-                    }
-                }
-            }
-            Err(_escaped) => {
-                // Points left their slackened leaf cells: the tree
-                // topology itself is stale, so prepare the frame cold.
-                let t = Instant::now();
-                solver = GbSolver::for_molecule(
-                    frame,
-                    &SurfaceConfig::coarse(),
-                    &OctreeConfig::default(),
-                );
-                plan = solver.plan(params);
-                row.action = "rebuilt".into();
-                row.plan_seconds = t.elapsed().as_secs_f64();
-            }
-        }
-        row.total_born = plan.born.groups() as u64;
-        row.total_epol = plan.epol.groups() as u64;
-        let t = Instant::now();
-        let result = solver.solve_with_plan(&plan, params)?;
-        row.exec_seconds = t.elapsed().as_secs_f64();
-        row.epol_kcal = result.epol_kcal;
-        rows.push(row);
-    }
-    let mut report = ReplanReport {
-        molecule: mol.name.clone(),
-        n_atoms: mol.len(),
-        rows,
-        ..ReplanReport::default()
-    };
-    report.summarize();
-    report.wall_seconds = wall.elapsed().as_secs_f64();
-    Ok(report)
 }
 
 /// `polar minimize <file>`: relax atom positions on the plan-path
@@ -632,19 +532,19 @@ pub fn serve(a: &Args) -> CmdResult {
         None => None,
         Some(_) => Some(a.get_parsed("deadline-ms", 0u64)?),
     };
-    let quota_mb = match a.get("quota-mb") {
+    let tenant_quota_bytes = match a.get("quota-mb") {
         None => None,
-        Some(_) => Some(a.get_parsed("quota-mb", 0usize)?),
+        Some(_) => Some(mib_bytes(a, "quota-mb", 0)?),
     };
-    let cache_mb: usize = a.get_parsed("cache-mb", 256)?;
+    let cache_bytes = mib_bytes(a, "cache-mb", 256)?;
     let profile = profile_format(a)?;
     let cfg = polar_serve::ServeConfig {
         addr: a.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         workers,
         queue_depth: a.get_parsed("queue-depth", 64)?,
         default_deadline_ms: deadline_ms,
-        cache_bytes: cache_mb << 20,
-        tenant_quota_bytes: quota_mb.map(|m| m << 20),
+        cache_bytes,
+        tenant_quota_bytes,
         drain_timeout: std::time::Duration::from_secs(a.get_parsed("drain-timeout", 10u64)?),
         ..polar_serve::ServeConfig::default()
     };
@@ -654,9 +554,10 @@ pub fn serve(a: &Args) -> CmdResult {
     println!("listening on {}", handle.local_addr());
     std::io::stdout().flush().ok();
     eprintln!(
-        "serve: {workers} workers, queue depth {}, cache {cache_mb} MB; \
+        "serve: {workers} workers, queue depth {}, cache {} MB; \
          send {{\"cmd\":\"drain\"}} to stop",
         a.get_parsed("queue-depth", 64usize)?,
+        cache_bytes >> 20,
     );
     let report = handle.join();
     eprintln!(

@@ -492,3 +492,29 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
         }
     }
 }
+
+#[test]
+fn a_cache_size_that_overflows_is_a_usage_error_not_a_zero_byte_cache() {
+    // `--cache-mb 17592186044416` used to compute `N << 20` = 0: the run
+    // printed "cache 17592186044416 MB", evicted on every insert and
+    // exited 0.
+    let huge = "17592186044416"; // 2^44 MiB = 2^64 bytes
+    let cases: [&[&str]; 3] = [
+        &["batch", "--manifest", "unused.json", "--cache-mb", huge],
+        &["serve", "--cache-mb", huge],
+        &["serve", "--quota-mb", huge],
+    ];
+    for args in cases {
+        let out = polar().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!(
+                "{}: {huge} MB does not fit in this platform's address space",
+                args[args.len() - 2]
+            )),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}

@@ -1,45 +1,60 @@
-//! Batch rescoring engine: a stream of molecules through one plan cache.
+//! The rescoring engines: a stream of molecules through one plan cache.
 //!
 //! The paper's headline workload is docking re-scoring — many E_pol
 //! evaluations over recurring geometries (§IV.C). [`crate::plan`] made
 //! repeated solves of *one* prepared solver fast; this module makes the
-//! unit of work a *queue of jobs*:
+//! unit of work a *job* routed through shared state:
 //!
 //! * each job's geometry is fingerprinted ([`geometry_hash`]) and routed
 //!   through a keyed **LRU plan cache** (key = geometry hash + both ε;
 //!   capacity in bytes, accounted via `Prepared::memory_bytes`: the plan
-//!   and the solver it rides with),
-//!   so recurring conformations build their solver + plan once;
+//!   and the solver it rides with), so recurring conformations build
+//!   their solver + plan once, and a moved pose of a cached topology
+//!   patches that entry instead of preparing cold;
 //! * solves execute out of **per-worker scratch arenas**
 //!   ([`crate::solver::SolveScratch`]) — Born partials, Born radii and
 //!   charge-bin histograms are allocated once per worker and recycled,
-//!   never per solve;
-//! * jobs run in parallel on the `polar_runtime` work-stealing pool via
-//!   `run_batch_retry`: a panicking job is retried, and on its final
-//!   attempt contained, so sibling jobs always keep their results.
+//!   never per solve.
 //!
-//! The run summary is a [`BatchReport`] whose counters (hits, misses,
-//! evictions, bytes, arena reuses, per-job rows) are deterministic
-//! functions of the job list — only wall-clock fields vary between runs.
+//! # One core, two drivers
+//!
+//! [`ServeEngine`] owns the cache, the arenas and the five steps every
+//! job is made of — `route` (exact-key lookup, else the latest
+//! same-topology base), `prepare` (patch the base or build cold; touches
+//! no shared state), `publish` (insert + quota/capacity eviction),
+//! `execute` (arena solve) and `poison` (evict a key whose holder
+//! panicked). The two drivers only sequence them:
+//!
+//! * [`ServeEngine::rescore`] — one job at a time from any thread, the
+//!   steps in order under `catch_unwind`, with cooperative deadline gates;
+//! * [`BatchEngine::run`] — a job list in submission order on the
+//!   `polar_runtime` work-stealing pool via `run_batch_retry`: a
+//!   panicking job is retried, and on its final attempt contained, so
+//!   sibling jobs always keep their results. The run summary is a
+//!   [`BatchReport`] whose counters (hits, misses, evictions, bytes,
+//!   arena reuses, per-job rows) are deterministic functions of the job
+//!   list — only wall-clock fields vary between runs.
 //!
 //! # Determinism discipline
 //!
-//! Cache decisions are made *serially in submission order* before any
-//! parallel work starts: the first job to need a (geometry, ε) key is
-//! its designated builder; later jobs with the same key are hits that
-//! share the builder's plan. The parallel phases then never race on the
-//! cache, so identical manifests yield identical hit/miss/eviction
+//! A batch makes its cache decisions *serially in submission order*
+//! before any parallel work starts: the first job to need a
+//! (geometry, ε) key is its designated builder; later jobs with the same
+//! key follow it and share its plan. Entries are published serially in
+//! job order between the parallel waves. The waves then never race on
+//! the cache, so identical manifests yield identical hit/miss/eviction
 //! counts whatever the steal schedule was.
 
-use crate::plan::{InteractionPlan, PlanDelta, ReplanConfig, ReplanStats};
+use crate::plan::{ReplanConfig, ReplanStats};
+pub use crate::prepared::Prepared;
 use crate::report::{BatchJobRow, BatchReport};
 use crate::solver::{GbParams, GbResult, GbSolver, SolveScratch};
 use crate::stats::WorkCounts;
 use polar_molecule::Molecule;
-use polar_octree::OctreeConfig;
-use polar_surface::SurfaceConfig;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
@@ -50,19 +65,16 @@ pub struct BatchJob {
     pub params: GbParams,
     /// Chaos injection: the job's first `panics` attempts deliberately
     /// panic inside the worker. Zero (the default) solves normally;
-    /// a value above the engine's retry budget fails the job on every
-    /// attempt. Exercises panic isolation deterministically in tests,
-    /// the chaos CI suite, and `polar serve` fault drills.
+    /// a value above the batch retry budget fails the job on every
+    /// attempt (`rescore` makes one attempt). Exercises panic isolation
+    /// deterministically in tests, the chaos CI suite, and `polar serve`
+    /// fault drills.
     pub panics: u32,
 }
 
 impl BatchJob {
     pub fn new(molecule: Molecule, params: GbParams) -> BatchJob {
-        BatchJob {
-            molecule,
-            params,
-            panics: 0,
-        }
+        BatchJob::with_panics(molecule, params, 0)
     }
 
     /// Chaos variant: panic on the first `panics` attempts.
@@ -110,55 +122,13 @@ impl BatchOutcome {
     }
 }
 
-/// Try to serve `mol` by patching a same-topology cached entry instead
-/// of planning cold: verify the topology really is bitwise identical
-/// (hashes can lie), pre-check the displacement against the patch limit
-/// *before* paying for any clone, then clone the base, move it to the
-/// frame and splice the dirty plan segments. `None` means "plan cold" —
-/// topology differs, the move is too large, the trees' leaf cells
-/// overflowed their slack, or the dirty fraction made patching
-/// pointless.
-fn try_patch(
-    base: &Prepared,
-    mol: &Molecule,
-    p: &GbParams,
-    cfg: &ReplanConfig,
-) -> Option<(Prepared, ReplanStats)> {
-    if base.solver.n_atoms() != mol.len() {
-        return None;
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in words.into_iter().flat_map(u64::to_le_bytes) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    for (a, (r, c)) in mol
-        .atoms
-        .iter()
-        .zip(base.solver.atom_radii.iter().zip(&base.solver.charges))
-    {
-        if a.radius.to_bits() != r.to_bits() || a.charge.to_bits() != c.to_bits() {
-            return None;
-        }
-    }
-    let new_pos = mol.positions();
-    let max_d2 = new_pos
-        .iter()
-        .zip(&base.solver.atom_pos)
-        .map(|(n, o)| n.dist_sq(*o))
-        .fold(0.0_f64, f64::max);
-    if max_d2.sqrt() > cfg.max_displacement {
-        return None;
-    }
-    let mut solver = base.solver.clone();
-    let mut plan = base.plan.clone();
-    solver.name = mol.name.clone();
-    let frame = match solver.apply_frame(&new_pos, cfg.slack, cfg.tolerance) {
-        Ok(f) => f,
-        Err(_) => return None,
-    };
-    match plan.delta(&solver, p, &frame, cfg) {
-        PlanDelta::Patchable(set) => {
-            let stats = plan.patch(&solver, p, &set).ok()?;
-            Some((Prepared { solver, plan }, stats))
-        }
-        PlanDelta::Reusable | PlanDelta::Rebuild(_) => None,
-    }
+    h
 }
 
 /// FNV-1a over the bit patterns of every atom's position, radius and
@@ -166,24 +136,11 @@ fn try_patch(
 /// hash equal iff they are bitwise the same conformation, which is
 /// exactly when a plan built for one is valid for the other.
 pub fn geometry_hash(mol: &Molecule) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(mol.atoms.len() as u64);
-    for a in &mol.atoms {
-        eat(a.pos.x.to_bits());
-        eat(a.pos.y.to_bits());
-        eat(a.pos.z.to_bits());
-        eat(a.radius.to_bits());
-        eat(a.charge.to_bits());
-    }
-    h
+    let atoms = mol
+        .atoms
+        .iter()
+        .flat_map(|a| [a.pos.x, a.pos.y, a.pos.z, a.radius, a.charge].map(f64::to_bits));
+    fnv1a(std::iter::once(mol.atoms.len() as u64).chain(atoms))
 }
 
 /// Cache key: geometry fingerprint + the two ε the plan depends on.
@@ -209,23 +166,8 @@ impl PlanKey {
 /// [`geometry_hash`]es differ, which is what lets a cache miss find a
 /// same-topology base entry to patch instead of planning cold.
 fn topology_hash(radii: &[f64], charges: &[f64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(radii.len() as u64);
-    for r in radii {
-        eat(r.to_bits());
-    }
-    for c in charges {
-        eat(c.to_bits());
-    }
-    h
+    let values = radii.iter().chain(charges).map(|v| v.to_bits());
+    fnv1a(std::iter::once(radii.len() as u64).chain(values))
 }
 
 /// Secondary cache index key: topology fingerprint + both ε.
@@ -251,25 +193,6 @@ impl TopoKey {
             eps_born_bits: key.eps_born_bits,
             eps_epol_bits: key.eps_epol_bits,
         }
-    }
-}
-
-/// A cached unit: the prepared solver and its interaction plan. The
-/// solver rides along because executing a plan needs the trees and
-/// q-point aggregates it was built from — and rebuilding the solver
-/// dominates a fresh solve's cost.
-pub struct Prepared {
-    pub solver: GbSolver,
-    pub plan: InteractionPlan,
-}
-
-impl Prepared {
-    /// Bytes the unit keeps resident: the plan's lists and the solver
-    /// they execute against (atoms, q-points, both octrees, moments) —
-    /// about as much again as the plan since the Born lists are stored
-    /// per block. What the cache charges for an entry.
-    pub fn memory_bytes(&self) -> usize {
-        self.plan.memory_bytes() + self.solver.memory_bytes()
     }
 }
 
@@ -309,11 +232,7 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    fn new(capacity_bytes: usize) -> PlanCache {
-        Self::with_quota(capacity_bytes, usize::MAX)
-    }
-
-    fn with_quota(capacity_bytes: usize, tenant_quota_bytes: usize) -> PlanCache {
+    fn new(capacity_bytes: usize, tenant_quota_bytes: usize) -> PlanCache {
         PlanCache {
             capacity_bytes,
             tenant_quota_bytes,
@@ -463,467 +382,28 @@ impl ArenaPool {
     }
 
     fn total_reuses(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(g) => g.reuses,
-                Err(p) => p.into_inner().reuses,
-            })
-            .sum()
+        self.slots.iter().map(|s| lock(s).reuses).sum()
     }
 
     fn total_bytes(&self) -> u64 {
         self.slots
             .iter()
-            .map(|s| match s.lock() {
-                Ok(g) => g.memory_bytes() as u64,
-                Err(p) => p.into_inner().memory_bytes() as u64,
-            })
+            .map(|s| lock(s).memory_bytes() as u64)
             .sum()
     }
-}
-
-/// How a job gets its plan, decided serially before the parallel phases.
-enum Assign {
-    /// Entry already in the cache.
-    Cached(Arc<Prepared>),
-    /// First job with this key in the batch: builds the entry.
-    Build(PlanKey),
-    /// First job with this key, but a same-topology entry is cached:
-    /// the builder wave tries to patch it before building cold.
-    Patch(PlanKey, Arc<Prepared>),
-    /// Shares the plan built by an earlier job this batch.
-    Follow(PlanKey),
 }
 
 /// Quota bucket batch jobs are charged to (the batch CLI has no tenant
 /// concept; `polar serve` does).
 const DEFAULT_TENANT: &str = "default";
 
-/// The batch rescoring engine. Owns the plan cache (warm across calls to
-/// [`BatchEngine::run`]) and the prep configuration every job shares.
-pub struct BatchEngine {
-    surface: SurfaceConfig,
-    tree_cfg: OctreeConfig,
-    n_workers: usize,
-    retry_budget: u32,
-    cache: PlanCache,
-    replan: ReplanConfig,
-    /// Plan keys evicted because the job holding them panicked.
-    poison_evictions: u64,
-}
+/// Panic retries a batch job gets after its first attempt; the last
+/// attempt is contained, so a batch cannot abort.
+const RETRY_BUDGET: u32 = 2;
 
-impl BatchEngine {
-    /// Engine with default surface/octree configs.
-    pub fn new(cache_capacity_bytes: usize, n_workers: usize) -> BatchEngine {
-        Self::with_configs(
-            cache_capacity_bytes,
-            n_workers,
-            SurfaceConfig::coarse(),
-            OctreeConfig::default(),
-        )
-    }
-
-    /// Engine with explicit prep configs (they are part of what makes a
-    /// cached plan valid, so they are fixed per engine, not per job).
-    pub fn with_configs(
-        cache_capacity_bytes: usize,
-        n_workers: usize,
-        surface: SurfaceConfig,
-        tree_cfg: OctreeConfig,
-    ) -> BatchEngine {
-        BatchEngine {
-            surface,
-            tree_cfg,
-            n_workers: n_workers.max(1),
-            retry_budget: 2,
-            cache: PlanCache::new(cache_capacity_bytes),
-            replan: ReplanConfig::default(),
-            poison_evictions: 0,
-        }
-    }
-
-    /// Panic-retry budget per job (attempts beyond the first; the final
-    /// attempt is always contained so the batch cannot abort).
-    pub fn set_retry_budget(&mut self, budget: u32) {
-        self.retry_budget = budget;
-    }
-
-    /// Tune the delta re-planning path (patch tolerance, refresh slack,
-    /// dirty-fraction ceiling).
-    pub fn set_replan_config(&mut self, cfg: ReplanConfig) {
-        self.replan = cfg;
-    }
-
-    /// Plan bytes currently held by the cache.
-    pub fn cache_bytes_held(&self) -> usize {
-        self.cache.bytes_held
-    }
-
-    /// Run a queue of jobs; outcomes come back in submission order.
-    pub fn run(&mut self, jobs: &[BatchJob]) -> (Vec<BatchOutcome>, BatchReport) {
-        let t0 = Instant::now();
-        let arenas = ArenaPool::new(self.n_workers);
-
-        // Phase 1 — serial, deterministic cache routing in submission
-        // order: hits and builder designation never depend on the steal
-        // schedule of the parallel phases below.
-        let mut assigns: Vec<Assign> = Vec::with_capacity(jobs.len());
-        let mut builder_of: HashMap<PlanKey, usize> = HashMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let key = PlanKey::of(&job.molecule, &job.params);
-            if let Some(entry) = self.cache.get(&key) {
-                assigns.push(Assign::Cached(entry));
-            } else {
-                match builder_of.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        assigns.push(Assign::Follow(key))
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(i);
-                        // Exact-key miss, but a plan for the same topology
-                        // (radii + charges + eps) may be cached from an
-                        // earlier frame of the same molecule; the builder
-                        // wave will try to patch it before building cold.
-                        let tkey = TopoKey::of_mol(&job.molecule, &job.params);
-                        match self.cache.topo_base(&tkey) {
-                            Some(base) => assigns.push(Assign::Patch(key, base)),
-                            None => assigns.push(Assign::Build(key)),
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 2 — wave A: builder jobs prep + solve in parallel, each
-        // panic-isolated. A builder returns its Prepared entry for the
-        // cache alongside its own result.
-        let builders: Vec<usize> = assigns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| matches!(a, Assign::Build(_) | Assign::Patch(_, _)).then_some(i))
-            .collect();
-        let mut retries = 0u64;
-        let mut recovered_jobs = 0u64;
-        let mut outcomes: Vec<Option<BatchOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        let mut walls: Vec<f64> = vec![0.0; jobs.len()];
-        let mut built: HashMap<PlanKey, Arc<Prepared>> = HashMap::new();
-
-        if !builders.is_empty() {
-            let tasks: Vec<_> = builders
-                .iter()
-                .map(|&i| {
-                    let job = &jobs[i];
-                    let arenas = &arenas;
-                    let surface = &self.surface;
-                    let tree_cfg = &self.tree_cfg;
-                    let budget = self.retry_budget;
-                    let replan_cfg = self.replan;
-                    let base: Option<Arc<Prepared>> = match &assigns[i] {
-                        Assign::Patch(_, b) => Some(b.clone()),
-                        _ => None,
-                    };
-                    move |attempt: u32| {
-                        let t = Instant::now();
-                        let out = contained(attempt >= budget, || {
-                            if attempt < job.panics {
-                                panic!("injected chaos panic (attempt {attempt})");
-                            }
-                            // Patch path first: a same-topology base plan
-                            // exists, so try patching it against the new
-                            // coordinates. Any tolerance breach falls
-                            // through to a cold build.
-                            if let Some(base) = &base {
-                                if let Some((prepared, stats)) =
-                                    try_patch(base, &job.molecule, &job.params, &replan_cfg)
-                                {
-                                    let prepared = Arc::new(prepared);
-                                    let result = arenas
-                                        .solve(&prepared, &job.params)
-                                        .map_err(|e| e.to_string())?;
-                                    return Ok((prepared, result, Some(stats)));
-                                }
-                            }
-                            let solver = GbSolver::for_molecule(&job.molecule, surface, tree_cfg);
-                            let plan = solver.plan(&job.params);
-                            let prepared = Arc::new(Prepared { solver, plan });
-                            let result = arenas
-                                .solve(&prepared, &job.params)
-                                .map_err(|e| e.to_string())?;
-                            Ok((prepared, result, None))
-                        });
-                        (out, t.elapsed().as_secs_f64())
-                    }
-                })
-                .collect();
-            let (results, _steal, retry) =
-                polar_runtime::run_batch_retry(self.n_workers, tasks, self.retry_budget)
-                    .expect("final attempts are contained; the batch cannot abort");
-            retries += retry.retries;
-            recovered_jobs += retry.recovered.len() as u64;
-            for (&i, (out, wall)) in builders.iter().zip(results) {
-                walls[i] = wall;
-                match out {
-                    Ok((prepared, result, replan)) => {
-                        if let Assign::Build(key) | Assign::Patch(key, _) = assigns[i] {
-                            built.insert(key, prepared.clone());
-                        }
-                        outcomes[i] = Some(BatchOutcome::Done {
-                            result,
-                            cache_hit: false,
-                            replan,
-                        });
-                    }
-                    Err(error) => outcomes[i] = Some(BatchOutcome::Failed { error }),
-                }
-            }
-        }
-
-        // Serial interlude: publish built entries into the LRU in job
-        // order, so eviction order is deterministic too. Followers whose
-        // builder failed fall back to building their own plan in wave B.
-        for &i in &builders {
-            if let (Assign::Build(key) | Assign::Patch(key, _), Some(BatchOutcome::Done { .. })) =
-                (&assigns[i], &outcomes[i])
-            {
-                self.cache.insert(*key, built[key].clone(), DEFAULT_TENANT);
-            }
-        }
-        let mut cache_hits = 0u64;
-        let mut cache_patched = 0u64;
-        let mut cache_misses = 0u64;
-        for &i in &builders {
-            match &outcomes[i] {
-                Some(BatchOutcome::Done {
-                    replan: Some(_), ..
-                }) => cache_patched += 1,
-                _ => cache_misses += 1,
-            }
-        }
-        // Keys re-published by a clean follower rebuild (wave B below):
-        // these entries postdate any panic on the same key, so the
-        // poisoned-entry sweep must not evict them.
-        let mut republished: std::collections::HashSet<PlanKey> = std::collections::HashSet::new();
-
-        // Phase 3 — wave B: everyone else, reusing a resolved entry when
-        // one exists (a hit) and building fresh when the builder failed.
-        let wave_b: Vec<(usize, Option<Arc<Prepared>>)> = assigns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| match a {
-                Assign::Build(_) | Assign::Patch(_, _) => None,
-                Assign::Cached(entry) => Some((i, Some(entry.clone()))),
-                Assign::Follow(key) => Some((i, built.get(key).cloned())),
-            })
-            .collect();
-        for (_, entry) in &wave_b {
-            if entry.is_some() {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
-        }
-
-        if !wave_b.is_empty() {
-            let tasks: Vec<_> = wave_b
-                .iter()
-                .map(|(i, entry)| {
-                    let job = &jobs[*i];
-                    let arenas = &arenas;
-                    let surface = &self.surface;
-                    let tree_cfg = &self.tree_cfg;
-                    let budget = self.retry_budget;
-                    move |attempt: u32| {
-                        let t = Instant::now();
-                        let out = contained(attempt >= budget, || {
-                            if attempt < job.panics {
-                                panic!("injected chaos panic (attempt {attempt})");
-                            }
-                            match entry {
-                                Some(prepared) => arenas
-                                    .solve(prepared, &job.params)
-                                    .map(|result| (None, result))
-                                    .map_err(|e| e.to_string()),
-                                None => {
-                                    // Orphaned follower: its builder
-                                    // panicked, so rebuild here and hand
-                                    // the fresh entry back for the cache.
-                                    let solver =
-                                        GbSolver::for_molecule(&job.molecule, surface, tree_cfg);
-                                    let plan = solver.plan(&job.params);
-                                    let prepared = Arc::new(Prepared { solver, plan });
-                                    arenas
-                                        .solve(&prepared, &job.params)
-                                        .map(|result| (Some(prepared), result))
-                                        .map_err(|e| e.to_string())
-                                }
-                            }
-                        });
-                        (out, t.elapsed().as_secs_f64())
-                    }
-                })
-                .collect();
-            let (results, _steal, retry) =
-                polar_runtime::run_batch_retry(self.n_workers, tasks, self.retry_budget)
-                    .expect("final attempts are contained; the batch cannot abort");
-            retries += retry.retries;
-            recovered_jobs += retry.recovered.len() as u64;
-            let mut rebuilt: Vec<(usize, Arc<Prepared>)> = Vec::new();
-            for ((i, entry), (out, wall)) in wave_b.iter().zip(results) {
-                walls[*i] = wall;
-                outcomes[*i] = Some(match out {
-                    Ok((fresh, result)) => {
-                        if let Some(prepared) = fresh {
-                            rebuilt.push((*i, prepared));
-                        }
-                        BatchOutcome::Done {
-                            result,
-                            cache_hit: entry.is_some(),
-                            replan: None,
-                        }
-                    }
-                    Err(error) => BatchOutcome::Failed { error },
-                });
-            }
-            // A builder-wave panic left its plan key unresolved; the
-            // first follower that rebuilt it successfully (job order, so
-            // deterministic) re-publishes the entry, keeping the key
-            // warm for later batches instead of orphaned.
-            rebuilt.sort_by_key(|(i, _)| *i);
-            for (i, prepared) in rebuilt {
-                if let Assign::Follow(key) = assigns[i] {
-                    if republished.insert(key) {
-                        self.cache.insert(key, prepared, DEFAULT_TENANT);
-                    }
-                }
-            }
-        }
-
-        let outcomes: Vec<BatchOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every job was assigned to exactly one wave"))
-            .collect();
-
-        // Poisoned-entry eviction: a job that panicked on its final
-        // attempt may have torn the plan entry it was holding, so the
-        // key is no longer trusted — evict it rather than hand it to the
-        // next batch. Deterministic: driven by job order and outcomes.
-        let mut poisoned: std::collections::HashSet<PlanKey> = std::collections::HashSet::new();
-        for (job, out) in jobs.iter().zip(&outcomes) {
-            if let BatchOutcome::Failed { error } = out {
-                if error.contains("panicked") {
-                    let key = PlanKey::of(&job.molecule, &job.params);
-                    if republished.contains(&key) {
-                        continue; // a clean rebuild postdates the panic
-                    }
-                    if poisoned.insert(key) && self.cache.remove(&key) {
-                        self.poison_evictions += 1;
-                    }
-                }
-            }
-        }
-
-        // Report assembly.
-        let mut total_work = WorkCounts::ZERO;
-        let mut total_epol = 0.0;
-        let mut succeeded = 0usize;
-        let rows: Vec<BatchJobRow> = jobs
-            .iter()
-            .zip(&outcomes)
-            .enumerate()
-            .map(|(i, (job, out))| match out {
-                BatchOutcome::Done {
-                    result,
-                    cache_hit,
-                    replan,
-                } => {
-                    succeeded += 1;
-                    total_epol += result.epol_kcal;
-                    total_work.accumulate(result.work_born);
-                    total_work.accumulate(result.work_epol);
-                    BatchJobRow {
-                        name: job.molecule.name.clone(),
-                        n_atoms: job.molecule.len(),
-                        kernel_mode: job.params.kernel.label().to_string(),
-                        epol_kcal: result.epol_kcal,
-                        cache_hit: *cache_hit,
-                        cache_patched: replan.is_some(),
-                        pair_ops: result.work_born.pair_ops + result.work_epol.pair_ops,
-                        far_ops: result.work_born.far_ops + result.work_epol.far_ops,
-                        wall_seconds: walls[i],
-                        error: None,
-                    }
-                }
-                BatchOutcome::Failed { error } => BatchJobRow {
-                    name: job.molecule.name.clone(),
-                    n_atoms: job.molecule.len(),
-                    kernel_mode: job.params.kernel.label().to_string(),
-                    epol_kcal: f64::NAN,
-                    cache_hit: false,
-                    cache_patched: false,
-                    pair_ops: 0,
-                    far_ops: 0,
-                    wall_seconds: walls[i],
-                    error: Some(error.clone()),
-                },
-            })
-            .collect();
-        let report = BatchReport {
-            jobs: jobs.len(),
-            succeeded,
-            failed: jobs.len() - succeeded,
-            cache_hits,
-            cache_patched,
-            cache_misses,
-            cache_evictions: self.cache.evictions,
-            poison_evictions: self.poison_evictions,
-            cache_bytes_held: self.cache.bytes_held as u64,
-            cache_capacity_bytes: self.cache.capacity_bytes as u64,
-            arenas: self.n_workers,
-            arena_reuses: arenas.total_reuses(),
-            arena_bytes: arenas.total_bytes(),
-            retries,
-            recovered_jobs,
-            total_epol_kcal: total_epol,
-            total_work,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            rows,
-        };
-        (outcomes, report)
-    }
-}
-
-/// Run `f`, containing panics only when `contain` is set (the job's
-/// final retry attempt): earlier attempts let the panic propagate so the
-/// work-stealing pool's retry machinery re-enqueues the job, while the
-/// last attempt converts a persistent panic into a per-job failure that
-/// cannot take sibling jobs down with it.
-fn contained<T>(contain: bool, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
-    if !contain {
-        return f();
-    }
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(out) => out,
-        Err(payload) => Err(format!("job panicked: {}", panic_message(payload))),
-    }
-}
-
-/// Human-readable panic payload (the common `&str`/`String` cases).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "job panicked".to_string())
-}
-
-// ----------------------------------------------------------------------
-// ServeEngine: the same cache + arenas, shared across server threads.
-// ----------------------------------------------------------------------
-
-/// Typed failure of one serve-mode rescore. Every variant maps to a
-/// wire response — a request can never take the server down or vanish
-/// without an answer.
+/// Typed failure of one rescore. Every variant maps to a wire response
+/// or a failed batch row — a job can never take its engine down or
+/// vanish without an answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RescoreError {
     /// The job panicked inside the worker; the plan key it held was
@@ -949,6 +429,24 @@ impl std::fmt::Display for RescoreError {
 }
 
 impl std::error::Error for RescoreError {}
+
+/// Run `f`, turning a panic into the job's typed failure.
+fn contain<T>(f: impl FnOnce() -> Result<T, RescoreError>) -> Result<T, RescoreError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(RescoreError::Panicked {
+            message: panic_message(payload),
+        })
+    })
+}
+
+/// Human-readable panic payload (the common `&str`/`String` cases).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "job panicked".to_string())
+}
 
 /// One successful serve-mode rescore.
 #[derive(Debug, Clone)]
@@ -983,24 +481,32 @@ pub struct CacheStats {
     pub tenants: u64,
 }
 
-/// The persistent rescoring engine behind `polar serve`: one plan cache
-/// and one scratch-arena pool shared by every connection and worker
-/// thread, warm across the server's whole lifetime.
+/// Where `route` found a job's plan.
+enum Route {
+    /// The exact (geometry, ε) key is cached.
+    Hit(Arc<Prepared>),
+    /// Not cached; the latest same-topology entry, if any, can serve as
+    /// the base of a patch.
+    Miss(Option<Arc<Prepared>>),
+}
+
+/// The rescoring engine core, and the persistent engine behind
+/// `polar serve`: one plan cache and one scratch-arena pool shared by
+/// every connection and worker thread, warm across the server's whole
+/// lifetime.
 ///
-/// Unlike [`BatchEngine`] (one `&mut self` run over a job list), this
-/// engine is `&self`-concurrent: the cache sits behind a mutex that is
-/// held only for lookups and insertions — never while planning or
-/// executing — and the arena pool already hands out per-worker slots.
+/// The engine is `&self`-concurrent: the cache sits behind a mutex that
+/// is held only for lookups and insertions — never while planning or
+/// executing — and the arena pool hands out per-worker slots.
 pub struct ServeEngine {
-    surface: SurfaceConfig,
-    tree_cfg: OctreeConfig,
     cache: Mutex<PlanCache>,
     arenas: ArenaPool,
-    hits: std::sync::atomic::AtomicU64,
-    patched: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    poison_evictions: std::sync::atomic::AtomicU64,
-    replan: ReplanConfig,
+    /// How [`ServeEngine::rescore`] calls were served.
+    hits: AtomicU64,
+    patched: AtomicU64,
+    misses: AtomicU64,
+    /// Plan keys evicted because the job holding them panicked.
+    poison_evictions: AtomicU64,
 }
 
 /// Lock a mutex, clearing poison: every critical section here leaves
@@ -1013,33 +519,88 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl ServeEngine {
-    /// Engine with default prep configs. `tenant_quota_bytes = None`
-    /// disables per-tenant quotas.
+    /// `tenant_quota_bytes = None` disables per-tenant quotas.
     pub fn new(
         cache_capacity_bytes: usize,
         tenant_quota_bytes: Option<usize>,
         n_workers: usize,
     ) -> ServeEngine {
         ServeEngine {
-            surface: SurfaceConfig::coarse(),
-            tree_cfg: OctreeConfig::default(),
-            cache: Mutex::new(PlanCache::with_quota(
+            cache: Mutex::new(PlanCache::new(
                 cache_capacity_bytes,
                 tenant_quota_bytes.unwrap_or(usize::MAX),
             )),
             arenas: ArenaPool::new(n_workers),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            patched: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-            poison_evictions: std::sync::atomic::AtomicU64::new(0),
-            replan: ReplanConfig::default(),
+            hits: AtomicU64::new(0),
+            patched: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            poison_evictions: AtomicU64::new(0),
         }
     }
 
-    /// Tune the delta re-planning path used when a request misses the
-    /// exact plan key but a same-topology plan is cached.
-    pub fn set_replan_config(&mut self, cfg: ReplanConfig) {
-        self.replan = cfg;
+    /// Step 1: look `key` up, LRU-touching what is found. On an exact
+    /// miss a plan for the same topology may still be cached from a
+    /// nearby pose; patching it is much cheaper than a cold build. The
+    /// lock is held for the lookups only.
+    fn route(&self, key: &PlanKey, job: &BatchJob) -> Route {
+        let cached = lock(&self.cache).get(key);
+        match cached {
+            Some(entry) => Route::Hit(entry),
+            None => Route::Miss(
+                lock(&self.cache).topo_base(&TopoKey::of_mol(&job.molecule, &job.params)),
+            ),
+        }
+    }
+
+    /// Step 2: the job's solver + plan — `base` patched to the job's
+    /// coordinates when the delta model allows, else prepared cold.
+    /// Touches no shared state. Panics iff `attempt < job.panics`.
+    fn prepare(
+        job: &BatchJob,
+        base: Option<&Prepared>,
+        attempt: u32,
+    ) -> (Arc<Prepared>, Option<ReplanStats>) {
+        if attempt < job.panics {
+            panic!("injected chaos panic (attempt {attempt})");
+        }
+        let patched =
+            base.and_then(|b| b.patched_to(&job.molecule, &job.params, &ReplanConfig::default()));
+        match patched {
+            Some((prepared, stats)) => (Arc::new(prepared), Some(stats)),
+            None => (Arc::new(Prepared::cold(&job.molecule, &job.params)), None),
+        }
+    }
+
+    /// Step 3: insert an entry charged to `tenant`, evicting by quota
+    /// then capacity.
+    fn publish(&self, key: PlanKey, entry: Arc<Prepared>, tenant: &str) {
+        lock(&self.cache).insert(key, entry, tenant);
+    }
+
+    /// Step 4: solve on a free arena. Panics iff `attempt < job.panics`.
+    fn execute(
+        &self,
+        job: &BatchJob,
+        prepared: &Prepared,
+        attempt: u32,
+    ) -> Result<GbResult, RescoreError> {
+        if attempt < job.panics {
+            panic!("injected chaos panic (attempt {attempt})");
+        }
+        self.arenas
+            .solve(prepared, &job.params)
+            .map_err(|e| RescoreError::Solve {
+                message: e.to_string(),
+            })
+    }
+
+    /// Step 5: a job that panicked may have torn the plan entry it was
+    /// holding, so the key is no longer trusted — evict it rather than
+    /// hand it to the next job.
+    fn poison(&self, key: &PlanKey, err: &RescoreError) {
+        if matches!(err, RescoreError::Panicked { .. }) && lock(&self.cache).remove(key) {
+            self.poison_evictions.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Rescore one job for `tenant`, enforcing `deadline` cooperatively
@@ -1055,95 +616,42 @@ impl ServeEngine {
         job: &BatchJob,
         deadline: Option<Instant>,
     ) -> Result<ServeSolve, RescoreError> {
-        use std::sync::atomic::Ordering;
         deadline_gate(deadline, "plan")?;
         let key = PlanKey::of(&job.molecule, &job.params);
-        let cached = lock(&self.cache).get(&key);
-        let (prepared, cache_hit, patched, replan, plan_seconds) = match cached {
-            Some(entry) => {
+        let (prepared, replan, cache_hit, plan_seconds) = match self.route(&key, job) {
+            Route::Hit(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                (entry, true, false, None, 0.0)
+                (entry, None, true, 0.0)
             }
-            None => {
-                // Exact-key miss. A plan for the same topology may still
-                // be cached from a nearby pose; patching it is much
-                // cheaper than a cold build. The lock is held only for
-                // the lookup — the patch itself runs outside it.
-                let base =
-                    lock(&self.cache).topo_base(&TopoKey::of_mol(&job.molecule, &job.params));
+            Route::Miss(base) => {
                 let t = Instant::now();
-                let built = catch_unwind(AssertUnwindSafe(|| {
-                    if job.panics > 0 {
-                        panic!("injected chaos panic (build)");
-                    }
-                    if let Some(base) = &base {
-                        if let Some((prepared, stats)) =
-                            try_patch(base, &job.molecule, &job.params, &self.replan)
-                        {
-                            return (Arc::new(prepared), Some(stats));
-                        }
-                    }
-                    let solver =
-                        GbSolver::for_molecule(&job.molecule, &self.surface, &self.tree_cfg);
-                    let plan = solver.plan(&job.params);
-                    (Arc::new(Prepared { solver, plan }), None)
-                }))
-                .map_err(|payload| {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    RescoreError::Panicked {
-                        message: panic_message(payload),
-                    }
-                })?;
-                let (built, stats) = built;
-                if stats.is_some() {
-                    self.patched.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                lock(&self.cache).insert(key, built.clone(), tenant);
-                (
-                    built,
-                    false,
-                    stats.is_some(),
-                    stats,
-                    t.elapsed().as_secs_f64(),
-                )
+                let built = contain(|| Ok(Self::prepare(job, base.as_deref(), 0)));
+                let served_by = match &built {
+                    Ok((_, Some(_))) => &self.patched,
+                    _ => &self.misses,
+                };
+                served_by.fetch_add(1, Ordering::Relaxed);
+                let (built, replan) = built?;
+                self.publish(key, built.clone(), tenant);
+                (built, replan, false, t.elapsed().as_secs_f64())
             }
         };
         deadline_gate(deadline, "execute")?;
         let t = Instant::now();
-        let solved = catch_unwind(AssertUnwindSafe(|| {
-            if job.panics > 0 {
-                panic!("injected chaos panic (execute)");
-            }
-            self.arenas.solve(&prepared, &job.params)
-        }));
-        match solved {
-            Err(payload) => {
-                if lock(&self.cache).remove(&key) {
-                    self.poison_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(RescoreError::Panicked {
-                    message: panic_message(payload),
-                })
-            }
-            Ok(Err(e)) => Err(RescoreError::Solve {
-                message: e.to_string(),
-            }),
-            Ok(Ok(result)) => Ok(ServeSolve {
-                result,
-                cache_hit,
-                patched,
-                replan,
-                plan_seconds,
-                exec_seconds: t.elapsed().as_secs_f64(),
-            }),
-        }
+        let result =
+            contain(|| self.execute(job, &prepared, 0)).inspect_err(|e| self.poison(&key, e))?;
+        Ok(ServeSolve {
+            result,
+            cache_hit,
+            patched: replan.is_some(),
+            replan,
+            plan_seconds,
+            exec_seconds: t.elapsed().as_secs_f64(),
+        })
     }
 
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
         let cache = lock(&self.cache);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -1171,11 +679,236 @@ fn deadline_gate(deadline: Option<Instant>, phase: &'static str) -> Result<(), R
     }
 }
 
+/// Where a batch job's plan comes from, decided serially before the
+/// parallel waves.
+enum Source {
+    /// A cached or already-built entry.
+    Have(Arc<Prepared>),
+    /// The job prepares its own: the first job of its key this batch
+    /// (from a same-topology base when `route` found one), or a follower
+    /// whose builder failed.
+    Make(Option<Arc<Prepared>>),
+}
+
+/// What one batch job's successful attempt hands back: the entry it
+/// prepared (if it had to), the solve, and the patch stats (if patched).
+type Solved = (Option<Arc<Prepared>>, GbResult, Option<ReplanStats>);
+
+/// The batch driver: an ordered client of a [`ServeEngine`] whose cache
+/// stays warm across calls to [`BatchEngine::run`].
+pub struct BatchEngine {
+    core: ServeEngine,
+    n_workers: usize,
+}
+
+impl BatchEngine {
+    pub fn new(cache_capacity_bytes: usize, n_workers: usize) -> BatchEngine {
+        let n_workers = n_workers.max(1);
+        BatchEngine {
+            core: ServeEngine::new(cache_capacity_bytes, None, n_workers),
+            n_workers,
+        }
+    }
+
+    /// Run a queue of jobs; outcomes come back in submission order.
+    pub fn run(&mut self, jobs: &[BatchJob]) -> (Vec<BatchOutcome>, BatchReport) {
+        let t0 = Instant::now();
+        let core = &self.core;
+        let n_workers = self.n_workers;
+        let reuses_before = core.arena_reuses();
+
+        // Serial, deterministic cache routing in submission order: hits
+        // and builder designation never depend on the steal schedule of
+        // the waves below. Wave A is each new key's first job; wave B is
+        // every hit, and every follower of a wave-A key.
+        let keys = Vec::from_iter(jobs.iter().map(|j| PlanKey::of(&j.molecule, &j.params)));
+        let mut wave_a: Vec<(usize, Source)> = Vec::new();
+        let mut wave_b: Vec<(usize, Source)> = Vec::new();
+        let mut has_builder = std::collections::HashSet::new();
+        for (i, (job, key)) in jobs.iter().zip(&keys).enumerate() {
+            if has_builder.contains(key) {
+                wave_b.push((i, Source::Make(None)));
+                continue;
+            }
+            match core.route(key, job) {
+                Route::Hit(entry) => wave_b.push((i, Source::Have(entry))),
+                Route::Miss(base) => {
+                    has_builder.insert(*key);
+                    wave_a.push((i, Source::Make(base)));
+                }
+            }
+        }
+
+        // One attempt of one job. Earlier attempts let a panic reach the
+        // pool, which re-enqueues the job; the last is contained, so a
+        // persistent panic fails this job and cannot take siblings down.
+        let attempt_job = |job: &BatchJob, source: &Source, attempt: u32| {
+            let steps = || -> Result<Solved, RescoreError> {
+                match source {
+                    Source::Have(entry) => {
+                        let result = core.execute(job, entry, attempt)?;
+                        Ok((None, result, None))
+                    }
+                    Source::Make(base) => {
+                        let (made, replan) = ServeEngine::prepare(job, base.as_deref(), attempt);
+                        let result = core.execute(job, &made, attempt)?;
+                        Ok((Some(made), result, replan))
+                    }
+                }
+            };
+            if attempt >= RETRY_BUDGET {
+                contain(steps)
+            } else {
+                steps()
+            }
+        };
+
+        // Per job: wall seconds, whether it was handed a cached entry, and
+        // its solve + patch stats (or typed failure).
+        let mut walls = vec![0.0; jobs.len()];
+        let mut solved = Vec::from_iter(jobs.iter().map(|_| None));
+        let mut retries = 0u64;
+        let mut recovered_jobs = 0u64;
+        // Run one wave on the pool, then publish — serially and in job
+        // order, so eviction order is deterministic too — the entry each
+        // key's first successful maker prepared. Returns what it published.
+        let mut run_wave = |wave: &[(usize, Source)]| {
+            let mut published: HashMap<PlanKey, Arc<Prepared>> = HashMap::new();
+            if wave.is_empty() {
+                return published;
+            }
+            let attempt_job = &attempt_job;
+            let tasks = Vec::from_iter(wave.iter().map(|(i, source)| {
+                let job = &jobs[*i];
+                move |attempt: u32| {
+                    let t = Instant::now();
+                    let out = attempt_job(job, source, attempt);
+                    (out, t.elapsed().as_secs_f64())
+                }
+            }));
+            let (results, _steal, retry) =
+                polar_runtime::run_batch_retry(n_workers, tasks, RETRY_BUDGET)
+                    .expect("final attempts are contained; the batch cannot abort");
+            retries += retry.retries;
+            recovered_jobs += retry.recovered.len() as u64;
+            for ((i, source), (out, wall)) in wave.iter().zip(results) {
+                walls[*i] = wall;
+                let out = out.map(|(made, result, replan)| {
+                    if let (Some(entry), Entry::Vacant(slot)) = (made, published.entry(keys[*i])) {
+                        core.publish(keys[*i], entry.clone(), DEFAULT_TENANT);
+                        slot.insert(entry);
+                    }
+                    (result, replan)
+                });
+                solved[*i] = Some((matches!(source, Source::Have(_)), out));
+            }
+            published
+        };
+
+        let built = run_wave(&wave_a);
+        // Followers share their builder's entry — a hit. One whose
+        // builder failed stays `Make`: it prepares its own, and the first
+        // in job order re-publishes the key, keeping it warm for later
+        // batches instead of orphaned.
+        for (i, source) in &mut wave_b {
+            if let (Source::Make(_), Some(entry)) = (&source, built.get(&keys[*i])) {
+                *source = Source::Have(entry.clone());
+            }
+        }
+        let republished = run_wave(&wave_b);
+
+        // Poison sweep, in job order. An entry re-published by a clean
+        // follower postdates any panic on its key and stays.
+        for (key, out) in keys.iter().zip(&solved) {
+            if let Some((_, Err(err))) = out {
+                if !republished.contains_key(key) {
+                    core.poison(key, err);
+                }
+            }
+        }
+
+        // Report assembly. The counters partition the jobs: handed a cached
+        // entry (a hit, whatever happened next), patched, or a miss.
+        let (mut cache_hits, mut cache_patched) = (0u64, 0u64);
+        let mut total_work = WorkCounts::ZERO;
+        let mut total_epol = 0.0;
+        let mut succeeded = 0usize;
+        let mut rows = Vec::with_capacity(jobs.len());
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        for ((job, out), wall_seconds) in jobs.iter().zip(solved).zip(walls) {
+            let mut row = BatchJobRow {
+                name: job.molecule.name.clone(),
+                n_atoms: job.molecule.len(),
+                kernel_mode: job.params.kernel.label().to_string(),
+                epol_kcal: f64::NAN,
+                cache_hit: false,
+                cache_patched: false,
+                pair_ops: 0,
+                far_ops: 0,
+                wall_seconds,
+                error: None,
+            };
+            let (cache_hit, out) = out.expect("every job was assigned to exactly one wave");
+            cache_hits += cache_hit as u64;
+            outcomes.push(match out {
+                Ok((result, replan)) => {
+                    succeeded += 1;
+                    cache_patched += replan.is_some() as u64;
+                    total_epol += result.epol_kcal;
+                    total_work.accumulate(result.work_born);
+                    total_work.accumulate(result.work_epol);
+                    row.epol_kcal = result.epol_kcal;
+                    row.cache_hit = cache_hit;
+                    row.cache_patched = replan.is_some();
+                    row.pair_ops = result.work_born.pair_ops + result.work_epol.pair_ops;
+                    row.far_ops = result.work_born.far_ops + result.work_epol.far_ops;
+                    BatchOutcome::Done {
+                        result,
+                        cache_hit,
+                        replan,
+                    }
+                }
+                Err(err) => {
+                    let error = err.to_string();
+                    row.error = Some(error.clone());
+                    BatchOutcome::Failed { error }
+                }
+            });
+            rows.push(row);
+        }
+        let cache = core.cache_stats();
+        let report = BatchReport {
+            jobs: jobs.len(),
+            succeeded,
+            failed: jobs.len() - succeeded,
+            cache_hits,
+            cache_patched,
+            cache_misses: jobs.len() as u64 - cache_hits - cache_patched,
+            cache_evictions: cache.evictions,
+            poison_evictions: cache.poison_evictions,
+            cache_bytes_held: cache.bytes_held,
+            cache_capacity_bytes: cache.capacity_bytes,
+            arenas: n_workers,
+            arena_reuses: core.arena_reuses() - reuses_before,
+            arena_bytes: core.arenas.total_bytes(),
+            retries,
+            recovered_jobs,
+            total_epol_kcal: total_epol,
+            total_work,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            rows,
+        };
+        (outcomes, report)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::KernelMode;
     use polar_molecule::generators;
+    use polar_octree::OctreeConfig;
+    use polar_surface::SurfaceConfig;
 
     /// What the cache charges for one prepared molecule.
     fn entry_bytes(mol: &Molecule, p: &GbParams) -> usize {
@@ -1306,13 +1039,13 @@ mod tests {
         let capacity = 2 * probe + probe / 2;
         let mut engine = BatchEngine::new(capacity, 2);
         let reconcile = |engine: &BatchEngine, held: u64| {
-            let ground_truth: usize = engine
-                .cache
+            let cache = lock(&engine.core.cache);
+            let ground_truth: usize = cache
                 .map
                 .values()
                 .map(|slot| slot.entry.memory_bytes())
                 .sum();
-            assert_eq!(engine.cache.bytes_held, ground_truth);
+            assert_eq!(cache.bytes_held, ground_truth);
             assert_eq!(held as usize, ground_truth);
         };
         // Fill to capacity, then keep inserting fresh geometries so the
@@ -1327,10 +1060,10 @@ mod tests {
         assert!(evictions >= 1, "capacity for ~2 plans never evicted");
         // Re-running a warm seed (hit, no insert) leaves the ledger
         // untouched.
-        let before = engine.cache.bytes_held;
+        let before = lock(&engine.core.cache).bytes_held;
         let (_, report) = engine.run(&jobs_of(&[(130, 4)], 1));
         assert_eq!(report.cache_hits, 1);
-        assert_eq!(engine.cache.bytes_held, before);
+        assert_eq!(lock(&engine.core.cache).bytes_held, before);
         reconcile(&engine, report.cache_bytes_held);
     }
 
@@ -1393,7 +1126,7 @@ mod tests {
 
     #[test]
     fn patched_plan_matches_cold_plan_on_the_same_geometry() {
-        // The engine-level accuracy contract: the plan try_patch returns
+        // The engine-level accuracy contract: the plan `patched_to` returns
         // is interchangeable with a cold plan built on the *same*
         // refreshed solver — Born radii bitwise, E_pol to 1e-12.
         use polar_molecule::trajectory;
@@ -1420,8 +1153,9 @@ mod tests {
             let plan = solver.plan(&p);
             let base = Prepared { solver, plan };
             let moved = trajectory::jittered(&mol, step, 13);
-            let (prepared, stats) =
-                try_patch(&base, &moved, &p, &cfg).expect("small delta patches");
+            let (prepared, stats) = base
+                .patched_to(&moved, &p, &cfg)
+                .expect("small delta patches");
             if want_dirty {
                 assert!(stats.dirty_born > 0 || stats.dirty_epol > 0, "{stats:?}");
             } else {
@@ -1688,13 +1422,138 @@ mod tests {
     #[test]
     fn identical_manifests_produce_byte_identical_reports() {
         let jobs = jobs_of(&[(110, 4), (130, 5)], 2);
-        let run = || {
-            let mut engine = BatchEngine::new(64 << 20, 3);
-            let (_, mut report) = engine.run(&jobs);
+        let run = |jobs: &[BatchJob], capacity: usize, workers: usize| {
+            let mut engine = BatchEngine::new(capacity, workers);
+            let (_, mut report) = engine.run(jobs);
             report.zero_wall_times();
+            report.arenas = 0; // the worker count itself
             report.to_json()
         };
-        assert_eq!(run(), run());
+        assert_eq!(run(&jobs, 64 << 20, 3), run(&jobs, 64 << 20, 3));
+        // Under pressure too, and whatever the worker count: a cache that
+        // holds ~2.5 entries evicts while the mixed sequence runs.
+        let (mixed, capacity) = mixed_sequence();
+        let serial = run(&mixed, capacity, 1);
+        assert!(!serial.contains("\"cache_evictions\":0,"), "{serial}");
+        assert_eq!(serial, run(&mixed, capacity, 3));
+    }
+
+    /// A seeded 40-job sequence over three topologies — repeats, 0.02 Å
+    /// jittered poses of a cached topology, fresh geometries, a 5 Å jump,
+    /// a chaos repeat past the retry budget and a fresh chaos geometry
+    /// within it — and a cache capacity of about 2.5 entries, so
+    /// evictions happen along the way.
+    fn mixed_sequence() -> (Vec<BatchJob>, usize) {
+        use polar_molecule::trajectory;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let p = GbParams {
+            kernel: KernelMode::Strict,
+            ..GbParams::default()
+        };
+        let mut poses: Vec<Molecule> = (0..3)
+            .map(|t| generators::globular(format!("topo{t}"), 120, 40 + t))
+            .collect();
+        let capacity = 5 * entry_bytes(&poses[0], &p) / 2;
+        let mut rng = StdRng::seed_from_u64(0x5eed_0024);
+        let mut jobs: Vec<BatchJob> = Vec::new();
+        for k in 0..40u64 {
+            let t = rng.random_range(0..poses.len());
+            let draw = rng.random_range(0..10);
+            let pose = &mut poses[t];
+            match (k, draw) {
+                (13, _) => *pose = trajectory::jittered(pose, 5.0, k),
+                (_, 0..=3) => {} // repeat the topology's current pose
+                (29, _) | (_, 8..) => {
+                    *pose = generators::globular(format!("topo{t}"), 120, 100 + k)
+                }
+                _ => *pose = trajectory::jittered(pose, 0.02, k),
+            }
+            jobs.push(match k {
+                // The job just before is cached, so this one panics on the
+                // hit path and poisons the entry.
+                21 => BatchJob::with_panics(jobs[20].molecule.clone(), p, RETRY_BUDGET + 1),
+                29 => BatchJob::with_panics(pose.clone(), p, 1),
+                _ => BatchJob::new(pose.clone(), p),
+            });
+        }
+        (jobs, capacity)
+    }
+
+    #[test]
+    fn batch_and_serve_drivers_agree_job_for_job() {
+        // The same sequence through `BatchEngine::run` — one job per run,
+        // so both drivers see the cache in the same state before every
+        // job (a longer run routes all its jobs before it publishes any)
+        // — and through `ServeEngine::rescore` on a fresh engine of the
+        // same capacity. The five steps are shared, so provenance, bits
+        // and the cache ledger must match.
+        let (jobs, capacity) = mixed_sequence();
+        let mut batch = BatchEngine::new(capacity, 1);
+        let serve = ServeEngine::new(capacity, None, 1);
+        let mut kinds = std::collections::BTreeMap::new();
+        let mut recovered = 0;
+        for (k, job) in jobs.iter().enumerate() {
+            let (outcomes, report) = batch.run(std::slice::from_ref(job));
+            let served = match serve.rescore(DEFAULT_TENANT, job, None) {
+                // Within its retry budget the batch re-ran the job; a
+                // serve client resubmits.
+                Err(RescoreError::Panicked { .. }) if job.panics <= RETRY_BUDGET => {
+                    recovered += report.recovered_jobs;
+                    let clean = BatchJob::new(job.molecule.clone(), job.params);
+                    serve.rescore(DEFAULT_TENANT, &clean, None)
+                }
+                other => other,
+            };
+            let kind = match (&outcomes[0], &served) {
+                (
+                    BatchOutcome::Done {
+                        result,
+                        cache_hit,
+                        replan,
+                    },
+                    Ok(solve),
+                ) => {
+                    assert_eq!(*cache_hit, solve.cache_hit, "job {k}");
+                    assert_eq!(*replan, solve.replan, "job {k}");
+                    assert_eq!(result.born, solve.result.born, "job {k}");
+                    assert_eq!(
+                        result.epol_kcal.to_bits(),
+                        solve.result.epol_kcal.to_bits(),
+                        "job {k}"
+                    );
+                    match (cache_hit, replan) {
+                        (true, _) => "hit",
+                        (false, Some(_)) => "patched",
+                        (false, None) => "built",
+                    }
+                }
+                (BatchOutcome::Failed { error }, Err(err)) => {
+                    assert!(matches!(err, RescoreError::Panicked { .. }), "job {k}");
+                    // The same error up to the attempt number it names.
+                    assert!(
+                        error.starts_with("job panicked: injected"),
+                        "job {k}: {error}"
+                    );
+                    "failed"
+                }
+                (batch, serve) => panic!("job {k}: batch {batch:?} vs serve {serve:?}"),
+            };
+            *kinds.entry(kind).or_insert(0usize) += 1;
+            let cache = serve.cache_stats();
+            assert_eq!(report.cache_evictions, cache.evictions, "job {k}");
+            assert_eq!(report.poison_evictions, cache.poison_evictions, "job {k}");
+            assert_eq!(report.cache_bytes_held, cache.bytes_held, "job {k}");
+        }
+        for kind in ["hit", "patched", "built", "failed"] {
+            assert!(kinds.contains_key(kind), "no {kind} job in {kinds:?}");
+        }
+        assert_eq!(recovered, 1);
+        let cache = serve.cache_stats();
+        assert!(
+            cache.evictions > 0 && cache.poison_evictions > 0,
+            "{cache:?}"
+        );
     }
 
     #[test]

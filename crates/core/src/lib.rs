@@ -45,6 +45,7 @@ pub mod minimize;
 pub mod nonpolar;
 pub mod partition;
 pub mod plan;
+pub mod prepared;
 pub mod report;
 pub mod solver;
 pub mod stats;
@@ -64,6 +65,7 @@ pub use plan::{
 /// The workspace's JSON codec, re-exported for crates that depend on
 /// `polar-gb` but not on `polar-molecule`.
 pub use polar_molecule::json;
+pub use prepared::{advance, replay_frames, Advance, FrameAction, Prepared};
 pub use report::{
     BatchReport, GradientIterRow, GradientReport, Histogram, InductionReport, ReplanFrameRow,
     ReplanReport, ServeReport, SolveReport,

@@ -1,7 +1,7 @@
 //! Energy minimization on the plan-path gradient: steepest descent and
-//! L-BFGS with Armijo backtracking line search, driving
-//! [`GbSolver::apply_frame`] + [`crate::plan::InteractionPlan::patch`]
-//! per step so a relaxation runs the delta re-planning path end-to-end.
+//! L-BFGS with Armijo backtracking line search. Every trial and accepted
+//! point is reached through the frame stepper ([`crate::prepared::advance`]),
+//! so a relaxation runs the delta re-planning path end-to-end.
 //!
 //! This replaces the fixed-step steepest descent the `md_relaxation`
 //! example used to hand-roll, which could overshoot the quadratic bowl
@@ -25,13 +25,11 @@
 
 use crate::energy::gradient::GradientError;
 use crate::eval::LeafEval;
-use crate::plan::{InteractionPlan, PlanDelta, ReplanConfig};
+use crate::plan::{InteractionPlan, ReplanConfig};
+use crate::prepared::{advance, FrameAction};
 use crate::report::{GradientIterRow, GradientReport};
 use crate::solver::{GbParams, GbSolver, GradResult};
 use polar_geom::Vec3;
-use polar_molecule::{Atom, Molecule};
-use polar_octree::OctreeConfig;
-use polar_surface::SurfaceConfig;
 
 /// Knobs for [`minimize`].
 #[derive(Debug, Clone)]
@@ -60,11 +58,6 @@ pub struct MinimizeConfig {
     pub replan: ReplanConfig,
     /// Workers for the gradient/energy evaluations; `0` or `1` = serial.
     pub n_workers: usize,
-    /// Surface quadrature used if an escaped frame forces a cold solver
-    /// rebuild.
-    pub surface: SurfaceConfig,
-    /// Octree configuration for the same rebuild path.
-    pub octree: OctreeConfig,
 }
 
 impl Default for MinimizeConfig {
@@ -80,8 +73,6 @@ impl Default for MinimizeConfig {
             lbfgs_memory: 5,
             replan: ReplanConfig::default(),
             n_workers: 0,
-            surface: SurfaceConfig::coarse(),
-            octree: OctreeConfig::default(),
         }
     }
 }
@@ -116,10 +107,10 @@ struct StepCounters {
 /// Minimize E_pol over atom positions with plan-path analytic gradients.
 ///
 /// `solver` and `plan` are advanced in place: every accepted (and
-/// trial) frame goes through [`GbSolver::apply_frame`] and the plan is
-/// patched, reused, or rebuilt per [`MinimizeConfig::replan`] — the
-/// counters land in the returned [`GradientReport`]. On return the
-/// solver sits at the final iterate.
+/// trial) frame goes through [`advance`], which patches, reuses or
+/// rebuilds the plan per [`MinimizeConfig::replan`] — the counters land
+/// in the returned [`GradientReport`]. On return the solver sits at the
+/// final iterate.
 pub fn minimize(
     solver: &mut GbSolver,
     plan: &mut InteractionPlan,
@@ -190,7 +181,7 @@ pub fn minimize(
             // Stall: every shrink failed sufficient decrease. The solver
             // currently sits at the last (rejected) trial — move it back
             // to the accepted iterate before stopping.
-            move_to(solver, plan, p, cfg, &x, &mut counters)?;
+            move_to(solver, plan, p, cfg, &x, &mut counters);
             report.stalled = true;
             break;
         };
@@ -261,9 +252,8 @@ pub fn minimize(
     })
 }
 
-/// Move the solver to `pos`, keeping the plan current: patch when the
-/// delta model allows, rebuild the plan cold otherwise, and rebuild the
-/// whole solver (new trees) if points escape their slack boxes.
+/// Move the solver to `pos`, keeping the plan current, and count what
+/// the frame stepper had to do for it.
 fn move_to(
     solver: &mut GbSolver,
     plan: &mut InteractionPlan,
@@ -271,38 +261,12 @@ fn move_to(
     cfg: &MinimizeConfig,
     pos: &[Vec3],
     counters: &mut StepCounters,
-) -> Result<(), GradientError> {
-    match solver.apply_frame(pos, cfg.replan.slack, cfg.replan.tolerance) {
-        Ok(frame) => match plan.delta(solver, p, &frame, &cfg.replan) {
-            PlanDelta::Reusable => {
-                counters.reused += 1;
-            }
-            PlanDelta::Patchable(set) => {
-                plan.patch(solver, p, &set)?;
-                counters.patched += 1;
-            }
-            PlanDelta::Rebuild(_) => {
-                solver.resync_geometry();
-                *plan = solver.plan(p);
-                counters.rebuilt += 1;
-            }
-        },
-        Err(_escaped) => {
-            // Points left their slack boxes: rebuild the solver cold
-            // from the molecule it represents at the new coordinates.
-            let atoms: Vec<Atom> = pos
-                .iter()
-                .zip(&solver.atom_radii)
-                .zip(&solver.charges)
-                .map(|((p, r), q)| Atom::new(*p, *r, *q))
-                .collect();
-            let mol = Molecule::new(&solver.name, atoms);
-            *solver = GbSolver::for_molecule(&mol, &cfg.surface, &cfg.octree);
-            *plan = solver.plan(p);
-            counters.rebuilt += 1;
-        }
+) {
+    match advance(solver, plan, pos, p, &cfg.replan).action {
+        FrameAction::Reused => counters.reused += 1,
+        FrameAction::Patched(_) => counters.patched += 1,
+        FrameAction::Replanned(_) | FrameAction::Escaped(_) => counters.rebuilt += 1,
     }
-    Ok(())
 }
 
 /// Energy of the trial point `pos` (moves the solver there).
@@ -314,7 +278,7 @@ fn energy_at(
     pos: &[Vec3],
     counters: &mut StepCounters,
 ) -> Result<f64, GradientError> {
-    move_to(solver, plan, p, cfg, pos, counters)?;
+    move_to(solver, plan, p, cfg, pos, counters);
     let t0 = std::time::Instant::now();
     let e = if cfg.n_workers > 1 {
         solver
@@ -382,7 +346,9 @@ mod tests {
     use super::*;
     use crate::energy::gradient::epol_gradient_naive;
     use polar_geom::MathMode;
-    use polar_molecule::generators;
+    use polar_molecule::{generators, Atom, Molecule};
+    use polar_octree::OctreeConfig;
+    use polar_surface::SurfaceConfig;
 
     fn setup(n: usize, seed: u64) -> (GbSolver, InteractionPlan, GbParams) {
         let mol = generators::globular("min", n, seed);

@@ -298,7 +298,7 @@ pub enum PlanDelta {
 
 /// What a [`InteractionPlan::patch`] actually did, for the
 /// `ReplanReport` layer.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplanStats {
     /// Born-stage segments re-planned and spliced.
     pub dirty_born: usize,

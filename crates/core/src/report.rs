@@ -404,7 +404,7 @@ impl BatchReport {
 }
 
 /// One frame of a trajectory replay inside a [`ReplanReport`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplanFrameRow {
     /// Frame index (0 is the cold frame that built the plan).
     pub frame: usize,

@@ -994,6 +994,36 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_stage_task_surfaces_from_the_pooled_solve_as_that_panic() {
+        // ε ≤ 0 trips the separation-factor assertion inside every
+        // Born-stage task of `fan_out`. The pool must stop and hand that
+        // panic to the caller — not hang, and not bury it under "a scoped
+        // thread panicked". On a helper thread so a hang fails the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let s = solver(150, 6);
+            let p = GbParams {
+                eps_born: -1.0,
+                ..GbParams::default()
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.solve_pooled_report(LeafEval::Traverse, &p, 2)
+            }));
+            let message = caught
+                .err()
+                .and_then(|payload| payload.downcast_ref::<&str>().map(|m| m.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the pooled solve hung on a panicking task");
+        assert_eq!(
+            message.as_deref(),
+            Some("approximation parameter ε must be positive")
+        );
+    }
+
+    #[test]
     fn serial_report_is_populated() {
         let s = solver(200, 8);
         let (r, rep) = s

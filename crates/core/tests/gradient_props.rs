@@ -10,7 +10,7 @@
 use polar_gb::constants::tau;
 use polar_gb::energy::exact::epol_naive;
 use polar_gb::energy::{epol_gradient_naive, net_torque};
-use polar_gb::{GbParams, GbSolver, KernelMode, PlanDelta, ReplanConfig};
+use polar_gb::{advance, FrameAction, GbParams, GbSolver, KernelMode, ReplanConfig};
 use polar_geom::Vec3;
 use polar_molecule::{generators, trajectory};
 use polar_octree::OctreeConfig;
@@ -138,21 +138,10 @@ proptest! {
         let frames = trajectory::jitter_frames(&mol, 4, amplitude, seed ^ 0x9e37);
         let mut saw_patch = false;
         for frame_mol in frames.iter().skip(1) {
-            let frame_pos = frame_mol.positions();
-            let frame = match s.apply_frame(&frame_pos, cfg.slack, cfg.tolerance) {
-                Ok(f) => f,
-                Err(_) => break, // escaped the slack boxes: out of scope here
-            };
-            match plan.delta(&s, &p, &frame, &cfg) {
-                PlanDelta::Reusable => {}
-                PlanDelta::Patchable(set) => {
-                    plan.patch(&s, &p, &set).expect("patch applies");
-                    saw_patch = true;
-                }
-                PlanDelta::Rebuild(_) => {
-                    s.resync_geometry();
-                    plan = s.plan(&p);
-                }
+            match advance(&mut s, &mut plan, &frame_mol.positions(), &p, &cfg).action {
+                FrameAction::Escaped(_) => break, // left the slack boxes: out of scope here
+                FrameAction::Patched(_) => saw_patch = true,
+                FrameAction::Reused | FrameAction::Replanned(_) => {}
             }
             let res = s.gradient_with_plan(&plan, &p).expect("clean geometry");
             let want = epol_gradient_naive(
@@ -198,20 +187,10 @@ proptest! {
         let frames = trajectory::jitter_frames(&mol, 3, amplitude, seed ^ 0x51f1);
         let mut saw_patch = false;
         for frame_mol in frames.iter().skip(1) {
-            let frame_pos = frame_mol.positions();
-            let frame = s
-                .apply_frame(&frame_pos, cfg.slack, cfg.tolerance)
-                .expect("sub-milli-angstrom steps cannot escape");
-            match plan.delta(&s, &p, &frame, &cfg) {
-                PlanDelta::Reusable => {}
-                PlanDelta::Patchable(set) => {
-                    plan.patch(&s, &p, &set).expect("patch applies");
-                    saw_patch = true;
-                }
-                PlanDelta::Rebuild(_) => {
-                    s.resync_geometry();
-                    plan = s.plan(&p);
-                }
+            match advance(&mut s, &mut plan, &frame_mol.positions(), &p, &cfg).action {
+                FrameAction::Escaped(n) => panic!("a sub-milli-angstrom step escaped {n} points"),
+                FrameAction::Patched(_) => saw_patch = true,
+                FrameAction::Reused | FrameAction::Replanned(_) => {}
             }
             let patched = s.gradient_with_plan(&plan, &p).expect("clean geometry");
             let cold_plan = s.plan(&p);

@@ -4,8 +4,11 @@
 //! traversals' results — Born radii bitwise, E_pol to machine
 //! precision — and a plan must be reusable across repeated solves.
 
-use polar_gb::{GbParams, GbSolver, KernelMode, LeafEval, PlanDelta, ReplanConfig};
-use polar_molecule::{generators, trajectory};
+use polar_gb::{
+    advance, Advance, FrameAction, GbParams, GbSolver, InteractionPlan, KernelMode, LeafEval,
+    PlanDelta, RebuildReason, ReplanConfig,
+};
+use polar_molecule::{generators, trajectory, Molecule};
 use polar_octree::OctreeConfig;
 use polar_surface::SurfaceConfig;
 use proptest::prelude::*;
@@ -17,6 +20,84 @@ fn solver_for(n: usize, seed: u64) -> GbSolver {
 
 fn rel(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1.0)
+}
+
+/// The frame step written out by hand on the public primitives — the
+/// reference `polar_gb::advance` is held to, and the only such loop left
+/// in the workspace outside `prepared.rs`.
+fn hand_written_step(
+    solver: &mut GbSolver,
+    plan: &mut InteractionPlan,
+    frame: &Molecule,
+    p: &GbParams,
+    cfg: &ReplanConfig,
+) -> Advance {
+    match solver.apply_frame(&frame.positions(), cfg.slack, cfg.tolerance) {
+        Ok(delta) => {
+            let action = match plan.delta(solver, p, &delta, cfg) {
+                PlanDelta::Reusable => FrameAction::Reused,
+                PlanDelta::Patchable(set) => FrameAction::Patched(
+                    plan.patch(solver, p, &set)
+                        .expect("patch set fits its solver"),
+                ),
+                PlanDelta::Rebuild(why) => {
+                    solver.resync_geometry();
+                    *plan = solver.plan(p);
+                    FrameAction::Replanned(why)
+                }
+            };
+            Advance {
+                action,
+                max_disp: delta.max_disp,
+            }
+        }
+        Err(escaped) => {
+            *solver =
+                GbSolver::for_molecule(frame, &SurfaceConfig::coarse(), &OctreeConfig::default());
+            *plan = solver.plan(p);
+            Advance {
+                action: FrameAction::Escaped(escaped),
+                max_disp: 0.0,
+            }
+        }
+    }
+}
+
+/// Two plans hold the same lists: Born windows block for block, energy
+/// near runs and far ids leaf for leaf, same statistics, same bytes.
+fn assert_same_lists(live: &InteractionPlan, other: &InteractionPlan, ctx: &str) {
+    assert_eq!(live.born.blocks(), other.born.blocks());
+    for b in 0..other.born.blocks() {
+        assert_eq!(
+            live.born.far_windows(b),
+            other.born.far_windows(b),
+            "{ctx} block {b}: far windows"
+        );
+        assert_eq!(
+            live.born.near_windows(b),
+            other.born.near_windows(b),
+            "{ctx} block {b}: near windows"
+        );
+    }
+    assert_eq!(live.epol.groups(), other.epol.groups());
+    for leaf in 0..other.epol.groups() {
+        assert_eq!(
+            live.epol.leaf_near(leaf),
+            other.epol.leaf_near(leaf),
+            "{ctx} leaf {leaf}: near runs"
+        );
+        assert_eq!(
+            live.epol.leaf_far(leaf),
+            other.epol.leaf_far(leaf),
+            "{ctx} leaf {leaf}: far ids"
+        );
+    }
+    assert_eq!(
+        format!("{:?}", live.stats()),
+        format!("{:?}", other.stats()),
+        "{ctx}"
+    );
+    assert_eq!(live.memory_bytes(), other.memory_bytes(), "{ctx}");
 }
 
 proptest! {
@@ -129,30 +210,16 @@ proptest! {
         };
         let p = GbParams { kernel: KernelMode::Strict, ..GbParams::default() };
         let frames = trajectory::jitter_frames(&mol, 4, step, seed.wrapping_add(101));
-        let surface = SurfaceConfig::coarse();
-        let tree = OctreeConfig::default();
-        let mut solver = GbSolver::for_molecule(&frames[0], &surface, &tree);
+        let mut solver = GbSolver::for_molecule(
+            &frames[0],
+            &SurfaceConfig::coarse(),
+            &OctreeConfig::default(),
+        );
         let mut plan = solver.plan(&p);
         let mut patched = 0u32;
         for frame in &frames[1..] {
-            let pos = frame.positions();
-            match solver.apply_frame(&pos, cfg.slack, cfg.tolerance) {
-                Ok(delta) => match plan.delta(&solver, &p, &delta, &cfg) {
-                    PlanDelta::Reusable => {}
-                    PlanDelta::Patchable(set) => {
-                        plan.patch(&solver, &p, &set).expect("patch set fits its solver");
-                        patched += 1;
-                    }
-                    PlanDelta::Rebuild(_) => {
-                        solver.resync_geometry();
-                        plan = solver.plan(&p);
-                    }
-                },
-                Err(_) => {
-                    solver = GbSolver::for_molecule(frame, &surface, &tree);
-                    plan = solver.plan(&p);
-                }
-            }
+            let step = advance(&mut solver, &mut plan, &frame.positions(), &p, &cfg);
+            patched += matches!(step.action, FrameAction::Patched(_)) as u32;
             let cold = solver.plan(&p);
             let live = solver.solve_with_plan(&plan, &p).expect("live plan is current");
             let control = solver.solve_with_plan(&cold, &p).expect("cold control fits");
@@ -269,16 +336,22 @@ fn patched_lists_equal_cold_lists_window_for_window_and_run_for_run() {
     let mut plan = solver.plan(&p);
     let (mut patched, mut dirty_leaves, mut partly_dirty) = (0, 0, 0);
     for (k, frame) in frames[1..].iter().enumerate() {
-        let delta = solver
+        // What the classifier will hand the stepper, from a probe copy of
+        // the solver: `delta` only reads the plan.
+        let mut probe = solver.clone();
+        let delta = probe
             .apply_frame(&frame.positions(), cfg.slack, cfg.tolerance)
             .expect("a 0.004 A jitter stays inside the slack");
-        match plan.delta(&solver, &p, &delta, &cfg) {
-            PlanDelta::Patchable(set) => {
+        let set = match plan.delta(&probe, &p, &delta, &cfg) {
+            PlanDelta::Patchable(set) => set,
+            other => panic!("frame {k}: expected a patch, got {other:?}"),
+        };
+        match advance(&mut solver, &mut plan, &frame.positions(), &p, &cfg).action {
+            FrameAction::Patched(stats) => {
                 let blocks: std::collections::BTreeSet<u32> =
                     set.dirty_born.iter().map(|l| l / 8).collect();
                 partly_dirty += (set.dirty_born.len() < 8 * blocks.len()) as usize;
                 dirty_leaves += set.dirty_born.len();
-                let stats = plan.patch(&solver, &p, &set).expect("patch set fits");
                 assert_eq!(stats.dirty_born, set.dirty_born.len());
                 assert_eq!(stats.total_born, solver.tree_q.leaves().len());
                 patched += 1;
@@ -286,40 +359,16 @@ fn patched_lists_equal_cold_lists_window_for_window_and_run_for_run() {
             other => panic!("frame {k}: expected a patch, got {other:?}"),
         }
         let cold = solver.plan(&p);
-        assert_eq!(plan.born.blocks(), cold.born.blocks());
-        for b in 0..cold.born.blocks() {
-            assert_eq!(
-                plan.born.far_windows(b),
-                cold.born.far_windows(b),
-                "frame {k} block {b}: far windows"
-            );
-            assert_eq!(
-                plan.born.near_windows(b),
-                cold.born.near_windows(b),
-                "frame {k} block {b}: near windows"
-            );
-        }
-        assert_eq!(plan.epol.groups(), cold.epol.groups());
+        assert_same_lists(&plan, &cold, &format!("frame {k}"));
         for leaf in 0..cold.epol.groups() {
-            let (live, fresh) = (plan.epol.leaf_near(leaf), cold.epol.leaf_near(leaf));
-            assert_eq!(live, fresh, "frame {k} leaf {leaf}: near runs");
             assert!(
-                live.windows(2)
+                plan.epol
+                    .leaf_near(leaf)
+                    .windows(2)
                     .all(|w| w[0].slots().end != w[1].slots().start),
                 "frame {k} leaf {leaf}: runs are not maximal"
             );
-            assert_eq!(
-                plan.epol.leaf_far(leaf),
-                cold.epol.leaf_far(leaf),
-                "frame {k} leaf {leaf}: far ids"
-            );
         }
-        assert_eq!(
-            format!("{:?}", plan.stats()),
-            format!("{:?}", cold.stats()),
-            "frame {k}"
-        );
-        assert_eq!(plan.memory_bytes(), cold.memory_bytes(), "frame {k}");
         // Aged margins never overstate a fresh one.
         for (live, fresh) in plan.born.margins().iter().zip(cold.born.margins()) {
             assert!(
@@ -333,6 +382,76 @@ fn patched_lists_equal_cold_lists_window_for_window_and_run_for_run() {
         dirty_leaves > 0 && partly_dirty > 0,
         "no block was re-planned for a single leaf"
     );
+}
+
+#[test]
+fn the_stepper_matches_the_hand_written_loop_frame_for_frame() {
+    // One seeded 30-frame walk through every branch of the frame step —
+    // in-tolerance frames, an exact-mode stretch with real dirty sets, a
+    // frame past `max_displacement`, one past `max_dirty_fraction`, and
+    // an escape — driven twice from the same start: by `advance` and by
+    // the hand-written reference above. They must agree on everything.
+    let drift = ReplanConfig::default();
+    let exact = ReplanConfig {
+        tolerance: 0.0,
+        max_dirty_fraction: 1.0,
+        ..drift
+    };
+    let no_dirt = ReplanConfig {
+        max_dirty_fraction: 0.0,
+        ..exact
+    };
+    let schedule: Vec<(f64, ReplanConfig)> = [
+        vec![(0.02, drift); 8],
+        vec![(0.004, exact); 8],
+        vec![(0.6, drift)],
+        vec![(0.02, drift); 4],
+        vec![(0.05, no_dirt)],
+        vec![(0.02, drift); 3],
+        vec![(5.0, drift)],
+        vec![(0.02, drift); 4],
+    ]
+    .concat();
+    assert_eq!(schedule.len(), 30);
+
+    let p = GbParams::default();
+    let mut frame = generators::globular("walk", 180, 3);
+    let mut solver =
+        GbSolver::for_molecule(&frame, &SurfaceConfig::coarse(), &OctreeConfig::default());
+    let mut plan = solver.plan(&p);
+    let (mut ref_solver, mut ref_plan) = (solver.clone(), plan.clone());
+    let mut seen = [0usize; 5];
+    for (k, (step, cfg)) in schedule.iter().enumerate() {
+        frame = trajectory::jittered(&frame, *step, 500 + k as u64);
+        let got = advance(&mut solver, &mut plan, &frame.positions(), &p, cfg);
+        let want = hand_written_step(&mut ref_solver, &mut ref_plan, &frame, &p, cfg);
+        assert_eq!(got, want, "frame {k}");
+        seen[match &got.action {
+            FrameAction::Reused => unreachable!("a jittered frame always moves"),
+            FrameAction::Patched(stats) if stats.dirty_born + stats.dirty_epol == 0 => 0,
+            FrameAction::Patched(_) => 1,
+            FrameAction::Replanned(RebuildReason::Displacement { .. }) => 2,
+            FrameAction::Replanned(RebuildReason::DirtyFraction { .. }) => 3,
+            FrameAction::Replanned(RebuildReason::Incompatible(e)) => panic!("frame {k}: {e}"),
+            FrameAction::Escaped(_) => 4,
+        }] += 1;
+        assert_same_lists(&plan, &ref_plan, &format!("frame {k}"));
+        assert_eq!(solver.geom_version, ref_solver.geom_version, "frame {k}");
+        assert_eq!(plan.geom_version, ref_plan.geom_version, "frame {k}");
+        assert_eq!(solver.atom_pos, frame.positions(), "frame {k}");
+        let live = solver.solve_with_plan(&plan, &p).expect("plan is current");
+        let reference = ref_solver
+            .solve_with_plan(&ref_plan, &p)
+            .expect("plan is current");
+        assert_eq!(live.born, reference.born, "frame {k}");
+        assert_eq!(
+            live.epol_kcal.to_bits(),
+            reference.epol_kcal.to_bits(),
+            "frame {k}"
+        );
+    }
+    // Clean patches, dirty patches, both rebuild reasons and the escape.
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
 }
 
 #[test]

@@ -327,6 +327,14 @@ pub fn check_eps(what: &str, eps: f64) -> Result<f64, String> {
     }
 }
 
+/// A size option given in MiB (`--cache-mb`, `--quota-mb`) as a byte
+/// count. `mb << 20` would drop the high bits of an oversized value
+/// silently and leave a near-zero cache that evicts on every insert.
+pub fn mib_to_bytes(what: &str, mb: usize) -> Result<usize, String> {
+    mb.checked_mul(1 << 20)
+        .ok_or_else(|| format!("{what}: {mb} MB does not fit in this platform's address space"))
+}
+
 fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
     let obj = v.as_object(ctx)?;
     for key in obj.keys() {

@@ -14,14 +14,21 @@
 //! * per-worker execution and steal counters are exported so experiments
 //!   can observe the scheduler (see `abl_work_division`).
 //!
-//! The distributed drivers in `polar-mpi` use [`run_batch`] for the
-//! intra-rank thread level of the hybrid `OCT_MPI+CILK` algorithm, where
-//! the batch is a rank's segment of octree-leaf tasks.
+//! There is one worker loop (`run_pool`: own deque → retry queue →
+//! random-victim steal, every task under `catch_unwind`) and two entry
+//! points onto it. [`run_batch_retry`] re-runs a panicking task up to a
+//! budget and reports exhaustion as a typed [`TaskPanicked`]; the
+//! distributed drivers in `polar-mpi` use it for the intra-rank thread
+//! level of the hybrid `OCT_MPI+CILK` algorithm and the batch engine for
+//! its job waves. [`run_batch`] is the same loop at budget zero over
+//! `FnOnce` tasks — every pooled solve stage fans out through it — and
+//! re-raises a task's panic on the caller once all workers have stopped.
 
 use crossbeam_deque::{Steal, Stealer, Worker};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Scheduler observability: what each worker did.
@@ -94,119 +101,31 @@ impl StealStats {
 /// stealing. Determinism: results are deterministic because each task's
 /// output lands in its own slot; the *schedule* (and `StealStats`) is not,
 /// except with `n_workers == 1`.
+///
+/// This is [`run_batch_retry`] with a retry budget of zero over
+/// take-once tasks: a task that panics stops the pool (workers finish
+/// the task they are on and take no more), and once every worker has
+/// stopped the panic is re-raised on the calling thread with the task's
+/// own payload. No task runs twice.
 pub fn run_batch<T, F>(n_workers: usize, tasks: Vec<F>) -> (Vec<T>, StealStats)
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    assert!(n_workers >= 1, "need at least one worker");
-    let n_tasks = tasks.len();
-    // Each task writes its result into its own slot; slots are disjoint,
-    // so plain indexed writes through a shared Vec of OnceLocks are safe.
-    // `Mutex<Option<T>>` is Sync for any `T: Send`, unlike OnceLock
-    // which would additionally demand `T: Sync`.
-    let results: Vec<parking_lot::Mutex<Option<T>>> = (0..n_tasks)
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    let workers: Vec<Worker<(usize, F)>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<(usize, F)>> = workers.iter().map(|w| w.stealer()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        workers[i % n_workers].push((i, task));
-    }
-
-    let executed: Vec<AtomicU64> = (0..n_workers).map(|_| AtomicU64::new(0)).collect();
-    let steals: Vec<AtomicU64> = (0..n_workers).map(|_| AtomicU64::new(0)).collect();
-    let remaining = AtomicUsize::new(n_tasks);
-
-    std::thread::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let results = &results;
-            let executed = &executed;
-            let steals = &steals;
-            let remaining = &remaining;
-            scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0x9e37_79b9 ^ wid as u64);
-                loop {
-                    // 1. Own deque, newest first (LIFO pop).
-                    let job = worker.pop().or_else(|| {
-                        // 2. Random victim, oldest first (FIFO steal).
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            return None;
-                        }
-                        let n = stealers.len();
-                        for probe in 0..(4 * n).max(4) {
-                            let victim = if n > 1 {
-                                let mut v = rng.random_range(0..n);
-                                if v == wid {
-                                    v = (v + 1 + probe % (n - 1)) % n;
-                                }
-                                v
-                            } else {
-                                wid
-                            };
-                            // `Retry` means the victim's deque is *contended*
-                            // (a concurrent pop/steal interfered), not empty —
-                            // spin on the same victim until the race resolves.
-                            // Moving on would misread a loaded-but-busy victim
-                            // as having no work.
-                            loop {
-                                match stealers[victim].steal() {
-                                    Steal::Success(job) => {
-                                        steals[wid].fetch_add(1, Ordering::Relaxed);
-                                        return Some(job);
-                                    }
-                                    Steal::Retry => std::hint::spin_loop(),
-                                    Steal::Empty => break,
-                                }
-                            }
-                        }
-                        None
-                    });
-                    match job {
-                        Some((idx, f)) => {
-                            let out = f();
-                            let prev = results[idx].lock().replace(out);
-                            assert!(prev.is_none(), "task {idx} ran twice");
-                            executed[wid].fetch_add(1, Ordering::Relaxed);
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            // Back off briefly; other workers still hold work.
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = StealStats {
-        executed: executed.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        steals: steals.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-    };
-    let out = results
+    // `Mutex<Option<F>>` is Sync for any `F: Send`, so the shared worker
+    // loop can call a task through `&` and still consume it.
+    let slots: Vec<parking_lot::Mutex<Option<F>>> = tasks
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner().unwrap_or_else(|| {
-                // A lost task is a scheduler bug; dump the counters so
-                // the failure is diagnosable from the panic alone.
-                panic!(
-                    "task {i} never ran: {}/{n_tasks} tasks executed \
-                     (per-worker executed {:?}, steals {:?})",
-                    stats.total_executed(),
-                    stats.executed,
-                    stats.steals,
-                )
-            })
-        })
+        .map(|f| parking_lot::Mutex::new(Some(f)))
         .collect();
-    (out, stats)
+    let take_and_run = |idx: usize, _attempt: u32| {
+        let f = slots[idx].lock().take();
+        f.expect("with no retries each task is dequeued once")()
+    };
+    match run_pool(n_workers, slots.len(), &take_and_run, 0) {
+        Ok((out, stats, _)) => (out, stats),
+        Err((_, payload)) => resume_unwind(payload),
+    }
 }
 
 /// A task kept panicking past the retry budget.
@@ -240,9 +159,8 @@ pub struct RetryOutcome {
     pub recovered: Vec<(usize, u32)>,
 }
 
-/// Like [`run_batch`], but each worker isolates task panics with
-/// `catch_unwind` and re-enqueues the poisoned task (attempt + 1) on a
-/// shared injector queue, where — with more than one worker — another
+/// Like [`run_batch`], but a panicking task is re-enqueued (attempt + 1)
+/// on a shared retry queue, where — with more than one worker — another
 /// worker typically picks it up. A task that panics on more than
 /// `retry_budget` re-runs fails the whole batch with a structured
 /// [`TaskPanicked`] instead of tearing the pool down.
@@ -263,15 +181,34 @@ where
     T: Send,
     F: Fn(u32) -> T + Send + Sync,
 {
+    let run = |idx: usize, attempt: u32| tasks[idx](attempt);
+    run_pool(n_workers, tasks.len(), &run, retry_budget).map_err(|(err, _payload)| err)
+}
+
+/// The panic that exhausted a task's retry budget: which task, and the
+/// payload it panicked with.
+type Fatal = (TaskPanicked, Box<dyn Any + Send>);
+
+/// The one worker loop behind [`run_batch`] and [`run_batch_retry`]:
+/// `run(task index, attempt)` for every index in `0..n_tasks`, each
+/// worker isolating task panics with `catch_unwind`. The error carries
+/// the payload of the panic that exhausted the budget.
+fn run_pool<T: Send>(
+    n_workers: usize,
+    n_tasks: usize,
+    run: &(dyn Fn(usize, u32) -> T + Sync),
+    retry_budget: u32,
+) -> Result<(Vec<T>, StealStats, RetryOutcome), Fatal> {
     assert!(n_workers >= 1, "need at least one worker");
-    let n_tasks = tasks.len();
-    let tasks = &tasks;
+    // Each task writes its result into its own slot. `Mutex<Option<T>>`
+    // is Sync for any `T: Send`, unlike OnceLock which would additionally
+    // demand `T: Sync`.
     let results: Vec<parking_lot::Mutex<Option<T>>> = (0..n_tasks)
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
 
-    // Deques hold (task index, attempt); the closure itself stays in the
-    // shared slice so a panicked task can be re-run.
+    // Deques hold (task index, attempt); the task itself stays behind
+    // `run` so a panicked task can be re-run.
     let workers: Vec<Worker<(usize, u32)>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<(usize, u32)>> = workers.iter().map(|w| w.stealer()).collect();
     // Poisoned tasks go through a shared retry queue rather than back on
@@ -287,7 +224,10 @@ where
     let failed_attempts: Vec<AtomicU64> = (0..n_tasks).map(|_| AtomicU64::new(0)).collect();
     let total_retries = AtomicU64::new(0);
     let remaining = AtomicUsize::new(n_tasks);
-    let fatal: parking_lot::Mutex<Option<TaskPanicked>> = parking_lot::Mutex::new(None);
+    let fatal = parking_lot::Mutex::new(None);
+    // Set with the first fatal panic: without it the surviving workers
+    // would spin forever on a `remaining` count that can no longer
+    // reach zero.
     let aborted = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -319,6 +259,7 @@ where
                         }
                         job
                     };
+                    // 1. Own deque, newest first (LIFO pop).
                     let job = worker
                         .pop()
                         .or_else(|| {
@@ -329,6 +270,7 @@ where
                             }
                         })
                         .or_else(|| {
+                            // 2. Random victim, oldest first (FIFO steal).
                             if remaining.load(Ordering::Acquire) == 0 {
                                 return None;
                             }
@@ -343,6 +285,11 @@ where
                                 } else {
                                     wid
                                 };
+                                // `Retry` means the victim's deque is *contended*
+                                // (a concurrent pop/steal interfered), not empty —
+                                // spin on the same victim until the race resolves.
+                                // Moving on would misread a loaded-but-busy victim
+                                // as having no work.
                                 loop {
                                     match stealers[victim].steal() {
                                         Steal::Success(job) => {
@@ -360,7 +307,7 @@ where
                         });
                     match job {
                         Some((idx, attempt)) => {
-                            match catch_unwind(AssertUnwindSafe(|| tasks[idx](attempt))) {
+                            match catch_unwind(AssertUnwindSafe(|| run(idx, attempt))) {
                                 Ok(out) => {
                                     let prev = results[idx].lock().replace(out);
                                     assert!(prev.is_none(), "task {idx} ran twice");
@@ -368,16 +315,14 @@ where
                                     remaining.fetch_sub(1, Ordering::AcqRel);
                                     retry_cooldown = retry_cooldown.saturating_sub(1);
                                 }
-                                Err(_panic) => {
+                                Err(payload) => {
                                     failed_attempts[idx].fetch_add(1, Ordering::Relaxed);
                                     if attempt >= retry_budget {
-                                        let mut f = fatal.lock();
-                                        if f.is_none() {
-                                            *f = Some(TaskPanicked {
-                                                index: idx,
-                                                attempts: attempt + 1,
-                                            });
-                                        }
+                                        let err = TaskPanicked {
+                                            index: idx,
+                                            attempts: attempt + 1,
+                                        };
+                                        fatal.lock().get_or_insert((err, payload));
                                         aborted.store(true, Ordering::Release);
                                         break;
                                     }
@@ -391,6 +336,7 @@ where
                             if remaining.load(Ordering::Acquire) == 0 {
                                 break;
                             }
+                            // Back off briefly; other workers still hold work.
                             retry_cooldown = retry_cooldown.saturating_sub(1);
                             std::thread::yield_now();
                         }
@@ -423,6 +369,8 @@ where
         .enumerate()
         .map(|(i, slot)| {
             slot.into_inner().unwrap_or_else(|| {
+                // A lost task is a scheduler bug; dump the counters so
+                // the failure is diagnosable from the panic alone.
                 panic!(
                     "task {i} never ran: {}/{n_tasks} tasks executed \
                      (per-worker executed {:?}, steals {:?})",
@@ -434,19 +382,6 @@ where
         })
         .collect();
     Ok((out, stats, outcome))
-}
-
-/// Convenience: apply `f` to every index `0..n` in parallel, collecting
-/// results in index order.
-pub fn parallel_map<T, F>(n_workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Send + Sync,
-{
-    assert!(n_workers >= 1, "need at least one worker");
-    let f = &f;
-    let tasks: Vec<_> = (0..n).map(|i| move || f(i)).collect();
-    run_batch(n_workers, tasks).0
 }
 
 #[cfg(test)]
@@ -548,22 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_matches_serial_map() {
-        let par = parallel_map(3, 50, |i| i * i);
-        let ser: Vec<_> = (0..50).map(|i| i * i).collect();
-        assert_eq!(par, ser);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_workers_rejected() {
         let _ = run_batch::<u32, fn() -> u32>(0, vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn parallel_map_rejects_zero_workers() {
-        let _ = parallel_map(0, 10, |i| i);
     }
 
     #[test]
@@ -696,6 +618,44 @@ mod tests {
         assert_eq!(cat.executed.len(), 5);
         assert_eq!(cat.total_executed(), 2);
         assert!(cat.imbalance().is_finite());
+    }
+
+    #[test]
+    fn a_panicking_task_stops_the_plain_pool_and_resurfaces_on_the_caller() {
+        // Regression: the plain pool had no abort flag, so with two or
+        // more workers the survivors spun forever on `remaining != 0`.
+        // Run each batch on a helper thread so a hang fails the test
+        // instead of wedging the suite.
+        for n_workers in [1usize, 2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let runs: Vec<TestCounter> = (0..8).map(|_| TestCounter::new(0)).collect();
+                let runs = &runs;
+                let tasks: Vec<_> = (0..8usize)
+                    .map(|i| {
+                        move || {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            if i == 5 {
+                                panic!("task five blew up");
+                            }
+                            i
+                        }
+                    })
+                    .collect();
+                let caught = catch_unwind(AssertUnwindSafe(|| run_batch(n_workers, tasks)));
+                let message = caught
+                    .err()
+                    .and_then(|payload| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+                let max_runs = runs.iter().map(|c| c.load(Ordering::Relaxed)).max();
+                let _ = tx.send((message, max_runs));
+            });
+            let (message, max_runs) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("run_batch hung with {n_workers} workers"));
+            // The task's own payload, not "a scoped thread panicked".
+            assert_eq!(message.as_deref(), Some("task five blew up"));
+            assert_eq!(max_runs, Some(1), "a task ran twice at {n_workers} workers");
+        }
     }
 
     #[test]

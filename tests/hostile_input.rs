@@ -207,7 +207,7 @@ fn a_megabyte_of_nesting_is_an_error_at_a_byte_not_a_stack_overflow() {
 
 #[test]
 fn an_epsilon_that_would_panic_a_separation_test_is_refused_where_it_enters() {
-    use polar_energy::molecule::manifest::check_eps;
+    use polar_energy::molecule::manifest::{check_eps, mib_to_bytes};
     // `polar energy two.pqr --eps-born 0`, `--eps-epol nan` and
     // `--eps-epol -0.5` used to die in `separation_factor_r6` /
     // `BinScheme::new`; the CLI now holds both options to this rule.
@@ -227,6 +227,8 @@ fn an_epsilon_that_would_panic_a_separation_test_is_refused_where_it_enters() {
     for eps in [f64::MIN_POSITIVE, 1e-6, 0.9, 50.0] {
         assert_eq!(check_eps("eps", eps), Ok(eps));
     }
+    // `--cache-mb` / `--quota-mb`: `N << 20` used to wrap to a zero-byte cache.
+    assert!(mib_to_bytes("--cache-mb", usize::MAX >> 19).is_err());
     // The same rule, with the same words, in the two JSON readers.
     for text in ["0", "-0.5", "-0.0", "0e7"] {
         for key in ["eps_born", "eps_epol"] {
