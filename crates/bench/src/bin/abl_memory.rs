@@ -52,7 +52,8 @@ fn main() {
     ]);
     // Future work (§VI): distributing data as well as computation —
     // q-points partitioned instead of replicated.
-    let dd = run_data_distributed(&solver, &DistributedConfig::oct_mpi(12, params));
+    let dd = run_data_distributed(&solver, &DistributedConfig::oct_mpi(12, params))
+        .expect("no faults are armed");
     t.row(vec![
         "OCT_MPI+data-dist".into(),
         "12".into(),

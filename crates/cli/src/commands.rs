@@ -743,7 +743,7 @@ pub fn distributed(a: &Args) -> CmdResult {
             eprintln!("warning: --plan is ignored by the data-distributed driver");
         }
         let t = Instant::now();
-        let run = run_data_distributed(&solver, &cfg);
+        let run = run_data_distributed(&solver, &cfg)?;
         println!(
             "data-distributed E_pol = {:.4} kcal/mol on {ranks} ranks in {:.2?}",
             run.epol_kcal,

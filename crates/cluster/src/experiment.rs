@@ -14,6 +14,7 @@
 
 use crate::spec::MachineSpec;
 use crate::stealing::simulate_work_stealing;
+use polar_gb::partition::{even_segments, weighted_segments};
 use polar_gb::report::{CommReport, SolveReport, StageReport, StealReport, TreeDepthStats};
 use polar_gb::WorkCounts;
 
@@ -181,16 +182,16 @@ impl ClusterExperiment {
                 }
                 DivisionPolicy::CountEven | DivisionPolicy::WeightEven => {
                     let segs = if policy == DivisionPolicy::CountEven {
-                        split_even(tasks, ranks)
+                        even_segments(tasks.len(), ranks)
                     } else {
-                        split_weighted(tasks, ranks)
+                        weighted_segments(tasks, ranks)
                     };
                     let mut t_max = 0.0_f64;
                     for (r, seg) in segs.into_iter().enumerate() {
                         let task_seed =
                             seed ^ salt ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                         let s = simulate_work_stealing(
-                            seg,
+                            &tasks[seg],
                             threads,
                             rate,
                             spec.steal_overhead,
@@ -324,52 +325,6 @@ fn unit_hash(x: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Contiguous split balanced by task weight (greedy prefix targeting the
-/// remaining average), for [`DivisionPolicy::WeightEven`].
-fn split_weighted(tasks: &[u64], parts: usize) -> Vec<&[u64]> {
-    let total: u64 = tasks.iter().sum();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut consumed = 0u64;
-    for i in 0..parts {
-        let remaining_parts = (parts - i) as u64;
-        let target = (total - consumed).div_ceil(remaining_parts.max(1));
-        let mut end = start;
-        let mut acc = 0u64;
-        while end < tasks.len() && (acc < target || tasks.len() - end < parts - i) {
-            acc += tasks[end];
-            end += 1;
-            if tasks.len() - end < parts - i {
-                break;
-            }
-        }
-        if i == parts - 1 {
-            end = tasks.len();
-            acc = tasks[start..end].iter().sum();
-        }
-        consumed += acc;
-        out.push(&tasks[start..end]);
-        start = end;
-    }
-    out
-}
-
-/// Contiguous near-even split (count-based, like the paper's static
-/// division of leaf segments).
-fn split_even(tasks: &[u64], parts: usize) -> Vec<&[u64]> {
-    let n = tasks.len();
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(&tasks[start..start + len]);
-        start += len;
-    }
-    out
 }
 
 #[cfg(test)]

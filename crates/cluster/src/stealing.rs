@@ -123,35 +123,6 @@ pub fn simulate_work_stealing(
     }
 }
 
-/// Convenience: min and max makespan over `runs` seeded repetitions —
-/// the paper's Fig. 6 plots exactly this envelope (20 runs).
-pub fn makespan_envelope(
-    tasks: &[u64],
-    workers: usize,
-    units_per_second: f64,
-    steal_overhead: f64,
-    task_overhead: f64,
-    runs: usize,
-    base_seed: u64,
-) -> (f64, f64) {
-    assert!(runs >= 1);
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0_f64;
-    for r in 0..runs {
-        let s = simulate_work_stealing(
-            tasks,
-            workers,
-            units_per_second,
-            steal_overhead,
-            task_overhead,
-            base_seed.wrapping_add(r as u64 * 7919),
-        );
-        lo = lo.min(s.makespan);
-        hi = hi.max(s.makespan);
-    }
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,16 +183,6 @@ mod tests {
             "{} vs {serial_heavy}",
             s.makespan
         );
-    }
-
-    #[test]
-    fn seeds_change_the_schedule_but_bounds_hold() {
-        let tasks: Vec<u64> = (0..50).map(|i| (i * 37 % 997 + 10) as u64).collect();
-        let (lo, hi) = makespan_envelope(&tasks, 6, RATE, 1e-6, 1e-7, 20, 42);
-        assert!(lo <= hi);
-        assert!(lo > 0.0);
-        // Envelope is tight-ish for a flat task graph.
-        assert!(hi / lo < 2.0, "envelope too wide: {lo}..{hi}");
     }
 
     #[test]

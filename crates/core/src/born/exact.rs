@@ -46,37 +46,6 @@ pub fn born_radii_r6(
         .collect()
 }
 
-/// Naive r⁴ Born radii (Eq. 3, the Coulomb-field approximation):
-/// `1/R_i = (1/4π) Σ w (r−x)·n/|r−x|⁴`. Less accurate than r⁶ for
-/// globular solutes (Grycuk \[14\]); provided for the accuracy comparison.
-pub fn born_radii_r4(
-    atom_pos: &[Vec3],
-    atom_radii: &[f64],
-    qpoints: &[QuadPoint],
-    _math: MathMode,
-) -> Vec<f64> {
-    assert_eq!(atom_pos.len(), atom_radii.len());
-    atom_pos
-        .iter()
-        .zip(atom_radii)
-        .map(|(&x, &rv)| {
-            let mut s = 0.0;
-            for q in qpoints {
-                let d = q.pos - x;
-                let r2 = d.norm_sq();
-                if r2 > 1e-12 {
-                    s += q.weight * d.dot(q.normal) / (r2 * r2);
-                }
-            }
-            if s <= 1e-30 {
-                BORN_RADIUS_MAX
-            } else {
-                (4.0 * PI / s).clamp(rv, BORN_RADIUS_MAX)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,9 +61,6 @@ mod tests {
                 "rv={rv}: born={}",
                 born[0]
             );
-            // r⁴ also recovers the sphere radius exactly on a sphere.
-            let born4 = born_radii_r4(&[Vec3::ZERO], &[rv], &q, MathMode::Exact);
-            assert!((born4[0] - rv).abs() < 1e-4 * rv);
         }
     }
 

@@ -147,84 +147,10 @@ pub fn epol_gradient_naive(
     Ok(grad)
 }
 
-/// Gradient restricted to one atom (used for spot checks and incremental
-/// pose refinement in docking loops). O(M).
-pub fn epol_gradient_of_atom(
-    i: usize,
-    pos: &[Vec3],
-    charges: &[f64],
-    born: &[f64],
-    tau: f64,
-    math: MathMode,
-) -> Result<Vec3, GradientError> {
-    let mut g = Vec3::ZERO;
-    for j in 0..pos.len() {
-        if j == i {
-            continue;
-        }
-        let d = pos[i] - pos[j];
-        let r_sq = d.norm_sq();
-        if r_sq <= COINCIDENT_R_SQ {
-            return Err(GradientError::CoincidentAtoms {
-                i: i.min(j),
-                j: i.max(j),
-                r: r_sq.sqrt(),
-            });
-        }
-        g += d * (tau * pair_dedr_over_r(charges[i], charges[j], r_sq, born[i], born[j], math));
-    }
-    Ok(g)
-}
-
 /// Net torque of the force field about the origin (0 for a valid
 /// pairwise central force — exported for integrator sanity checks).
 pub fn net_torque(pos: &[Vec3], grad: &[Vec3]) -> Vec3 {
     pos.iter().zip(grad).map(|(p, g)| p.cross(-*g)).sum()
-}
-
-/// Octree-accelerated gradient with a distance cutoff: each atom gathers
-/// pair terms only from neighbors within `cutoff`, found by pruned ball
-/// queries on the atoms octree. O(M · neighbors) instead of O(M²); the
-/// truncation error decays with the GB kernel's 1/r² tail, so MD-typical
-/// cutoffs (≥ 12 Å) recover the full gradient to high accuracy.
-///
-/// `tree` must be built over exactly `pos` (same order).
-pub fn epol_gradient_cutoff(
-    tree: &polar_octree::Octree,
-    pos: &[Vec3],
-    charges: &[f64],
-    born: &[f64],
-    tau: f64,
-    cutoff: f64,
-    math: MathMode,
-) -> Result<Vec<Vec3>, GradientError> {
-    assert_eq!(tree.len(), pos.len(), "octree/point count mismatch");
-    assert!(cutoff > 0.0, "cutoff must be positive");
-    let mut grad = vec![Vec3::ZERO; pos.len()];
-    let mut coincident: Option<(usize, usize, f64)> = None;
-    for (i, &xi) in pos.iter().enumerate() {
-        let mut g = Vec3::ZERO;
-        tree.for_each_in_ball(xi, cutoff, |j, xj| {
-            let j = j as usize;
-            if j == i {
-                return;
-            }
-            let d = xi - xj;
-            let r_sq = d.norm_sq();
-            if r_sq <= COINCIDENT_R_SQ {
-                if coincident.is_none() {
-                    coincident = Some((i.min(j), i.max(j), r_sq.sqrt()));
-                }
-                return;
-            }
-            g += d * (tau * pair_dedr_over_r(charges[i], charges[j], r_sq, born[i], born[j], math));
-        });
-        if let Some((i, j, r)) = coincident {
-            return Err(GradientError::CoincidentAtoms { i, j, r });
-        }
-        grad[i] = g;
-    }
-    Ok(grad)
 }
 
 #[cfg(test)]
@@ -304,16 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn per_atom_gradient_matches_full() {
-        let (pos, charges, born, t) = fixture(60, 4);
-        let grad = epol_gradient_naive(&pos, &charges, &born, t, MathMode::Exact).unwrap();
-        for i in [0usize, 30, 59] {
-            let g = epol_gradient_of_atom(i, &pos, &charges, &born, t, MathMode::Exact).unwrap();
-            assert!(g.dist(grad[i]) <= 1e-12 * g.norm().max(1.0));
-        }
-    }
-
-    #[test]
     fn polarization_force_opposes_the_vacuum_interaction() {
         // For opposite charges the GB cross term is positive and grows
         // as they approach (solvent screening *opposes* the vacuum
@@ -332,36 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_gradient_converges_to_full_gradient() {
-        use polar_octree::OctreeConfig;
-        let (pos, charges, born, t) = fixture(150, 6);
-        let tree = OctreeConfig::default().build(&pos);
-        let full = epol_gradient_naive(&pos, &charges, &born, t, MathMode::Exact).unwrap();
-        let avg: f64 = full.iter().map(|g| g.norm()).sum::<f64>() / full.len() as f64;
-        // Diameter-sized cutoff = exact.
-        let exact =
-            epol_gradient_cutoff(&tree, &pos, &charges, &born, t, 1e3, MathMode::Exact).unwrap();
-        for (a, b) in full.iter().zip(&exact) {
-            assert!(a.dist(*b) <= 1e-12 * a.norm().max(1.0));
-        }
-        // Truncation error shrinks as the cutoff grows.
-        let err = |cut: f64| -> f64 {
-            let g = epol_gradient_cutoff(&tree, &pos, &charges, &born, t, cut, MathMode::Exact)
-                .unwrap();
-            g.iter()
-                .zip(&full)
-                .map(|(a, b)| a.dist(*b))
-                .fold(0.0_f64, f64::max)
-        };
-        let (e8, e16) = (err(8.0), err(16.0));
-        assert!(e16 < e8, "cutoff 16 not better than 8: {e16} vs {e8}");
-        assert!(
-            e16 < 0.2 * avg,
-            "16 A truncation too coarse: {e16} vs avg {avg}"
-        );
-    }
-
-    #[test]
     fn coincident_atoms_are_a_typed_error() {
         // Regression: this used to silently `continue`, returning a zero
         // force for corrupt input. Now it is a typed, indexed error.
@@ -376,34 +262,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, GradientError::CoincidentAtoms { i: 0, j: 2, r: 0.0 });
         assert!(err.to_string().contains("coincident atoms 0 and 2"));
-        // Per-atom and cutoff paths agree on the contract.
-        let per = epol_gradient_of_atom(
-            2,
-            &pos,
-            &[1.0, 1.0, -1.0],
-            &[2.0; 3],
-            300.0,
-            MathMode::Exact,
-        );
-        assert!(matches!(
-            per,
-            Err(GradientError::CoincidentAtoms { i: 0, j: 2, .. })
-        ));
-        use polar_octree::OctreeConfig;
-        let tree = OctreeConfig::default().build(&pos);
-        let cut = epol_gradient_cutoff(
-            &tree,
-            &pos,
-            &[1.0, 1.0, -1.0],
-            &[2.0; 3],
-            300.0,
-            20.0,
-            MathMode::Exact,
-        );
-        assert!(matches!(
-            cut,
-            Err(GradientError::CoincidentAtoms { i: 0, j: 2, .. })
-        ));
     }
 
     #[test]

@@ -8,7 +8,5 @@ pub mod exact;
 pub mod gradient;
 pub mod octree;
 
-pub use gradient::{
-    epol_gradient_cutoff, epol_gradient_naive, epol_gradient_of_atom, net_torque, GradientError,
-};
+pub use gradient::{epol_gradient_naive, net_torque, GradientError};
 pub use octree::EpolCtx;

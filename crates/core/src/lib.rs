@@ -42,7 +42,6 @@ pub mod induction;
 pub mod kernels;
 pub mod metrics;
 pub mod minimize;
-pub mod nonpolar;
 pub mod partition;
 pub mod plan;
 pub mod prepared;

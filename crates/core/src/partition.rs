@@ -45,8 +45,8 @@ pub fn segments_tile(segs: &[Range<usize>], n: usize) -> bool {
 }
 
 /// Split `0..n` into `parts` ranges balanced by per-item weights: a greedy
-/// prefix scan targeting equal weight per part. Used by the work-division
-/// ablation to compare "count-even" vs "weight-even" static balancing.
+/// prefix scan targeting equal weight per part. The cluster simulator's
+/// weight-even division policy (`abl_load_balancing`) divides with it.
 pub fn weighted_segments(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
     if parts == 0 {
         return Vec::new();

@@ -285,16 +285,16 @@ impl GbSolver {
     /// ranges) is untouched, which is what keeps existing
     /// [`InteractionPlan`] segments spliceable.
     ///
-    /// `slack` is the octree containment slack (see
-    /// [`polar_octree::Octree::refresh`]); if any point drifted outside
-    /// its leaf's slackened cell the trees are left untouched and
-    /// `Err(escaped_count)` tells the caller to rebuild the solver cold.
-    /// `tolerance` is the node-geometry drift tolerance (see
+    /// `slack` is the octree containment slack and `tolerance` the
+    /// node-geometry drift tolerance (see
     /// [`polar_octree::Octree::refresh_delta`] and
-    /// [`crate::plan::ReplanConfig::tolerance`]): node centroids/radii
-    /// stay bitwise-frozen while accumulated drift stays below it, which
-    /// is what makes in-tolerance frames patch without any traversal;
-    /// pass `0.0` for exact geometry every frame. On success the
+    /// [`crate::plan::ReplanConfig::tolerance`]); if any point drifted
+    /// outside its leaf's slackened cell the trees are left untouched and
+    /// `Err(escaped_count)` tells the caller to rebuild the solver cold.
+    /// Node centroids/radii stay bitwise-frozen while accumulated drift
+    /// stays below `tolerance`, which is what makes in-tolerance frames
+    /// patch without any traversal; pass `0.0` for exact geometry every
+    /// frame. On success the
     /// solver's geometry version is bumped and the returned
     /// [`FrameDelta`] feeds [`InteractionPlan::delta`].
     pub fn apply_frame(

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use polar_geom::{aabb::Aabb, fastmath, morton, sphere::BoundingSphere, transform::*, vec3::Vec3};
+use polar_geom::{aabb::Aabb, fastmath, morton, transform::*, vec3::Vec3};
 use proptest::prelude::*;
 
 fn arb_vec3(range: f64) -> impl Strategy<Value = Vec3> {
@@ -41,23 +41,6 @@ proptest! {
             // No other octant strictly contains it away from shared faces:
             // containment in the designated octant is all the octree needs.
         }
-    }
-
-    #[test]
-    fn bounding_spheres_enclose(pts in prop::collection::vec(arb_vec3(100.0), 1..64)) {
-        let r = BoundingSphere::ritter(&pts);
-        let c = BoundingSphere::centroid_ball(&pts);
-        for p in &pts {
-            prop_assert!(r.contains(*p, 1e-6));
-            prop_assert!(c.contains(*p, 1e-6));
-        }
-        // Ritter's ball is never larger than the diameter bound.
-        let diam = {
-            let mut d = 0.0f64;
-            for a in &pts { for b in &pts { d = d.max(a.dist(*b)); } }
-            d
-        };
-        prop_assert!(r.radius <= diam + 1e-6);
     }
 
     #[test]

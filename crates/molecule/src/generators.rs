@@ -9,8 +9,9 @@
 //! * [`virus_shell`] — a faceted icosahedral *shell* (hollow capsid) for
 //!   the CMV/BTV experiments, where the molecule is surface-dominated;
 //! * [`ligand`] — a short self-avoiding chain for docking examples;
-//! * [`zdock_like_suite`] — 84 globules log-spaced over 400–16,301 atoms,
-//!   the size sweep of the paper's Figs. 7–10.
+//! * [`zdock_sizes`] — the atom counts of the 84-protein ZDock suite,
+//!   log-spaced over 400–16,301 (the size sweep of the paper's Figs. 7–10;
+//!   `registry::BenchmarkId::ZDock` builds one globule per size).
 //!
 //! All generators are deterministic in `(n_atoms, seed)`.
 
@@ -239,24 +240,6 @@ pub fn zdock_sizes(count: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Generate the 84-molecule ZDock-like benchmark suite.
-///
-/// `count` lets tests and quick runs use a subset (the harness defaults to
-/// the paper's 84).
-pub fn zdock_like_suite(count: usize, seed: u64) -> Vec<Molecule> {
-    zdock_sizes(count)
-        .into_iter()
-        .enumerate()
-        .map(|(i, n)| {
-            globular(
-                format!("zd{:03}_n{}", i + 1, n),
-                n,
-                seed.wrapping_add(i as u64),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,13 +331,5 @@ mod tests {
         assert_eq!(s[0], 400);
         assert_eq!(*s.last().unwrap(), 16_301);
         assert!(s.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn suite_is_deterministic() {
-        let a = zdock_like_suite(5, 42);
-        let b = zdock_like_suite(5, 42);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|m| !m.is_empty()));
     }
 }

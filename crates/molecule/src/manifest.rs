@@ -118,18 +118,6 @@ impl ManifestJob {
             }
         }
     }
-
-    /// Materialize the job's frame sequence: the molecule replayed over
-    /// its [`FrameSpec`] (or a single frame when the job has none).
-    pub fn build_frames(&self, base_dir: &Path) -> Result<Vec<Molecule>, ParseError> {
-        let mol = self.build_molecule(base_dir)?;
-        Ok(match &self.frames {
-            Some(spec) => {
-                crate::trajectory::jitter_frames(&mol, spec.count, spec.max_step, spec.seed)
-            }
-            None => vec![mol],
-        })
-    }
 }
 
 /// A parsed batch manifest.
@@ -503,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_spec_parses_defaults_and_expands_frames() {
+    fn frames_spec_parses_with_defaults() {
         let text = r#"{"jobs": [
             { "name": "traj", "generate": "globular", "n_atoms": 40,
               "frames": { "count": 3, "max_step": 0.1, "seed": 5 } },
@@ -520,19 +508,6 @@ mod tests {
             })
         );
         assert_eq!(m.jobs[1].frames, Some(FrameSpec::default()));
-        let frames = m.jobs[0].build_frames(Path::new(".")).unwrap();
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0], m.jobs[0].build_molecule(Path::new(".")).unwrap());
-        assert_ne!(frames[1].positions(), frames[0].positions());
-        assert_eq!(frames[1].radii(), frames[0].radii());
-        // A frame-less job still yields its single molecule.
-        let one = ManifestJob {
-            frames: None,
-            ..m.jobs[0].clone()
-        }
-        .build_frames(Path::new("."))
-        .unwrap();
-        assert_eq!(one.len(), 1);
     }
 
     #[test]

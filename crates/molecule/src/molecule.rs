@@ -61,16 +61,6 @@ impl Molecule {
         Aabb::from_points(self.atoms.iter().map(|a| a.pos))
     }
 
-    /// Bounding box inflated by each atom's radius (contains all spheres).
-    pub fn sphere_bounds(&self) -> Aabb {
-        let mut b = Aabb::EMPTY;
-        for a in &self.atoms {
-            b.expand_to(a.pos + Vec3::splat(a.radius));
-            b.expand_to(a.pos - Vec3::splat(a.radius));
-        }
-        b
-    }
-
     /// A rigidly transformed copy (radii and charges unchanged).
     ///
     /// Docking sweeps (paper §IV.C) move a ligand with transformation
@@ -102,12 +92,6 @@ impl Molecule {
     /// Generate surface quadrature points (the paper's set `Q`).
     pub fn surface(&self, cfg: &SurfaceConfig) -> Vec<QuadPoint> {
         generate_surface(&self.positions(), &self.radii(), cfg)
-    }
-
-    /// Approximate memory footprint of the atom array in bytes — used for
-    /// the replicated-memory accounting of the distributed experiments.
-    pub fn atom_bytes(&self) -> usize {
-        self.atoms.len() * std::mem::size_of::<Atom>()
     }
 
     /// Check that the molecule is fit for a solve: at least one atom,
@@ -180,15 +164,6 @@ mod tests {
         assert_eq!(m.charges(), vec![0.5, -0.5]);
         assert_eq!(m.total_charge(), 0.0);
         assert_eq!(m.centroid(), Vec3::new(1.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn sphere_bounds_include_radii() {
-        let m = tiny();
-        let b = m.sphere_bounds();
-        assert!(b.contains(Vec3::new(-1.0, 0.0, 0.0)));
-        assert!(b.contains(Vec3::new(3.5, 0.0, 0.0)));
-        assert!(!m.bounds().contains(Vec3::new(3.5, 0.0, 0.0)));
     }
 
     #[test]

@@ -62,69 +62,15 @@ impl BenchmarkId {
             }
         }
     }
-
-    /// The atom count this workload will have, without building it.
-    pub fn atom_count(self) -> usize {
-        match self {
-            BenchmarkId::ZDock(i) => generators::zdock_sizes(84)[i],
-            BenchmarkId::Cmv { scale_permille } => scaled(CMV_ATOMS, scale_permille),
-            BenchmarkId::Btv { scale_permille } => scaled(BTV_ATOMS, scale_permille),
-        }
-    }
 }
 
 fn scaled(full: usize, permille: u32) -> usize {
     ((full as u64 * u64::from(permille)) / 1000).max(100) as usize
 }
 
-/// The first `count` molecules of the 84-protein ZDock-like suite
-/// (use `count < 84` for smoke runs; sizes are a prefix of the full sweep).
-pub fn zdock_suite(count: usize) -> Vec<Molecule> {
-    (0..count.min(84))
-        .map(|i| BenchmarkId::ZDock(i).build())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zdock_ids_are_consistent_with_suite() {
-        let direct = BenchmarkId::ZDock(3).build();
-        let suite = zdock_suite(4);
-        assert_eq!(direct, suite[3]);
-    }
-
-    #[test]
-    fn atom_count_matches_build() {
-        for id in [
-            BenchmarkId::ZDock(0),
-            BenchmarkId::ZDock(83),
-            BenchmarkId::Cmv { scale_permille: 4 },
-            BenchmarkId::Btv { scale_permille: 1 },
-        ] {
-            assert_eq!(id.build().len(), id.atom_count());
-        }
-    }
-
-    #[test]
-    fn full_scale_counts_match_paper() {
-        assert_eq!(
-            BenchmarkId::Cmv {
-                scale_permille: 1000
-            }
-            .atom_count(),
-            CMV_ATOMS
-        );
-        assert_eq!(
-            BenchmarkId::Btv {
-                scale_permille: 1000
-            }
-            .atom_count(),
-            BTV_ATOMS
-        );
-    }
 
     #[test]
     #[should_panic]

@@ -26,7 +26,7 @@
 //! which the tests check. Memory drops from `P × (atoms + qpoints)` to
 //! `P × atoms + qpoints`.
 
-use crate::comm::Universe;
+use crate::comm::{Comm, CommError, Universe};
 use crate::drivers::DistributedConfig;
 use polar_gb::born::octree::{push_integrals_to_atoms, BornOctreeCtx, BornPartials};
 use polar_gb::constants::tau;
@@ -51,7 +51,15 @@ pub struct DataDistributedRun {
 }
 
 /// Fig. 4 with a partitioned quadrature set (work **and** data division).
-pub fn run_data_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DataDistributedRun {
+///
+/// The collectives are the fault-aware ones of [`Comm`], but no faults
+/// are armed: a rank's q-point share cannot be re-divided without
+/// regrouping the far field, so a collective that reports an absent rank
+/// ends the run with [`CommError::Crashed`] naming it, not a recovery.
+pub fn run_data_distributed(
+    solver: &GbSolver,
+    cfg: &DistributedConfig,
+) -> Result<DataDistributedRun, CommError> {
     assert!(cfg.ranks >= 1);
     let p = cfg.params;
     let n_atoms = solver.n_atoms();
@@ -70,7 +78,7 @@ pub fn run_data_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DataD
         work: WorkCounts,
     }
 
-    let outs = Universe::run(cfg.ranks, cfg.network, |comm| {
+    let outs: Vec<Result<RankOut, CommError>> = Universe::run(cfg.ranks, cfg.network, |comm| {
         let rank = comm.rank();
         let mut work = WorkCounts::ZERO;
 
@@ -108,7 +116,8 @@ pub fn run_data_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DataD
         let n_nodes = partials.s_node.len();
         let mut flat = partials.s_node;
         flat.extend_from_slice(&partials.s_atom);
-        comm.allreduce_sum(&mut flat);
+        let absent = comm.ft_allreduce_sum(&mut flat, "born_allreduce")?;
+        all_present(comm, &absent, "born_allreduce")?;
         let s_atom = flat.split_off(n_nodes);
         let totals = BornPartials {
             s_node: flat,
@@ -121,9 +130,10 @@ pub fn run_data_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DataD
         let seg_vals: Vec<f64> = my_atoms
             .map(|slot| born_mine[solver.tree_a.order()[slot] as usize])
             .collect();
-        let all_slot_vals = comm.allgather(&seg_vals);
+        let (per_rank, absent) = comm.ft_allgather(&seg_vals, "born_allgather")?;
+        all_present(comm, &absent, "born_allgather")?;
         let mut born = vec![0.0; n_atoms];
-        for (slot, v) in all_slot_vals.into_iter().enumerate() {
+        for (slot, v) in per_rank.into_iter().flatten().enumerate() {
             born[solver.tree_a.order()[slot] as usize] = v;
         }
 
@@ -137,21 +147,35 @@ pub fn run_data_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> DataD
             aleaf_segs[rank].clone(),
             &mut work,
         );
-        let epol = comm.allreduce_scalar(e_part);
-        RankOut {
+        let (epol, absent) = comm.ft_allreduce_scalar(e_part, "epol_allreduce")?;
+        all_present(comm, &absent, "epol_allreduce")?;
+        Ok(RankOut {
             epol,
             born,
             bytes: comm.replicated_bytes(),
             work,
-        }
+        })
     });
+    let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    DataDistributedRun {
+    Ok(DataDistributedRun {
         epol_kcal: outs[0].epol,
         born: outs[0].born.clone(),
         total_bytes: outs.iter().map(|o| o.bytes).sum(),
         work_only_bytes: (solver.memory_bytes() * cfg.ranks) as u64,
         per_rank_work: outs.iter().map(|o| o.work).collect(),
+    })
+}
+
+/// Any absent rank ends the run: its q-point share has no other owner.
+fn all_present(comm: &Comm, absent: &[usize], collective: &str) -> Result<(), CommError> {
+    match absent.first() {
+        None => Ok(()),
+        Some(&rank) => Err(CommError::Crashed {
+            rank,
+            at_collective: comm.collectives_entered(),
+            reason: format!("absent from {collective}; its q-point share cannot be re-divided"),
+        }),
     }
 }
 
@@ -173,7 +197,7 @@ mod tests {
         let p = GbParams::default();
         let serial = s.solve(&p).epol_kcal;
         for ranks in [1usize, 2, 5] {
-            let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(ranks, p));
+            let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(ranks, p)).unwrap();
             let rel = ((run.epol_kcal - serial) / serial).abs();
             // Different q-partitions regroup the far field; the ε-class
             // error bound still applies.
@@ -192,7 +216,7 @@ mod tests {
         let s = solver(300, 32);
         let p = GbParams::default();
         let serial = s.solve(&p).epol_kcal;
-        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(1, p));
+        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(1, p)).unwrap();
         assert!(((run.epol_kcal - serial) / serial).abs() < 1e-3);
     }
 
@@ -200,7 +224,7 @@ mod tests {
     fn data_distribution_saves_memory_vs_work_only() {
         let s = solver(300, 33);
         let p = GbParams::default();
-        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(6, p));
+        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(6, p)).unwrap();
         // Work-only replicates the q-points 6×; data-distributed holds
         // each q-point once. With q-points dominating, the saving is big.
         assert!(
@@ -215,7 +239,7 @@ mod tests {
     fn every_rank_does_born_work() {
         let s = solver(400, 34);
         let p = GbParams::default();
-        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(4, p));
+        let run = run_data_distributed(&s, &DistributedConfig::oct_mpi(4, p)).unwrap();
         for w in &run.per_rank_work {
             assert!(w.pair_ops > 0);
         }

@@ -8,9 +8,12 @@
 //!   SPMD closure; each rank owns its private state (data replication is
 //!   the paper's chosen distribution: "each process has a complete set of
 //!   data", §IV.A);
-//! * [`comm::Comm`] provides the collectives the algorithm needs —
-//!   barrier, broadcast, reduce, allreduce, allgather — implemented over
-//!   crossbeam channels;
+//! * [`comm::Comm`] provides the three collectives the algorithm needs —
+//!   element-wise allreduce, allgather and scalar allreduce — over
+//!   crossbeam channels. Each is fault-aware: it returns the set of ranks
+//!   that did not contribute, or a [`CommError`], never a hang. A rank
+//!   whose body panics is announced dead at once, and its panic reaches
+//!   the caller of [`Universe::run`] with its own payload;
 //! * every collective also *accrues simulated wire time* from a
 //!   [`NetworkModel`] using the textbook cost expressions
 //!   (`t_s·log P + t_w·m·(P−1)` etc., Grama et al. Table 4.1 — the same
@@ -26,7 +29,8 @@
 //! * [`data_dist::run_data_distributed`] is the other algorithm the paper
 //!   names (each rank owns a slice of the quadrature points and builds
 //!   its own `T_Q`), kept apart because re-dividing its data on a crash
-//!   would change the far-field grouping.
+//!   would change the far-field grouping: it runs on the same collectives
+//!   and returns an error when a rank is absent.
 
 pub mod comm;
 pub mod data_dist;

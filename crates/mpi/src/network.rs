@@ -54,21 +54,6 @@ impl NetworkModel {
         self.t_s + self.t_w * bytes as f64
     }
 
-    /// Barrier among `p` ranks (dissemination: ⌈log₂ p⌉ rounds).
-    pub fn barrier(&self, p: usize) -> f64 {
-        (self.t_s + self.collective_sync) * log2_ceil(p)
-    }
-
-    /// Broadcast of `bytes` to `p` ranks (binomial tree).
-    pub fn broadcast(&self, bytes: usize, p: usize) -> f64 {
-        (self.t_s + self.collective_sync + self.t_w * bytes as f64) * log2_ceil(p)
-    }
-
-    /// Reduce of `bytes` to one root (binomial tree, same as broadcast).
-    pub fn reduce(&self, bytes: usize, p: usize) -> f64 {
-        (self.t_s + self.collective_sync + self.t_w * bytes as f64) * log2_ceil(p)
-    }
-
     /// Allreduce of `bytes` across `p` ranks (recursive doubling):
     /// `(t_s + t_w·m)·log p`.
     pub fn allreduce(&self, bytes: usize, p: usize) -> f64 {
@@ -109,7 +94,6 @@ mod tests {
     #[test]
     fn single_rank_collectives_are_free() {
         let n = NetworkModel::lonestar4_infiniband();
-        assert_eq!(n.barrier(1), 0.0);
         assert_eq!(n.allreduce(1 << 20, 1), 0.0);
         assert_eq!(n.allgather(1 << 20, 1), 0.0);
     }

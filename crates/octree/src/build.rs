@@ -40,10 +40,9 @@ impl OctreeConfig {
     /// let tree = OctreeConfig::default().build(&points);
     /// assert_eq!(tree.len(), 100);
     /// assert_eq!(tree.check_invariants(), Ok(()));
-    /// // Count neighbors of the origin within 1.5 units.
-    /// let mut near = 0;
-    /// tree.for_each_in_ball(Vec3::ZERO, 1.5, |_, _| near += 1);
-    /// assert_eq!(near, 4); // (0,0), (1,0), (0,1), (1,1)
+    /// // The leaves tile the Morton-ordered points.
+    /// let covered: usize = tree.leaves().iter().map(|&l| tree.node(l).len()).sum();
+    /// assert_eq!(covered, 100);
     /// ```
     pub fn build(&self, positions: &[Vec3]) -> Octree {
         assert!(self.max_leaf_size >= 1, "max_leaf_size must be ≥ 1");
@@ -344,7 +343,8 @@ mod tests {
             .enumerate()
             .map(|(i, p)| *p + Vec3::new(0.2, -0.25, 0.1) * ((i % 3) as f64 / 2.0))
             .collect();
-        t.refresh(&moved, 0.5).expect("refresh should succeed");
+        t.refresh_delta(&moved, 0.5, 0.0)
+            .expect("refresh should succeed");
         assert_eq!(t.check_invariants(), Ok(()));
         // Points updated through the permutation.
         for (slot, &orig) in t.order().iter().enumerate() {
@@ -365,7 +365,7 @@ mod tests {
         let snapshot = t.clone();
         let mut moved = pts.clone();
         moved[7] += Vec3::splat(50.0); // far outside its leaf cell
-        let err = t.refresh(&moved, 0.25).unwrap_err();
+        let err = t.refresh_delta(&moved, 0.25, 0.0).unwrap_err();
         assert!(err >= 1);
         assert_eq!(t.points(), snapshot.points());
         assert_eq!(
@@ -384,8 +384,8 @@ mod tests {
         .build(&pts);
         let moved: Vec<Vec3> = pts.iter().map(|p| *p + Vec3::splat(0.6)).collect();
         // Tight slack rejects, generous slack accepts.
-        assert!(t.refresh(&moved, 0.0).is_err());
-        assert!(t.refresh(&moved, 1.0).is_ok());
+        assert!(t.refresh_delta(&moved, 0.0, 0.0).is_err());
+        assert!(t.refresh_delta(&moved, 1.0, 0.0).is_ok());
     }
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, p)| *p + Vec3::new(0.05, -0.04, 0.03) * (i % 4) as f64)
                 .collect();
-            t.refresh(&nudged, 0.5)
+            t.refresh_delta(&nudged, 0.5, 0.0)
                 .expect("nudge stays inside the slack");
             assert_eq!(t.check_invariants(), Ok(()), "{what}: refresh");
             let back = t
@@ -467,7 +467,7 @@ mod tests {
     fn refresh_with_wrong_count_panics() {
         let pts = grid_points(3, 1.0);
         let mut t = OctreeConfig::default().build(&pts);
-        let _ = t.refresh(&pts[..5], 0.1);
+        let _ = t.refresh_delta(&pts[..5], 0.1, 0.0);
     }
 
     #[test]

@@ -277,65 +277,12 @@ impl Octree {
         }
     }
 
-    /// Visit every point within `radius` of `center` (original index and
-    /// position). Prunes subtrees by their enclosing balls; O(output +
-    /// visited nodes). A production alternative to building a neighbor
-    /// list when only a few queries are needed.
-    pub fn for_each_in_ball<F: FnMut(u32, Vec3)>(&self, center: Vec3, radius: f64, mut f: F) {
-        assert!(radius >= 0.0);
-        if self.is_empty() {
-            return;
-        }
-        let mut stack = vec![Self::ROOT];
-        let r_sq = radius * radius;
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            let d = node.center.dist(center);
-            if d > node.radius + radius {
-                continue; // enclosing ball disjoint from the query ball
-            }
-            if node.is_leaf {
-                for (k, p) in self.points_in(id).iter().enumerate() {
-                    if p.dist_sq(center) <= r_sq {
-                        f(self.order[node.start as usize + k], *p);
-                    }
-                }
-            } else {
-                stack.extend(node.child_ids());
-            }
-        }
-    }
-
-    /// The leaf whose spatial cell contains `p`, or `None` if `p` lies
-    /// outside the root cell. Descends by cell geometry, so it works for
-    /// untransformed trees.
-    pub fn find_leaf(&self, p: Vec3) -> Option<NodeId> {
-        if self.is_empty() || !self.node(Self::ROOT).bounds.contains(p) {
-            return None;
-        }
-        let mut id = Self::ROOT;
-        loop {
-            let node = self.node(id);
-            if node.is_leaf {
-                return Some(id);
-            }
-            // One child cell contains p; absent children mean the point
-            // falls in an empty octant — report the nearest existing
-            // structure by failing over to None.
-            match node.child_ids().find(|&c| self.node(c).bounds.contains(p)) {
-                Some(c) => id = c,
-                None => return None,
-            }
-        }
-    }
-
     /// Refresh point coordinates in place after small motion — the
     /// flexible-molecule maintenance mode of the paper's companion work
     /// \[8\] ("Space-efficient maintenance of nonbonded lists for
-    /// flexible molecules using dynamic octrees"). The tree *structure*
-    /// (permutation, ranges, cells) is kept; per-node centroids and
-    /// enclosing radii are recomputed exactly, so traversals stay
-    /// correct.
+    /// flexible molecules using dynamic octrees"), with a drift-tolerant
+    /// dirty pass — the core of delta-tolerant plan reuse. The tree
+    /// *structure* (permutation, ranges, cells) is kept.
     ///
     /// Validity requires every point to remain inside its leaf's spatial
     /// cell (padded by `slack` Å, the octree analogue of a Verlet skin).
@@ -344,16 +291,8 @@ impl Octree {
     /// an nblist rebuilds when the skin is violated. `positions` must be
     /// in original index order. Only valid for trees that have not been
     /// rigidly transformed (transformed cell bounds are loose).
-    pub fn refresh(&mut self, positions: &[Vec3], slack: f64) -> Result<(), usize> {
-        self.refresh_delta(positions, slack, 0.0).map(|_| ())
-    }
-
-    /// [`Octree::refresh`] with a drift-tolerant dirty pass — the core of
-    /// delta-tolerant plan reuse.
     ///
-    /// Same containment contract (every point inside its leaf cell padded
-    /// by `slack`, else `Err(escaped_count)` with the tree untouched), but
-    /// node geometry is only recomputed where motion has *accumulated*:
+    /// Node geometry is only recomputed where motion has *accumulated*:
     /// each leaf carries the total point drift since its centroid/radius
     /// were last recomputed, and while that drift stays within
     /// `tolerance` the leaf's (and its untouched ancestors') stored

@@ -116,46 +116,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn ball_query_matches_brute_force(
-        pts in arb_points(150),
-        c in (-50.0..50.0f64, -50.0..50.0f64, -50.0..50.0f64),
-        radius in 0.0..40.0f64,
-    ) {
-        let t = OctreeConfig { max_leaf_size: 4, max_depth: 20 }.build(&pts);
-        let center = Vec3::new(c.0, c.1, c.2);
-        let mut found: Vec<u32> = Vec::new();
-        t.for_each_in_ball(center, radius, |i, _| found.push(i));
-        found.sort_unstable();
-        let mut expect: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.dist(center) <= radius)
-            .map(|(i, _)| i as u32)
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(found, expect);
-    }
-
-    #[test]
-    fn find_leaf_contains_the_query_point(pts in arb_points(150)) {
-        let t = OctreeConfig { max_leaf_size: 4, max_depth: 20 }.build(&pts);
-        // Every input point must resolve to a leaf whose cell holds it.
-        for &p in pts.iter().take(20) {
-            if let Some(leaf) = t.find_leaf(p) {
-                prop_assert!(t.node(leaf).bounds.contains(p));
-                prop_assert!(t.node(leaf).is_leaf);
-            }
-            // (None is allowed only for points on empty-octant seams.)
-        }
-        // A point far outside is never found.
-        prop_assert_eq!(t.find_leaf(Vec3::splat(1e6)), None);
-    }
-}
-
 #[test]
 fn order_is_a_bijection_on_large_random_cloud() {
     // One big deterministic cloud (seeded LCG) exercising deep trees.

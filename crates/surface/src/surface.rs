@@ -26,8 +26,8 @@ pub struct QuadPoint {
     pub normal: Vec3,
     /// Area weight (Å²). Weights over a fully exposed sphere sum to 4πr².
     pub weight: f64,
-    /// Index of the atom whose sphere this point lies on (enables
-    /// per-atom exposed-area queries, e.g. SASA-based nonpolar terms).
+    /// Index of the atom whose sphere this point lies on (the point
+    /// translates rigidly with it when a frame moves the atoms).
     pub owner: u32,
 }
 
@@ -177,8 +177,8 @@ fn cell_of(p: Vec3, cell: f64) -> (i64, i64, i64) {
 /// Generate surface quadrature points for a union of spheres.
 ///
 /// `centers` and `radii` must have equal lengths. Radii must be positive.
-/// Returns points grouped by atom in input order (useful for per-atom
-/// exposed-area queries); the GB solver does not rely on the ordering.
+/// Returns points grouped by atom in input order; the GB solver does not
+/// rely on the ordering.
 pub fn generate_surface(centers: &[Vec3], radii: &[f64], cfg: &SurfaceConfig) -> Vec<QuadPoint> {
     assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
     assert!(
@@ -209,16 +209,6 @@ pub fn generate_surface(centers: &[Vec3], radii: &[f64], cfg: &SurfaceConfig) ->
 /// Total exposed surface area represented by a quadrature point set.
 pub fn total_area(points: &[QuadPoint]) -> f64 {
     points.iter().map(|p| p.weight).sum()
-}
-
-/// Exposed area per atom (Å²), indexed by atom. The per-atom analogue of
-/// [`total_area`]; buried atoms report 0.
-pub fn per_atom_area(points: &[QuadPoint], n_atoms: usize) -> Vec<f64> {
-    let mut area = vec![0.0_f64; n_atoms];
-    for p in points {
-        area[p.owner as usize] += p.weight;
-    }
-    area
 }
 
 #[cfg(test)]
@@ -348,26 +338,6 @@ mod tests {
         );
         let exact = 2.0 * 4.0 * PI;
         assert!((total_area(&pts) - exact).abs() < 1e-9 * exact);
-    }
-
-    #[test]
-    fn per_atom_area_partitions_total_area() {
-        use super::per_atom_area;
-        let centers = [
-            Vec3::ZERO,
-            Vec3::new(1.5, 0.0, 0.0),
-            Vec3::new(40.0, 0.0, 0.0),
-        ];
-        let radii = [1.0, 1.0, 2.0];
-        let pts = generate_surface(&centers, &radii, &SurfaceConfig::default());
-        let per = per_atom_area(&pts, 3);
-        let total: f64 = per.iter().sum();
-        assert!((total - total_area(&pts)).abs() < 1e-9 * total);
-        // The isolated atom keeps its full sphere; the overlapping pair
-        // loses area symmetrically.
-        assert!((per[2] - 4.0 * PI * 4.0).abs() < 1e-9 * per[2]);
-        assert!((per[0] - per[1]).abs() < 1e-9 * per[0].max(1.0));
-        assert!(per[0] < 4.0 * PI);
     }
 
     #[test]
