@@ -82,7 +82,7 @@ fn main() {
                 .map(|n| n.get())
                 .unwrap_or(1);
             let (_, report) = solver
-                .solve_pooled_report(LeafEval::Traverse, &params, workers)
+                .solve_report(LeafEval::Traverse, &params, Some(workers))
                 .expect("the traversal has no plan to mismatch");
             report
         });

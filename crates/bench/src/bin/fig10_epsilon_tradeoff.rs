@@ -70,7 +70,7 @@ fn main() {
     if let Some(largest) = suite.last() {
         polar_bench::maybe_write_report("fig10_epsilon_tradeoff", || {
             let (_, report) = largest
-                .solve_report(LeafEval::Traverse, &GbParams::default())
+                .solve_report(LeafEval::Traverse, &GbParams::default(), None)
                 .expect("the traversal has no plan to mismatch");
             report
         });

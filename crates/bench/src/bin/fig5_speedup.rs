@@ -4,7 +4,8 @@
 //! OCT_MPI runs 12 ranks per node; OCT_MPI+CILK runs 2 ranks × 6 threads
 //! per node (one rank per socket — the paper's NUMA-avoiding placement,
 //! §V.A). Work counts are measured from the real solver; times come from
-//! the calibrated cluster simulator (this host has one core).
+//! the calibrated cluster simulator: the 144-core machine is modelled,
+//! not run.
 
 use polar_bench::{build_solver, calibrated_machine, experiment_for, fmt_secs, Scale, Table};
 use polar_cluster::Layout;

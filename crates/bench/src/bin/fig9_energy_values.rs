@@ -62,7 +62,7 @@ fn main() {
     if let Some(solver) = last_solver {
         polar_bench::maybe_write_report("fig9_energy_values", || {
             let (_, report) = solver
-                .solve_report(LeafEval::Traverse, &params)
+                .solve_report(LeafEval::Traverse, &params, None)
                 .expect("the traversal has no plan to mismatch");
             report
         });

@@ -84,6 +84,13 @@ fn prepare(mol: &Molecule) -> GbSolver {
     s
 }
 
+/// Every core the process may run on.
+fn all_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// `polar energy <file>`
 pub fn energy(a: &Args) -> CmdResult {
     let mol = load_molecule(a)?;
@@ -99,15 +106,9 @@ pub fn energy(a: &Args) -> CmdResult {
     if a.get("reuse-plan").is_some() {
         return energy_reuse_plan(a, &solver, &params, profile);
     }
+    let workers = a.flag("parallel").then(all_cores);
     let t = Instant::now();
-    let (result, report) = if a.flag("parallel") {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        solver.solve_pooled_report(LeafEval::Traverse, &params, workers)?
-    } else {
-        solver.solve_report(LeafEval::Traverse, &params)?
-    };
+    let (result, report) = solver.solve_report(LeafEval::Traverse, &params, workers)?;
     println!(
         "E_pol = {:.4} kcal/mol  (eps {}/{}, {} math, {:.2?})",
         result.epol_kcal,
@@ -156,21 +157,11 @@ fn energy_reuse_plan(
         stats.epol_far_entries,
         stats.plan_bytes as f64 / 1048576.0,
     );
-    let workers = if a.flag("parallel") {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    };
+    let workers = a.flag("parallel").then(all_cores);
     let t = Instant::now();
     let mut last = None;
     for _ in 0..n {
-        last = Some(if workers > 1 {
-            solver.solve_pooled_report(LeafEval::Plan(&plan), params, workers)?
-        } else {
-            solver.solve_report(LeafEval::Plan(&plan), params)?
-        });
+        last = Some(solver.solve_report(LeafEval::Plan(&plan), params, workers)?);
     }
     let exec_total = t.elapsed().as_secs_f64();
     let (result, report) = last.expect("n >= 1");
@@ -202,12 +193,7 @@ pub fn batch(a: &Args) -> CmdResult {
         .get("manifest")
         .ok_or_else(|| ArgError("batch needs --manifest <jobs.json>".into()))?;
     let cache_bytes = mib_bytes(a, "cache-mb", 256)?;
-    let workers: usize = a.get_parsed(
-        "threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    )?;
+    let workers: usize = a.get_parsed("threads", all_cores())?;
     let profile = profile_format(a)?;
     let path = std::path::Path::new(manifest_path);
     let manifest = polar_molecule::manifest::load_manifest(path)?;
@@ -397,11 +383,8 @@ pub fn minimize(a: &Args) -> CmdResult {
     let mol = load_molecule(a)?;
     let profile = profile_format(a)?;
     let params = params_from(a)?;
-    let all_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let n_workers: usize =
-        a.get_parsed("threads", if a.flag("parallel") { all_cores } else { 1 })?;
+    let threads: usize =
+        a.get_parsed("threads", if a.flag("parallel") { all_cores() } else { 1 })?;
     let defaults = MinimizeConfig::default();
     let cfg = MinimizeConfig {
         max_iters: a.get_parsed("max-iters", defaults.max_iters)?,
@@ -413,7 +396,8 @@ pub fn minimize(a: &Args) -> CmdResult {
             tolerance: a.get_parsed("tolerance", ReplanConfig::default().tolerance)?,
             ..ReplanConfig::default()
         },
-        n_workers,
+        // One thread is the serial path.
+        workers: (threads > 1).then_some(threads),
         ..defaults
     };
 
@@ -522,12 +506,7 @@ pub fn induce(a: &Args) -> CmdResult {
 /// sends `{"cmd":"drain"}`, then print the final report and exit 0.
 pub fn serve(a: &Args) -> CmdResult {
     use std::io::Write;
-    let workers: usize = a.get_parsed(
-        "threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    )?;
+    let workers: usize = a.get_parsed("threads", all_cores())?;
     let deadline_ms = match a.get("deadline-ms") {
         None => None,
         Some(_) => Some(a.get_parsed("deadline-ms", 0u64)?),
@@ -814,12 +793,7 @@ pub fn project(a: &Args) -> CmdResult {
         // (pair/far evaluations; no tree-walk term).
         let plan = solver.plan(&params);
         let (born, _) = solver.born_radii(&params);
-        let ectx = polar_gb::energy::octree::EpolCtx::new(
-            &solver.tree_a,
-            &solver.charges,
-            &born,
-            params.eps_epol,
-        );
+        let ectx = polar_gb::eval::epol_ctx(&solver, &born, &params, Default::default());
         (
             plan.born_leaf_work().iter().map(|w| w.units()).collect(),
             plan.epol_leaf_work(&ectx)

@@ -28,7 +28,7 @@ use crate::eval::LeafEval;
 use crate::plan::{InteractionPlan, ReplanConfig};
 use crate::prepared::{advance, FrameAction};
 use crate::report::{GradientIterRow, GradientReport};
-use crate::solver::{GbParams, GbSolver, GradResult};
+use crate::solver::{GbParams, GbSolver};
 use polar_geom::Vec3;
 
 /// Knobs for [`minimize`].
@@ -56,8 +56,9 @@ pub struct MinimizeConfig {
     pub lbfgs_memory: usize,
     /// Re-planning policy for the per-step frames.
     pub replan: ReplanConfig,
-    /// Workers for the gradient/energy evaluations; `0` or `1` = serial.
-    pub n_workers: usize,
+    /// Work-stealing threads for the gradient/energy evaluations;
+    /// `None` = serial.
+    pub workers: Option<usize>,
 }
 
 impl Default for MinimizeConfig {
@@ -72,7 +73,7 @@ impl Default for MinimizeConfig {
             max_backtracks: 12,
             lbfgs_memory: 5,
             replan: ReplanConfig::default(),
-            n_workers: 0,
+            workers: None,
         }
     }
 }
@@ -130,7 +131,7 @@ pub fn minimize(
 
     let mut counters = StepCounters::default();
     let t0 = std::time::Instant::now();
-    let mut cur = eval_gradient(solver, plan, p, cfg)?;
+    let mut cur = solver.gradient_report(plan, p, cfg.workers)?.0;
     let mut grad_seconds = t0.elapsed().as_secs_f64();
     let mut x: Vec<Vec3> = solver.atom_pos.clone();
 
@@ -167,7 +168,7 @@ pub fn minimize(
 
         // Armijo backtracking from the current iterate.
         let mut accepted = None;
-        let mut evals_before = counters.energy_evals;
+        let evals_before = counters.energy_evals;
         for _ in 0..=cfg.max_backtracks {
             let trial: Vec<Vec3> = x.iter().zip(&d).map(|(xi, di)| *xi + *di * t).collect();
             let e_trial = energy_at(solver, plan, p, cfg, &trial, &mut counters)?;
@@ -189,7 +190,7 @@ pub fn minimize(
         // Gradient (and consistent energy) at the accepted point. The
         // solver already sits there from the last trial move.
         let t0 = std::time::Instant::now();
-        let next = eval_gradient(solver, plan, p, cfg)?;
+        let next = solver.gradient_report(plan, p, cfg.workers)?.0;
         let step_grad_s = t0.elapsed().as_secs_f64();
 
         if cfg.lbfgs_memory > 0 {
@@ -228,8 +229,6 @@ pub fn minimize(
         counters.rebuilt = 0;
         counters.reused = 0;
         counters.energy_seconds = 0.0;
-        evals_before = counters.energy_evals;
-        let _ = evals_before;
         x = trial;
         cur = next;
         converged = cur.grad_max() <= cfg.grad_tol;
@@ -280,31 +279,13 @@ fn energy_at(
 ) -> Result<f64, GradientError> {
     move_to(solver, plan, p, cfg, pos, counters);
     let t0 = std::time::Instant::now();
-    let e = if cfg.n_workers > 1 {
-        solver
-            .solve_pooled_report(LeafEval::Plan(plan), p, cfg.n_workers)?
-            .0
-            .epol_kcal
-    } else {
-        solver.solve_with_plan(plan, p)?.epol_kcal
-    };
+    let e = solver
+        .solve_report(LeafEval::Plan(plan), p, cfg.workers)?
+        .0
+        .epol_kcal;
     counters.energy_evals += 1;
     counters.energy_seconds += t0.elapsed().as_secs_f64();
     Ok(e)
-}
-
-/// Gradient at the solver's current coordinates.
-fn eval_gradient(
-    solver: &GbSolver,
-    plan: &InteractionPlan,
-    p: &GbParams,
-    cfg: &MinimizeConfig,
-) -> Result<GradResult, GradientError> {
-    if cfg.n_workers > 1 {
-        Ok(solver.gradient_pooled_report(plan, p, cfg.n_workers)?.0)
-    } else {
-        solver.gradient_with_plan(plan, p)
-    }
 }
 
 fn dot(a: &[Vec3], b: &[Vec3]) -> f64 {

@@ -1,25 +1,23 @@
 //! High-level GB solver: build once, solve for any ε.
 //!
 //! [`GbSolver`] owns the two octrees and the quadrature points. Its
-//! methods run the paper's pipeline (integrals over `T_Q` leaf segments →
-//! push over atom segments → energy over `T_A` leaf segments) serially or
-//! on `polar_runtime`'s work-stealing pool (the paper's `OCT_CILK`: the
-//! same randomized-stealing discipline as cilk++), with a [`LeafEval`]
-//! choosing between the recursive traversals and plan replay for each
-//! segment. The distributed driver in `polar-mpi` runs the same pipeline
-//! per rank through the same evaluator; the cluster simulator in
-//! `polar-cluster` replays its per-leaf work counts.
+//! methods call the stages of [`crate::eval`] (integrals over `T_Q` leaf
+//! segments → push over atom segments → energy over `T_A` leaf segments)
+//! as one chunk each on the caller's thread, or chunked on
+//! `polar_runtime`'s work-stealing pool (the paper's `OCT_CILK`: the same
+//! randomized-stealing discipline as cilk++). The drivers in `polar-mpi`
+//! call the same stages per rank; the cluster simulator in
+//! `polar-cluster` replays their per-leaf work counts.
 
 use crate::born::exact as born_exact;
-use crate::born::octree::{
-    approx_integrals, push_integrals_to_atoms, push_integrals_to_atoms_slots, BornOctreeCtx,
-    BornPartials, QDipole,
-};
+use crate::born::octree::{BornOctreeCtx, BornPartials, QDipole};
 use crate::constants::tau;
 use crate::energy::exact as energy_exact;
 use crate::energy::gradient::GradientError;
-use crate::energy::octree::{epol_for_leaf_segment, EpolBuffers, EpolCtx};
-use crate::eval::LeafEval;
+use crate::energy::octree::EpolBuffers;
+use crate::eval::{
+    born_stage, epol_ctx, epol_stage, gradient_stage, push_stage, unslot, LeafEval, Local,
+};
 use crate::kernels::KernelMode;
 use crate::partition::even_segments;
 use crate::plan::{InteractionPlan, PlanError};
@@ -30,6 +28,7 @@ use polar_molecule::Molecule;
 use polar_octree::{Octree, OctreeConfig};
 use polar_runtime::StealStats;
 use polar_surface::{QuadPoint, SurfaceConfig};
+use std::ops::Range;
 
 /// Tunable solve parameters (paper §V.C uses ε = 0.9 for both stages).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,16 +193,9 @@ pub struct FrameDelta {
     pub max_disp: f64,
 }
 
-/// Run one stage's tasks on the work-stealing pool — the only place the
-/// solver fans out — folding the batch's scheduler counters into `steal`.
-fn fan_out<T: Send, F: FnOnce() -> T + Send>(
-    n_workers: usize,
-    steal: &mut StealStats,
-    tasks: Vec<F>,
-) -> Vec<T> {
-    let (out, stats) = polar_runtime::run_batch(n_workers, tasks);
-    steal.merge(&stats);
-    out
+/// Each range as a chunk of one run.
+fn one_run_each(ranges: Vec<Range<usize>>) -> Vec<[Range<usize>; 1]> {
+    ranges.into_iter().map(|r| [r]).collect()
 }
 
 /// The prepared solver: molecule data + both octrees + q-point aggregates.
@@ -226,6 +218,8 @@ pub struct GbSolver {
     pub geom_version: u64,
 }
 
+// `&[[0..n]]` below is a stage's chunk list: one chunk of one leaf run.
+#[allow(clippy::single_range_in_vec_init)]
 impl GbSolver {
     /// Build from a molecule: generates the surface quadrature and both
     /// octrees (the paper's pre-processing Step 1, O(M log M)).
@@ -397,51 +391,48 @@ impl GbSolver {
     }
 
     // ---------------------------------------------------------------
-    // Serial octree solver
+    // The Fig. 4 pipeline in one process: serial, or OCT_CILK on the
+    // work-stealing pool
     // ---------------------------------------------------------------
 
     /// Octree-approximated Born radii (serial; all leaf segments).
     pub fn born_radii(&self, p: &GbParams) -> (Vec<f64>, WorkCounts) {
-        let ctx = self.born_ctx();
-        let mut counts = WorkCounts::ZERO;
-        let totals = approx_integrals(&ctx, p.eps_born, 0..self.tree_q.leaves().len(), &mut counts);
-        let mut born = vec![0.0; self.n_atoms()];
-        push_integrals_to_atoms(&ctx, &totals, 0..self.n_atoms(), p.math, &mut born);
-        (born, counts)
+        let mut scratch = SolveScratch::new();
+        let work = self.born_and_push(LeafEval::Traverse, p, &mut Local::new(None), &mut scratch);
+        (scratch.born, work)
     }
 
     /// Octree-approximated E_pol given Born radii (serial).
     pub fn epol(&self, born: &[f64], p: &GbParams) -> (f64, WorkCounts) {
-        let ctx = EpolCtx::new(&self.tree_a, &self.charges, born, p.eps_epol);
-        let mut counts = WorkCounts::ZERO;
-        let e = epol_for_leaf_segment(
-            &ctx,
-            p.eps_epol,
-            p.math,
-            tau(p.eps_solvent),
-            0..self.tree_a.leaves().len(),
-            &mut counts,
-        );
-        (e, counts)
+        let ectx = epol_ctx(self, born, p, EpolBuffers::default());
+        let (eval, chunks) = (LeafEval::Traverse, [[0..self.tree_a.leaves().len()]]);
+        let Ok(out) = epol_stage(eval, &ectx, &[], p, &chunks, &mut Local::new(None));
+        out
     }
 
     /// Full serial octree solve.
     pub fn solve(&self, p: &GbParams) -> GbResult {
-        self.solve_timed(LeafEval::Traverse, p, &mut SolveScratch::new())
+        let mut scratch = SolveScratch::new();
+        self.solve_on(LeafEval::Traverse, p, &mut Local::new(None), &mut scratch)
             .0
     }
 
-    /// Serial solve through `eval` plus a structured [`SolveReport`]
-    /// (mode `"serial"` or `"plan"`: per-stage wall time and work, tree
-    /// shape, memory footprint, the plan's list statistics).
+    /// Solve through `eval` plus a structured [`SolveReport`]: serial
+    /// with `workers: None` (mode `"serial"` or `"plan"`), or on that
+    /// many work-stealing threads (`OCT_CILK`: mode `"parallel"` or
+    /// `"plan_parallel"`, with the scheduler counters of all three
+    /// stages). Stage work totals are the serial solve's for any worker
+    /// count.
     pub fn solve_report(
         &self,
         eval: LeafEval<'_>,
         p: &GbParams,
+        workers: Option<usize>,
     ) -> Result<(GbResult, SolveReport), PlanError> {
         eval.check(self, p)?;
-        let (result, born_s, epol_s) = self.solve_timed(eval, p, &mut SolveScratch::new());
-        let report = self.eval_report(eval, false, p, &result, born_s, epol_s);
+        let mut runner = Local::new(workers);
+        let (result, seconds) = self.solve_on(eval, p, &mut runner, &mut SolveScratch::new());
+        let report = self.eval_report(eval, p, &result, seconds, runner.steal);
         Ok((result, report))
     }
 
@@ -485,22 +476,96 @@ impl GbSolver {
     fn eval_report(
         &self,
         eval: LeafEval<'_>,
-        pooled: bool,
         p: &GbParams,
-        result: &GbResult,
-        born_s: f64,
-        epol_s: f64,
+        r: &GbResult,
+        [born_s, epol_s]: [f64; 2],
+        steal: Option<StealStats>,
     ) -> SolveReport {
-        let mut report = self.base_report(
-            eval.mode(pooled),
-            eval.kernel_mode(p),
-            p,
-            result.epol_kcal,
-            (born_s, result.work_born),
-            (epol_s, result.work_epol),
-        );
+        let (born, epol) = ((born_s, r.work_born), (epol_s, r.work_epol));
+        let mode = eval.mode(steal.is_some());
+        let mut report = self.base_report(mode, eval.kernel_mode(p), p, r.epol_kcal, born, epol);
         report.plan = eval.plan_stats();
+        report.steal = steal.as_ref().map(StealReport::from);
         report
+    }
+
+    /// The pipeline on `runner`, out of `scratch`, with per-stage wall
+    /// seconds. Inline, each stage is one chunk; on `w` workers, Born
+    /// chunks hold `n/(w·8)` q-leaves, push has `w·4` atom segments and
+    /// energy `w·8` leaf segments, merged in order (deterministic for a
+    /// fixed worker count). The caller has checked `eval`.
+    fn solve_on(
+        &self,
+        eval: LeafEval<'_>,
+        p: &GbParams,
+        runner: &mut Local,
+        scratch: &mut SolveScratch,
+    ) -> (GbResult, [f64; 2]) {
+        let t0 = std::time::Instant::now();
+        let work_born = self.born_and_push(eval, p, runner, scratch);
+        let born_s = t0.elapsed().as_secs_f64();
+
+        let t1 = std::time::Instant::now();
+        let n_aleaves = self.tree_a.leaves().len();
+        let chunks: &[[Range<usize>; 1]] = match runner.workers {
+            None => &[[0..n_aleaves]],
+            Some(w) => &one_run_each(even_segments(n_aleaves, w * 8)),
+        };
+        let ectx = epol_ctx(self, &scratch.born, p, std::mem::take(&mut scratch.epol));
+        let Ok((epol_kcal, work_epol)) =
+            epol_stage(eval, &ectx, &scratch.born_slot, p, chunks, runner);
+        scratch.epol = ectx.into_buffers();
+        scratch.reuses += 1;
+        let epol_s = t1.elapsed().as_secs_f64();
+        let born = scratch.born.clone();
+        let result = GbResult {
+            born,
+            epol_kcal,
+            work_born,
+            work_epol,
+        };
+        (result, [born_s, epol_s])
+    }
+
+    /// The Born and push stages of [`GbSolver::solve_on`]: radii into
+    /// `scratch.born_slot` and, scattered, `scratch.born`.
+    fn born_and_push(
+        &self,
+        eval: LeafEval<'_>,
+        p: &GbParams,
+        runner: &mut Local,
+        scratch: &mut SolveScratch,
+    ) -> WorkCounts {
+        let ctx = self.born_ctx();
+        let (n_qleaves, n) = (self.tree_q.leaves().len(), self.n_atoms());
+        let (chunks, runs): (&[[Range<usize>; 1]], &[Range<usize>]) = match runner.workers {
+            None => (&[[0..n_qleaves]], &[0..n]),
+            Some(w) => {
+                let chunk = (n_qleaves / (w * 8)).max(1);
+                let starts = (0..n_qleaves).step_by(chunk);
+                let chunks = starts.map(|s| s..(s + chunk).min(n_qleaves)).collect();
+                (&one_run_each(chunks), &even_segments(n, w * 4))
+            }
+        };
+        let partials = scratch.partials_for(&self.tree_a);
+        let Ok(work) = born_stage(eval, &ctx, p, chunks, runner, partials);
+        let (born, born_slot) = (&mut scratch.born, &mut scratch.born_slot);
+        born_slot.resize(n, 0.0);
+        let Ok(()) = push_stage(&ctx, &scratch.partials, p.math, runs, runner, born_slot);
+        born.resize(n, 0.0);
+        unslot(&self.tree_a, born_slot, born);
+        work
+    }
+
+    /// Permute original-order Born radii into Morton slot order — the
+    /// layout the plan's SoA energy loop streams over.
+    pub fn born_by_slot(&self, born: &[f64]) -> Vec<f64> {
+        assert_eq!(born.len(), self.n_atoms());
+        self.tree_a
+            .order()
+            .iter()
+            .map(|&o| born[o as usize])
+            .collect()
     }
 
     // ---------------------------------------------------------------
@@ -543,196 +608,9 @@ impl GbSolver {
         scratch: &mut SolveScratch,
     ) -> Result<GbResult, PlanError> {
         plan.check_compatible(self, p)?;
-        Ok(self.solve_timed(LeafEval::Plan(plan), p, scratch).0)
-    }
-
-    /// The serial pipeline — integrals over all `T_Q` leaves, push,
-    /// energy over all `T_A` leaves — with per-stage wall seconds. The
-    /// caller has already checked `eval` against this solver.
-    fn solve_timed(
-        &self,
-        eval: LeafEval<'_>,
-        p: &GbParams,
-        scratch: &mut SolveScratch,
-    ) -> (GbResult, f64, f64) {
-        let ctx = self.born_ctx();
-        let t0 = std::time::Instant::now();
-        let mut work_born = WorkCounts::ZERO;
-        let totals = scratch.partials_for(&self.tree_a);
-        eval.born_into(
-            &ctx,
-            p,
-            0..self.tree_q.leaves().len(),
-            totals,
-            &mut work_born,
-        );
-        let totals = &scratch.partials;
-        scratch.born.clear();
-        scratch.born.resize(self.n_atoms(), 0.0);
-        push_integrals_to_atoms(&ctx, totals, 0..self.n_atoms(), p.math, &mut scratch.born);
-        let born_s = t0.elapsed().as_secs_f64();
-
-        let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new_reusing(
-            &self.tree_a,
-            &self.charges,
-            &scratch.born,
-            p.eps_epol,
-            std::mem::take(&mut scratch.epol),
-        );
-        scratch.born_slot.clear();
-        scratch.born_slot.extend(
-            self.tree_a
-                .order()
-                .iter()
-                .map(|&o| scratch.born[o as usize]),
-        );
-        let mut work_epol = WorkCounts::ZERO;
-        let epol_kcal = eval.epol(
-            &ectx,
-            &scratch.born_slot,
-            p,
-            0..self.tree_a.leaves().len(),
-            &mut work_epol,
-        );
-        scratch.epol = ectx.into_buffers();
-        scratch.reuses += 1;
-        let epol_s = t1.elapsed().as_secs_f64();
-        (
-            GbResult {
-                born: scratch.born.clone(),
-                epol_kcal,
-                work_born,
-                work_epol,
-            },
-            born_s,
-            epol_s,
-        )
-    }
-
-    /// Permute original-order Born radii into Morton slot order — the
-    /// layout the plan's SoA energy loop streams over.
-    pub fn born_by_slot(&self, born: &[f64]) -> Vec<f64> {
-        assert_eq!(born.len(), self.n_atoms());
-        self.tree_a
-            .order()
-            .iter()
-            .map(|&o| born[o as usize])
-            .collect()
-    }
-
-    // ---------------------------------------------------------------
-    // Shared-memory parallel solver (OCT_CILK)
-    // ---------------------------------------------------------------
-
-    /// Work-stealing parallel solve (`OCT_CILK` on `polar_runtime`'s
-    /// cilk-style pool) through `eval`, plus a [`SolveReport`] (mode
-    /// `"parallel"` or `"plan_parallel"`) with real per-stage
-    /// [`WorkCounts`] and merged scheduler counters from all three task
-    /// batches (integrals, push, energy).
-    ///
-    /// The stage work totals are schedule-independent: they equal the
-    /// serial solve's exactly, whatever the steal pattern was.
-    pub fn solve_pooled_report(
-        &self,
-        eval: LeafEval<'_>,
-        p: &GbParams,
-        n_workers: usize,
-    ) -> Result<(GbResult, SolveReport), PlanError> {
-        eval.check(self, p)?;
-        let (result, born_s, epol_s, steal) = self.solve_pooled(eval, p, n_workers.max(1));
-        let mut report = self.eval_report(eval, true, p, &result, born_s, epol_s);
-        report.steal = Some(StealReport::from(&steal));
-        Ok((result, report))
-    }
-
-    /// The pooled pipeline: each stage's leaf segments fan out over
-    /// `n_workers` work-stealing threads and merge in task order, so the
-    /// result is deterministic for a fixed worker count.
-    fn solve_pooled(
-        &self,
-        eval: LeafEval<'_>,
-        p: &GbParams,
-        n_workers: usize,
-    ) -> (GbResult, f64, f64, StealStats) {
-        let ctx = &self.born_ctx();
-        let mut steal = StealStats::default();
-
-        // Stage 1a: integrals over chunks of T_Q leaves.
-        let t0 = std::time::Instant::now();
-        let n_qleaves = self.tree_q.leaves().len();
-        let chunk = (n_qleaves / (n_workers * 8)).max(1);
-        let tasks = (0..n_qleaves)
-            .step_by(chunk)
-            .map(|s| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let part = eval.born(ctx, p, s..(s + chunk).min(n_qleaves), &mut counts);
-                    (part, counts)
-                }
-            })
-            .collect();
-        let mut work_born = WorkCounts::ZERO;
-        let mut totals = BornPartials::zeros(&self.tree_a);
-        for (part, counts) in fan_out(n_workers, &mut steal, tasks) {
-            totals.add(&part);
-            work_born.accumulate(counts);
-        }
-        let totals = &totals;
-
-        // Stage 1b: PUSH-INTEGRALS-TO-ATOMS over slot segments, each task
-        // writing a buffer sized for its own segment (one visit per node:
-        // never a hot traversal, so there is no list form of it).
-        let segs = even_segments(self.n_atoms(), n_workers * 4);
-        let push_tasks = segs
-            .iter()
-            .cloned()
-            .map(|r| {
-                move || {
-                    let mut out = vec![0.0; r.len()];
-                    push_integrals_to_atoms_slots(ctx, totals, r, p.math, &mut out);
-                    out
-                }
-            })
-            .collect();
-        let pieces = fan_out(n_workers, &mut steal, push_tasks);
-        let mut born = vec![0.0; self.n_atoms()];
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                born[self.tree_a.order()[slot] as usize] = piece[k];
-            }
-        }
-        let born_s = t0.elapsed().as_secs_f64();
-
-        // Stage 2: energy over segments of T_A leaves.
-        let t1 = std::time::Instant::now();
-        let ectx = &EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
-        let born_slot = &self.born_by_slot(&born);
-        let etasks = even_segments(self.tree_a.leaves().len(), n_workers * 8)
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let e = eval.epol(ectx, born_slot, p, r, &mut counts);
-                    (e, counts)
-                }
-            })
-            .collect();
-        let mut work_epol = WorkCounts::ZERO;
-        let mut epol_kcal = 0.0;
-        for (e, counts) in fan_out(n_workers, &mut steal, etasks) {
-            epol_kcal += e;
-            work_epol.accumulate(counts);
-        }
-        let epol_s = t1.elapsed().as_secs_f64();
-
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        };
-        (result, born_s, epol_s, steal)
+        Ok(self
+            .solve_on(LeafEval::Plan(plan), p, &mut Local::new(None), scratch)
+            .0)
     }
 
     // ---------------------------------------------------------------
@@ -752,105 +630,42 @@ impl GbSolver {
         p: &GbParams,
     ) -> Result<GradResult, GradientError> {
         let solve = self.solve_with_plan(plan, p)?;
-        let (grad, work_grad, _) = self.gradient_stage(plan, p, &solve.born, None)?;
-        Ok(GradResult::new(solve, grad, work_grad))
+        let runner = &mut Local::new(None);
+        let (grad, work) = gradient_stage(plan, self, p, &solve.born, 1, runner)?;
+        Ok(GradResult::new(solve, grad, work))
     }
 
-    /// Parallel plan-path gradient (mode `"plan_gradient_parallel"`, with
-    /// a third `"gradient"` stage row): Born/energy stages as
-    /// [`GbSolver::solve_pooled_report`], then gradient leaf segments fan
-    /// out over the same pool. Each task owns a disjoint contiguous slot
-    /// span (its leaves' targets) and results merge by task index, so
-    /// for fixed Born radii the gradient stage is **bitwise identical**
-    /// for any worker count or steal schedule. End-to-end output tracks
-    /// the serial path at ulp grade only, because the parallel Born
-    /// stage re-associates per-chunk partials.
-    pub fn gradient_pooled_report(
+    /// Plan-path gradient plus a [`SolveReport`] with a third
+    /// `"gradient"` stage row: serial with `workers: None` (mode
+    /// `"plan_gradient"`), or with every stage on that many threads
+    /// (mode `"plan_gradient_parallel"`, `w·8` gradient segments). For
+    /// fixed Born radii the gradient stage is bitwise the same for any
+    /// worker count; end to end the pooled path tracks the serial one at
+    /// ulp grade, because the pooled Born stage re-associates partials.
+    pub fn gradient_report(
         &self,
         plan: &InteractionPlan,
         p: &GbParams,
-        n_workers: usize,
+        workers: Option<usize>,
     ) -> Result<(GradResult, SolveReport), GradientError> {
         plan.check_compatible(self, p)?;
-        let n_workers = n_workers.max(1);
-        let eval = LeafEval::Plan(plan);
-        let (solve, born_s, epol_s, mut steal) = self.solve_pooled(eval, p, n_workers);
+        let (eval, runner) = (LeafEval::Plan(plan), &mut Local::new(workers));
+        let (solve, seconds) = self.solve_on(eval, p, runner, &mut SolveScratch::new());
         let t2 = std::time::Instant::now();
-        let (grad, work_grad, steal_grad) =
-            self.gradient_stage(plan, p, &solve.born, Some(n_workers))?;
-        let grad_s = t2.elapsed().as_secs_f64();
-        steal.merge(&steal_grad);
-
-        let mut report = self.eval_report(eval, true, p, &solve, born_s, epol_s);
-        report.mode = "plan_gradient_parallel".into();
+        let parts = runner.workers.map_or(1, |w| w * 8);
+        let (grad, work) = gradient_stage(plan, self, p, &solve.born, parts, runner)?;
+        let mut report = self.eval_report(eval, p, &solve, seconds, runner.steal.take());
+        report.mode = match workers {
+            None => "plan_gradient",
+            Some(_) => "plan_gradient_parallel",
+        }
+        .into();
         report.stages.push(StageReport {
             name: "gradient".into(),
-            wall_seconds: grad_s,
-            work: work_grad,
+            wall_seconds: t2.elapsed().as_secs_f64(),
+            work,
         });
-        report.steal = Some(StealReport::from(&steal));
-        Ok((GradResult::new(solve, grad, work_grad), report))
-    }
-
-    /// The gradient stage at fixed Born radii: one task per leaf segment,
-    /// inline (`pool: None`, a single segment) or on `pool` work-stealing
-    /// threads; returns the gradient in original atom order.
-    fn gradient_stage(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-        born: &[f64],
-        pool: Option<usize>,
-    ) -> Result<(Vec<Vec3>, WorkCounts, StealStats), GradientError> {
-        let born_slot = &self.born_by_slot(born);
-        let inv_born = &born_slot.iter().map(|&r| 1.0 / r).collect::<Vec<f64>>();
-        let tree = &self.tree_a;
-        let leaves = tree.leaves();
-        let tasks: Vec<_> = even_segments(leaves.len(), pool.map_or(1, |w| w * 8))
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| {
-                move || {
-                    // Leaves are Morton-ordered, so a leaf range's target
-                    // slots form one contiguous span.
-                    let lo = tree.node(leaves[r.start]).start as usize;
-                    let hi = tree.node(leaves[r.end - 1]).end as usize;
-                    let mut counts = WorkCounts::ZERO;
-                    let (mut gx, mut gy, mut gz) =
-                        (vec![0.0; hi - lo], vec![0.0; hi - lo], vec![0.0; hi - lo]);
-                    let res = plan.execute_gradient_segment(
-                        tree,
-                        born_slot,
-                        inv_born,
-                        p.math,
-                        p.kernel,
-                        tau(p.eps_solvent),
-                        r,
-                        lo,
-                        &mut gx,
-                        &mut gy,
-                        &mut gz,
-                        &mut counts,
-                    );
-                    (lo, gx, gy, gz, counts, res)
-                }
-            })
-            .collect();
-        let mut steal = StealStats::default();
-        let parts = match pool {
-            Some(n_workers) => fan_out(n_workers, &mut steal, tasks),
-            None => tasks.into_iter().map(|task| task()).collect(),
-        };
-        let mut grad = vec![Vec3::ZERO; self.n_atoms()];
-        let mut work_grad = WorkCounts::ZERO;
-        for (lo, gx, gy, gz, counts, res) in parts {
-            res?;
-            work_grad.accumulate(counts);
-            for k in 0..gx.len() {
-                grad[tree.order()[lo + k] as usize] = Vec3::new(gx[k], gy[k], gz[k]);
-            }
-        }
-        Ok((grad, work_grad, steal))
+        Ok((GradResult::new(solve, grad, work), report))
     }
 
     // ---------------------------------------------------------------
@@ -881,31 +696,24 @@ impl GbSolver {
     /// node-based division hands to ranks/threads. Real counts from the
     /// real traversal; the simulator replays them.
     pub fn born_work_per_qleaf(&self, p: &GbParams) -> Vec<WorkCounts> {
-        use crate::born::octree::approx_integrals_into;
-        let ctx = self.born_ctx();
-        // One shared accumulator buffer (values unused here): per-leaf
-        // allocation would dominate at capsid scale.
-        let mut scratch = BornPartials::zeros(&self.tree_a);
-        (0..self.tree_q.leaves().len())
-            .map(|i| {
-                let mut counts = WorkCounts::ZERO;
-                approx_integrals_into(&ctx, p.eps_born, i..i + 1, &mut scratch, &mut counts);
-                counts
-            })
-            .collect()
+        // One shared accumulator (values unused): per-leaf allocation
+        // would dominate at capsid scale.
+        let (ctx, acc) = (self.born_ctx(), &mut BornPartials::zeros(&self.tree_a));
+        let eval = LeafEval::Traverse;
+        let leaf = |i| born_stage(eval, &ctx, p, &[[i..i + 1]], &mut Local::new(None), acc);
+        let Ok(work) = (0..self.tree_q.leaves().len()).map(leaf).collect();
+        work
     }
 
     /// Per-`T_A`-leaf work of the energy stage.
     pub fn epol_work_per_leaf(&self, born: &[f64], p: &GbParams) -> Vec<WorkCounts> {
-        let ctx = EpolCtx::new(&self.tree_a, &self.charges, born, p.eps_epol);
-        let t = tau(p.eps_solvent);
-        (0..self.tree_a.leaves().len())
-            .map(|i| {
-                let mut counts = WorkCounts::ZERO;
-                let _ = epol_for_leaf_segment(&ctx, p.eps_epol, p.math, t, i..i + 1, &mut counts);
-                counts
-            })
-            .collect()
+        let ectx = epol_ctx(self, born, p, EpolBuffers::default());
+        let eval = LeafEval::Traverse;
+        let leaf = |i| epol_stage(eval, &ectx, &[], p, &[[i..i + 1]], &mut Local::new(None));
+        let Ok(work) = (0..self.tree_a.leaves().len())
+            .map(|i| leaf(i).map(|(_, w)| w))
+            .collect();
+        work
     }
 }
 
@@ -956,7 +764,7 @@ mod tests {
         let serial = s.solve(&p);
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         let (par, _) = s
-            .solve_pooled_report(LeafEval::Traverse, &p, workers)
+            .solve_report(LeafEval::Traverse, &p, Some(workers))
             .unwrap();
         for (a, b) in serial.born.iter().zip(&par.born) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
@@ -983,7 +791,7 @@ mod tests {
         assert_eq!(per_leaf_e.far_ops, full_epol.far_ops);
         // The work-stealing parallel path reports the same totals — its
         // chunking must not change what work gets counted.
-        let (par_result, par_report) = s.solve_pooled_report(LeafEval::Traverse, &p, 3).unwrap();
+        let (par_result, par_report) = s.solve_report(LeafEval::Traverse, &p, Some(3)).unwrap();
         assert_eq!(par_result.work_born, full_born);
         assert_eq!(par_result.work_epol, full_epol);
         assert_eq!(par_report.total_work(), full_born + full_epol);
@@ -996,7 +804,7 @@ mod tests {
     #[test]
     fn a_panicking_stage_task_surfaces_from_the_pooled_solve_as_that_panic() {
         // ε ≤ 0 trips the separation-factor assertion inside every
-        // Born-stage task of `fan_out`. The pool must stop and hand that
+        // pooled Born-stage task. The pool must stop and hand that
         // panic to the caller — not hang, and not bury it under "a scoped
         // thread panicked". On a helper thread so a hang fails the test.
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1007,7 +815,7 @@ mod tests {
                 ..GbParams::default()
             };
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.solve_pooled_report(LeafEval::Traverse, &p, 2)
+                s.solve_report(LeafEval::Traverse, &p, Some(2))
             }));
             let message = caught
                 .err()
@@ -1027,7 +835,7 @@ mod tests {
     fn serial_report_is_populated() {
         let s = solver(200, 8);
         let (r, rep) = s
-            .solve_report(LeafEval::Traverse, &GbParams::default())
+            .solve_report(LeafEval::Traverse, &GbParams::default(), None)
             .unwrap();
         assert_eq!(rep.mode, "serial");
         assert_eq!(rep.epol_kcal, r.epol_kcal);
@@ -1051,7 +859,7 @@ mod tests {
         let p = GbParams::default();
         let plan = s.plan(&p);
         for workers in 2..=5 {
-            let (_, rep) = s.gradient_pooled_report(&plan, &p, workers).unwrap();
+            let (_, rep) = s.gradient_report(&plan, &p, Some(workers)).unwrap();
             let steal = rep.steal.expect("pooled report carries steal stats");
             assert_eq!(steal.workers, workers);
             let total = steal.total_executed as f64;
@@ -1062,6 +870,12 @@ mod tests {
             );
             assert!(busiest.round() >= (total / workers as f64).ceil() && busiest <= total + 1e-6);
         }
+        // Serial: no steal section, and the frozen name's exact bits.
+        let (serial, rep) = s.gradient_report(&plan, &p, None).unwrap();
+        assert_eq!(rep.mode, "plan_gradient");
+        assert!(rep.steal.is_none() && rep.stages.len() == 3);
+        let frozen = s.gradient_with_plan(&plan, &p).unwrap();
+        assert_eq!((serial.grad, serial.born), (frozen.grad, frozen.born));
     }
 
     #[test]

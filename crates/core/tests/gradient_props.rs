@@ -308,12 +308,12 @@ proptest! {
         let plan = s.plan(&p);
         let serial = s.gradient_with_plan(&plan, &p).expect("clean geometry");
         let (par, report) = s
-            .gradient_pooled_report(&plan, &p, workers)
+            .gradient_report(&plan, &p, Some(workers))
             .expect("clean geometry");
         // Same worker count, different steal schedule: the merge is by
         // task index, so a re-run must not perturb a single bit.
         let (par2, _) = s
-            .gradient_pooled_report(&plan, &p, workers)
+            .gradient_report(&plan, &p, Some(workers))
             .expect("clean geometry");
         for (a, b) in par.grad.iter().zip(&par2.grad) {
             prop_assert_eq!(a.x.to_bits(), b.x.to_bits());

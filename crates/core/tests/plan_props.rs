@@ -294,7 +294,7 @@ proptest! {
         let p = GbParams::default();
         let plan = s.plan(&p);
         let serial = s.solve_with_plan(&plan, &p).expect("compatible plan");
-        let (par, report) = s.solve_pooled_report(LeafEval::Plan(&plan), &p, workers)
+        let (par, report) = s.solve_report(LeafEval::Plan(&plan), &p, Some(workers))
             .expect("compatible plan");
         // Chunked execution merges per-chunk partials by addition, which
         // re-associates the per-qleaf sums — ulp-level, not bitwise.
@@ -460,7 +460,7 @@ fn plan_report_mode_and_stats_round_trip() {
     let p = GbParams::default();
     let plan = s.plan(&p);
     let (result, report) = s
-        .solve_report(LeafEval::Plan(&plan), &p)
+        .solve_report(LeafEval::Plan(&plan), &p, None)
         .expect("compatible plan");
     assert_eq!(report.mode, "plan");
     assert_eq!(report.epol_kcal, result.epol_kcal);
@@ -496,9 +496,9 @@ fn foreign_or_stale_plans_are_rejected_with_typed_errors() {
         ok => panic!("expected GeometryMismatch, got {ok:?}"),
     }
     assert!(other
-        .solve_pooled_report(LeafEval::Plan(&plan), &p, 2)
+        .solve_report(LeafEval::Plan(&plan), &p, Some(2))
         .is_err());
-    assert!(other.solve_report(LeafEval::Plan(&plan), &p).is_err());
+    assert!(other.solve_report(LeafEval::Plan(&plan), &p, None).is_err());
 
     // Errors render a readable message naming both fingerprints.
     let msg = plan.check_compatible(&other, &p).unwrap_err().to_string();

@@ -144,7 +144,7 @@ proptest! {
         // parallel report agrees exactly with the serial one.
         let s = solver_for(n, seed);
         let p = GbParams::default();
-        let (result, report) = s.solve_report(LeafEval::Traverse, &p).unwrap();
+        let (result, report) = s.solve_report(LeafEval::Traverse, &p, None).unwrap();
         let born_leaf: WorkCounts = s.born_work_per_qleaf(&p).into_iter().sum();
         prop_assert_eq!(report.stage("born").work.pair_ops, born_leaf.pair_ops);
         prop_assert_eq!(report.stage("born").work.far_ops, born_leaf.far_ops);
@@ -152,7 +152,7 @@ proptest! {
             s.epol_work_per_leaf(&result.born, &p).into_iter().sum();
         prop_assert_eq!(report.stage("epol").work.pair_ops, epol_leaf.pair_ops);
         prop_assert_eq!(report.stage("epol").work.far_ops, epol_leaf.far_ops);
-        let (_, par) = s.solve_pooled_report(LeafEval::Traverse, &p, 4).unwrap();
+        let (_, par) = s.solve_report(LeafEval::Traverse, &p, Some(4)).unwrap();
         prop_assert_eq!(par.stage("born").work, report.stage("born").work);
         prop_assert_eq!(par.stage("epol").work, report.stage("epol").work);
         prop_assert_eq!(par.total_work(), report.total_work());

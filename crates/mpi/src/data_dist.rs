@@ -18,7 +18,9 @@
 //!    clones just its slice and builds its own local `T_Q` over it),
 //! 2. runs `APPROX-INTEGRALS` of its local tree against the (still
 //!    replicated, much smaller) atoms octree,
-//! 3. joins the usual Allreduce/push/energy pipeline of Fig. 4.
+//! 3. joins the usual Allreduce/push/energy pipeline of Fig. 4 — the
+//!    shared stages of [`polar_gb::eval`], as the replicated driver runs
+//!    them.
 //!
 //! The far-field grouping differs from the shared-tree traversal (each
 //! rank's local octree has its own leaves), so the result is not
@@ -28,12 +30,14 @@
 
 use crate::comm::{Comm, CommError, Universe};
 use crate::drivers::DistributedConfig;
-use polar_gb::born::octree::{push_integrals_to_atoms, BornOctreeCtx, BornPartials};
-use polar_gb::constants::tau;
-use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use crate::recovery::{allreduce_born, concat_steal, rank_chunks};
+use polar_gb::born::octree::{BornOctreeCtx, BornPartials};
+use polar_gb::energy::octree::EpolBuffers;
+use polar_gb::eval::{born_stage, epol_ctx, epol_stage, push_stage, unslot, Local};
 use polar_gb::partition::even_segments;
-use polar_gb::{GbSolver, WorkCounts};
+use polar_gb::{GbSolver, LeafEval, WorkCounts};
 use polar_octree::OctreeConfig;
+use polar_runtime::StealStats;
 use polar_surface::QuadPoint;
 
 /// Result of a data-distributed run.
@@ -48,22 +52,28 @@ pub struct DataDistributedRun {
     /// work-only distribution (for the comparison table).
     pub work_only_bytes: u64,
     pub per_rank_work: Vec<WorkCounts>,
+    /// Steal counters concatenated over the per-rank pools (`None` when
+    /// ranks run one thread).
+    pub steal: Option<StealStats>,
 }
 
 /// Fig. 4 with a partitioned quadrature set (work **and** data division).
 ///
-/// The collectives are the fault-aware ones of [`Comm`], but no faults
-/// are armed: a rank's q-point share cannot be re-divided without
-/// regrouping the far field, so a collective that reports an absent rank
-/// ends the run with [`CommError::Crashed`] naming it, not a recovery.
+/// Born and energy chunks run on `threads_per_rank` work-stealing threads
+/// (`threads × 4` chunks), the push inline. The collectives are the
+/// fault-aware ones of [`Comm`], but no faults are armed: a rank's
+/// q-point share cannot be re-divided without regrouping the far field,
+/// so a collective that reports an absent rank ends the run with
+/// [`CommError::Crashed`] naming it, not a recovery.
 pub fn run_data_distributed(
     solver: &GbSolver,
     cfg: &DistributedConfig,
 ) -> Result<DataDistributedRun, CommError> {
-    assert!(cfg.ranks >= 1);
+    assert!(cfg.ranks >= 1 && cfg.threads_per_rank >= 1);
     let p = cfg.params;
     let n_atoms = solver.n_atoms();
     let n_q = solver.n_qpoints();
+    let threads = cfg.threads_per_rank;
     // Partition q-points by Morton slot (contiguous in space thanks to
     // the global tree's ordering) — each rank's share is geometrically
     // compact, which keeps its local octree shallow.
@@ -76,11 +86,12 @@ pub fn run_data_distributed(
         born: Vec<f64>,
         bytes: u64,
         work: WorkCounts,
+        steal: Option<StealStats>,
     }
 
     let outs: Vec<Result<RankOut, CommError>> = Universe::run(cfg.ranks, cfg.network, |comm| {
         let rank = comm.rank();
-        let mut work = WorkCounts::ZERO;
+        let pool = &mut Local::new((threads > 1).then_some(threads));
 
         // --- Data distribution: own only this rank's q-point slice. ---
         let my_qpoints: Vec<QuadPoint> = slot_segs[rank]
@@ -105,48 +116,28 @@ pub fn run_data_distributed(
             q_dipole: &local_dipole,
             atom_radii: &solver.atom_radii,
         };
-        let partials = polar_gb::born::octree::approx_integrals(
-            &ctx,
-            p.eps_born,
-            0..local_tq.leaves().len(),
-            &mut work,
-        );
+        let chunks = rank_chunks(&even_segments(local_tq.leaves().len(), 1), threads, false);
+        let mut partials = BornPartials::zeros(&solver.tree_a);
+        let Ok(mut work) = born_stage(LeafEval::Traverse, &ctx, &p, &chunks, pool, &mut partials);
 
         // --- Steps 3–5: identical to Fig. 4. ---
-        let n_nodes = partials.s_node.len();
-        let mut flat = partials.s_node;
-        flat.extend_from_slice(&partials.s_atom);
-        let absent = comm.ft_allreduce_sum(&mut flat, "born_allreduce")?;
+        let (totals, absent) = allreduce_born(comm, partials)?;
         all_present(comm, &absent, "born_allreduce")?;
-        let s_atom = flat.split_off(n_nodes);
-        let totals = BornPartials {
-            s_node: flat,
-            s_atom,
-        };
-        let full_ctx = solver.born_ctx();
-        let my_atoms = atom_segs[rank].clone();
-        let mut born_mine = vec![0.0; n_atoms];
-        push_integrals_to_atoms(&full_ctx, &totals, my_atoms.clone(), p.math, &mut born_mine);
-        let seg_vals: Vec<f64> = my_atoms
-            .map(|slot| born_mine[solver.tree_a.order()[slot] as usize])
-            .collect();
-        let (per_rank, absent) = comm.ft_allgather(&seg_vals, "born_allgather")?;
+        let (mine, inline) = (atom_segs[rank].clone(), &mut Local::new(None));
+        let mut vals = vec![0.0; mine.len()];
+        // Push reads only the atom side of `ctx`.
+        let Ok(()) = push_stage(&ctx, &totals, p.math, &[mine], inline, &mut vals);
+        let (per_rank, absent) = comm.ft_allgather(&vals, "born_allgather")?;
         all_present(comm, &absent, "born_allgather")?;
         let mut born = vec![0.0; n_atoms];
-        for (slot, v) in per_rank.into_iter().flatten().enumerate() {
-            born[solver.tree_a.order()[slot] as usize] = v;
-        }
+        unslot(&solver.tree_a, &per_rank.concat(), &mut born);
 
         // --- Steps 6–7: energy (atom data is replicated as before). ---
-        let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-        let e_part = epol_for_leaf_segment(
-            &ectx,
-            p.eps_epol,
-            p.math,
-            tau(p.eps_solvent),
-            aleaf_segs[rank].clone(),
-            &mut work,
-        );
+        let ectx = epol_ctx(solver, &born, &p, EpolBuffers::default());
+        let chunks = rank_chunks(&[aleaf_segs[rank].clone()], threads, false);
+        // The traversal reads the radii through `ectx`: no slot copy.
+        let Ok((e_part, w)) = epol_stage(LeafEval::Traverse, &ectx, &[], &p, &chunks, pool);
+        work.accumulate(w);
         let (epol, absent) = comm.ft_allreduce_scalar(e_part, "epol_allreduce")?;
         all_present(comm, &absent, "epol_allreduce")?;
         Ok(RankOut {
@@ -154,6 +145,7 @@ pub fn run_data_distributed(
             born,
             bytes: comm.replicated_bytes(),
             work,
+            steal: pool.steal.take(),
         })
     });
     let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -164,6 +156,7 @@ pub fn run_data_distributed(
         total_bytes: outs.iter().map(|o| o.bytes).sum(),
         work_only_bytes: (solver.memory_bytes() * cfg.ranks) as u64,
         per_rank_work: outs.iter().map(|o| o.work).collect(),
+        steal: concat_steal(outs.iter().map(|o| o.steal.as_ref())),
     })
 }
 
@@ -243,5 +236,25 @@ mod tests {
         for w in &run.per_rank_work {
             assert!(w.pair_ops > 0);
         }
+    }
+
+    #[test]
+    fn threads_per_rank_run_the_born_and_energy_chunks_on_a_pool() {
+        let s = solver(400, 35);
+        let p = GbParams::default();
+        let serial = run_data_distributed(&s, &DistributedConfig::oct_mpi_cilk(2, 1, p)).unwrap();
+        let hybrid = run_data_distributed(&s, &DistributedConfig::oct_mpi_cilk(2, 2, p)).unwrap();
+        // Same local trees and the same terms, summed in chunk order.
+        assert!(
+            (hybrid.epol_kcal - serial.epol_kcal).abs() <= 1e-12 * serial.epol_kcal.abs(),
+            "{} vs {}",
+            hybrid.epol_kcal,
+            serial.epol_kcal
+        );
+        assert_eq!(hybrid.per_rank_work, serial.per_rank_work);
+        assert!(serial.steal.is_none());
+        let steal = hybrid.steal.expect("two threads per rank run a pool");
+        assert_eq!(steal.executed.len(), 4, "2 ranks × 2 workers");
+        assert!(steal.total_executed() > 0);
     }
 }

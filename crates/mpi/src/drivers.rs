@@ -173,8 +173,8 @@ mod tests {
         // every distributed configuration.
         let s = solver(250, 27);
         let p = GbParams::default();
-        let (_, serial) = s.solve_report(LeafEval::Traverse, &p).unwrap();
-        let (_, parallel) = s.solve_pooled_report(LeafEval::Traverse, &p, 3).unwrap();
+        let (_, serial) = s.solve_report(LeafEval::Traverse, &p, None).unwrap();
+        let (_, parallel) = s.solve_report(LeafEval::Traverse, &p, Some(3)).unwrap();
         assert_eq!(serial.stage("born").work, parallel.stage("born").work);
         assert_eq!(serial.stage("epol").work, parallel.stage("epol").work);
         for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {

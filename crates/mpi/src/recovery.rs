@@ -27,21 +27,24 @@
 //! collective are never recomputed. With no faults the round loop exits
 //! after round 0, and one rank × one thread accumulates in the serial
 //! solver's order, so that run equals [`GbSolver::solve`] bitwise. Inside
-//! a rank, a stage's chunks run on [`polar_runtime::run_batch_retry`],
-//! which isolates a panicking task with `catch_unwind` and re-runs it; a
-//! pool that exhausts its retry budget kills the whole rank (via
-//! [`Comm::ft_abort`]), converting the local failure into an ordinary
-//! rank death the survivors recover from. Every injected fault, retry,
-//! re-division, and recovery lands in a deterministic [`FaultReport`].
+//! a rank, the born and epol stages are the shared ones of
+//! [`polar_gb::eval`], their chunks running on
+//! [`polar_runtime::run_batch_retry`], which isolates a panicking task
+//! with `catch_unwind` and re-runs it; a pool that exhausts its retry
+//! budget kills the whole rank (via [`Comm::ft_abort`]), an ordinary rank
+//! death the survivors recover from. The atoms stage pushes inline. Every
+//! injected fault, retry, re-division, and recovery lands in a
+//! deterministic [`FaultReport`].
 
 use crate::comm::{Comm, CommError, Universe};
 use crate::drivers::DistributedConfig;
 use crate::faults::FaultSpec;
-use polar_gb::born::octree::{push_integrals_to_atoms, BornPartials};
-use polar_gb::energy::octree::EpolCtx;
+use polar_gb::born::octree::BornPartials;
+use polar_gb::energy::octree::EpolBuffers;
+use polar_gb::eval::{born_stage, epol_ctx, epol_stage, push_stage, Local, Runner};
 use polar_gb::partition::even_segments;
 use polar_gb::report::{CommReport, FaultEvent, FaultReport, PlanReport, SolveReport, StealReport};
-use polar_gb::{GbSolver, KernelMode, LeafEval, WorkCounts};
+use polar_gb::{GbParams, GbSolver, KernelMode, LeafEval, WorkCounts};
 use polar_runtime::{run_batch_retry, StealStats};
 use std::ops::Range;
 
@@ -155,108 +158,46 @@ impl FtDistributedRun {
     }
 }
 
-/// Maximal consecutive ascending runs of an item list — contiguous spans
-/// execute through the range-based leaf evaluator (and, for round 0,
-/// reproduce the serial solver's accumulation order).
-fn contiguous_runs(items: &[usize]) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < items.len() {
-        let start = items[i];
-        let mut end = start + 1;
-        i += 1;
-        while i < items.len() && items[i] == end {
-            end += 1;
-            i += 1;
-        }
-        out.push(start..end);
-    }
-    out
+/// Cut a run list into `parts` pieces holding near-equal numbers of items
+/// (`even_segments` over the flattened items), each piece a list of
+/// maximal runs: a fault-free piece is one range, which a single rank
+/// and thread evaluates in the serial solver's order.
+fn split_runs(runs: &[Range<usize>], parts: usize) -> Vec<Vec<Range<usize>>> {
+    let mut items = runs.iter().flat_map(|r| r.clone());
+    even_segments(count(runs), parts)
+        .into_iter()
+        .map(|share| {
+            let mut piece: Vec<Range<usize>> = Vec::new();
+            for i in items.by_ref().take(share.len()) {
+                match piece.last_mut() {
+                    Some(run) if run.end == i => run.end += 1,
+                    _ => piece.push(i..i + 1),
+                }
+            }
+            piece
+        })
+        .collect()
 }
 
-/// The round loop shared by all three stages: divide, compute, combine,
-/// detect absences, re-divide the lost items over the survivors, repeat.
-///
-/// `compute` maps this rank's item list to a local contribution;
-/// `exchange` runs the stage collective, folds the combined result into
-/// stage state, and returns the absent set. Both receive the `Comm`
-/// explicitly so they can share it without overlapping borrows, and
-/// `exchange` additionally sees every live rank's item assignment — the
-/// deterministic map that lets all survivors agree on what a dead rank
-/// was computing. Returns `(re-division rounds, items recovered)`.
-fn rounds<T, C, X>(
-    comm: &mut Comm,
-    segs: &[Range<usize>],
-    known_dead: &mut Vec<usize>,
-    mut compute: C,
-    mut exchange: X,
-) -> Result<(u64, u64), CommError>
-where
-    C: FnMut(&mut Comm, &[usize]) -> Result<T, CommError>,
-    X: FnMut(&mut Comm, T, &[usize], &[Vec<usize>]) -> Result<Vec<usize>, CommError>,
-{
-    let rank = comm.rank();
-    let n_ranks = comm.size();
-    let mut redivisions = 0u64;
-    let mut recovered = 0u64;
-    // Items owned by ranks that died in earlier stages are lost before
-    // the stage starts: they join round 0's re-division.
-    let mut lost: Vec<usize> = known_dead.iter().flat_map(|&q| segs[q].clone()).collect();
-    if !lost.is_empty() {
-        redivisions += 1;
-        recovered += lost.len() as u64;
-    }
-    let mut round = 0u64;
-    loop {
-        let live: Vec<usize> = (0..n_ranks).filter(|r| !known_dead.contains(r)).collect();
-        let shares = even_segments(lost.len(), live.len());
-        let assignments: Vec<Vec<usize>> = live
-            .iter()
-            .enumerate()
-            .map(|(pos, &q)| {
-                let mut items: Vec<usize> = if round == 0 {
-                    segs[q].clone().collect()
-                } else {
-                    Vec::new()
-                };
-                items.extend(lost[shares[pos].clone()].iter().copied());
-                items
-            })
-            .collect();
-        let my_pos = live
-            .iter()
-            .position(|&r| r == rank)
-            .expect("a running rank is alive");
-        let local = compute(comm, &assignments[my_pos])?;
-        let absent = exchange(comm, local, &live, &assignments)?;
-        let newly: Vec<usize> = absent
-            .iter()
-            .copied()
-            .filter(|q| !known_dead.contains(q))
-            .collect();
-        if newly.is_empty() {
-            return Ok((redivisions, recovered));
-        }
-        let mut new_lost = Vec::new();
-        for &q in &newly {
-            let pos_q = live
-                .iter()
-                .position(|&r| r == q)
-                .expect("a newly-dead rank was live this round");
-            new_lost.extend(assignments[pos_q].iter().copied());
-        }
-        known_dead.extend(newly);
-        known_dead.sort_unstable();
-        known_dead.dedup();
-        if new_lost.is_empty() {
-            return Ok((redivisions, recovered));
-        }
-        new_lost.sort_unstable();
-        redivisions += 1;
-        recovered += new_lost.len() as u64;
-        lost = new_lost;
-        round += 1;
-    }
+fn count(runs: &[Range<usize>]) -> usize {
+    runs.iter().map(|r| r.len()).sum()
+}
+
+/// Split a rank's item runs into pool chunks: `threads × 4` for
+/// intra-rank dynamic balancing, or a single chunk on the serial path —
+/// unless a panic is scheduled there, in which case the runs are still
+/// chunked so the poisoned task is a proper retry unit.
+pub(crate) fn rank_chunks(
+    runs: &[Range<usize>],
+    threads: usize,
+    poisoned: bool,
+) -> Vec<Vec<Range<usize>>> {
+    let n_chunks = match (threads > 1, poisoned) {
+        (true, _) => threads * 4,
+        (false, true) => 4,
+        (false, false) => 1,
+    };
+    split_runs(runs, n_chunks.min(count(runs)).max(1))
 }
 
 /// Does the spec poison a task of (rank, stage)? Returns the poisoned
@@ -268,74 +209,262 @@ fn poison_for(spec: &FaultSpec, rank: usize, stage: &str) -> Option<(usize, u32)
         .map(|w| (w.task_index, w.panics))
 }
 
-/// Split an item list into pool chunks: `threads × 4` for intra-rank
-/// dynamic balancing, or a single chunk on the serial path — unless a
-/// panic is scheduled there, in which case the list is still chunked so
-/// the poisoned task is a proper retry unit.
-fn chunk_items(
-    spec: &FaultSpec,
-    rank: usize,
-    threads: usize,
-    stage: &str,
-    items: &[usize],
-) -> Vec<Vec<usize>> {
-    let n_chunks = if threads > 1 {
-        threads * 4
-    } else if poison_for(spec, rank, stage).is_some() {
-        4
-    } else {
-        1
-    };
-    even_segments(items.len(), n_chunks.min(items.len()).max(1))
-        .into_iter()
-        .map(|r| items[r].to_vec())
-        .collect()
+/// Allreduce Born partials as one flat vector (node sums, then atom
+/// slots); returns the sums and the absent set.
+pub(crate) fn allreduce_born(
+    comm: &mut Comm,
+    part: BornPartials,
+) -> Result<(BornPartials, Vec<usize>), CommError> {
+    let (mut s_node, s_atom) = (part.s_node, part.s_atom);
+    let n_nodes = s_node.len();
+    s_node.extend_from_slice(&s_atom);
+    let absent = comm.ft_allreduce_sum(&mut s_node, "born_allreduce")?;
+    let s_atom = s_node.split_off(n_nodes);
+    Ok((BornPartials { s_node, s_atom }, absent))
 }
 
-/// Run `eval` over chunks on the panic-isolated pool. Scheduled panics
-/// fire by (chunk index, attempt); recovered retries are logged, and a
-/// blown retry budget aborts the whole rank.
-#[allow(clippy::too_many_arguments)]
-fn pooled(
-    spec: &FaultSpec,
+/// Concatenate per-rank pools' steal counters (disjoint workers).
+pub(crate) fn concat_steal<'s>(
+    per_rank: impl Iterator<Item = Option<&'s StealStats>>,
+) -> Option<StealStats> {
+    per_rank.flatten().fold(None, |acc, s| {
+        let mut acc: StealStats = acc.unwrap_or_default();
+        acc.concat(s);
+        Some(acc)
+    })
+}
+
+/// One rank's side of the driver: its communicator, its panic-isolated
+/// worker pool — the stages' [`Runner`] — and its fault bookkeeping.
+struct Rank<'a> {
+    comm: &'a mut Comm,
+    spec: &'a FaultSpec,
     threads: usize,
-    stage: &str,
-    comm: &mut Comm,
-    chunks: Vec<Vec<usize>>,
-    eval: &(dyn Fn(&[usize], &mut WorkCounts) -> Vec<f64> + Sync),
-    steal: &mut Option<StealStats>,
-    worker_retries: &mut u64,
-    driver_events: &mut Vec<FaultEvent>,
-) -> Result<Vec<(Vec<f64>, WorkCounts)>, CommError> {
-    let rank = comm.rank();
-    let poison = poison_for(spec, rank, stage).map(|(i, k)| (i % chunks.len().max(1), k));
-    let tasks: Vec<_> = chunks
-        .iter()
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let chunk = chunk.clone();
-            move |attempt: u32| {
-                if let Some((pi, panics)) = poison {
-                    if ci == pi && attempt < panics {
-                        panic!("injected worker panic: task {ci} attempt {attempt}");
+    /// The stage whose chunks the pool runs.
+    stage: &'static str,
+    known_dead: Vec<usize>,
+    redivisions: u64,
+    recovered: u64,
+    retries: u64,
+    events: Vec<FaultEvent>,
+    /// Merged scheduler counters (`None` while the rank runs one thread).
+    steal: Option<StealStats>,
+}
+
+impl<'a> Rank<'a> {
+    fn new(comm: &'a mut Comm, spec: &'a FaultSpec, threads: usize) -> Rank<'a> {
+        Rank {
+            comm,
+            spec,
+            threads,
+            stage: "",
+            known_dead: Vec::new(),
+            redivisions: 0,
+            recovered: 0,
+            retries: 0,
+            events: Vec::new(),
+            steal: None,
+        }
+    }
+
+    /// This stage's pool chunks for `runs`.
+    fn chunks(&self, runs: &[Range<usize>]) -> Vec<Vec<Range<usize>>> {
+        let poisoned = poison_for(self.spec, self.comm.rank(), self.stage).is_some();
+        rank_chunks(runs, self.threads, poisoned)
+    }
+
+    /// The round loop shared by all three stages: divide, compute, combine,
+    /// detect absences, re-divide the lost items over the survivors, repeat.
+    ///
+    /// `compute` maps this rank's item runs to a local contribution (on
+    /// the rank's pool); `exchange` runs the stage collective, folds the
+    /// combined result into stage state, and returns the absent set. It
+    /// also sees every live rank's item assignment — the deterministic
+    /// map that lets all survivors agree on what a dead rank was
+    /// computing.
+    fn rounds<T>(
+        &mut self,
+        stage: &'static str,
+        segs: &[Range<usize>],
+        mut compute: impl FnMut(&mut Self, &[Range<usize>]) -> Result<T, CommError>,
+        mut exchange: impl FnMut(
+            &mut Comm,
+            T,
+            &[usize],
+            &[Vec<Range<usize>>],
+        ) -> Result<Vec<usize>, CommError>,
+    ) -> Result<(), CommError> {
+        self.stage = stage;
+        // Items owned by ranks that died in earlier stages are lost before
+        // the stage starts: they join round 0's re-division.
+        let mut lost: Vec<Range<usize>> =
+            self.known_dead.iter().map(|&q| segs[q].clone()).collect();
+        for round in 0.. {
+            if count(&lost) > 0 {
+                self.redivisions += 1;
+                self.recovered += count(&lost) as u64;
+            }
+            let live: Vec<usize> = (0..self.comm.size())
+                .filter(|r| !self.known_dead.contains(r))
+                .collect();
+            let assignments: Vec<Vec<Range<usize>>> = live
+                .iter()
+                .zip(split_runs(&lost, live.len()))
+                .map(|(&q, share)| {
+                    let own = (round == 0).then(|| segs[q].clone());
+                    own.into_iter().chain(share).collect()
+                })
+                .collect();
+            let rank = self.comm.rank();
+            let mine = live.iter().position(|&r| r == rank);
+            let local = compute(self, &assignments[mine.expect("a running rank is alive")])?;
+            let absent = exchange(self.comm, local, &live, &assignments)?;
+            lost.clear();
+            for (q, assigned) in live.iter().zip(&assignments) {
+                if absent.contains(q) {
+                    self.known_dead.push(*q);
+                    lost.extend(assigned.iter().cloned());
+                }
+            }
+            self.known_dead.sort_unstable();
+            lost.sort_unstable_by_key(|r| r.start);
+            if count(&lost) == 0 {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fig. 4 on this rank: the born, atoms and epol stages, each under
+    /// the round loop with its own collective.
+    fn pipeline(
+        &mut self,
+        solver: &GbSolver,
+        eval: LeafEval<'_>,
+        p: &GbParams,
+        [qleaf_segs, atom_segs, aleaf_segs]: [&[Range<usize>]; 3],
+    ) -> Result<RankGood, CommError> {
+        let ctx = solver.born_ctx();
+        // ---- Stage "born": steps 2–3, round loop over q-leaves.
+        let t_born = std::time::Instant::now();
+        let mut work_born = WorkCounts::ZERO;
+        let mut totals = BornPartials::zeros(&solver.tree_a);
+        self.rounds(
+            "born",
+            qleaf_segs,
+            |rank, runs| {
+                let mut part = BornPartials::zeros(&solver.tree_a);
+                let chunks = rank.chunks(runs);
+                work_born.accumulate(born_stage(eval, &ctx, p, &chunks, rank, &mut part)?);
+                Ok(part)
+            },
+            |comm, part, _live, _assignments| {
+                let (sums, absent) = allreduce_born(comm, part)?;
+                totals.add(&sums);
+                Ok(absent)
+            },
+        )?;
+
+        // ---- Stage "atoms": steps 4–5, round loop over atom slots.
+        let mut born = vec![0.0; solver.n_atoms()];
+        let order = solver.tree_a.order();
+        self.rounds(
+            "atoms",
+            atom_segs,
+            |_rank, runs| {
+                // Slot order on the wire, original order in memory.
+                let mut vals = vec![0.0; count(runs)];
+                let inline = &mut Local::new(None);
+                let Ok(()) = push_stage(&ctx, &totals, p.math, runs, inline, &mut vals);
+                Ok(vals)
+            },
+            |comm, vals, live, assignments| {
+                let (per_rank, absent) = comm.ft_allgather(&vals, "born_allgather")?;
+                // Every survivor reconstructs each contributor's slot
+                // list from the shared deterministic assignment and
+                // fills its copy of the Born array identically.
+                for (q, assigned) in live.iter().zip(assignments) {
+                    if !absent.contains(q) {
+                        let slots = assigned.iter().flat_map(|r| r.clone());
+                        for (slot, &v) in slots.zip(&per_rank[*q]) {
+                            born[order[slot] as usize] = v;
+                        }
                     }
                 }
-                let mut w = WorkCounts::ZERO;
-                let vals = eval(&chunk, &mut w);
-                (vals, w)
-            }
+                Ok(absent)
+            },
+        )?;
+        let born_s = t_born.elapsed().as_secs_f64();
+
+        // ---- Stage "epol": steps 6–7, round loop over a-leaves.
+        let t_epol = std::time::Instant::now();
+        let mut work_epol = WorkCounts::ZERO;
+        let ectx = epol_ctx(solver, &born, p, EpolBuffers::default());
+        let born_slot = solver.born_by_slot(&born);
+        let mut epol = 0.0f64;
+        self.rounds(
+            "epol",
+            aleaf_segs,
+            |rank, runs| {
+                let chunks = rank.chunks(runs);
+                let (e, w) = epol_stage(eval, &ectx, &born_slot, p, &chunks, rank)?;
+                work_epol.accumulate(w);
+                Ok(e)
+            },
+            |comm, e, _live, _assignments| {
+                let (sum, absent) = comm.ft_allreduce_scalar(e, "epol_allreduce")?;
+                epol += sum;
+                Ok(absent)
+            },
+        )?;
+        let epol_s = t_epol.elapsed().as_secs_f64();
+
+        Ok(RankGood {
+            epol,
+            born,
+            work_born,
+            work_epol,
+            born_s,
+            epol_s,
+            redivisions: self.redivisions,
+            recovered_items: self.recovered,
         })
-        .collect();
-    match run_batch_retry(threads, tasks, spec.worker_retry_budget) {
-        Ok((results, stats, outcome)) => {
-            if threads > 1 {
-                steal.get_or_insert_with(StealStats::default).merge(&stats);
-            }
-            if outcome.retries > 0 {
-                *worker_retries += outcome.retries;
+    }
+}
+
+impl Runner for Rank<'_> {
+    type Error = CommError;
+
+    /// Scheduled panics fire by (chunk index, attempt); recovered retries
+    /// are logged, and a blown retry budget aborts the whole rank.
+    fn run<T: Send, F: Fn(usize) -> T + Sync>(
+        &mut self,
+        n: usize,
+        task: F,
+    ) -> Result<Vec<T>, CommError> {
+        let (rank, stage) = (self.comm.rank(), self.stage);
+        let poison = poison_for(self.spec, rank, stage).map(|(i, k)| (i % n.max(1), k));
+        let task = &task;
+        let tasks: Vec<_> = (0..n)
+            .map(|c| {
+                move |attempt: u32| {
+                    if poison.is_some_and(|(pi, panics)| c == pi && attempt < panics) {
+                        panic!("injected worker panic: task {c} attempt {attempt}");
+                    }
+                    task(c)
+                }
+            })
+            .collect();
+        match run_batch_retry(self.threads, tasks, self.spec.worker_retry_budget) {
+            Ok((results, stats, outcome)) => {
+                if self.threads > 1 {
+                    let steal = self.steal.get_or_insert_with(StealStats::default);
+                    steal.merge(&stats);
+                }
+                self.retries += outcome.retries;
                 for (idx, attempts) in &outcome.recovered {
-                    driver_events.push(FaultEvent {
-                        at_collective: comm.collectives_entered() + 1,
+                    self.events.push(FaultEvent {
+                        at_collective: self.comm.collectives_entered() + 1,
                         kind: "worker_retry".into(),
                         rank,
                         peer: None,
@@ -344,14 +473,14 @@ fn pooled(
                         ),
                     });
                 }
+                Ok(results)
             }
-            Ok(results)
-        }
-        Err(e) => {
-            *worker_retries += u64::from(e.attempts.saturating_sub(1));
-            Err(comm.ft_abort(&format!(
-                "worker pool exhausted its retry budget in stage {stage}: {e}"
-            )))
+            Err(e) => {
+                self.retries += u64::from(e.attempts.saturating_sub(1));
+                Err(self.comm.ft_abort(&format!(
+                    "worker pool exhausted its retry budget in stage {stage}: {e}"
+                )))
+            }
         }
     }
 }
@@ -399,267 +528,62 @@ pub fn run_distributed_ft(
     let eval = LeafEval::from(plan.as_ref());
     let plan_stats = eval.plan_stats();
     let replicated_bytes = solver.memory_bytes() + plan_stats.map_or(0, |s| s.plan_bytes as usize);
-    let n_atoms = solver.n_atoms();
-    let n_qleaves = solver.tree_q.leaves().len();
-    let n_aleaves = solver.tree_a.leaves().len();
-    let qleaf_segs = even_segments(n_qleaves, cfg.ranks);
-    let atom_segs = even_segments(n_atoms, cfg.ranks);
-    let aleaf_segs = even_segments(n_aleaves, cfg.ranks);
-    let threads = cfg.threads_per_rank;
+    let qleaf_segs = even_segments(solver.tree_q.leaves().len(), cfg.ranks);
+    let atom_segs = even_segments(solver.n_atoms(), cfg.ranks);
+    let aleaf_segs = even_segments(solver.tree_a.leaves().len(), cfg.ranks);
 
     let outs: Vec<RankFtOut> = Universe::run(cfg.ranks, cfg.network, |comm| {
-        let rank = comm.rank();
         comm.arm_faults(spec);
         comm.register_replicated_memory(replicated_bytes);
-        let ctx = solver.born_ctx();
-        let mut steal: Option<StealStats> = None;
-        let mut driver_events: Vec<FaultEvent> = Vec::new();
-        let mut worker_retries = 0u64;
-        let mut known_dead: Vec<usize> = Vec::new();
-        let mut redivisions = 0u64;
-        let mut recovered_items = 0u64;
-
-        let result = (|comm: &mut Comm| -> Result<RankGood, CommError> {
-            // ---- Stage "born": steps 2–3, round loop over q-leaves.
-            let t_born = std::time::Instant::now();
-            let mut work_born = WorkCounts::ZERO;
-            let n_nodes = BornPartials::zeros(&solver.tree_a).s_node.len();
-            let mut totals = BornPartials::zeros(&solver.tree_a);
-            let eval_born = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
-                let mut part = BornPartials::zeros(&solver.tree_a);
-                for run in contiguous_runs(items) {
-                    part.add(&eval.born(&ctx, &p, run, w));
-                }
-                let mut flat = part.s_node;
-                flat.extend_from_slice(&part.s_atom);
-                flat
-            };
-            let (rd, rc) = rounds(
-                comm,
-                &qleaf_segs,
-                &mut known_dead,
-                |comm, items| {
-                    let chunks = chunk_items(spec, rank, threads, "born", items);
-                    let parts = pooled(
-                        spec,
-                        threads,
-                        "born",
-                        comm,
-                        chunks,
-                        &eval_born,
-                        &mut steal,
-                        &mut worker_retries,
-                        &mut driver_events,
-                    )?;
-                    let mut flat = vec![0.0; n_nodes + n_atoms];
-                    for (vals, w) in parts {
-                        for (a, b) in flat.iter_mut().zip(&vals) {
-                            *a += b;
-                        }
-                        work_born.accumulate(w);
-                    }
-                    Ok(flat)
-                },
-                |comm, mut flat, _live, _assignments| {
-                    let absent = comm.ft_allreduce_sum(&mut flat, "born_allreduce")?;
-                    let s_atom = flat.split_off(n_nodes);
-                    for (a, b) in totals.s_node.iter_mut().zip(&flat) {
-                        *a += b;
-                    }
-                    for (a, b) in totals.s_atom.iter_mut().zip(&s_atom) {
-                        *a += b;
-                    }
-                    Ok(absent)
-                },
-            )?;
-            redivisions += rd;
-            recovered_items += rc;
-
-            // ---- Stage "atoms": steps 4–5, round loop over atom slots.
-            let mut born = vec![0.0; n_atoms];
-            let order = solver.tree_a.order();
-            let (rd, rc) = rounds(
-                comm,
-                &atom_segs,
-                &mut known_dead,
-                |_comm, items| {
-                    // Push integrals for these slots; values travel in
-                    // item order (slot order on the wire, original order
-                    // in memory).
-                    let mut mine = vec![0.0; n_atoms];
-                    for run in contiguous_runs(items) {
-                        push_integrals_to_atoms(&ctx, &totals, run, p.math, &mut mine);
-                    }
-                    Ok(items
-                        .iter()
-                        .map(|&slot| mine[order[slot] as usize])
-                        .collect::<Vec<f64>>())
-                },
-                |comm, vals, live, assignments| {
-                    let (per_rank, absent) = comm.ft_allgather(&vals, "born_allgather")?;
-                    // Every survivor reconstructs each contributor's slot
-                    // list from the shared deterministic assignment and
-                    // fills its copy of the Born array identically.
-                    for (pos, &q) in live.iter().enumerate() {
-                        if absent.contains(&q) {
-                            continue;
-                        }
-                        debug_assert_eq!(assignments[pos].len(), per_rank[q].len());
-                        for (&slot, &v) in assignments[pos].iter().zip(&per_rank[q]) {
-                            born[order[slot] as usize] = v;
-                        }
-                    }
-                    Ok(absent)
-                },
-            )?;
-            redivisions += rd;
-            recovered_items += rc;
-            let born_s = t_born.elapsed().as_secs_f64();
-
-            // ---- Stage "epol": steps 6–7, round loop over a-leaves.
-            let t_epol = std::time::Instant::now();
-            let mut work_epol = WorkCounts::ZERO;
-            let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-            let born_slot = solver.born_by_slot(&born);
-            let mut epol = 0.0f64;
-            let eval_epol = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
-                let mut e = 0.0;
-                for run in contiguous_runs(items) {
-                    e += eval.epol(&ectx, &born_slot, &p, run, w);
-                }
-                vec![e]
-            };
-            let (rd, rc) = rounds(
-                comm,
-                &aleaf_segs,
-                &mut known_dead,
-                |comm, items| {
-                    let chunks = chunk_items(spec, rank, threads, "epol", items);
-                    let parts = pooled(
-                        spec,
-                        threads,
-                        "epol",
-                        comm,
-                        chunks,
-                        &eval_epol,
-                        &mut steal,
-                        &mut worker_retries,
-                        &mut driver_events,
-                    )?;
-                    let mut e = 0.0;
-                    for (vals, w) in parts {
-                        e += vals[0];
-                        work_epol.accumulate(w);
-                    }
-                    Ok(e)
-                },
-                |comm, e, _live, _assignments| {
-                    let (sum, absent) = comm.ft_allreduce_scalar(e, "epol_allreduce")?;
-                    epol += sum;
-                    Ok(absent)
-                },
-            )?;
-            redivisions += rd;
-            recovered_items += rc;
-            let epol_s = t_epol.elapsed().as_secs_f64();
-
-            Ok(RankGood {
-                epol,
-                born,
-                work_born,
-                work_epol,
-                born_s,
-                epol_s,
-                redivisions,
-                recovered_items,
-            })
-        })(comm);
-
-        let mut events = comm.take_fault_events();
-        events.append(&mut driver_events);
+        let mut rank = Rank::new(comm, spec, cfg.threads_per_rank);
+        let result = rank.pipeline(solver, eval, &p, [&qleaf_segs, &atom_segs, &aleaf_segs]);
+        let mut events = rank.comm.take_fault_events();
+        events.append(&mut rank.events);
         RankFtOut {
             result,
             events,
-            msg_retries: comm.msg_retries(),
-            worker_retries,
-            straggler_s: comm.straggler_extra_seconds(),
-            comm_s: comm.sim_comm_seconds(),
-            bytes: comm.bytes_sent(),
-            replicated: comm.replicated_bytes(),
-            steal,
+            msg_retries: rank.comm.msg_retries(),
+            worker_retries: rank.retries,
+            straggler_s: rank.comm.straggler_extra_seconds(),
+            comm_s: rank.comm.sim_comm_seconds(),
+            bytes: rank.comm.bytes_sent(),
+            replicated: rank.comm.replicated_bytes(),
+            steal: rank.steal,
         }
     });
 
     // ---- Assemble the deterministic FaultReport.
-    let dead_ranks: Vec<usize> = outs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.result.is_err())
-        .map(|(r, _)| r)
-        .collect();
+    let good: Vec<Option<&RankGood>> = outs.iter().map(|o| o.result.as_ref().ok()).collect();
+    let survivors: Vec<usize> = (0..cfg.ranks).filter(|&r| good[r].is_some()).collect();
+    let dead_ranks: Vec<usize> = (0..cfg.ranks).filter(|&r| good[r].is_none()).collect();
     let mut events: Vec<FaultEvent> = outs.iter().flat_map(|o| o.events.clone()).collect();
     events.sort();
     events.dedup();
-    let drops = events.iter().filter(|e| e.kind == "drop").count() as u64;
-    let survivors: Vec<usize> = (0..cfg.ranks).filter(|r| !dead_ranks.contains(r)).collect();
-    let recovery_counts = |o: &RankFtOut| -> Option<(u64, u64)> {
-        o.result
-            .as_ref()
-            .ok()
-            .map(|g| (g.redivisions, g.recovered_items))
-    };
+    let most = |f: fn(&RankGood) -> u64| good.iter().flatten().map(|&g| f(g)).max().unwrap_or(0);
+    let slowest =
+        |f: fn(&RankGood) -> f64| good.iter().flatten().map(|&g| f(g)).fold(0.0, f64::max);
     let report = FaultReport {
         seed: spec.seed,
         crashes: dead_ranks.len() as u64,
-        drops,
+        drops: events.iter().filter(|e| e.kind == "drop").count() as u64,
         msg_retries: outs.iter().map(|o| o.msg_retries).sum(),
         worker_retries: outs.iter().map(|o| o.worker_retries).sum(),
-        redivisions: outs
-            .iter()
-            .filter_map(&recovery_counts)
-            .map(|(r, _)| r)
-            .max()
-            .unwrap_or(0),
-        recovered_items: outs
-            .iter()
-            .filter_map(&recovery_counts)
-            .map(|(_, c)| c)
-            .max()
-            .unwrap_or(0),
-        dead_ranks: dead_ranks.clone(),
+        redivisions: most(|g| g.redivisions),
+        recovered_items: most(|g| g.recovered_items),
+        dead_ranks,
         straggler_extra_seconds: outs.iter().map(|o| o.straggler_s).sum(),
         events,
     };
-
-    if survivors.is_empty() {
-        return Err(DistributedError::AllRanksDead {
-            ranks: cfg.ranks,
-            report,
-        });
-    }
-
-    let lead = outs[survivors[0]]
-        .result
-        .as_ref()
-        .expect("survivor succeeded");
-    for &s in &survivors[1..] {
-        let g = outs[s].result.as_ref().expect("survivor succeeded");
+    let Some(lead) = survivors.first().and_then(|&r| good[r]) else {
+        let ranks = cfg.ranks;
+        return Err(DistributedError::AllRanksDead { ranks, report });
+    };
+    for g in good.iter().flatten() {
         debug_assert!((g.epol - lead.epol).abs() <= 1e-12 * lead.epol.abs().max(1.0));
     }
-    let rank_work = |o: &RankFtOut, stage: fn(&RankGood) -> WorkCounts| {
-        o.result.as_ref().map_or(WorkCounts::ZERO, stage)
+    let work = |f: fn(&RankGood) -> WorkCounts| {
+        good.iter().map(|g| g.map_or(WorkCounts::ZERO, f)).collect()
     };
-    // Concatenate the per-rank pools' steal counters (disjoint workers).
-    let steal = outs
-        .iter()
-        .filter_map(|o| o.steal.as_ref())
-        .fold(None::<StealStats>, |acc, s| match acc {
-            Some(mut acc) => {
-                acc.concat(s);
-                Some(acc)
-            }
-            None => Some(s.clone()),
-        });
     Ok(FtDistributedRun {
         epol_kcal: lead.epol,
         born: lead.born.clone(),
@@ -669,19 +593,11 @@ pub fn run_distributed_ft(
         per_rank_comm_seconds: outs.iter().map(|o| o.comm_s).collect(),
         per_rank_bytes_sent: outs.iter().map(|o| o.bytes).collect(),
         total_replicated_bytes: outs.iter().map(|o| o.replicated).sum(),
-        born_seconds: outs
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .map(|g| g.born_s)
-            .fold(0.0, f64::max),
-        epol_seconds: outs
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .map(|g| g.epol_s)
-            .fold(0.0, f64::max),
-        per_rank_work_born: outs.iter().map(|o| rank_work(o, |g| g.work_born)).collect(),
-        per_rank_work_epol: outs.iter().map(|o| rank_work(o, |g| g.work_epol)).collect(),
-        steal,
+        born_seconds: slowest(|g| g.born_s),
+        epol_seconds: slowest(|g| g.epol_s),
+        per_rank_work_born: work(|g| g.work_born),
+        per_rank_work_epol: work(|g| g.work_epol),
+        steal: concat_steal(outs.iter().map(|o| o.steal.as_ref())),
         kernel_mode: eval.kernel_mode(&p),
         plan_stats,
     })

@@ -45,7 +45,7 @@ fn main() {
     let t = Instant::now();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (cilk, _) = solver
-        .solve_pooled_report(LeafEval::Traverse, &params, workers)
+        .solve_report(LeafEval::Traverse, &params, Some(workers))
         .expect("the traversal has no plan to mismatch");
     println!(
         "OCT_CILK ({workers} workers):  E_pol = {:.4e} kcal/mol in {:.2?}",

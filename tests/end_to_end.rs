@@ -16,7 +16,7 @@ fn every_driver_agrees_on_the_energy() {
     let serial = solver.solve(&params).epol_kcal;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pooled = solver
-        .solve_pooled_report(LeafEval::Traverse, &params, workers)
+        .solve_report(LeafEval::Traverse, &params, Some(workers))
         .unwrap()
         .0
         .epol_kcal;

@@ -2,17 +2,20 @@
 //! each held against the serial traversal `GbSolver::solve` at the
 //! tolerance that path states.
 //!
-//! Rows are {serial, pooled at 1 and 3 workers, distributed at P×p =
-//! 1×1, 3×1, 2×2, one scheduled crash}; columns are the leaf evaluators
-//! {traversal, plan in strict-fp mode, plan in lane mode}. Within an
-//! evaluator the stage `WorkCounts` are identical on every fault-free
-//! path (work is schedule- and division-independent); one rank × one
-//! thread replays the serial accumulation order and is therefore equal
-//! bit for bit.
+//! Rows are {serial, pooled at 1, 2 and 3 workers, distributed at P×p =
+//! 1×1, 2×1, 3×1, 1×2, 2×2, one scheduled crash}; columns are the leaf
+//! evaluators {traversal, plan in strict-fp mode, plan in lane mode}.
+//! Within an evaluator the stage `WorkCounts` are identical on every
+//! fault-free path (work is schedule- and division-independent); one
+//! rank × one thread replays the serial accumulation order and is
+//! therefore equal bit for bit. Every fault-free cell runs twice and
+//! must repeat its own bits: chunks merge in chunk order, whatever the
+//! steal schedule. The data-distributed driver adds a row of its own at
+//! P = 1, 2, 3 ranks.
 
 use polar_energy::gb::{KernelMode, WorkCounts};
 use polar_energy::molecule::generators;
-use polar_energy::mpi::{CrashFault, FtDistributedRun};
+use polar_energy::mpi::{run_data_distributed, CrashFault, DataDistributedRun, FtDistributedRun};
 use polar_energy::prelude::*;
 
 /// What one path computed.
@@ -28,6 +31,17 @@ impl From<&FtDistributedRun> for Outcome {
             born: run.born.clone(),
             epol: run.epol_kcal,
             work: (run.total_work_born(), run.total_work_epol()),
+        }
+    }
+}
+
+impl From<DataDistributedRun> for Outcome {
+    fn from(run: DataDistributedRun) -> Outcome {
+        let work = run.per_rank_work.iter().copied().sum();
+        Outcome {
+            born: run.born,
+            epol: run.epol_kcal,
+            work: (work, WorkCounts::ZERO),
         }
     }
 }
@@ -81,7 +95,12 @@ fn every_path_agrees_with_the_serial_traversal() {
     let distributed = |cfg: &DistributedConfig, spec: &FaultSpec| {
         run_distributed_ft(&solver, cfg, spec).expect("a rank survives")
     };
-    let layouts = [(1, 1), (3, 1), (2, 2)];
+    let layouts = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)];
+    let twice = |name: &str, run: &dyn Fn() -> Outcome| {
+        let got = run();
+        assert_bitwise(&format!("{name} rerun"), &run(), &got);
+        got
+    };
 
     // (evaluator, kernel, E_pol and Born tolerance against `solve()`):
     // the traversal paths re-associate chunk partials (1e-9); strict
@@ -121,17 +140,14 @@ fn every_path_agrees_with_the_serial_traversal() {
             "{col}: energy-stage interactions"
         );
 
-        let report: Outcome = solver.solve_report(eval, &p).unwrap().0.into();
+        let report: Outcome = solver.solve_report(eval, &p, None).unwrap().0.into();
         assert_bitwise(&format!("{col} solve_report"), &report, &reference);
         assert_eq!(report.work, reference.work, "{col} solve_report");
 
-        for workers in [1, 3] {
+        for workers in [1, 2, 3] {
             let name = format!("{col} pooled x{workers}");
-            let got: Outcome = solver
-                .solve_pooled_report(eval, &p, workers)
-                .unwrap()
-                .0
-                .into();
+            let pooled = || solver.solve_report(eval, &p, Some(workers)).unwrap().0;
+            let got = twice(&name, &|| pooled().into());
             assert_close(&name, &got, &serial, tol_epol, tol_born);
             assert_eq!(got.work, reference.work, "{name}");
         }
@@ -142,7 +158,9 @@ fn every_path_agrees_with_the_serial_traversal() {
             let name = format!("{col} distributed {ranks}x{threads}");
             cfg.ranks = ranks;
             cfg.threads_per_rank = threads;
-            let got = Outcome::from(&distributed(&cfg, &FaultSpec::none()));
+            let got = twice(&name, &|| {
+                Outcome::from(&distributed(&cfg, &FaultSpec::none()))
+            });
             if (ranks, threads) == (1, 1) {
                 assert_bitwise(&name, &got, &reference);
             }
@@ -168,6 +186,19 @@ fn every_path_agrees_with_the_serial_traversal() {
         let name = format!("{col} recovered 3x1");
         assert_close(&name, &recovered, &fault_free, 1e-12, 1e-12);
         assert_close(&name, &recovered, &serial, tol_epol, tol_born);
+    }
+
+    // Each data-distributed rank builds its own `T_Q` over its q-point
+    // share, so the far field regroups with P: the ε class of
+    // `data_dist`'s own tests (E_pol to 5e-3, single radii to a few
+    // percent), not the serial bits.
+    for ranks in [1, 2, 3] {
+        let name = format!("data-dist {ranks}x1");
+        let cfg = DistributedConfig::oct_mpi(ranks, GbParams::default());
+        let got = twice(&name, &|| {
+            run_data_distributed(&solver, &cfg).unwrap().into()
+        });
+        assert_close(&name, &got, &serial, 5e-3, 5e-2);
     }
 }
 
