@@ -93,6 +93,15 @@ fn all_cores() -> usize {
 
 /// `polar energy <file>`
 pub fn energy(a: &Args) -> CmdResult {
+    let profile = profile_format(a)?;
+    let params = params_from(a)?;
+    let reuse_plan = match a.get("reuse-plan") {
+        Some(_) => Some(a.get_parsed("reuse-plan", 1_usize)?),
+        None => None,
+    };
+    if reuse_plan == Some(0) {
+        return Err(Box::new(ArgError("--reuse-plan needs N >= 1".into())));
+    }
     let mol = load_molecule(a)?;
     if mol.total_charge().abs() < 1e-12 && mol.charges().iter().all(|q| *q == 0.0) {
         eprintln!(
@@ -100,11 +109,9 @@ pub fn energy(a: &Args) -> CmdResult {
              use a .pqr with real charges"
         );
     }
-    let profile = profile_format(a)?;
-    let params = params_from(a)?;
     let solver = prepare(&mol);
-    if a.get("reuse-plan").is_some() {
-        return energy_reuse_plan(a, &solver, &params, profile);
+    if let Some(n) = reuse_plan {
+        return energy_reuse_plan(a, n, &solver, &params, profile);
     }
     let workers = a.flag("parallel").then(all_cores);
     let t = Instant::now();
@@ -136,14 +143,11 @@ pub fn energy(a: &Args) -> CmdResult {
 /// the paper's ZDock-style repeated-rescoring workload.
 fn energy_reuse_plan(
     a: &Args,
+    n: usize,
     solver: &GbSolver,
     params: &GbParams,
     profile: Option<ProfileFormat>,
 ) -> CmdResult {
-    let n: usize = a.get_parsed("reuse-plan", 1)?;
-    if n == 0 {
-        return Err(Box::new(ArgError("--reuse-plan needs N >= 1".into())));
-    }
     let t = Instant::now();
     let plan = solver.plan(params);
     let plan_s = t.elapsed().as_secs_f64();
@@ -601,6 +605,9 @@ pub fn generate(a: &Args) -> CmdResult {
         .positional(1, "atom count")?
         .parse()
         .map_err(|_| ArgError("atom count must be an integer".into()))?;
+    if n == 0 {
+        return Err(Box::new(ArgError("atom count must be >= 1".into())));
+    }
     let seed = a.get_parsed("seed", 42_u64)?;
     let mol = match kind {
         "globule" => generators::globular(format!("globule_n{n}"), n, seed),
@@ -782,11 +789,14 @@ pub fn distributed(a: &Args) -> CmdResult {
 
 /// `polar project <file>` — simulated Lonestar4 timings.
 pub fn project(a: &Args) -> CmdResult {
-    let mol = load_molecule(a)?;
     let nodes: usize = a.get_parsed("nodes", 12)?;
+    if nodes == 0 {
+        return Err(Box::new(ArgError("--nodes must be >= 1".into())));
+    }
     let params = params_from(a)?;
+    let mol = load_molecule(a)?;
     let solver = prepare(&mol);
-    let spec = polar_cluster::MachineSpec::lonestar4(nodes.max(1));
+    let spec = polar_cluster::MachineSpec::lonestar4(nodes);
     let (born_tasks, epol_tasks): (Vec<u64>, Vec<u64>) = if a.flag("plan") {
         // Cost model from the plan's flat lists: cheaper to obtain than
         // the counting traversals and identical in the units that matter

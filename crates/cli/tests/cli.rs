@@ -172,12 +172,36 @@ fn missing_file_is_a_clean_error() {
 
 #[test]
 fn bad_option_is_rejected() {
-    let out = polar()
-        .args(["energy", "x.pqr", "--warp-speed"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+    // `x.pqr` does not exist: each row must be refused as a usage error
+    // (exit 2) before any input is read, never run, coerced or panic.
+    let cases: [(&[&str], &str); 7] = [
+        (&["energy", "x.pqr", "--warp-speed"], "unknown option"),
+        // The generators assert n > 0: this used to exit 101.
+        (&["generate", "globule", "0"], "atom count must be >= 1"),
+        (&["generate", "shell", "0"], "atom count must be >= 1"),
+        (&["generate", "ligand", "0"], "atom count must be >= 1"),
+        // Used to run silently as one node.
+        (
+            &["project", "x.pqr", "--nodes", "0"],
+            "--nodes must be >= 1",
+        ),
+        // Used to be refused only after the molecule was loaded.
+        (
+            &["energy", "x.pqr", "--reuse-plan", "0"],
+            "--reuse-plan needs N >= 1",
+        ),
+        (
+            &["energy", "x.pqr", "--reuse-plan", "-1"],
+            "--reuse-plan: cannot parse",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = polar().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]

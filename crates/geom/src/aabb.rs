@@ -139,14 +139,6 @@ impl Aabb {
         );
         Aabb::new(min, max)
     }
-
-    /// Squared distance from `p` to the closest point of the box (0 inside).
-    pub fn dist_sq_to_point(&self, p: Vec3) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        let dz = (self.min.z - p.z).max(0.0).max(p.z - self.max.z);
-        dx * dx + dy * dy + dz * dz
-    }
 }
 
 #[cfg(test)]
@@ -213,14 +205,6 @@ mod tests {
         assert!((e.x - e.y).abs() < 1e-12 && (e.y - e.z).abs() < 1e-12);
         assert!(c.contains(b.min) && c.contains(b.max));
         assert_eq!(c.center(), b.center());
-    }
-
-    #[test]
-    fn dist_sq_to_point_cases() {
-        let b = Aabb::new(Vec3::ZERO, Vec3::ONE);
-        assert_eq!(b.dist_sq_to_point(Vec3::splat(0.5)), 0.0); // inside
-        assert_eq!(b.dist_sq_to_point(Vec3::new(2.0, 0.5, 0.5)), 1.0); // face
-        assert_eq!(b.dist_sq_to_point(Vec3::new(2.0, 2.0, 2.0)), 3.0); // corner
     }
 
     #[test]

@@ -37,13 +37,6 @@ impl Rotation {
         }
     }
 
-    /// ZYX Euler angles (yaw about z, then pitch about y, then roll about x).
-    pub fn euler_zyx(yaw: f64, pitch: f64, roll: f64) -> Rotation {
-        Rotation::axis_angle(Vec3::Z, yaw)
-            * Rotation::axis_angle(Vec3::Y, pitch)
-            * Rotation::axis_angle(Vec3::X, roll)
-    }
-
     /// Apply to a vector.
     #[inline]
     pub fn apply(&self, v: Vec3) -> Vec3 {
@@ -138,17 +131,6 @@ impl RigidTransform {
         }
     }
 
-    /// Rotate by `r` *about the pivot point* `pivot`, i.e. the pivot is a
-    /// fixed point of the transform. Docking sweeps rotate a ligand about its
-    /// own centroid, not the lab origin.
-    pub fn rotation_about(r: Rotation, pivot: Vec3) -> Self {
-        // p ↦ R(p − pivot) + pivot = R·p + (pivot − R·pivot)
-        RigidTransform {
-            rotation: r,
-            translation: pivot - r.apply(pivot),
-        }
-    }
-
     /// Apply to a point (rotation then translation).
     #[inline]
     pub fn apply_point(&self, p: Vec3) -> Vec3 {
@@ -204,7 +186,9 @@ mod tests {
 
     #[test]
     fn rotations_are_orthonormal_with_unit_det() {
-        let r = Rotation::euler_zyx(0.3, -1.1, 2.2);
+        let r = Rotation::axis_angle(Vec3::Z, 0.3)
+            * Rotation::axis_angle(Vec3::Y, -1.1)
+            * Rotation::axis_angle(Vec3::X, 2.2);
         assert!(r.orthonormality_error() < 1e-12);
         assert!((r.det() - 1.0).abs() < 1e-12);
     }
@@ -220,7 +204,9 @@ mod tests {
 
     #[test]
     fn transpose_is_inverse() {
-        let r = Rotation::euler_zyx(1.0, 0.5, -0.25);
+        let r = Rotation::axis_angle(Vec3::Z, 1.0)
+            * Rotation::axis_angle(Vec3::Y, 0.5)
+            * Rotation::axis_angle(Vec3::X, -0.25);
         let i = r * r.transpose();
         assert!(i.orthonormality_error() < 1e-12);
         let v = Vec3::new(1.0, 2.0, 3.0);
@@ -236,22 +222,15 @@ mod tests {
 
     #[test]
     fn transform_compose_and_inverse_roundtrip() {
-        let t1 = RigidTransform::rotation_about(
-            Rotation::axis_angle(Vec3::Z, 0.7),
-            Vec3::new(1.0, 2.0, 3.0),
-        );
+        let t1 = RigidTransform {
+            rotation: Rotation::axis_angle(Vec3::Z, 0.7),
+            translation: Vec3::new(1.0, 2.0, 3.0),
+        };
         let t2 = RigidTransform::translation(Vec3::new(-4.0, 0.0, 9.0));
         let c = t2.compose(&t1);
         let p = Vec3::new(0.1, 0.2, 0.3);
         assert_vec_close(c.apply_point(p), t2.apply_point(t1.apply_point(p)), 1e-12);
         assert_vec_close(c.inverse().apply_point(c.apply_point(p)), p, 1e-12);
-    }
-
-    #[test]
-    fn rotation_about_pivot_fixes_pivot() {
-        let pivot = Vec3::new(5.0, -1.0, 2.0);
-        let t = RigidTransform::rotation_about(Rotation::axis_angle(Vec3::X, 1.0), pivot);
-        assert_vec_close(t.apply_point(pivot), pivot, 1e-12);
     }
 
     #[test]

@@ -126,25 +126,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Linear interpolation: `self` at `t = 0`, `o` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
-        self + (o - self) * t
-    }
-
-    /// An arbitrary unit vector orthogonal to `self` (which must be nonzero).
-    pub fn any_orthonormal(self) -> Vec3 {
-        // Pick the axis least aligned with self to avoid degeneracy.
-        let a = if self.x.abs() <= self.y.abs() && self.x.abs() <= self.z.abs() {
-            Vec3::X
-        } else if self.y.abs() <= self.z.abs() {
-            Vec3::Y
-        } else {
-            Vec3::Z
-        };
-        self.cross(a).normalized()
-    }
 }
 
 impl Add for Vec3 {
@@ -296,15 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn any_orthonormal_is_orthogonal_unit() {
-        for v in [Vec3::X, Vec3::Y, Vec3::Z, Vec3::new(0.3, -2.0, 5.0)] {
-            let o = v.any_orthonormal();
-            assert!(v.dot(o).abs() < 1e-12, "not orthogonal for {v:?}");
-            assert!((o.norm() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn operators_behave_like_componentwise_math() {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(4.0, 5.0, 6.0);
@@ -323,11 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_lerp() {
+    fn sum_adds_componentwise() {
         let vs = [Vec3::X, Vec3::Y, Vec3::Z];
         let s: Vec3 = vs.into_iter().sum();
         assert_eq!(s, Vec3::ONE);
-        assert_eq!(Vec3::ZERO.lerp(Vec3::ONE, 0.25), Vec3::splat(0.25));
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl CellGrid {
         }
     }
 
-    /// Number of grid cells.
-    pub fn cell_count(&self) -> usize {
-        self.dims[0] * self.dims[1] * self.dims[2]
-    }
-
     /// Visit the indices of all points in the 27 cells around `p`
     /// (a superset of the points within `cell_size` of `p`).
     pub fn for_each_candidate<F: FnMut(u32)>(&self, p: Vec3, mut f: F) {
@@ -139,7 +134,7 @@ mod tests {
         let mut n = 0;
         g.for_each_candidate(Vec3::ZERO, |_| n += 1);
         assert_eq!(n, 0);
-        assert_eq!(g.cell_count(), 1);
+        assert_eq!(g.dims, [1, 1, 1]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 #
 # Builds offline in release mode, runs the package's unit tests, then runs
 # each workload for 2 s untraced and traced. Fails on a nonzero exit or on
-# a result line that does not say "correct":true.
+# a result line that does not say "correct":true. Prints each result's
+# head and, for a traced run, its `trace.overhead_share`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,7 +30,11 @@ for workload in $workloads; do
       || { echo "$out" | tail -n 5; echo "$workload --trace $trace: nonzero exit" >&2; exit 1; }
     result=$(echo "$out" | tail -n 1)
     case "$result" in
-      *'"correct":true'*) echo "$result" | cut -c1-120 ;;
+      *'"correct":true'*)
+        # A traced run also shows how far its layered ops sit from the
+        # library's: beyond ±0.05 on cold_solve or trajectory it is not correct.
+        share=$(echo "$result" | sed -n 's/.*"trace\.overhead_share":{"value":\([^,}]*\).*/\1/p')
+        echo "$(echo "$result" | cut -c1-120)${share:+ ... trace.overhead_share $share}" ;;
       *) echo "$result"; echo "$workload --trace $trace: not correct" >&2; exit 1 ;;
     esac
   done
