@@ -159,15 +159,7 @@ pub fn experiment_for(
         .iter()
         .map(|w| w.units())
         .collect();
-    let partials_bytes = ((solver.tree_a.node_count() + solver.n_atoms()) * 8) as u64;
-    ClusterExperiment {
-        spec,
-        born_tasks,
-        epol_tasks,
-        data_bytes: solver.memory_bytes() as u64,
-        partials_bytes,
-        born_bytes: (solver.n_atoms() * 8) as u64,
-    }
+    ClusterExperiment::for_solver(spec, solver, born_tasks, epol_tasks)
 }
 
 /// Parse the bench binaries' shared `--report [json|csv]` flag from the

@@ -4,7 +4,7 @@ use crate::args::{ArgError, Args};
 use polar_cluster::Layout;
 use polar_gb::{GbParams, GbSolver, LeafEval};
 use polar_geom::MathMode;
-use polar_molecule::manifest::{check_eps, mib_to_bytes};
+use polar_molecule::manifest::{check_eps, check_non_negative, mib_to_bytes};
 use polar_molecule::{generators, io, Molecule};
 use polar_mpi::data_dist::run_data_distributed;
 use polar_mpi::recovery::run_distributed_ft;
@@ -20,12 +20,21 @@ fn load_molecule(a: &Args) -> Result<Molecule, Box<dyn std::error::Error>> {
     Ok(io::load(std::path::Path::new(path))?)
 }
 
+/// `--<name>` (`default` when absent) checked by a `manifest::check_*`
+/// rule, so a manifest and the command line refuse the same values.
+fn checked(
+    a: &Args,
+    name: &str,
+    default: f64,
+    rule: fn(&str, f64) -> Result<f64, String>,
+) -> Result<f64, ArgError> {
+    rule(&format!("--{name}"), a.get_parsed(name, default)?).map_err(ArgError)
+}
+
 fn params_from(a: &Args) -> Result<GbParams, ArgError> {
-    let eps =
-        |name: &str| check_eps(&format!("--{name}"), a.get_parsed(name, 0.9)?).map_err(ArgError);
     Ok(GbParams {
-        eps_born: eps("eps-born")?,
-        eps_epol: eps("eps-epol")?,
+        eps_born: checked(a, "eps-born", 0.9, check_eps)?,
+        eps_epol: checked(a, "eps-epol", 0.9, check_eps)?,
         math: if a.flag("approx-math") {
             MathMode::Approximate
         } else {
@@ -286,6 +295,24 @@ pub fn batch(a: &Args) -> CmdResult {
 pub fn trajectory(a: &Args) -> CmdResult {
     use polar_gb::ReplanConfig;
     use polar_molecule::manifest::FrameSpec;
+    let profile = profile_format(a)?;
+    let replan = ReplanConfig::default();
+    let cfg = ReplanConfig {
+        tolerance: checked(a, "tolerance", replan.tolerance, check_non_negative)?,
+        ..replan
+    };
+    let override_count = match a.get("frames") {
+        None => None,
+        Some(_) => Some(a.get_parsed("frames", 0usize)?),
+    };
+    let override_step = match a.get("max-step") {
+        None => None,
+        Some(_) => Some(checked(a, "max-step", 0.0, check_non_negative)?),
+    };
+    let override_seed = match a.get("frame-seed") {
+        None => None,
+        Some(_) => Some(a.get_parsed("frame-seed", 0u64)?),
+    };
     // Inputs come from a manifest (one sequence per job) or, like the
     // other solve commands, a single positional structure file.
     let mut inputs: Vec<(Molecule, FrameSpec, GbParams)> = Vec::new();
@@ -304,26 +331,10 @@ pub fn trajectory(a: &Args) -> CmdResult {
         }
     } else {
         let path = a.positional(0, "input file (or pass --manifest <jobs.json>)")?;
+        let params = params_from(a)?;
         let mol = io::load(std::path::Path::new(path))?;
-        inputs.push((mol, FrameSpec::default(), params_from(a)?));
+        inputs.push((mol, FrameSpec::default(), params));
     }
-    let profile = profile_format(a)?;
-    let cfg = ReplanConfig {
-        tolerance: a.get_parsed("tolerance", ReplanConfig::default().tolerance)?,
-        ..ReplanConfig::default()
-    };
-    let override_count = match a.get("frames") {
-        None => None,
-        Some(_) => Some(a.get_parsed("frames", 0usize)?),
-    };
-    let override_step = match a.get("max-step") {
-        None => None,
-        Some(_) => Some(a.get_parsed("max-step", 0.0f64)?),
-    };
-    let override_seed = match a.get("frame-seed") {
-        None => None,
-        Some(_) => Some(a.get_parsed("frame-seed", 0u64)?),
-    };
 
     let mut reports = Vec::new();
     for (mol, mut spec, params) in inputs {
@@ -384,7 +395,6 @@ pub fn trajectory(a: &Args) -> CmdResult {
 /// incremental re-planning path.
 pub fn minimize(a: &Args) -> CmdResult {
     use polar_gb::{MinimizeConfig, ReplanConfig};
-    let mol = load_molecule(a)?;
     let profile = profile_format(a)?;
     let params = params_from(a)?;
     let threads: usize =
@@ -393,18 +403,24 @@ pub fn minimize(a: &Args) -> CmdResult {
     let cfg = MinimizeConfig {
         max_iters: a.get_parsed("max-iters", defaults.max_iters)?,
         grad_tol: a.get_parsed("grad-tol", defaults.grad_tol)?,
-        initial_step: a.get_parsed("step", defaults.initial_step)?,
-        max_step: a.get_parsed("max-step", defaults.max_step)?,
+        initial_step: checked(a, "step", defaults.initial_step, check_eps)?,
+        max_step: checked(a, "max-step", defaults.max_step, check_non_negative)?,
         lbfgs_memory: a.get_parsed("lbfgs-memory", defaults.lbfgs_memory)?,
         replan: ReplanConfig {
-            tolerance: a.get_parsed("tolerance", ReplanConfig::default().tolerance)?,
-            ..ReplanConfig::default()
+            tolerance: checked(
+                a,
+                "tolerance",
+                defaults.replan.tolerance,
+                check_non_negative,
+            )?,
+            ..defaults.replan
         },
         // One thread is the serial path.
         workers: (threads > 1).then_some(threads),
         ..defaults
     };
 
+    let mol = load_molecule(a)?;
     let mut solver = prepare(&mol);
     let t = Instant::now();
     let mut plan = solver.plan(&params);
@@ -453,18 +469,18 @@ pub fn minimize(a: &Args) -> CmdResult {
 /// coverage lists.
 pub fn induce(a: &Args) -> CmdResult {
     use polar_gb::{induce_naive, induce_with_plan, InductionConfig};
-    let mol = load_molecule(a)?;
     let profile = profile_format(a)?;
     let params = params_from(a)?;
     let d = InductionConfig::default();
     let cfg = InductionConfig {
-        alpha_scale: a.get_parsed("alpha-scale", d.alpha_scale)?,
-        omega: a.get_parsed("omega", d.omega)?,
+        alpha_scale: checked(a, "alpha-scale", d.alpha_scale, check_eps)?,
+        omega: checked(a, "omega", d.omega, check_eps)?,
         diis: a.get_parsed("diis", d.diis)?,
         max_iters: a.get_parsed("max-iters", d.max_iters)?,
         residual_tol: a.get_parsed("residual-tol", d.residual_tol)?,
     };
 
+    let mol = load_molecule(a)?;
     let solver = prepare(&mol);
     let plan = solver.plan(&params);
     let gb = solver.solve_with_plan(&plan, &params)?;
@@ -826,14 +842,7 @@ pub fn project(a: &Args) -> CmdResult {
                 .collect(),
         )
     };
-    let exp = polar_cluster::ClusterExperiment {
-        spec,
-        born_tasks,
-        epol_tasks,
-        data_bytes: solver.memory_bytes() as u64,
-        partials_bytes: ((solver.tree_a.node_count() + solver.n_atoms()) * 8) as u64,
-        born_bytes: (solver.n_atoms() * 8) as u64,
-    };
+    let exp = polar_cluster::ClusterExperiment::for_solver(spec, &solver, born_tasks, epol_tasks);
     println!(
         "{:>6} {:>14} {:>18}",
         "cores", "OCT_MPI", "OCT_MPI+CILK(x6)"

@@ -485,6 +485,7 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
         ("--eps-epol", "nan"),
         ("--eps-epol", "-0.5"),
     ];
+    let mut rows = Vec::new();
     for (k, command) in commands.into_iter().enumerate() {
         // All three values on `energy`, one each on the others.
         let values = if k == 0 {
@@ -492,28 +493,54 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
         } else {
             &bad[k % 3..k % 3 + 1]
         };
-        for (option, value) in values {
-            let out = polar()
-                .arg(command)
-                .arg(&path)
-                .args([option, value])
-                .output()
-                .unwrap();
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{command} {option} {value}: {err}"
-            );
-            assert!(
-                err.contains(&format!("{option}: must be a finite positive number, got")),
-                "{command} {option} {value}: {err}"
-            );
-            assert!(
-                !err.contains("panicked"),
-                "{command} {option} {value}: {err}"
-            );
-        }
+        rows.extend(
+            values
+                .iter()
+                .map(|&(option, value)| (command, option, value)),
+        );
+    }
+    // Step, tolerance and scale options: negative tolerances and NaN
+    // steps used to panic in the octree refresh or build, and the other
+    // values ran to nonsense (a NaN mean patch time, E_pol off by a
+    // third, U_ind ~ 1e95 kcal/mol).
+    rows.extend([
+        ("trajectory", "--tolerance", "-1"),
+        ("trajectory", "--tolerance", "nan"),
+        ("minimize", "--tolerance", "-1"),
+        ("trajectory", "--max-step", "nan"),
+        ("trajectory", "--max-step", "-1"),
+        ("minimize", "--max-step", "-1"),
+        ("minimize", "--step", "nan"),
+        ("minimize", "--step", "-1"),
+        ("induce", "--alpha-scale", "-1"),
+        ("induce", "--omega", "0"),
+        ("induce", "--omega", "nan"),
+    ]);
+    for (command, option, value) in rows {
+        let out = polar()
+            .arg(command)
+            .arg(&path)
+            .args([option, value])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{command} {option} {value}: {err}"
+        );
+        let rule = match option {
+            "--tolerance" | "--max-step" => "non-negative",
+            _ => "positive",
+        };
+        assert!(
+            err.contains(&format!("{option}: must be a finite {rule} number, got")),
+            "{command} {option} {value}: {err}"
+        );
+        assert!(
+            !err.contains("panicked"),
+            "{command} {option} {value}: {err}"
+        );
     }
 }
 

@@ -16,7 +16,7 @@ use crate::spec::MachineSpec;
 use crate::stealing::simulate_work_stealing;
 use polar_gb::partition::{even_segments, weighted_segments};
 use polar_gb::report::{CommReport, SolveReport, StageReport, StealReport, TreeDepthStats};
-use polar_gb::WorkCounts;
+use polar_gb::{GbSolver, WorkCounts};
 
 /// A parallel layout: `ranks × threads_per_rank` cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +102,24 @@ pub enum DivisionPolicy {
 }
 
 impl ClusterExperiment {
+    /// `solver`'s per-leaf tasks on `spec`, with the payloads an OCT_MPI
+    /// run moves: its replicated input, partials and Born radii.
+    pub fn for_solver(
+        spec: MachineSpec,
+        solver: &GbSolver,
+        born_tasks: Vec<u64>,
+        epol_tasks: Vec<u64>,
+    ) -> ClusterExperiment {
+        ClusterExperiment {
+            spec,
+            born_tasks,
+            epol_tasks,
+            data_bytes: solver.memory_bytes() as u64,
+            partials_bytes: ((solver.tree_a.node_count() + solver.n_atoms()) * 8) as u64,
+            born_bytes: (solver.n_atoms() * 8) as u64,
+        }
+    }
+
     /// Price one layout. `seed` varies the stealing schedule (repeat with
     /// different seeds for a Fig. 6-style min/max envelope).
     pub fn simulate(&self, layout: Layout, seed: u64) -> SimOutcome {

@@ -139,7 +139,7 @@ impl<'a> BornOctreeCtx<'a> {
                     d.add_outer(pos - node.center, q.normal * q.weight);
                 }
             } else {
-                for c in node.child_ids() {
+                for c in tree_q.children(id as NodeId) {
                     let child = tree_q.node(c);
                     let mut shifted = out[c as usize];
                     shifted.add_outer(child.center - node.center, q_nsum[c as usize]);
@@ -353,7 +353,7 @@ fn recurse_qleaf(
         }
         counts.pair_ops += (apos.len() * qorig.len()) as u64;
     } else {
-        for c in a.child_ids() {
+        for c in ctx.tree_a.children(a_id) {
             recurse_qleaf(ctx, factor, kernel, c, qleaf, partials, counts);
         }
     }
@@ -426,11 +426,11 @@ fn recurse_dual(
         // larger-radius side first shrinks the separation bound fastest.
         let split_a = !a.is_leaf && (q.is_leaf || a.radius >= q.radius);
         if split_a {
-            for c in a.child_ids() {
+            for c in ctx.tree_a.children(a_id) {
                 recurse_dual(ctx, factor, c, q_id, partials, counts);
             }
         } else {
-            for c in q.child_ids() {
+            for c in ctx.tree_q.children(q_id) {
                 recurse_dual(ctx, factor, a_id, c, partials, counts);
             }
         }
@@ -541,7 +541,7 @@ fn push_rec<F: FnMut(usize, u32, f64)>(
             }
         }
     } else {
-        for c in node.child_ids() {
+        for c in ctx.tree_a.children(id) {
             push_rec(ctx, totals, kernel, c, here, slot_range, math, sink);
         }
     }

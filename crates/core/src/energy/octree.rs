@@ -181,7 +181,7 @@ impl<'a> EpolCtx<'a> {
                     hist[id * nb + k] += charges[orig as usize];
                 }
             } else {
-                for c in node.child_ids() {
+                for c in tree.children(id as NodeId) {
                     let (lo, hi) = hist.split_at_mut(id * nb + nb);
                     let child_row = &hi[(c as usize * nb) - (id * nb + nb)..][..nb];
                     for (a, b) in lo[id * nb..].iter_mut().zip(child_row) {
@@ -376,7 +376,8 @@ fn recurse(
         counts.far_ops += evals.max(1);
         return acc;
     }
-    u.child_ids()
+    ctx.tree
+        .children(u_id)
         .map(|c| recurse(ctx, factor, c, v_id, math, counts))
         .sum()
 }
@@ -517,7 +518,8 @@ fn recurse_partial(
         counts.far_ops += evals.max(1);
         return acc;
     }
-    u.child_ids()
+    ctx.tree
+        .children(u_id)
         .map(|c| {
             recurse_partial(
                 ctx,
@@ -666,8 +668,8 @@ mod tests {
         for (id, node) in tree.nodes().iter().enumerate() {
             if !node.is_leaf {
                 let mine: f64 = ctx.hist_row(id as NodeId).iter().sum();
-                let kids: f64 = node
-                    .child_ids()
+                let kids: f64 = tree
+                    .children(id as NodeId)
                     .map(|c| ctx.hist_row(c).iter().sum::<f64>())
                     .sum();
                 assert!((mine - kids).abs() < 1e-9);

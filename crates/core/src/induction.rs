@@ -44,8 +44,9 @@ pub struct InductionConfig {
     pub diis: usize,
     /// Iteration cap.
     pub max_iters: usize,
-    /// Converged when the RMS dipole change per component (e·Å) falls
-    /// below this.
+    /// Converged when the RMS per component (e·Å) of the field residual
+    /// `α(E⁰ + Tμ) − μ` — the undamped Jacobi step, whatever `omega` —
+    /// falls below this.
     pub residual_tol: f64,
 }
 
@@ -72,7 +73,7 @@ pub struct InductionResult {
     pub u_ind_kcal: f64,
     /// Iterations performed.
     pub iters: usize,
-    /// RMS dipole change per iteration, in order.
+    /// RMS field residual `α(E⁰ + Tμ) − μ` per iteration, in order.
     pub residuals: Vec<f64>,
     /// Whether the final residual met [`InductionConfig::residual_tol`].
     pub converged: bool,
@@ -289,13 +290,16 @@ fn fixed_point(
     for _ in 0..cfg.max_iters {
         iters += 1;
         matvec(&mu, &mut field);
-        let mut next: Vec<Vec3> = (0..n)
-            .map(|i| {
-                let target = (e0[i] + field[i]) * alpha[i];
-                mu[i] + (target - mu[i]) * cfg.omega
-            })
+        // The undamped step: `omega` scales the move, not the test (nor
+        // the DIIS coefficients, which ignore a common scale).
+        let r_vec: Vec<Vec3> = (0..n)
+            .map(|i| (e0[i] + field[i]) * alpha[i] - mu[i])
             .collect();
-        let r_vec: Vec<Vec3> = next.iter().zip(&mu).map(|(a, b)| *a - *b).collect();
+        let mut next: Vec<Vec3> = mu
+            .iter()
+            .zip(&r_vec)
+            .map(|(m, r)| *m + *r * cfg.omega)
+            .collect();
         let rms = (r_vec.iter().map(|v| v.norm_sq()).sum::<f64>() / (3 * n.max(1)) as f64).sqrt();
         residuals.push(rms);
 
@@ -461,6 +465,17 @@ mod tests {
         // −½Σ αE² ≤ 0 at first order; the converged value stays
         // stabilizing in the contractive regime.
         assert!(res.u_ind_kcal < 0.0, "U_ind = {}", res.u_ind_kcal);
+        // A vanishing damping factor barely moves the dipoles, so the
+        // field residual stays large: measured on the damped step it
+        // would read as converged at once.
+        let stalled = InductionConfig {
+            omega: 1e-12,
+            max_iters: 3,
+            ..cfg
+        };
+        let res = induce_with_plan(&solver, &plan, &stalled).unwrap();
+        assert!(!res.converged, "residuals: {:?}", res.residuals);
+        assert!(res.residuals[0] > cfg.residual_tol, "{:?}", res.residuals);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   of a targets × partners block);
 //! * the one kernel the planner runs, `born_block_walk`: the Fig. 2
 //!   separation test of a `T_A` node against eight q-leaves in one
-//!   8-lane step, inside the joint walk that plans a Born block.
+//!   8-lane step, inside the joint walk that plans a Born block. The
+//!   walk reads `T_A`'s 48-byte pre-order [`OctreeNode`]s in place —
+//!   `id + 1` descends, `skip` cuts a subtree — so a node costs it one
+//!   record load and no per-plan copy of the tree exists.
 //!
 //! ## Dispatch
 //!
@@ -119,8 +122,7 @@
 //! blocked kernels compute those lanes and never store them.
 
 use crate::born::octree::QDipole;
-use polar_geom::Vec3;
-use polar_octree::NodeId;
+use polar_octree::{NodeId, Octree, OctreeNode};
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
@@ -1082,23 +1084,6 @@ tiers! {
     ) = born_far_blocks_body
 }
 
-/// One `T_A` node as the planner's pre-order walks read it: the
-/// separation-test inputs, the slot range, and where the walk resumes
-/// when the node's subtree is cut. 48 bytes against the 128-byte
-/// `OctreeNode`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WalkNode {
-    pub center: Vec3,
-    pub radius: f64,
-    /// Id one past the node's subtree: the next node in pre-order that is
-    /// not a descendant.
-    pub skip: NodeId,
-    pub start: u32,
-    pub end: u32,
-    pub depth: u8,
-    pub leaf: bool,
-}
-
 /// The q-leaves of one block as the joint walk reads them: center x, y,
 /// z and radius, one leaf per lane. Aligned to a cache line because the
 /// walk's loop reads the four rows from here on every node — they are
@@ -1130,7 +1115,7 @@ pub(crate) struct BlockWalk {
 /// the scalar test's — `sub, mul, add, add` for `d²`, no FMA, IEEE `√` —
 /// so both are bit-equal to `recurse_qleaf`'s on every tier.
 #[inline(always)]
-fn separation_test<S: Simd>(s: S, node: &WalkNode, q: &[S::V; 4], factor: S::V) -> (u8, S::V) {
+fn separation_test<S: Simd>(s: S, node: &OctreeNode, q: &[S::V; 4], factor: S::V) -> (u8, S::V) {
     let dx = s.sub(s.splat(node.center.x), q[0]);
     let dy = s.sub(s.splat(node.center.y), q[1]);
     let dz = s.sub(s.splat(node.center.z), q[2]);
@@ -1144,7 +1129,7 @@ fn separation_test<S: Simd>(s: S, node: &WalkNode, q: &[S::V; 4], factor: S::V) 
 #[inline(always)]
 fn born_block_walk_body<S: Simd>(
     s: S,
-    table: &[WalkNode],
+    tree_a: &Octree,
     q: &QLeafLanes,
     active: u8,
     factor: f64,
@@ -1167,8 +1152,9 @@ fn born_block_walk_body<S: Simd>(
     // last node written at the depth above.
     let mut open = [0u8; 257];
     open[0] = active;
+    let nodes = tree_a.nodes();
     let mut id = 0;
-    while let Some(node) = table.get(id) {
+    while let Some(node) = nodes.get(id) {
         let here = open[node.depth as usize];
         out.visited += here.count_ones() as u64;
         let (far, gap) = separation_test(s, node, &q, factor);
@@ -1179,7 +1165,7 @@ fn born_block_walk_body<S: Simd>(
         }
         let near = here & !far;
         if near != 0 {
-            if !node.leaf {
+            if !node.is_leaf {
                 open[node.depth as usize + 1] = near;
                 id += 1;
                 continue;
@@ -1199,17 +1185,17 @@ fn born_block_walk_body<S: Simd>(
 }
 
 tiers! {
-    /// One joint pre-order walk of the flattened `T_A` (`table`, see
-    /// `plan::walk_table`) for a block of up to eight q-leaves — `q`
-    /// holds their centers (x, y, z) and radii one leaf per lane,
-    /// `active` the lanes that are leaves — replacing `out`'s contents
-    /// with every leaf's decisions. Lane `l` is tested on exactly the
+    /// One joint stackless walk of `tree_a`'s pre-order nodes, read in
+    /// place (`id + 1` descends, `skip` cuts a subtree), for a block of
+    /// up to eight q-leaves — `q` holds their centers (x, y, z) and
+    /// radii one leaf per lane, `active` the lanes that are leaves —
+    /// replacing `out`'s contents with every leaf's decisions. Lane `l` is tested on exactly the
     /// nodes leaf `l`'s own walk would visit, with bit-equal arithmetic
     /// (see `separation_test`), so the far/near sets, the margins and
     /// the visit count are those of eight separate `recurse_qleaf`
     /// walks.
     pub(crate) fn born_block_walk(
-        table: &[WalkNode],
+        tree_a: &Octree,
         q: &QLeafLanes,
         active: u8,
         factor: f64,
@@ -2044,18 +2030,18 @@ mod tests {
             // Eight leaves: centers x, y, z and radii.
             let mut q = [(-30.0, 30.0), (-30.0, 30.0), (-30.0, 30.0), (0.0, 4.0)]
                 .map(|(lo, hi)| [(); 8].map(|_| rng(&mut seed, lo, hi)));
-            let mut node = WalkNode {
+            let mut node = OctreeNode {
                 center: Vec3::new(
                     rng(&mut seed, -30.0, 30.0),
                     rng(&mut seed, -30.0, 30.0),
                     rng(&mut seed, -30.0, 30.0),
                 ),
                 radius: rng(&mut seed, 0.0, 12.0),
-                skip: 1,
                 start: 0,
                 end: 1,
+                skip: 1,
                 depth: 0,
-                leaf: true,
+                is_leaf: true,
             };
             let factor = 1.0 + 2.0 / [0.1, 0.5, 0.9][case % 3];
             // Coincident centers (`d² = 0` is never far), a zero-radius

@@ -105,9 +105,7 @@ use crate::born::octree::{separation_factor_r6, BornKernel, BornOctreeCtx, BornP
 use crate::energy::exact::gb_pair;
 use crate::energy::gradient::{pair_dedr_over_r, GradientError, COINCIDENT_R_SQ};
 use crate::energy::octree::{separation_factor_epol, EpolCtx};
-use crate::kernels::{
-    self, BlockWalk, KernelMode, QLeafMoments, Run, WalkNode, Window, QLEAF_BLOCK,
-};
+use crate::kernels::{self, BlockWalk, KernelMode, QLeafMoments, Run, Window, QLEAF_BLOCK};
 use crate::report::PlanReport;
 use crate::solver::{FrameDelta, GbParams, GbSolver};
 use crate::stats::WorkCounts;
@@ -1574,39 +1572,6 @@ fn coincident_error(tree: &Octree, slot_a: usize, slot_b: usize, r_sq: f64) -> G
     }
 }
 
-/// The partner tree flattened for the stackless walk. Relies on the
-/// octree's id order being DFS pre-order with children ascending in
-/// octant order and every subtree a contiguous id range
-/// (`Octree::check_invariants` asserts exactly that): stepping `id + 1`
-/// descends to the first child, jumping to `skip` moves to the next
-/// sibling (or an ancestor's), and the walk therefore visits the nodes
-/// the recursion would, in the recursion's order.
-fn walk_table(tree: &Octree) -> Vec<WalkNode> {
-    let mut table: Vec<WalkNode> = tree
-        .nodes()
-        .iter()
-        .map(|n| WalkNode {
-            center: n.center,
-            radius: n.radius,
-            skip: 0,
-            start: n.start,
-            end: n.end,
-            depth: n.depth,
-            leaf: n.is_leaf,
-        })
-        .collect();
-    // Children have larger ids than their parent, so a reverse scan sees
-    // a node's last child (whose subtree ends where the node's does)
-    // before the node.
-    for (id, n) in tree.nodes().iter().enumerate().rev() {
-        table[id].skip = match n.child_ids().last() {
-            Some(last) => table[last as usize].skip,
-            None => id as NodeId + 1,
-        };
-    }
-    table
-}
-
 /// Which recursion a walk mirrors. `recurse_qleaf` in
 /// [`crate::born::octree`] (Fig. 2) runs the separation test on every
 /// node and only then asks whether it is a leaf; `recurse` in
@@ -1641,6 +1606,12 @@ impl Walk {
 /// against the `partners` tree: same tests, same visit order as the
 /// recursive kernels, but recording decisions instead of evaluating.
 ///
+/// The walk is stackless and reads `partners.nodes()` in place: node ids
+/// are DFS pre-order (`Octree::check_invariants` asserts it), so stepping
+/// to `id + 1` descends to the first child and jumping to `skip` moves
+/// past the subtree to the next sibling (or an ancestor's), visiting the
+/// nodes the recursion would, in the recursion's order.
+///
 /// Each source leaf's walk is independent, so a group planned here is
 /// bitwise the group a full cold plan records for that leaf. The
 /// separation structure depends only on tree geometry and ε — not on
@@ -1655,7 +1626,7 @@ fn plan_stage(
     if partners.is_empty() || leaf_ids.is_empty() {
         return StageLists::default();
     }
-    let table = walk_table(partners);
+    let nodes = partners.nodes();
     let mut lists = StageLists::with_groups(leaf_ids.len());
     let mut visited = 0u64;
     for &leaf in leaf_ids {
@@ -1669,9 +1640,9 @@ fn plan_stage(
         let mut blocks = 0u32;
         let group_start = lists.near.len();
         let mut id = 0usize;
-        while let Some(node) = table.get(id) {
+        while let Some(node) = nodes.get(id) {
             visited += 1;
-            let separated = !(walk.leaf_before_test && node.leaf) && {
+            let separated = !(walk.leaf_before_test && node.is_leaf) && {
                 let d_sq = node.center.dist_sq(src.center);
                 let sep = (node.radius + src.radius) * walk.factor;
                 margin = margin.min((d_sq.sqrt() - sep).abs());
@@ -1679,7 +1650,7 @@ fn plan_stage(
             };
             if separated {
                 lists.far.push(id as NodeId);
-            } else if node.leaf {
+            } else if node.is_leaf {
                 // A partner leaf that begins where the group's last run
                 // ends extends it; the runs stay maximal.
                 let len = node.end - node.start;
@@ -1805,7 +1776,6 @@ fn plan_born_blocks(
     if tree_a.is_empty() || blocks.is_empty() {
         return BornBlocks::default();
     }
-    let table = walk_table(tree_a);
     let factor = separation_factor_r6(eps);
     let q_leaves = tree_q.leaves();
     let leaves_of = |block: u32| block_leaves(block as usize, q_leaves.len());
@@ -1832,7 +1802,7 @@ fn plan_born_blocks(
             r[lane] = leaf.radius;
         }
         let active = u8::MAX >> (QLEAF_BLOCK - ids.len());
-        kernels::born_block_walk(&table, &q, active, factor, &mut walk);
+        kernels::born_block_walk(tree_a, &q, active, factor, &mut walk);
         counts.nodes_visited += walk.visited;
         let start = lists.windows.len();
         let far_nodes = pack_windows(&walk.far, &mut lists.windows);
@@ -2223,7 +2193,7 @@ mod tests {
                 g.near.extend(a.start..a.end);
                 g.blocks += 1;
             } else {
-                for c in a.child_ids() {
+                for c in tree_a.children(a_id) {
                     born_rec(tree_a, tree_q, factor, c, qleaf, g);
                 }
             }
@@ -2260,7 +2230,7 @@ mod tests {
                 g.far.push(u_id);
                 return;
             }
-            for c in u.child_ids() {
+            for c in tree.children(u_id) {
                 epol_rec(tree, factor, c, v_id, g);
             }
         }

@@ -22,7 +22,7 @@
 
 use crate::stats::WorkCounts;
 use polar_molecule::json::JsonWriter;
-use polar_octree::{NodeId, Octree};
+use polar_octree::Octree;
 use polar_runtime::StealStats;
 use Val::{Bool, Int, List, Null, Num, NumOrBlank, Obj, Rec, Str};
 
@@ -50,31 +50,16 @@ pub struct TreeDepthStats {
 }
 
 impl TreeDepthStats {
-    /// Walk the tree once, accumulating leaf depths.
+    /// Read every leaf's stored depth once.
     pub fn for_tree(tree: &Octree) -> TreeDepthStats {
-        if tree.is_empty() {
-            return TreeDepthStats::default();
-        }
-        let mut stats = TreeDepthStats {
+        let depths = tree.leaves().iter().map(|&l| tree.node(l).depth as usize);
+        let leaf_count = tree.leaves().len();
+        TreeDepthStats {
             node_count: tree.node_count(),
-            ..Default::default()
-        };
-        let mut depth_sum = 0usize;
-        let mut stack: Vec<(NodeId, usize)> = vec![(Octree::ROOT, 0)];
-        while let Some((id, depth)) = stack.pop() {
-            let node = tree.node(id);
-            if node.is_leaf {
-                stats.leaf_count += 1;
-                stats.max_depth = stats.max_depth.max(depth);
-                depth_sum += depth;
-            } else {
-                for c in node.child_ids() {
-                    stack.push((c, depth + 1));
-                }
-            }
+            leaf_count,
+            max_depth: depths.clone().max().unwrap_or(0),
+            mean_leaf_depth: depths.sum::<usize>() as f64 / leaf_count.max(1) as f64,
         }
-        stats.mean_leaf_depth = depth_sum as f64 / stats.leaf_count.max(1) as f64;
-        stats
     }
 }
 

@@ -298,19 +298,31 @@ pub(crate) fn parse_job_with_ctx(
     })
 }
 
-/// Parse a `frames` object: `{ "count": 16, "max_step": 0.05, "seed": 3 }`.
-/// All keys are optional and fall back to [`FrameSpec::default`].
 /// The one rule for an approximation parameter ε, wherever it enters —
 /// a manifest job, a request line, a `--eps-*` option: a finite positive
 /// number. The separation tests divide by it and assert that it is
 /// positive, so anything else has to stop at the door. `what` names the
-/// input in the message.
+/// input in the message. Step lengths and scales that must be positive
+/// (`--step`, `--alpha-scale`, `--omega`) are held to the same rule.
 pub fn check_eps(what: &str, eps: f64) -> Result<f64, String> {
     if eps.is_finite() && eps > 0.0 {
         Ok(eps)
     } else {
         Err(format!(
             "{what}: must be a finite positive number, got {eps}"
+        ))
+    }
+}
+
+/// The rule for a distance bound that may be zero — a frame's
+/// `max_step`, a drift `tolerance`: a finite non-negative number.
+/// `what` names the input in the message.
+pub fn check_non_negative(what: &str, x: f64) -> Result<f64, String> {
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!(
+            "{what}: must be a finite non-negative number, got {x}"
         ))
     }
 }
@@ -323,6 +335,8 @@ pub fn mib_to_bytes(what: &str, mb: usize) -> Result<usize, String> {
         .ok_or_else(|| format!("{what}: {mb} MB does not fit in this platform's address space"))
 }
 
+/// Parse a `frames` object: `{ "count": 16, "max_step": 0.05, "seed": 3 }`.
+/// All keys are optional and fall back to [`FrameSpec::default`].
 fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
     let obj = v.as_object(ctx)?;
     for key in obj.keys() {
@@ -341,13 +355,8 @@ fn parse_frame_spec(v: &Json, ctx: &str) -> Result<FrameSpec, ParseError> {
         }
     }
     if let Some(s) = obj.get("max_step") {
-        spec.max_step = s.as_f64(&format!("{ctx}.max_step"))?;
-        if !spec.max_step.is_finite() || spec.max_step < 0.0 {
-            return Err(ParseError::Invalid(format!(
-                "{ctx}.max_step must be a finite non-negative number, got {}",
-                spec.max_step
-            )));
-        }
+        let what = format!("{ctx}.max_step");
+        spec.max_step = check_non_negative(&what, s.as_f64(&what)?).map_err(ParseError::Invalid)?;
     }
     if let Some(s) = obj.get("seed") {
         spec.seed = s.as_u64(&format!("{ctx}.seed"))?;

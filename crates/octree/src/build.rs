@@ -1,6 +1,6 @@
 //! Octree construction: Morton sort + recursive range splitting.
 
-use crate::tree::{NodeId, Octree, OctreeNode, NO_NODE};
+use crate::tree::{NodeId, Octree, OctreeNode};
 use polar_geom::{morton, Aabb, Vec3};
 
 /// Construction parameters.
@@ -53,6 +53,7 @@ impl OctreeConfig {
                 points: vec![],
                 order: vec![],
                 leaves: vec![],
+                leaf_cells: vec![],
                 leaf_drift: vec![],
             };
         }
@@ -85,11 +86,13 @@ impl OctreeConfig {
             points,
             nodes: Vec::with_capacity(2 * n / self.max_leaf_size.max(1) + 8),
             leaves: Vec::new(),
+            leaf_cells: Vec::new(),
         };
         builder.build_node(0, n as u32, bounds, 0);
         let Builder {
             nodes,
             leaves,
+            leaf_cells,
             points,
             ..
         } = builder;
@@ -99,6 +102,7 @@ impl OctreeConfig {
             points,
             order,
             leaves,
+            leaf_cells,
             leaf_drift,
         };
         debug_assert_eq!(tree.check_invariants(), Ok(()));
@@ -113,15 +117,16 @@ struct Builder {
     points: Vec<Vec3>,
     nodes: Vec<OctreeNode>,
     leaves: Vec<NodeId>,
+    leaf_cells: Vec<Aabb>,
 }
 
 impl Builder {
-    /// Create the node spanning `[start, end)` (non-empty) and recurse.
-    /// Pre-order node ids: parents < children, which `Octree::aggregate`
-    /// relies on.
-    fn build_node(&mut self, start: u32, end: u32, bounds: Aabb, depth: u8) -> NodeId {
+    /// Create the node spanning `[start, end)` (non-empty) in the cell
+    /// `bounds`, then its subtree. Ids are DFS pre-order, so the node's
+    /// `skip` is the node count once its last descendant is pushed.
+    fn build_node(&mut self, start: u32, end: u32, bounds: Aabb, depth: u8) {
         debug_assert!(start < end);
-        let id = self.nodes.len() as NodeId;
+        let id = self.nodes.len();
         let slice = &self.points[start as usize..end as usize];
         let center = slice.iter().copied().sum::<Vec3>() / slice.len() as f64;
         let radius = slice
@@ -134,21 +139,21 @@ impl Builder {
         self.nodes.push(OctreeNode {
             center,
             radius,
-            bounds,
             start,
             end,
-            children: [NO_NODE; 8],
+            skip: id as NodeId + 1,
             depth,
             is_leaf,
         });
         if is_leaf {
-            self.leaves.push(id);
-            return id;
+            self.leaves.push(id as NodeId);
+            self.leaf_cells.push(bounds);
+            return;
         }
         // The range is Morton-sorted, so each octant at this depth is a
-        // contiguous sub-range; find boundaries by scanning octant keys.
+        // contiguous sub-range, in octant order; find boundaries by
+        // scanning octant keys.
         let level = u32::from(depth);
-        let mut children = [NO_NODE; 8];
         let mut lo = start;
         while lo < end {
             let oct = morton::octant_at_level(self.codes[lo as usize], level);
@@ -156,11 +161,10 @@ impl Builder {
             while hi < end && morton::octant_at_level(self.codes[hi as usize], level) == oct {
                 hi += 1;
             }
-            children[oct] = self.build_node(lo, hi, bounds.octant(oct), depth + 1);
+            self.build_node(lo, hi, bounds.octant(oct), depth + 1);
             lo = hi;
         }
-        self.nodes[id as usize].children = children;
-        id
+        self.nodes[id].skip = self.nodes.len() as NodeId;
     }
 }
 
@@ -438,28 +442,27 @@ mod tests {
             max_depth: 20,
         }
         .build(&grid_points(4, 2.0));
-        let kids: Vec<NodeId> = t.node(Octree::ROOT).child_ids().collect();
-        let (first, last) = (kids[0] as usize, *kids.last().unwrap() as usize);
-        assert!(first != last && !t.nodes[first].is_leaf && !t.nodes[last].is_leaf);
+        let kids: Vec<NodeId> = t.children(Octree::ROOT).collect();
+        assert!(kids.len() >= 3, "{kids:?}");
+        let (first, second) = (kids[0] as usize, kids[1] as usize);
+        assert!(!t.nodes[first].is_leaf);
 
-        // Siblings listed against octant order: the first child is no
-        // longer `id + 1`.
-        let mut swapped = t.clone();
-        let slots = &mut swapped.nodes[Octree::ROOT as usize].children;
-        let at = |slots: &[NodeId; 8], id: usize| slots.iter().position(|&c| c as usize == id);
-        let (i, j) = (at(slots, first).unwrap(), at(slots, last).unwrap());
-        slots.swap(i, j);
-        let err = swapped.check_invariants().unwrap_err();
-        assert!(err.contains("pre-order"), "{err}");
+        // A sibling chain that jumps over the second child's subtree:
+        // every link still points forward, but the root's children no
+        // longer tile its range.
+        let mut jumped = t.clone();
+        jumped.nodes[first].skip = t.nodes[second].skip;
+        let err = jumped.check_invariants().unwrap_err();
+        assert!(err.contains("node 0: children not contiguous"), "{err}");
 
-        // Two nodes trading their children: every id is still used once,
-        // but neither subtree is a contiguous id range any more.
-        let mut regrafted = t.clone();
-        let stolen = regrafted.nodes[first].children;
-        regrafted.nodes[first].children = regrafted.nodes[last].children;
-        regrafted.nodes[last].children = stolen;
-        let err = regrafted.check_invariants().unwrap_err();
-        assert!(err.contains("pre-order"), "{err}");
+        // A link pointing backwards would send a chain round in a loop.
+        let mut looped = t.clone();
+        looped.nodes[second].skip = first as NodeId;
+        let err = looped.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("node {second}: skip {first}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   without a rebuild.
 //!
 //! The tree itself stores only geometry (centroid, enclosing-ball radius,
-//! point ranges). Per-node physical aggregates — pseudo-q-point normal
-//! sums, charge totals, Born-radius histograms — are computed by the
-//! solver with [`Octree::aggregate`] and kept in external arrays indexed
-//! by node id, which keeps the tree immutable and shareable across
-//! threads and simulated ranks.
+//! point ranges) in 48-byte DFS pre-order nodes whose `skip` link marks
+//! where each subtree ends — the one layout the recursions and the plan
+//! engine's stackless walk both read. Per-node physical aggregates —
+//! pseudo-q-point normal sums, charge totals, Born-radius histograms —
+//! are computed by the solver with [`Octree::aggregate`] and kept in
+//! external arrays indexed by node id, which keeps the tree immutable and
+//! shareable across threads and simulated ranks.
 
 pub mod build;
 pub mod tree;

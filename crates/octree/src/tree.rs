@@ -5,10 +5,11 @@ use polar_geom::{Aabb, RigidTransform, Vec3};
 /// Index of a node in [`Octree::nodes`]. The root is always node 0.
 pub type NodeId = u32;
 
-/// Sentinel for "no child".
-pub const NO_NODE: NodeId = u32::MAX;
-
-/// One octree node.
+/// One octree node, in DFS pre-order: a node's first child is `id + 1`,
+/// children ascend in octant order, and every subtree is the id range
+/// `id..skip`. That order is the whole topology: the recursions reach
+/// children through [`Octree::children`], and the plan engine's
+/// stackless walk steps to `id + 1` or jumps to `skip` in place.
 ///
 /// `center`/`radius` define the enclosing ball used by the well-separated
 /// predicate: `center` is the *geometric centroid* of the points under the
@@ -20,19 +21,22 @@ pub struct OctreeNode {
     pub center: Vec3,
     /// Max distance from `center` to any point under this node.
     pub radius: f64,
-    /// Spatial cell of this node (loose after a rigid transform).
-    pub bounds: Aabb,
     /// Start of this node's contiguous range in the permuted point array.
     pub start: u32,
     /// One past the end of the range.
     pub end: u32,
-    /// Child node ids ([`NO_NODE`] for absent octants).
-    pub children: [NodeId; 8],
+    /// Id one past the node's subtree: the next node in pre-order that is
+    /// not a descendant (`id + 1` for a leaf).
+    pub skip: NodeId,
     /// Depth (root = 0).
     pub depth: u8,
     /// Leaf flag (leaves own their points; internal nodes delegate).
     pub is_leaf: bool,
 }
+
+// Every `T_A`/`T_Q` node is replicated on every rank and read once per
+// step of the planner's walk: the record stays one 48-byte load.
+const _: () = assert!(std::mem::size_of::<OctreeNode>() == 48);
 
 impl OctreeNode {
     /// Number of points under this node.
@@ -44,12 +48,6 @@ impl OctreeNode {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
-    }
-
-    /// Iterator over present children.
-    #[inline]
-    pub fn child_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.children.iter().copied().filter(|&c| c != NO_NODE)
     }
 }
 
@@ -90,6 +88,7 @@ pub struct RefreshDelta {
 /// normals) stay in the caller's arrays.
 #[derive(Debug, Clone)]
 pub struct Octree {
+    /// Nodes in DFS pre-order (see [`OctreeNode`]).
     pub(crate) nodes: Vec<OctreeNode>,
     /// Permuted point positions (Morton order).
     pub(crate) points: Vec<Vec3>,
@@ -97,6 +96,10 @@ pub struct Octree {
     pub(crate) order: Vec<u32>,
     /// Leaf node ids in left-to-right (Morton) order.
     pub(crate) leaves: Vec<NodeId>,
+    /// Spatial cell of each leaf, indexed like `leaves` (loose after a
+    /// rigid transform). Only [`Octree::refresh_delta`]'s containment
+    /// test reads them; the traversals use `center` + `radius`.
+    pub(crate) leaf_cells: Vec<Aabb>,
     /// Per-leaf accumulated point drift (Å) since that leaf's geometry
     /// (centroid/enclosing radius) was last recomputed, indexed like
     /// `leaves`. [`Octree::refresh_delta`] keeps a leaf's stored
@@ -145,6 +148,18 @@ impl Octree {
         &self.leaves
     }
 
+    /// The children of `id` in octant order: `id + 1`, then each child's
+    /// `skip`, until the walk reaches the parent's own `skip`. Empty for
+    /// a leaf.
+    #[inline]
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let end = self.nodes[id as usize].skip;
+        let inside = move |c: NodeId| Some(c).filter(|&c| c < end);
+        std::iter::successors(inside(id + 1), move |&c| {
+            inside(self.nodes[c as usize].skip)
+        })
+    }
+
     /// Positions (Morton-permuted) in the node's range.
     #[inline]
     pub fn points_in(&self, id: NodeId) -> &[Vec3] {
@@ -177,7 +192,8 @@ impl Octree {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
 
-    /// Heap footprint in bytes (nodes + points + permutation + leaf list).
+    /// Heap footprint in bytes (nodes + points + permutation + leaf list
+    /// and its per-leaf cells and drift).
     /// Used by the octree-vs-nblist memory experiment: this is *independent
     /// of any cutoff or approximation parameter*.
     pub fn memory_bytes(&self) -> usize {
@@ -185,6 +201,7 @@ impl Octree {
             + self.points.len() * std::mem::size_of::<Vec3>()
             + self.order.len() * std::mem::size_of::<u32>()
             + self.leaves.len() * std::mem::size_of::<NodeId>()
+            + self.leaf_cells.len() * std::mem::size_of::<Aabb>()
             + self.leaf_drift.len() * std::mem::size_of::<f64>()
     }
 
@@ -230,7 +247,7 @@ impl Octree {
                     acc = combine(&acc, &v);
                 }
             } else {
-                for c in node.child_ids() {
+                for c in self.children(id as NodeId) {
                     acc = combine(&acc, &out[c as usize]);
                 }
             }
@@ -240,7 +257,7 @@ impl Octree {
     }
 
     /// A rigidly transformed copy: all centroids and points are mapped;
-    /// enclosing radii are invariant; cell bounds become loose boxes of the
+    /// enclosing radii are invariant; leaf cells become loose boxes of the
     /// transformed corners (traversal only uses center + radius).
     ///
     /// This is the paper's docking optimization (§IV.C): "we can move the
@@ -250,22 +267,26 @@ impl Octree {
         let nodes = self
             .nodes
             .iter()
-            .map(|n| {
+            .map(|n| OctreeNode {
+                center: xf.apply_point(n.center),
+                ..*n
+            })
+            .collect();
+        let leaf_cells = self
+            .leaf_cells
+            .iter()
+            .map(|c| {
                 let corners = [
-                    n.bounds.min,
-                    Vec3::new(n.bounds.max.x, n.bounds.min.y, n.bounds.min.z),
-                    Vec3::new(n.bounds.min.x, n.bounds.max.y, n.bounds.min.z),
-                    Vec3::new(n.bounds.min.x, n.bounds.min.y, n.bounds.max.z),
-                    Vec3::new(n.bounds.max.x, n.bounds.max.y, n.bounds.min.z),
-                    Vec3::new(n.bounds.max.x, n.bounds.min.y, n.bounds.max.z),
-                    Vec3::new(n.bounds.min.x, n.bounds.max.y, n.bounds.max.z),
-                    n.bounds.max,
+                    c.min,
+                    Vec3::new(c.max.x, c.min.y, c.min.z),
+                    Vec3::new(c.min.x, c.max.y, c.min.z),
+                    Vec3::new(c.min.x, c.min.y, c.max.z),
+                    Vec3::new(c.max.x, c.max.y, c.min.z),
+                    Vec3::new(c.max.x, c.min.y, c.max.z),
+                    Vec3::new(c.min.x, c.max.y, c.max.z),
+                    c.max,
                 ];
-                OctreeNode {
-                    center: xf.apply_point(n.center),
-                    bounds: Aabb::from_points(corners.into_iter().map(|c| xf.apply_point(c))),
-                    ..*n
-                }
+                Aabb::from_points(corners.into_iter().map(|c| xf.apply_point(c)))
             })
             .collect();
         Octree {
@@ -273,6 +294,7 @@ impl Octree {
             points: self.points.iter().map(|&p| xf.apply_point(p)).collect(),
             order: self.order.clone(),
             leaves: self.leaves.clone(),
+            leaf_cells,
             leaf_drift: self.leaf_drift.clone(),
         }
     }
@@ -331,9 +353,9 @@ impl Octree {
         assert!(tolerance >= 0.0);
         // Pass 1: validate containment before touching anything.
         let mut escaped = 0usize;
-        for &leaf in &self.leaves {
+        for (&leaf, cell) in self.leaves.iter().zip(&self.leaf_cells) {
             let node = &self.nodes[leaf as usize];
-            let cell = node.bounds.padded(slack);
+            let cell = cell.padded(slack);
             for slot in node.start..node.end {
                 let p = positions[self.order[slot as usize] as usize];
                 if !cell.contains(p) {
@@ -380,7 +402,7 @@ impl Octree {
         // propagates "subtree moved" bottom-up.
         for id in (0..self.nodes.len()).rev() {
             if !self.nodes[id].is_leaf {
-                moved[id] = self.nodes[id].child_ids().any(|c| moved[c as usize]);
+                moved[id] = self.children(id as NodeId).any(|c| moved[c as usize]);
             }
         }
         // Pass 3: locally rebuild only the dirty subtrees — recompute the
@@ -408,11 +430,12 @@ impl Octree {
 
     /// Validate structural invariants (used by tests and debug assertions):
     /// ranges nest, children partition parents, enclosing balls enclose,
-    /// the permutation is a bijection, and node ids are DFS pre-order —
-    /// a node's first child is `id + 1`, children ascend in octant
-    /// order, and every subtree is a contiguous id range. The plan
-    /// engine's stackless walk (`polar_gb::plan`) steps and skips by id
-    /// on the strength of that order.
+    /// the permutation is a bijection, and the `skip` links describe a
+    /// DFS pre-order — every `skip` lies past its node, a leaf's is
+    /// `id + 1`, and each internal node's children, chained by `skip`
+    /// from `id + 1`, end exactly at the node's own `skip`. Because every
+    /// link must point forward, a corrupted `skip` is reported, never
+    /// followed in a loop.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.is_empty() {
             return if self.nodes.is_empty() {
@@ -425,27 +448,14 @@ impl Octree {
         if root.start != 0 || root.end as usize != self.points.len() {
             return Err("root does not span all points".into());
         }
-        // One past the last id of each node's subtree, filled children
-        // first (the loop below checks children have larger ids).
-        let mut subtree_end = vec![0usize; self.nodes.len()];
-        for (id, n) in self.nodes.iter().enumerate().rev() {
-            let mut next = id + 1;
-            for c in n.child_ids() {
-                let c = c as usize;
-                if c >= self.nodes.len() {
-                    return Err(format!("node {id}: child id {c} out of range"));
-                }
-                if c != next {
-                    return Err(format!(
-                        "node {id}: child {c} breaks pre-order (expected id {next})"
-                    ));
-                }
-                next = subtree_end[c];
-            }
-            subtree_end[id] = next;
-        }
-        if subtree_end[Self::ROOT as usize] != self.nodes.len() {
+        if root.skip as usize != self.nodes.len() {
             return Err("root subtree does not span all nodes".into());
+        }
+        for (id, n) in self.nodes.iter().enumerate() {
+            let skip = n.skip as usize;
+            if skip <= id || skip > self.nodes.len() || n.is_leaf != (skip == id + 1) {
+                return Err(format!("node {id}: skip {skip} does not fit the node"));
+            }
         }
         let mut seen = vec![false; self.order.len()];
         for &o in &self.order {
@@ -474,15 +484,13 @@ impl Octree {
                     ));
                 }
             }
-            if n.is_leaf {
-                if n.child_ids().next().is_some() {
-                    return Err(format!("node {id}: leaf with children"));
-                }
-            } else {
+            if !n.is_leaf {
+                // Every skip points forward (checked above), so this
+                // chain ends.
                 let mut cursor = n.start;
-                let mut child_count = 0;
-                for c in n.child_ids() {
-                    let ch = self.node(c);
+                let mut c = id + 1;
+                while c < n.skip as usize {
+                    let ch = &self.nodes[c];
                     if ch.depth != n.depth + 1 {
                         return Err(format!("node {id}: child depth mismatch"));
                     }
@@ -490,15 +498,18 @@ impl Octree {
                         return Err(format!("node {id}: children not contiguous"));
                     }
                     cursor = ch.end;
-                    child_count += 1;
+                    c = ch.skip as usize;
+                }
+                if c != n.skip as usize {
+                    return Err(format!("node {id}: child {c} overruns skip {}", n.skip));
                 }
                 if cursor != n.end {
                     return Err(format!("node {id}: children do not cover range"));
                 }
-                if child_count == 0 {
-                    return Err(format!("node {id}: internal node without children"));
-                }
             }
+        }
+        if self.leaf_cells.len() != self.leaves.len() {
+            return Err("one cell per leaf expected".into());
         }
         // Leaves must cover all points in order.
         let mut cursor = 0;

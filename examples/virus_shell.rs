@@ -90,14 +90,7 @@ fn main() {
         .iter()
         .map(|w| w.units())
         .collect();
-    let exp = ClusterExperiment {
-        spec,
-        born_tasks,
-        epol_tasks,
-        data_bytes: solver.memory_bytes() as u64,
-        partials_bytes: ((solver.tree_a.node_count() + solver.n_atoms()) * 8) as u64,
-        born_bytes: (solver.n_atoms() * 8) as u64,
-    };
+    let exp = ClusterExperiment::for_solver(spec, &solver, born_tasks, epol_tasks);
     for cores in [12usize, 48, 144] {
         let mpi = exp.simulate(Layout::pure_mpi(cores), 1).total_seconds;
         let hyb = exp

@@ -77,6 +77,12 @@ no_callerless_surface() {
   grep -nE '\.(send|recv)\(.*\)\.(expect|unwrap)\(' crates/mpi/src/comm.rs | none
 }
 
+one_octree_layout() {
+  # The tree is its own walk table: 48-byte pre-order nodes whose `skip`
+  # links give the children. No second node table, no child arrays.
+  ! grep -rnE '\b(WalkNode|walk_table|NO_NODE)\b|^\s*(pub(\([a-z]+\))? )?children:' crates/*/src
+}
+
 no_gather_scatter() {
   ! grep -rnE 'i32gather|i32scatter|i64gather|i64scatter' crates/*/src
 }
@@ -98,5 +104,6 @@ guard "One kernel source (every intrinsic inside an \`impl Simd for\` block of k
 guard "One rescoring stack (one frame stepper, one pool loop, one engine core)" one_rescoring_stack
 guard "One Fig. 4 pipeline (the stages live in polar_gb::eval; the solver and the rank drivers only call them)" one_fig4_pipeline
 guard "No caller-less surface (one collective layer, one partitioner, retired extensions stay retired)" no_callerless_surface
+guard "One octree layout (the planner and the recursions read the pre-order nodes in place; no WalkNode copy, no children arrays)" one_octree_layout
 guard "No hardware gather or scatter in library code (scalar loads won on every tier measured; see kernels.rs)" no_gather_scatter
 exit "$failed"

@@ -120,14 +120,7 @@ fn cluster_simulation_consumes_real_solver_workloads() {
         .iter()
         .map(|w| w.units())
         .collect();
-    let exp = ClusterExperiment {
-        spec,
-        born_tasks,
-        epol_tasks,
-        data_bytes: solver.memory_bytes() as u64,
-        partials_bytes: ((solver.tree_a.node_count() + solver.n_atoms()) * 8) as u64,
-        born_bytes: (solver.n_atoms() * 8) as u64,
-    };
+    let exp = ClusterExperiment::for_solver(spec, &solver, born_tasks, epol_tasks);
     let t12 = exp.simulate(Layout::pure_mpi(12), 1);
     let t144 = exp.simulate(Layout::pure_mpi(144), 1);
     assert!(t12.total_seconds > 0.0);
