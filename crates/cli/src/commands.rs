@@ -463,65 +463,6 @@ pub fn minimize(a: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `polar induce <file>`: iterated point-dipole induction — per-atom
-/// polarizabilities α = A·r³, damped Jacobi + DIIS to a residual
-/// tolerance, field matvecs replaying the plan's near/far energy
-/// coverage lists.
-pub fn induce(a: &Args) -> CmdResult {
-    use polar_gb::{induce_naive, induce_with_plan, InductionConfig};
-    let profile = profile_format(a)?;
-    let params = params_from(a)?;
-    let d = InductionConfig::default();
-    let cfg = InductionConfig {
-        alpha_scale: checked(a, "alpha-scale", d.alpha_scale, check_eps)?,
-        omega: checked(a, "omega", d.omega, check_eps)?,
-        diis: a.get_parsed("diis", d.diis)?,
-        max_iters: a.get_parsed("max-iters", d.max_iters)?,
-        residual_tol: a.get_parsed("residual-tol", d.residual_tol)?,
-    };
-
-    let mol = load_molecule(a)?;
-    let solver = prepare(&mol);
-    let plan = solver.plan(&params);
-    let gb = solver.solve_with_plan(&plan, &params)?;
-    let t = Instant::now();
-    let res = induce_with_plan(&solver, &plan, &cfg)?;
-    let elapsed = t.elapsed();
-    let residual = res.residuals.last().copied().unwrap_or(0.0);
-    println!(
-        "U_ind = {:.4} kcal/mol  ({} iters{}, rms residual {residual:.3e}, {elapsed:.2?})",
-        res.u_ind_kcal,
-        res.iters,
-        if res.converged { "" } else { ", NOT converged" },
-    );
-    println!(
-        "E_pol = {:.4} kcal/mol; E_pol + U_ind = {:.4} kcal/mol",
-        gb.epol_kcal,
-        gb.epol_kcal + res.u_ind_kcal,
-    );
-    if a.flag("naive") {
-        let t = Instant::now();
-        let naive = induce_naive(&solver.atom_pos, &solver.atom_radii, &solver.charges, &cfg)?;
-        let dev = (res.u_ind_kcal - naive.u_ind_kcal).abs() / naive.u_ind_kcal.abs().max(1e-30);
-        println!(
-            "naive  = {:.4} kcal/mol  ({:.2?}); plan deviation {dev:.3e}",
-            naive.u_ind_kcal,
-            t.elapsed(),
-        );
-    }
-    let report = res.report(&solver.name, "plan");
-    if let Some(path) = a.get("out") {
-        std::fs::write(path, report.to_json())?;
-        eprintln!("wrote {path}");
-    }
-    match profile {
-        None => {}
-        Some(ProfileFormat::Json) => println!("{}", report.to_json()),
-        Some(ProfileFormat::Csv) => print!("{}", report.to_csv()),
-    }
-    Ok(())
-}
-
 /// `polar serve`: run the persistent rescoring server until a client
 /// sends `{"cmd":"drain"}`, then print the final report and exit 0.
 pub fn serve(a: &Args) -> CmdResult {

@@ -16,9 +16,6 @@
 //! polar minimize <file> [--max-iters N] [--grad-tol G] [--step S]
 //!                       [--max-step S] [--lbfgs-memory M] [--tolerance T]
 //!                       [--out report.json] [--profile json|csv]
-//! polar induce <file> [--alpha-scale A] [--omega W] [--diis K]
-//!                     [--max-iters N] [--residual-tol R] [--naive]
-//!                     [--out report.json] [--profile json|csv]
 //! polar serve [--addr H:P] [--queue-depth N] [--deadline-ms N]
 //!             [--cache-mb N] [--quota-mb N] [--drain-timeout S]
 //! polar project <file> [--nodes N]     # simulated cluster timings
@@ -59,10 +56,6 @@ const VALUE_OPTS: &[&str] = &[
     "grad-tol",
     "step",
     "lbfgs-memory",
-    "alpha-scale",
-    "omega",
-    "diis",
-    "residual-tol",
 ];
 const BOOL_FLAGS: &[&str] = &[
     "approx-math",
@@ -96,7 +89,6 @@ fn main() {
         "batch" => commands::batch(&parsed),
         "trajectory" => commands::trajectory(&parsed),
         "minimize" => commands::minimize(&parsed),
-        "induce" => commands::induce(&parsed),
         "serve" => commands::serve(&parsed),
         "project" => commands::project(&parsed),
         other => {
@@ -169,18 +161,6 @@ USAGE:
       --parallel / --threads p    parallel gradient + energy stages
       --out report.json           also write the GradientReport JSON to a file
       --profile json|csv          print the GradientReport to stdout
-  polar induce <file>       iterated point-dipole induction (alpha = A*r^3,
-                            damped Jacobi + DIIS) over the plan's near/far
-                            energy coverage lists
-      --eps-born E --eps-epol E   approximation parameters
-      --alpha-scale A             polarizability scale alpha = A*r^3 (default 0.05)
-      --omega W                   Jacobi damping factor (default 0.7)
-      --diis K                    DIIS mixing history (default 4; 0 = plain Jacobi)
-      --max-iters N               iteration cap (default 200)
-      --residual-tol R            converge at rms field residual R (default 1e-9)
-      --naive                     also run the O(n^2) reference + deviation
-      --out report.json           also write the InductionReport JSON to a file
-      --profile json|csv          print the InductionReport to stdout
   polar serve               persistent rescoring server (line-delimited
       --addr HOST:PORT            JSON over TCP; port 0 = ephemeral)
       --queue-depth N             admission queue bound (default 64)

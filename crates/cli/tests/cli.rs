@@ -33,9 +33,14 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = polar().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // `induce` (point-dipole induction) was retired with its solver.
+    let cases: [&[&str]; 2] = [&["frobnicate"], &["induce", "x.pqr"]];
+    for args in cases {
+        let out = polar().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("unknown command"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -472,14 +477,7 @@ fn serve_accepts_jobs_over_tcp_and_drains_to_exit_zero() {
 fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
     // `--eps-born 0` used to reach the separation tests' `assert!(ε > 0)`.
     let path = tmp_pqr("bad_eps", 60);
-    let commands = [
-        "energy",
-        "trajectory",
-        "minimize",
-        "induce",
-        "distributed",
-        "project",
-    ];
+    let commands = ["energy", "trajectory", "minimize", "distributed", "project"];
     let bad = [
         ("--eps-born", "0"),
         ("--eps-epol", "nan"),
@@ -499,10 +497,9 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
                 .map(|&(option, value)| (command, option, value)),
         );
     }
-    // Step, tolerance and scale options: negative tolerances and NaN
-    // steps used to panic in the octree refresh or build, and the other
-    // values ran to nonsense (a NaN mean patch time, E_pol off by a
-    // third, U_ind ~ 1e95 kcal/mol).
+    // Step and tolerance options: negative tolerances and NaN steps used
+    // to panic in the octree refresh or build, and the other values ran
+    // to nonsense (a NaN mean patch time, E_pol off by a third).
     rows.extend([
         ("trajectory", "--tolerance", "-1"),
         ("trajectory", "--tolerance", "nan"),
@@ -512,9 +509,6 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
         ("minimize", "--max-step", "-1"),
         ("minimize", "--step", "nan"),
         ("minimize", "--step", "-1"),
-        ("induce", "--alpha-scale", "-1"),
-        ("induce", "--omega", "0"),
-        ("induce", "--omega", "nan"),
     ]);
     for (command, option, value) in rows {
         let out = polar()

@@ -38,7 +38,6 @@ pub mod born;
 pub mod constants;
 pub mod energy;
 pub mod eval;
-pub mod induction;
 pub mod kernels;
 pub mod metrics;
 pub mod minimize;
@@ -54,7 +53,6 @@ pub use batch::{
 };
 pub use energy::GradientError;
 pub use eval::LeafEval;
-pub use induction::{induce_naive, induce_with_plan, InductionConfig, InductionResult};
 pub use kernels::KernelMode;
 pub use minimize::{minimize, MinimizeConfig, MinimizeOutcome};
 pub use plan::{
@@ -66,8 +64,8 @@ pub use plan::{
 pub use polar_molecule::json;
 pub use prepared::{advance, replay_frames, Advance, FrameAction, Prepared};
 pub use report::{
-    BatchReport, GradientIterRow, GradientReport, Histogram, InductionReport, ReplanFrameRow,
-    ReplanReport, ServeReport, SolveReport,
+    BatchReport, GradientIterRow, GradientReport, Histogram, ReplanFrameRow, ReplanReport,
+    ServeReport, SolveReport,
 };
 pub use solver::{FrameDelta, GbParams, GbResult, GbSolver, GradResult, SolveScratch};
 pub use stats::WorkCounts;

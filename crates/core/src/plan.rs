@@ -326,10 +326,10 @@ pub struct ReplanStats {
 ///   group's partners are few runs, not many ids (5.55 M slots in 198 k
 ///   runs over `cold_solve`'s three molecules, 28 slots a run). Every
 ///   slot interacts exactly with every slot of the group's source
-///   range. Strict loops, the lane kernel, the gradient and the
-///   induction sums all walk this one list, slot by slot in run order;
-///   the runs of a group are a function of its slot sequence alone, so
-///   they are no less patchable than the slots were.
+///   range. Strict loops, the lane kernel and the gradient all walk
+///   this one list, slot by slot in run order; the runs of a group are a
+///   function of its slot sequence alone, so they are no less patchable
+///   than the slots were.
 /// * `far` — one `u32` partner **node id** per far-field (node, node)
 ///   pair: a `T_A` node whose pseudo-particle term is banked against the
 ///   group's source node.
@@ -1496,23 +1496,6 @@ impl InteractionPlan {
             }
         }
         None
-    }
-
-    /// The per-leaf partner coverage of the energy lists, for scalar
-    /// consumers that replay the same partition the gradient kernels use
-    /// (the point-dipole induction field sums): the leaf's own target
-    /// slot range, its near partner slots as runs, and its far partner
-    /// node ids (whose slot ranges complete the partition of all atoms).
-    /// `None` for a leaf with no recorded entries (empty tree).
-    pub(crate) fn epol_leaf_cover(&self, leaf: usize) -> Option<(Range<usize>, &[Run], &[u32])> {
-        let g = self.epol.group(leaf);
-        (!g.near.is_empty()).then_some((g.slots, g.near, g.far))
-    }
-
-    /// Slot-order atom SoA views `(ax, ay, az, charge)` for plan-path
-    /// consumers outside this module (the induction solve).
-    pub(crate) fn atom_soa(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
-        (&self.ax, &self.ay, &self.az, &self.charge_slot)
     }
 
     /// The q-point slots of one `T_Q` leaf.

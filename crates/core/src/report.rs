@@ -293,8 +293,8 @@ pub struct BatchJobRow {
 ///
 /// Every field except the wall-clock timings is a deterministic function
 /// of the job list and cache state, so identical manifests produce
-/// byte-identical reports once [`BatchReport::zero_wall_times`] clears
-/// the timings (the determinism tests' comparison contract).
+/// byte-identical reports once the timings are cleared (the determinism
+/// tests' comparison contract, `BatchReport::zero_wall_times`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Jobs submitted.
@@ -358,6 +358,7 @@ impl BatchReport {
     /// which job) — leaving only the counters that are deterministic
     /// functions of the job list. Determinism tests compare this form
     /// byte-for-byte.
+    #[cfg(test)]
     pub fn zero_wall_times(&mut self) {
         self.wall_seconds = 0.0;
         self.arena_bytes = 0;
@@ -574,49 +575,6 @@ impl GradientReport {
     /// Header plus one record per accepted iteration.
     pub fn to_csv(&self) -> String {
         csv_table(&self.rows)
-    }
-}
-
-/// Convergence trace of one induced-dipole solve
-/// ([`crate::induction`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct InductionReport {
-    /// Molecule name.
-    pub molecule: String,
-    /// `"plan"` or `"naive"`.
-    pub mode: String,
-    pub n_atoms: u64,
-    /// Fixed-point iterations performed.
-    pub iters: u64,
-    /// Whether the residual tolerance was met.
-    pub converged: bool,
-    /// `−½ Σ μ·E⁰` (kcal/mol).
-    pub u_ind_kcal: f64,
-    /// RMS dipole change per iteration, in order.
-    pub residuals: Vec<f64>,
-}
-
-/// One CSV record of an [`InductionReport`]: 1-based iteration, residual.
-struct ResidualRow(u64, f64);
-
-impl InductionReport {
-    /// Serialize to a self-contained JSON object (stable field order).
-    pub fn to_json(&self) -> String {
-        json_of(self)
-    }
-
-    /// The per-iteration CSV column set.
-    pub fn csv_header() -> String {
-        csv_header_of::<ResidualRow>()
-    }
-
-    /// Header plus one record per fixed-point iteration.
-    pub fn to_csv(&self) -> String {
-        let rows: Vec<ResidualRow> = (1..)
-            .zip(&self.residuals)
-            .map(|(i, &r)| ResidualRow(i, r))
-            .collect();
-        csv_table(&rows)
     }
 }
 
@@ -1302,28 +1260,6 @@ impl Record for GradientReport {
         s.json("grad_seconds", |r| Num(r.grad_seconds));
         s.json("wall_s", |r| Num(r.wall_s));
         s.json("rows", |r| recs(&r.rows));
-    }
-}
-
-impl Record for InductionReport {
-    fn fields(s: &mut Sink<'_, Self>) {
-        s.json("schema", |_| Str("induction_report/v1"));
-        s.json("molecule", |r| Str(&r.molecule));
-        s.json("mode", |r| Str(&r.mode));
-        s.json("n_atoms", |r| Int(r.n_atoms));
-        s.json("iters", |r| Int(r.iters));
-        s.json("converged", |r| Bool(r.converged));
-        s.json("u_ind_kcal", |r| Num(r.u_ind_kcal));
-        s.json("residuals", |r| {
-            List(r.residuals.iter().map(|&x| Num(x)).collect())
-        });
-    }
-}
-
-impl Record for ResidualRow {
-    fn fields(s: &mut Sink<'_, Self>) {
-        s.csv("iter", |r| Int(r.0));
-        s.csv("residual", |r| Num(r.1));
     }
 }
 

@@ -18,8 +18,8 @@ use polar_gb::report::{
     TreeDepthStats,
 };
 use polar_gb::{
-    BatchReport, GradientIterRow, GradientReport, Histogram, InductionReport, ReplanFrameRow,
-    ReplanReport, ServeReport, SolveReport, WorkCounts,
+    BatchReport, GradientIterRow, GradientReport, Histogram, ReplanFrameRow, ReplanReport,
+    ServeReport, SolveReport, WorkCounts,
 };
 
 const NASTY: &str = "1a,b\"c\nd\u{1}e\\f\tg";
@@ -325,18 +325,6 @@ fn gradient_empty() -> GradientReport {
     }
 }
 
-fn induction_full() -> InductionReport {
-    InductionReport {
-        molecule: NASTY.into(),
-        mode: "plan".into(),
-        n_atoms: 30,
-        iters: 3,
-        converged: true,
-        u_ind_kcal: -0.75,
-        residuals: vec![1.0, 0.125, f64::NAN],
-    }
-}
-
 fn serve_full() -> ServeReport {
     let mut latency_ms = Histogram::latency_ms();
     for v in [0.05, 0.7, 0.7, 40.0, 9999.0] {
@@ -402,16 +390,6 @@ fn populated_reports_emit_their_golden_bytes() {
         GRADIENT_FULL_JSON,
     );
     check("gradient csv", &gradient_full().to_csv(), GRADIENT_FULL_CSV);
-    check(
-        "induction json",
-        &induction_full().to_json(),
-        INDUCTION_FULL_JSON,
-    );
-    check(
-        "induction csv",
-        &induction_full().to_csv(),
-        INDUCTION_FULL_CSV,
-    );
     check("serve json", &serve_full().to_json(), SERVE_FULL_JSON);
     check("serve csv", &serve_full().to_csv(), SERVE_FULL_CSV);
 }
@@ -438,16 +416,6 @@ fn default_and_non_finite_reports_emit_their_golden_bytes() {
         "gradient csv",
         &gradient_empty().to_csv(),
         GRADIENT_EMPTY_CSV,
-    );
-    check(
-        "induction json",
-        &InductionReport::default().to_json(),
-        INDUCTION_EMPTY_JSON,
-    );
-    check(
-        "induction csv",
-        &InductionReport::default().to_csv(),
-        INDUCTION_EMPTY_CSV,
     );
     check(
         "serve json",
@@ -546,7 +514,6 @@ fn csv_rows_match_their_header_arity() {
         ("replan", 12, replan_full().to_csv()),
         ("gradient", 11, gradient_full().to_csv()),
         ("gradient empty", 11, gradient_empty().to_csv()),
-        ("induction", 2, induction_full().to_csv()),
         ("serve", 31, serve_full().to_csv()),
         ("serve empty", 31, ServeReport::default().to_csv()),
     ] {
@@ -599,8 +566,6 @@ const REPLAN_FULL_JSON: &str = "{\"schema\":\"replan_report/v1\",\"molecule\":\"
 const REPLAN_FULL_CSV: &str = "frame,action,max_disp,dirty_born,total_born,dirty_epol,total_epol,patch_s,plan_s,exec_s,wall_s,epol_kcal\n0,cold,0,8,8,4,4,0,0.5,0.125,0.625,-10.5\n1,patched,0.015625,2,8,1,4,0.03125,0,0.0625,0.09375,-10.25\n";
 const GRADIENT_FULL_JSON: &str = "{\"schema\":\"gradient_report/v1\",\"molecule\":\"1a,b\\\"c\\nd\\u0001e\\\\f\\tg\",\"mode\":\"lbfgs\",\"kernel_mode\":\"lane\",\"n_atoms\":60,\"converged\":true,\"stalled\":false,\"iters\":2,\"final_energy_kcal\":-20.5,\"final_grad_max\":0.0078125,\"total_patched\":2,\"total_rebuilt\":1,\"total_reused\":3,\"grad_seconds\":0.25,\"wall_s\":1.5,\"rows\":[{\"iter\":1,\"energy_kcal\":-20.25,\"grad_max\":0.5,\"grad_rms\":0.125,\"step\":0.03125,\"energy_evals\":2,\"patched\":1,\"rebuilt\":1,\"reused\":0,\"grad_seconds\":0.125,\"energy_seconds\":0.375},{\"iter\":2,\"energy_kcal\":-20.5,\"grad_max\":0.0078125,\"grad_rms\":0.001953125,\"step\":0.015625,\"energy_evals\":1,\"patched\":1,\"rebuilt\":0,\"reused\":3,\"grad_seconds\":0.125,\"energy_seconds\":0.25}]}";
 const GRADIENT_FULL_CSV: &str = "iter,energy_kcal,grad_max,grad_rms,step,energy_evals,patched,rebuilt,reused,grad_s,energy_s\n1,-20.25,0.5,0.125,0.03125,2,1,1,0,0.125,0.375\n2,-20.5,0.0078125,0.001953125,0.015625,1,1,0,3,0.125,0.25\n";
-const INDUCTION_FULL_JSON: &str = "{\"schema\":\"induction_report/v1\",\"molecule\":\"1a,b\\\"c\\nd\\u0001e\\\\f\\tg\",\"mode\":\"plan\",\"n_atoms\":30,\"iters\":3,\"converged\":true,\"u_ind_kcal\":-0.75,\"residuals\":[1,0.125,null]}";
-const INDUCTION_FULL_CSV: &str = "iter,residual\n1,1\n2,0.125\n3,NaN\n";
 const SERVE_FULL_JSON: &str = "{\"schema\":\"serve_report/v1\",\"requests\":13,\"rejected\":2,\"admitted\":10,\"completed\":5,\"shed\":2,\"deadline_exceeded\":1,\"panicked\":1,\"failed\":1,\"control\":1,\"reconciles\":true,\"cache_hits\":3,\"cache_patched\":1,\"cache_misses\":4,\"cache_hit_rate\":0.375,\"cache_evictions\":5,\"quota_evictions\":6,\"poison_evictions\":7,\"cache_bytes_held\":1048576,\"cache_capacity_bytes\":268435456,\"tenants\":2,\"arena_reuses\":8,\"connections\":9,\"workers\":2,\"queue_capacity\":64,\"peak_queue_depth\":3,\"peak_inflight_bytes\":4096,\"latency_ms\":{\"total\":5,\"sum\":10040.45,\"max\":9999,\"mean\":2008.0900000000001,\"p50\":1,\"p90\":9999,\"p99\":9999,\"buckets\":[{\"le\":0.1,\"count\":1},{\"le\":0.25,\"count\":0},{\"le\":0.5,\"count\":0},{\"le\":1,\"count\":2},{\"le\":2.5,\"count\":0},{\"le\":5,\"count\":0},{\"le\":10,\"count\":0},{\"le\":25,\"count\":0},{\"le\":50,\"count\":1},{\"le\":100,\"count\":0},{\"le\":250,\"count\":0},{\"le\":500,\"count\":0},{\"le\":1000,\"count\":0},{\"le\":2500,\"count\":0},{\"le\":5000,\"count\":0},{\"le\":null,\"count\":1}]},\"queue_depth\":{\"total\":3,\"sum\":4,\"max\":3,\"mean\":1.3333333333333333,\"p50\":1,\"p90\":3,\"p99\":3,\"buckets\":[{\"le\":0,\"count\":1},{\"le\":1,\"count\":1},{\"le\":2,\"count\":0},{\"le\":4,\"count\":1},{\"le\":8,\"count\":0},{\"le\":16,\"count\":0},{\"le\":32,\"count\":0},{\"le\":64,\"count\":0},{\"le\":128,\"count\":0},{\"le\":256,\"count\":0},{\"le\":512,\"count\":0},{\"le\":1024,\"count\":0},{\"le\":null,\"count\":0}]},\"drained\":true,\"wall_seconds\":12.5}";
 const SERVE_FULL_CSV: &str = "requests,rejected,admitted,completed,shed,deadline_exceeded,panicked,failed,control,cache_hits,cache_patched,cache_misses,cache_hit_rate,cache_evictions,quota_evictions,poison_evictions,cache_bytes_held,cache_capacity_bytes,tenants,arena_reuses,connections,workers,queue_capacity,peak_queue_depth,peak_inflight_bytes,latency_p50_ms,latency_p90_ms,latency_p99_ms,latency_max_ms,drained,wall_s\n13,2,10,5,2,1,1,1,1,3,1,4,0.375,5,6,7,1048576,268435456,2,8,9,2,64,3,4096,1,9999,9999,9999,true,12.5\n";
 const SOLVE_EMPTY_JSON: &str = "{\"molecule\":\"\",\"mode\":\"\",\"kernel_mode\":\"\",\"n_atoms\":0,\"n_qpoints\":0,\"eps_born\":null,\"eps_epol\":null,\"epol_kcal\":null,\"stages\":[],\"tree_a\":{\"node_count\":0,\"leaf_count\":0,\"max_depth\":0,\"mean_leaf_depth\":0},\"tree_q\":{\"node_count\":0,\"leaf_count\":0,\"max_depth\":0,\"mean_leaf_depth\":null},\"steal\":null,\"comm\":null,\"plan\":null,\"fault\":null,\"memory_bytes\":0}";
@@ -612,7 +577,5 @@ const REPLAN_EMPTY_JSON: &str = "{\"schema\":\"replan_report/v1\",\"molecule\":\
 const REPLAN_EMPTY_CSV: &str = "frame,action,max_disp,dirty_born,total_born,dirty_epol,total_epol,patch_s,plan_s,exec_s,wall_s,epol_kcal\n";
 const GRADIENT_EMPTY_JSON: &str = "{\"schema\":\"gradient_report/v1\",\"molecule\":\"\",\"mode\":\"\",\"kernel_mode\":\"\",\"n_atoms\":0,\"converged\":false,\"stalled\":false,\"iters\":0,\"final_energy_kcal\":null,\"final_grad_max\":null,\"total_patched\":0,\"total_rebuilt\":0,\"total_reused\":0,\"grad_seconds\":0,\"wall_s\":0,\"rows\":[{\"iter\":0,\"energy_kcal\":null,\"grad_max\":0,\"grad_rms\":0,\"step\":0,\"energy_evals\":0,\"patched\":0,\"rebuilt\":0,\"reused\":0,\"grad_seconds\":0,\"energy_seconds\":0}]}";
 const GRADIENT_EMPTY_CSV: &str = "iter,energy_kcal,grad_max,grad_rms,step,energy_evals,patched,rebuilt,reused,grad_s,energy_s\n0,NaN,0,0,0,0,0,0,0,0,0\n";
-const INDUCTION_EMPTY_JSON: &str = "{\"schema\":\"induction_report/v1\",\"molecule\":\"\",\"mode\":\"\",\"n_atoms\":0,\"iters\":0,\"converged\":false,\"u_ind_kcal\":0,\"residuals\":[]}";
-const INDUCTION_EMPTY_CSV: &str = "iter,residual\n";
 const SERVE_EMPTY_JSON: &str = "{\"schema\":\"serve_report/v1\",\"requests\":0,\"rejected\":0,\"admitted\":0,\"completed\":0,\"shed\":0,\"deadline_exceeded\":0,\"panicked\":0,\"failed\":0,\"control\":0,\"reconciles\":true,\"cache_hits\":0,\"cache_patched\":0,\"cache_misses\":0,\"cache_hit_rate\":null,\"cache_evictions\":0,\"quota_evictions\":0,\"poison_evictions\":0,\"cache_bytes_held\":0,\"cache_capacity_bytes\":0,\"tenants\":0,\"arena_reuses\":0,\"connections\":0,\"workers\":0,\"queue_capacity\":0,\"peak_queue_depth\":0,\"peak_inflight_bytes\":0,\"latency_ms\":{\"total\":0,\"sum\":0,\"max\":0,\"mean\":null,\"p50\":null,\"p90\":null,\"p99\":null,\"buckets\":[{\"le\":0.1,\"count\":0},{\"le\":0.25,\"count\":0},{\"le\":0.5,\"count\":0},{\"le\":1,\"count\":0},{\"le\":2.5,\"count\":0},{\"le\":5,\"count\":0},{\"le\":10,\"count\":0},{\"le\":25,\"count\":0},{\"le\":50,\"count\":0},{\"le\":100,\"count\":0},{\"le\":250,\"count\":0},{\"le\":500,\"count\":0},{\"le\":1000,\"count\":0},{\"le\":2500,\"count\":0},{\"le\":5000,\"count\":0},{\"le\":null,\"count\":0}]},\"queue_depth\":{\"total\":0,\"sum\":0,\"max\":0,\"mean\":null,\"p50\":null,\"p90\":null,\"p99\":null,\"buckets\":[{\"le\":0,\"count\":0},{\"le\":1,\"count\":0},{\"le\":2,\"count\":0},{\"le\":4,\"count\":0},{\"le\":8,\"count\":0},{\"le\":16,\"count\":0},{\"le\":32,\"count\":0},{\"le\":64,\"count\":0},{\"le\":128,\"count\":0},{\"le\":256,\"count\":0},{\"le\":512,\"count\":0},{\"le\":1024,\"count\":0},{\"le\":null,\"count\":0}]},\"drained\":false,\"wall_seconds\":0}";
 const SERVE_EMPTY_CSV: &str = "requests,rejected,admitted,completed,shed,deadline_exceeded,panicked,failed,control,cache_hits,cache_patched,cache_misses,cache_hit_rate,cache_evictions,quota_evictions,poison_evictions,cache_bytes_held,cache_capacity_bytes,tenants,arena_reuses,connections,workers,queue_capacity,peak_queue_depth,peak_inflight_bytes,latency_p50_ms,latency_p90_ms,latency_p99_ms,latency_max_ms,drained,wall_s\n0,0,0,0,0,0,0,0,0,0,0,0,,0,0,0,0,0,0,0,0,0,0,0,0,,,,0,false,0\n";

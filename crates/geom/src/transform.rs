@@ -60,6 +60,7 @@ impl Rotation {
     }
 
     /// Determinant; +1 for a proper rotation.
+    #[cfg(test)]
     pub fn det(&self) -> f64 {
         self.rows[0].dot(self.rows[1].cross(self.rows[2]))
     }
@@ -112,11 +113,6 @@ pub struct RigidTransform {
 }
 
 impl RigidTransform {
-    pub const IDENTITY: RigidTransform = RigidTransform {
-        rotation: Rotation::IDENTITY,
-        translation: Vec3::ZERO,
-    };
-
     pub fn translation(t: Vec3) -> Self {
         RigidTransform {
             rotation: Rotation::IDENTITY,

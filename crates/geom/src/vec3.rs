@@ -21,6 +21,7 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
+    #[cfg(test)]
     pub const ONE: Vec3 = Vec3 {
         x: 1.0,
         y: 1.0,

@@ -45,19 +45,6 @@ impl Element {
         }
     }
 
-    /// Canonical symbol.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Element::H => "H",
-            Element::C => "C",
-            Element::N => "N",
-            Element::O => "O",
-            Element::S => "S",
-            Element::P => "P",
-            Element::Other => "X",
-        }
-    }
-
     /// Rough elemental composition of an average protein (all-atom,
     /// including hydrogens), used by the synthetic generators.
     /// Fractions sum to 1.
@@ -137,16 +124,17 @@ mod tests {
     }
 
     #[test]
-    fn symbol_roundtrip() {
-        for e in [
-            Element::H,
-            Element::C,
-            Element::N,
-            Element::O,
-            Element::S,
-            Element::P,
+    fn from_symbol_reads_canonical_symbols() {
+        for (s, e) in [
+            ("H", Element::H),
+            ("C", Element::C),
+            ("N", Element::N),
+            ("O", Element::O),
+            ("S", Element::S),
+            ("P", Element::P),
+            ("X", Element::Other),
         ] {
-            assert_eq!(Element::from_symbol(e.symbol()), e);
+            assert_eq!(Element::from_symbol(s), e);
         }
     }
 

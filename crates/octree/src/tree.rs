@@ -205,14 +205,6 @@ impl Octree {
             + self.leaf_drift.len() * std::mem::size_of::<f64>()
     }
 
-    /// Per-leaf accumulated drift (Å) since each leaf's centroid/radius
-    /// were last recomputed, indexed like [`Octree::leaves`]. All zeros
-    /// after a build or an exact (`tolerance = 0`) refresh.
-    #[inline]
-    pub fn leaf_drift(&self) -> &[f64] {
-        &self.leaf_drift
-    }
-
     /// Worst accumulated drift of any leaf (Å) — how stale the stored
     /// node geometry can be after delta-tolerant refreshes.
     pub fn max_drift(&self) -> f64 {

@@ -181,7 +181,7 @@ impl ServerHandle {
     /// and in-flight work (shedding what the drain timeout strands),
     /// and return the final reconciled report.
     pub fn drain(mut self) -> ServeReport {
-        let report = do_drain(&self.shared);
+        let report = do_drain(&self.shared, |_| {});
         self.join_threads();
         report
     }
@@ -390,8 +390,7 @@ fn handle_line(raw: &[u8], writer: &Arc<Mutex<TcpStream>>, shared: &Arc<Shared>)
         }
         ServeRequest::Control(Control::Drain) => {
             c.control.fetch_add(1, Ordering::Relaxed);
-            let report = do_drain(shared);
-            respond(writer, &wire::drained(&report));
+            do_drain(shared, |report| respond(writer, &wire::drained(report)));
         }
         ServeRequest::Job(job) => admit(*job, raw.len(), received_at, writer, shared),
     }
@@ -574,8 +573,11 @@ fn process(q: Queued, shared: &Arc<Shared>) {
 }
 
 /// The drain protocol. The first caller wins and runs it; racers block
-/// until the winner publishes the final report, then share it.
-fn do_drain(shared: &Arc<Shared>) -> ServeReport {
+/// until the winner publishes the final report, then share it. Each
+/// caller hands the report to `reply` before returning, the winner
+/// before it publishes: [`ServerHandle::join`] returns on the publish,
+/// so a wire drain's answer is written by then.
+fn do_drain(shared: &Arc<Shared>, reply: impl FnOnce(&ServeReport)) -> ServeReport {
     if shared.draining.swap(true, Ordering::SeqCst) {
         let mut g = lock(&shared.final_report);
         while g.is_none() {
@@ -585,7 +587,10 @@ fn do_drain(shared: &Arc<Shared>) -> ServeReport {
                 .map(|(g, _)| g)
                 .unwrap_or_else(|p| p.into_inner().0);
         }
-        return g.clone().expect("loop exits only once the report is set");
+        let report = g.clone().expect("loop exits only once the report is set");
+        drop(g);
+        reply(&report);
+        return report;
     }
 
     let give_up_at = Instant::now() + shared.cfg.drain_timeout;
@@ -627,6 +632,7 @@ fn do_drain(shared: &Arc<Shared>) -> ServeReport {
 
     let mut report = snapshot(shared);
     report.drained = true;
+    reply(&report);
     *lock(&shared.final_report) = Some(report.clone());
     shared.report_cv.notify_all();
     report
@@ -847,5 +853,35 @@ mod tests {
         // Jobs after a drain are shed, not silently dropped: the
         // stopping server may no longer answer, but the counters did
         // reconcile at drain time, which is the contract.
+    }
+
+    #[test]
+    fn join_returns_only_after_the_drain_reply_is_written() {
+        // `polar serve` exits as soon as `join` returns, so a drain reply
+        // still waiting on its socket would never reach the client. Hold
+        // the connection's writer to make that write slow.
+        let handle = start(ServeConfig::default()).expect("bind");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let writer = Arc::new(Mutex::new(listener.accept().unwrap().0));
+        let held = lock(&writer);
+        let drainer = {
+            let (writer, shared) = (Arc::clone(&writer), Arc::clone(&handle.shared));
+            std::thread::spawn(move || handle_line(b"{\"cmd\":\"drain\"}\n", &writer, &shared))
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || tx.send(handle.join()).unwrap());
+        assert!(
+            rx.recv_timeout(Duration::from_millis(500)).is_err(),
+            "join returned before the drain reply was written"
+        );
+        drop(held);
+        let report = rx.recv_timeout(Duration::from_secs(30)).expect("join");
+        assert!(report.drained);
+        drainer.join().unwrap();
+        joiner.join().unwrap();
+        let mut reply = String::new();
+        BufReader::new(client).read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"status\":\"drained\""), "{reply}");
     }
 }

@@ -162,7 +162,8 @@ impl DunavantRule {
     }
 
     /// Integrate `f` over the reference triangle with vertices
-    /// (0,0), (1,0), (0,1). Mostly used by tests.
+    /// (0,0), (1,0), (0,1): the reference the rule tests check against.
+    #[cfg(test)]
     pub fn integrate_reference<F: Fn(f64, f64) -> f64>(&self, f: F) -> f64 {
         // Reference-triangle area is 1/2; bary = (1−x−y, x, y).
         let mut acc = 0.0;

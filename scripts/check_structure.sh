@@ -70,7 +70,7 @@ no_callerless_surface() {
   grep -nE 'fn (send|checked_send|recv|recv_from|set_recv_timeout|barrier|broadcast|allreduce_sum|allgather|allreduce_scalar|alive_ranks)\b|Disconnected' \
     crates/mpi/src/comm.rs | none
   grep -nE 'fn (barrier|broadcast|reduce)\b' crates/mpi/src/network.rs | none
-  grep -rnE 'fn (split_even|split_weighted|makespan_envelope|epol_gradient_cutoff|epol_gradient_of_atom|for_each_in_ball|find_leaf|refresh|per_atom_area|born_radii_r4|zdock_like_suite|zdock_suite|atom_count|sphere_bounds|atom_bytes|build_frames|euler_zyx|rotation_about|lerp|any_orthonormal|dist_sq_to_point|cell_count)\b|BoundingSphere' \
+  grep -rnE 'fn (split_even|split_weighted|makespan_envelope|epol_gradient_cutoff|epol_gradient_of_atom|for_each_in_ball|find_leaf|refresh|per_atom_area|born_radii_r4|zdock_like_suite|zdock_suite|atom_count|sphere_bounds|atom_bytes|build_frames|euler_zyx|rotation_about|lerp|any_orthonormal|dist_sq_to_point|cell_count|leaf_drift|to_xyz|to_pdb|symbol)\b|BoundingSphere|IDENTITY: RigidTransform' \
     crates/*/src | none
   find crates -name nonpolar.rs -o -name sphere.rs | none
   # A dead peer is an absent rank or a CommError, never a panic.
@@ -85,6 +85,12 @@ one_octree_layout() {
 
 no_gather_scatter() {
   ! grep -rnE 'i32gather|i32scatter|i64gather|i64scatter' crates/*/src
+}
+
+no_point_dipole_induction() {
+  # E_pol is the solvent's polarization; the solute's induced dipoles
+  # (and the plan accessors that fed them) were retired.
+  ! grep -rniE 'induc|InductionReport|epol_leaf_cover|atom_soa' crates/*/src
 }
 
 failed=0
@@ -106,4 +112,5 @@ guard "One Fig. 4 pipeline (the stages live in polar_gb::eval; the solver and th
 guard "No caller-less surface (one collective layer, one partitioner, retired extensions stay retired)" no_callerless_surface
 guard "One octree layout (the planner and the recursions read the pre-order nodes in place; no WalkNode copy, no children arrays)" one_octree_layout
 guard "No hardware gather or scatter in library code (scalar loads won on every tier measured; see kernels.rs)" no_gather_scatter
+guard "No point-dipole induction (the workspace computes the GB solvent polarization energy only)" no_point_dipole_induction
 exit "$failed"
