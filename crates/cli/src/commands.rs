@@ -49,6 +49,15 @@ fn params_from(a: &Args) -> Result<GbParams, ArgError> {
     })
 }
 
+/// `--threads` (`default` when absent): a worker count, so 0 is refused
+/// rather than run as nothing or as one.
+fn worker_count(a: &Args, default: usize) -> Result<usize, ArgError> {
+    match a.get_parsed("threads", default)? {
+        0 => Err(ArgError("ranks and threads must be positive".into())),
+        n => Ok(n),
+    }
+}
+
 /// `--<name> N` (MiB) as a byte count.
 fn mib_bytes(a: &Args, name: &str, default_mb: usize) -> Result<usize, ArgError> {
     mib_to_bytes(&format!("--{name}"), a.get_parsed(name, default_mb)?).map_err(ArgError)
@@ -206,7 +215,7 @@ pub fn batch(a: &Args) -> CmdResult {
         .get("manifest")
         .ok_or_else(|| ArgError("batch needs --manifest <jobs.json>".into()))?;
     let cache_bytes = mib_bytes(a, "cache-mb", 256)?;
-    let workers: usize = a.get_parsed("threads", all_cores())?;
+    let workers = worker_count(a, all_cores())?;
     let profile = profile_format(a)?;
     let path = std::path::Path::new(manifest_path);
     let manifest = polar_molecule::manifest::load_manifest(path)?;
@@ -397,8 +406,7 @@ pub fn minimize(a: &Args) -> CmdResult {
     use polar_gb::{MinimizeConfig, ReplanConfig};
     let profile = profile_format(a)?;
     let params = params_from(a)?;
-    let threads: usize =
-        a.get_parsed("threads", if a.flag("parallel") { all_cores() } else { 1 })?;
+    let threads = worker_count(a, if a.flag("parallel") { all_cores() } else { 1 })?;
     let defaults = MinimizeConfig::default();
     let cfg = MinimizeConfig {
         max_iters: a.get_parsed("max-iters", defaults.max_iters)?,
@@ -467,7 +475,7 @@ pub fn minimize(a: &Args) -> CmdResult {
 /// sends `{"cmd":"drain"}`, then print the final report and exit 0.
 pub fn serve(a: &Args) -> CmdResult {
     use std::io::Write;
-    let workers: usize = a.get_parsed("threads", all_cores())?;
+    let workers = worker_count(a, all_cores())?;
     let deadline_ms = match a.get("deadline-ms") {
         None => None,
         Some(_) => Some(a.get_parsed("deadline-ms", 0u64)?),
@@ -654,16 +662,16 @@ fn fault_spec_from(
 
 /// `polar distributed <file>`
 pub fn distributed(a: &Args) -> CmdResult {
-    let mol = load_molecule(a)?;
     let ranks: usize = a.get_parsed("ranks", 4)?;
-    let threads: usize = a.get_parsed("threads", 1)?;
-    if ranks == 0 || threads == 0 {
+    let threads = worker_count(a, 1)?;
+    if ranks == 0 {
         return Err(Box::new(ArgError(
             "ranks and threads must be positive".into(),
         )));
     }
     let profile = profile_format(a)?;
     let params = params_from(a)?;
+    let mol = load_molecule(a)?;
     let solver = prepare(&mol);
     let cfg = DistributedConfig {
         ranks,

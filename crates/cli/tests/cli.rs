@@ -179,7 +179,7 @@ fn missing_file_is_a_clean_error() {
 fn bad_option_is_rejected() {
     // `x.pqr` does not exist: each row must be refused as a usage error
     // (exit 2) before any input is read, never run, coerced or panic.
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["energy", "x.pqr", "--warp-speed"], "unknown option"),
         // The generators assert n > 0: this used to exit 101.
         (&["generate", "globule", "0"], "atom count must be >= 1"),
@@ -198,6 +198,29 @@ fn bad_option_is_rejected() {
         (
             &["energy", "x.pqr", "--reuse-plan", "-1"],
             "--reuse-plan: cannot parse",
+        ),
+        // A zero worker count: batch ran and printed "0 workers",
+        // minimize ran serially, serve ran one worker; distributed read
+        // the molecule first.
+        (
+            &["batch", "--manifest", "m.json", "--threads", "0"],
+            "ranks and threads must be positive",
+        ),
+        (
+            &["minimize", "x.pqr", "--threads", "0", "--parallel"],
+            "ranks and threads must be positive",
+        ),
+        (
+            &["serve", "--threads", "0"],
+            "ranks and threads must be positive",
+        ),
+        (
+            &["distributed", "x.pqr", "--threads", "0"],
+            "ranks and threads must be positive",
+        ),
+        (
+            &["distributed", "x.pqr", "--ranks", "0"],
+            "ranks and threads must be positive",
         ),
     ];
     for (args, message) in cases {

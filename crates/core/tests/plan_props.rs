@@ -455,6 +455,24 @@ fn the_stepper_matches_the_hand_written_loop_frame_for_frame() {
 }
 
 #[test]
+fn a_plan_built_inside_a_pool_is_the_plan_built_outside() {
+    // A pool with a worker per core leaves each worker a share of one
+    // thread, so a build inside it runs inline; on a plain thread it
+    // forks onto every core. The lists are the same either way.
+    let solver = solver_for(2500, 47);
+    let p = GbParams::default();
+    let outside = solver.plan(&p);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let task = || (polar_runtime::fair_share(), solver.plan(&p));
+    let (mut inside, _) = polar_runtime::run_batch(cores.max(2), vec![task]);
+    let (share, inside) = inside.pop().expect("one task");
+    assert_eq!(share, 1, "a full pool's worker forks nothing");
+    assert_eq!(polar_runtime::fair_share(), cores);
+    assert_same_lists(&inside, &outside, "inside a pool");
+    assert_eq!(inside.plan_work, outside.plan_work);
+}
+
+#[test]
 fn plan_report_mode_and_stats_round_trip() {
     let s = solver_for(150, 7);
     let p = GbParams::default();

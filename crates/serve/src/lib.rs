@@ -467,6 +467,9 @@ fn admit(
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    // A miss builds its plan on this thread; with every worker building
+    // at once, that build must not fork past this worker's share.
+    polar_gb::set_callers(shared.cfg.workers.max(1));
     loop {
         let queued = {
             let mut qs = lock(&shared.queue);
