@@ -113,13 +113,6 @@ fn all_cores() -> usize {
 pub fn energy(a: &Args) -> CmdResult {
     let profile = profile_format(a)?;
     let params = params_from(a)?;
-    let reuse_plan = match a.get("reuse-plan") {
-        Some(_) => Some(a.get_parsed("reuse-plan", 1_usize)?),
-        None => None,
-    };
-    if reuse_plan == Some(0) {
-        return Err(Box::new(ArgError("--reuse-plan needs N >= 1".into())));
-    }
     let mol = load_molecule(a)?;
     if mol.total_charge().abs() < 1e-12 && mol.charges().iter().all(|q| *q == 0.0) {
         eprintln!(
@@ -128,12 +121,10 @@ pub fn energy(a: &Args) -> CmdResult {
         );
     }
     let solver = prepare(&mol);
-    if let Some(n) = reuse_plan {
-        return energy_reuse_plan(a, n, &solver, &params, profile);
-    }
     let workers = a.flag("parallel").then(all_cores);
     let t = Instant::now();
-    let (result, report) = solver.solve_report(LeafEval::Traverse, &params, workers)?;
+    let (result, report) =
+        solver.solve_report(LeafEval::Plan(&solver.plan(&params)), &params, workers)?;
     println!(
         "E_pol = {:.4} kcal/mol  (eps {}/{}, {} math, {:.2?})",
         result.epol_kcal,
@@ -153,55 +144,6 @@ pub fn energy(a: &Args) -> CmdResult {
             100.0 * (result.epol_kcal - e) / e.abs()
         );
     }
-    Ok(())
-}
-
-/// `polar energy --reuse-plan N`: plan once, execute `N` solves from the
-/// flat lists, and report how the one-time traversal cost amortizes —
-/// the paper's ZDock-style repeated-rescoring workload.
-fn energy_reuse_plan(
-    a: &Args,
-    n: usize,
-    solver: &GbSolver,
-    params: &GbParams,
-    profile: Option<ProfileFormat>,
-) -> CmdResult {
-    let t = Instant::now();
-    let plan = solver.plan(params);
-    let plan_s = t.elapsed().as_secs_f64();
-    let stats = plan.stats();
-    eprintln!(
-        "planned {} near + {} far Born entries, {} near + {} far energy entries \
-         ({:.1} MB) in {plan_s:.3}s",
-        stats.born_near_entries,
-        stats.born_far_entries,
-        stats.epol_near_entries,
-        stats.epol_far_entries,
-        stats.plan_bytes as f64 / 1048576.0,
-    );
-    let workers = a.flag("parallel").then(all_cores);
-    let t = Instant::now();
-    let mut last = None;
-    for _ in 0..n {
-        last = Some(solver.solve_report(LeafEval::Plan(&plan), params, workers)?);
-    }
-    let exec_total = t.elapsed().as_secs_f64();
-    let (result, report) = last.expect("n >= 1");
-    let per_solve = exec_total / n as f64;
-    println!(
-        "E_pol = {:.4} kcal/mol  (eps {}/{}, {} math, plan reused {n}x)",
-        result.epol_kcal,
-        params.eps_born,
-        params.eps_epol,
-        params.math.label(),
-    );
-    println!(
-        "plan {plan_s:.3}s once + {per_solve:.3}s/solve; \
-         amortized {:.3}s/solve vs {:.3}s replanning every solve",
-        plan_s / n as f64 + per_solve,
-        plan_s + per_solve,
-    );
-    emit_report(&report, profile);
     Ok(())
 }
 
@@ -593,23 +535,25 @@ pub fn generate(a: &Args) -> CmdResult {
 
 /// `polar sweep <file>`
 pub fn sweep(a: &Args) -> CmdResult {
-    let mol = load_molecule(a)?;
-    let from: f64 = a.get_parsed("from", 0.1)?;
-    let to: f64 = a.get_parsed("to", 0.9)?;
+    let from = checked(a, "from", 0.1, check_eps)?;
+    let to = checked(a, "to", 0.9, check_eps)?;
     let steps: usize = a.get_parsed("steps", 9)?;
-    if !(from > 0.0 && to >= from && steps >= 1) {
+    if !(to >= from && steps >= 1) {
         return Err(Box::new(ArgError(
             "need 0 < from <= to and steps >= 1".into(),
         )));
     }
+    let mol = load_molecule(a)?;
     let solver = prepare(&mol);
-    let reference = solver
-        .solve(&GbParams {
-            eps_born: 1e-6,
-            eps_epol: 1e-6,
+    let solve = |eps: f64| {
+        let p = GbParams {
+            eps_born: eps,
+            eps_epol: eps,
             ..GbParams::default()
-        })
-        .epol_kcal;
+        };
+        solver.solve_with_plan(&solver.plan(&p), &p)
+    };
+    let reference = solve(1e-6)?.epol_kcal;
     println!("reference (exact) E_pol = {reference:.4} kcal/mol");
     println!("{:>7} {:>14} {:>9} {:>12}", "eps", "E_pol", "err %", "time");
     for k in 0..steps {
@@ -619,11 +563,7 @@ pub fn sweep(a: &Args) -> CmdResult {
             from + (to - from) * k as f64 / (steps - 1) as f64
         };
         let t = Instant::now();
-        let r = solver.solve(&GbParams {
-            eps_born: eps,
-            eps_epol: eps,
-            ..GbParams::default()
-        });
+        let r = solve(eps)?;
         println!(
             "{eps:>7.3} {:>14.4} {:>9.4} {:>12.2?}",
             r.epol_kcal,
@@ -677,7 +617,7 @@ pub fn distributed(a: &Args) -> CmdResult {
         ranks,
         threads_per_rank: threads,
         params,
-        use_plan: a.flag("plan"),
+        use_plan: true,
         ..DistributedConfig::oct_mpi(ranks, params)
     };
     let fault_spec = fault_spec_from(a, ranks)?;
@@ -689,9 +629,6 @@ pub fn distributed(a: &Args) -> CmdResult {
         }
         if profile.is_some() {
             eprintln!("warning: --profile is not available for the data-distributed driver");
-        }
-        if cfg.use_plan {
-            eprintln!("warning: --plan is ignored by the data-distributed driver");
         }
         let t = Instant::now();
         let run = run_data_distributed(&solver, &cfg)?;

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! polar energy <file.pqr|.pdb|.xyz> [--eps-born E] [--eps-epol E]
-//!                                   [--approx-math] [--parallel] [--naive]
+//!                                   [--approx-math] [--strict-fp]
+//!                                   [--parallel] [--naive] [--profile json|csv]
 //! polar info <file>
 //! polar generate <globule|shell|ligand> <n_atoms> [--seed S] [--out f.pqr]
 //! polar sweep <file> [--from 0.1] [--to 0.9] [--steps 9]
@@ -18,8 +19,12 @@
 //!                       [--out report.json] [--profile json|csv]
 //! polar serve [--addr H:P] [--queue-depth N] [--deadline-ms N]
 //!             [--cache-mb N] [--quota-mb N] [--drain-timeout S]
-//! polar project <file> [--nodes N]     # simulated cluster timings
+//! polar project <file> [--nodes N] [--plan]  # simulated cluster timings
 //! ```
+//!
+//! Every solve (`energy`, `sweep`, replicated `distributed`) plans the
+//! Fig. 2/3 separation tests once into flat interaction lists and
+//! executes them; only `distributed --data-dist` walks the octrees.
 
 mod args;
 mod commands;
@@ -38,7 +43,6 @@ const VALUE_OPTS: &[&str] = &[
     "threads",
     "nodes",
     "profile",
-    "reuse-plan",
     "faults",
     "fault-seed",
     "manifest",
@@ -109,7 +113,7 @@ fn print_usage() {
         "polar — octree-based GB polarization energy (SC 2012 reproduction)
 
 USAGE:
-  polar energy <file>       compute E_pol (octree, eps = 0.9/0.9 default)
+  polar energy <file>       compute E_pol (octree plan, eps = 0.9/0.9 default)
       --eps-born E --eps-epol E   approximation parameters
       --approx-math               fast sqrt/exp/cbrt kernels
       --strict-fp                 scalar strict-fp plan execution (the
@@ -118,16 +122,15 @@ USAGE:
                                   work-stealing pool
       --naive                     also run the O(M^2) reference + error
       --profile json|csv          print a structured SolveReport to stdout
-      --reuse-plan N              plan the traversals once, execute N solves
-                                  from the flat lists (amortization timing)
   polar info <file>         atom counts, charge, bounds, surface size
   polar generate <kind> <n> synthesize globule|shell|ligand [--seed S] [--out f.pqr]
   polar sweep <file>        error/time vs eps [--from A --to B --steps K]
   polar distributed <file>  the in-process OCT_MPI / OCT_MPI+CILK driver
-                            [--ranks P] [--threads p]
-      --plan                      ranks execute segments of a shared plan
+                            [--ranks P] [--threads p]; ranks execute
+                            segments of one shared plan
       --data-dist                 partition the quadrature points over ranks
-                                  instead of replicating them (no faults, no --plan)
+                                  instead of replicating them (octree
+                                  traversal, no faults)
       --faults spec.json          inject the fault schedule from a FaultSpec file
       --fault-seed N              inject a deterministic seeded fault schedule;
                                   survivors recover lost work by re-division

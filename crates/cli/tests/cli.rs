@@ -115,40 +115,41 @@ fn distributed_and_data_dist_run() {
 }
 
 #[test]
-fn reuse_plan_amortizes_and_profiles() {
-    let path = tmp_pqr("reuse", 250);
-    let out = polar()
-        .args(["energy"])
-        .arg(&path)
-        .args(["--reuse-plan", "3", "--profile", "json"])
-        .output()
-        .unwrap();
+fn every_solve_runs_the_plan_engine() {
+    let path = tmp_pqr("plan_default", 250);
+    let json = |args: &[&str]| {
+        let out = polar().args(args).arg(&path).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("E_pol = -"), "{args:?}: {text}");
+        text
+    };
+    let serial = json(&["energy", "--profile", "json"]);
+    assert!(serial.contains("\"mode\":\"plan\""), "{serial}");
+    assert!(serial.contains("\"kernel_mode\":\"lane\""), "{serial}");
+    assert!(serial.contains("\"plan\":{"), "{serial}");
+    let parallel = json(&["energy", "--parallel", "--profile", "json"]);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        parallel.contains("\"mode\":\"plan_parallel\""),
+        "{parallel}"
     );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("plan reused 3x"), "{text}");
-    assert!(text.contains("amortized"), "{text}");
-    assert!(text.contains("\"mode\":\"plan\""), "{text}");
-    assert!(text.contains("\"plan\":{"), "{text}");
-    let planned = String::from_utf8_lossy(&out.stderr);
-    assert!(planned.contains("planned"), "{planned}");
-
-    // Plan-executing ranks agree with the plain distributed run.
-    let dist = polar()
-        .args(["distributed"])
-        .arg(&path)
-        .args(["--ranks", "2", "--threads", "2", "--plan"])
-        .output()
-        .unwrap();
-    assert!(
-        dist.status.success(),
-        "{}",
-        String::from_utf8_lossy(&dist.stderr)
-    );
-    assert!(String::from_utf8_lossy(&dist.stdout).contains("E_pol = -"));
+    let strict = json(&["energy", "--strict-fp", "--profile", "json"]);
+    assert!(strict.contains("\"kernel_mode\":\"strict\""), "{strict}");
+    let dist = json(&[
+        "distributed",
+        "--ranks",
+        "2",
+        "--threads",
+        "2",
+        "--profile",
+        "json",
+    ]);
+    assert!(dist.contains("\"kernel_mode\":\"lane\""), "{dist}");
+    assert!(dist.contains("\"plan\":{"), "{dist}");
 
     // Plan-derived cluster projection runs.
     let proj = polar()
@@ -179,7 +180,7 @@ fn missing_file_is_a_clean_error() {
 fn bad_option_is_rejected() {
     // `x.pqr` does not exist: each row must be refused as a usage error
     // (exit 2) before any input is read, never run, coerced or panic.
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["energy", "x.pqr", "--warp-speed"], "unknown option"),
         // The generators assert n > 0: this used to exit 101.
         (&["generate", "globule", "0"], "atom count must be >= 1"),
@@ -190,15 +191,8 @@ fn bad_option_is_rejected() {
             &["project", "x.pqr", "--nodes", "0"],
             "--nodes must be >= 1",
         ),
-        // Used to be refused only after the molecule was loaded.
-        (
-            &["energy", "x.pqr", "--reuse-plan", "0"],
-            "--reuse-plan needs N >= 1",
-        ),
-        (
-            &["energy", "x.pqr", "--reuse-plan", "-1"],
-            "--reuse-plan: cannot parse",
-        ),
+        // Every solve plans once: there is no plan-reuse count to give.
+        (&["energy", "x.pqr", "--reuse-plan", "3"], "unknown option"),
         // A zero worker count: batch ran and printed "0 workers",
         // minimize ran serially, serve ran one worker; distributed read
         // the molecule first.
@@ -532,6 +526,10 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
         ("minimize", "--max-step", "-1"),
         ("minimize", "--step", "nan"),
         ("minimize", "--step", "-1"),
+        // `--to inf` made the first ε `from + (inf - from)·0`, a NaN.
+        ("sweep", "--to", "inf"),
+        ("sweep", "--from", "nan"),
+        ("sweep", "--from", "0"),
     ]);
     for (command, option, value) in rows {
         let out = polar()
@@ -559,6 +557,20 @@ fn a_bad_epsilon_is_a_usage_error_not_a_panic() {
             "{command} {option} {value}: {err}"
         );
     }
+    // An ε so small that 1 + ε == 1 is valid: it used to give the
+    // energy stage zero Born-radius bins and an out-of-bounds index.
+    let out = polar()
+        .arg("energy")
+        .arg(&path)
+        .args(["--eps-epol", "1e-17"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("E_pol = -"));
 }
 
 #[test]

@@ -25,6 +25,9 @@ use polar_geom::MathMode;
 use polar_octree::{NodeId, Octree};
 use std::ops::Range;
 
+/// Most Born-radius bins a [`BinScheme`] holds (see [`BinScheme::new`]).
+const MAX_BINS: usize = 256;
+
 /// Born-radius binning scheme shared by all nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinScheme {
@@ -56,9 +59,10 @@ impl BinScheme {
         // ε → 0 the count diverges (~1/ε) while the far field that would
         // consume the bins vanishes, so beyond the cap extra resolution
         // is pure memory waste. 256 bins resolve R within 2.7% even over
-        // a 1000× radius range.
-        const MAX_BINS: usize = 256;
-        let nbins = ((((r_max / r_min).ln() / log1e).ceil().max(1.0) as usize) + 1).min(MAX_BINS);
+        // a 1000× radius range. The quotient is capped before the cast:
+        // once 1 + ε rounds to 1, `log1e` is 0 and the quotient +∞.
+        let bins = ((r_max / r_min).ln() / log1e).ceil().max(1.0);
+        let nbins = ((bins.min(MAX_BINS as f64) as usize) + 1).min(MAX_BINS);
         let log1e = if nbins == MAX_BINS {
             // Re-derive the bin width so the capped bins still span the
             // full radius range.
@@ -631,6 +635,20 @@ mod tests {
         let u = BinScheme::new(&[0.1, 1000.0], 0.5);
         assert!(u.nbins < 256);
         assert!(u.bin_of(1000.0) < u.nbins);
+    }
+
+    #[test]
+    fn an_epsilon_that_vanishes_against_one_takes_the_capped_scheme() {
+        // 1 + ε == 1 here, so log(1+ε) is 0 and the bin-count quotient
+        // +∞: the cast saturated and the `+ 1` wrapped to zero bins.
+        for eps in [1e-17, 1e-300] {
+            let b = BinScheme::new(&[0.1, 1.0, 1000.0], eps);
+            assert_eq!(b.nbins, MAX_BINS, "ε = {eps}");
+            for r in [0.05, 0.1, 1.0, 999.0, 1000.0, 1e9] {
+                assert!(b.bin_of(r) < b.nbins, "ε = {eps}, r = {r}");
+            }
+            assert!(b.bin_of(1.0) <= b.bin_of(1000.0));
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! A plan built once is reusable across repeated solves of the same
 //! prepared [`GbSolver`] — the paper's ZDock re-scoring workload
 //! (§IV.C): many energy evaluations of one complex without re-walking
-//! the trees. See `GbSolver::solve_with_plan` and the
-//! `polar energy --reuse-plan N` CLI mode.
+//! the trees. See `GbSolver::solve_with_plan`; every `polar` CLI solve
+//! plans and executes this way.
 //!
 //! ## Fidelity to the recursive reference
 //!

@@ -9,6 +9,13 @@ use polar_energy::molecule::generators;
 use polar_energy::prelude::*;
 use std::time::Instant;
 
+/// Plan the octree traversals at `params`' ε and execute the plan.
+fn solve(solver: &GbSolver, params: &GbParams) -> GbResult {
+    solver
+        .solve_with_plan(&solver.plan(params), params)
+        .expect("the plan was built from this solver at these ε")
+}
+
 fn main() {
     let mol = generators::globular("sweep", 4_000, 3);
     let solver = GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
@@ -25,7 +32,7 @@ fn main() {
         eps_epol: 1e-6,
         ..Default::default()
     };
-    let reference = solver.solve(&exact).epol_kcal;
+    let reference = solve(&solver, &exact).epol_kcal;
     println!("reference E_pol = {reference:.4} kcal/mol\n");
 
     println!(
@@ -39,7 +46,7 @@ fn main() {
             ..Default::default()
         };
         let t = Instant::now();
-        let r = solver.solve(&params);
+        let r = solve(&solver, &params);
         let dt = t.elapsed();
         println!(
             "{k:>5.2} {:>12.4} {:>10.4} {:>14} {:>12.2?}",

@@ -93,6 +93,12 @@ no_point_dipole_induction() {
   ! grep -rniE 'induc|InductionReport|epol_leaf_cover|atom_soa' crates/*/src
 }
 
+every_cli_solve_plans() {
+  # `energy`, `sweep` and the replicated `distributed` execute a plan;
+  # the traversal stays in the library as the reference the tests use.
+  ! grep -rnE 'LeafEval::Traverse|\.solve\(|reuse-plan|use_plan: a\.flag' crates/cli/src
+}
+
 failed=0
 guard() {
   local name=$1 out status
@@ -113,4 +119,5 @@ guard "No caller-less surface (one collective layer, one partitioner, retired ex
 guard "One octree layout (the planner and the recursions read the pre-order nodes in place; no WalkNode copy, no children arrays)" one_octree_layout
 guard "No hardware gather or scatter in library code (scalar loads won on every tier measured; see kernels.rs)" no_gather_scatter
 guard "No point-dipole induction (the workspace computes the GB solvent polarization energy only)" no_point_dipole_induction
+guard "Every CLI solve runs the plan engine (no recursive traversal, plan-reuse count or plan switch behind \`polar\`)" every_cli_solve_plans
 exit "$failed"

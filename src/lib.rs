@@ -32,8 +32,11 @@
 //! let mol = polar_energy::molecule::generators::globular("demo", 500, 42);
 //! // Build surface quadrature + both octrees once...
 //! let solver = GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
-//! // ...then solve at any approximation parameter.
-//! let result = solver.solve(&GbParams::default());
+//! // ...then plan the octree traversals at any approximation parameter
+//! // and execute the plan (reusable for every solve at that ε).
+//! let params = GbParams::default();
+//! let plan = solver.plan(&params);
+//! let result = solver.solve_with_plan(&plan, &params).unwrap();
 //! assert!(result.epol_kcal < 0.0);
 //! ```
 

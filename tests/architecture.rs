@@ -3,7 +3,7 @@
 //! `scripts/check_structure.sh` holds the structural guards (one JSON
 //! codec, one kernel source, one rescoring stack, one Fig. 4 pipeline, no
 //! caller-less surface, no hardware gather/scatter, no point-dipole
-//! induction); this file runs it.
+//! induction, every CLI solve on the plan engine); this file runs it.
 //! It also holds the root `Cargo.toml` to testing every crate: the
 //! tier-1 `cargo build --release && cargo test -q` covers exactly the
 //! default members, so a crate dropped from them drops its tests silently.
