@@ -31,10 +31,9 @@ fn checked(
     rule(&format!("--{name}"), a.get_parsed(name, default)?).map_err(ArgError)
 }
 
-fn params_from(a: &Args) -> Result<GbParams, ArgError> {
-    Ok(GbParams {
-        eps_born: checked(a, "eps-born", 0.9, check_eps)?,
-        eps_epol: checked(a, "eps-epol", 0.9, check_eps)?,
+/// `--approx-math` and `--strict-fp` over the default parameters.
+fn modes_from(a: &Args) -> GbParams {
+    GbParams {
         math: if a.flag("approx-math") {
             MathMode::Approximate
         } else {
@@ -46,6 +45,14 @@ fn params_from(a: &Args) -> Result<GbParams, ArgError> {
             polar_gb::KernelMode::Lane
         },
         ..GbParams::default()
+    }
+}
+
+fn params_from(a: &Args) -> Result<GbParams, ArgError> {
+    Ok(GbParams {
+        eps_born: checked(a, "eps-born", 0.9, check_eps)?,
+        eps_epol: checked(a, "eps-epol", 0.9, check_eps)?,
+        ..modes_from(a)
     })
 }
 
@@ -543,13 +550,16 @@ pub fn sweep(a: &Args) -> CmdResult {
             "need 0 < from <= to and steps >= 1".into(),
         )));
     }
+    // The sweep sets both ε itself: `--eps-born`/`--eps-epol` are not
+    // among its options.
+    let modes = modes_from(a);
     let mol = load_molecule(a)?;
     let solver = prepare(&mol);
     let solve = |eps: f64| {
         let p = GbParams {
             eps_born: eps,
             eps_epol: eps,
-            ..GbParams::default()
+            ..modes
         };
         solver.solve_with_plan(&solver.plan(&p), &p)
     };

@@ -89,6 +89,39 @@ fn sweep_emits_requested_rows() {
 }
 
 #[test]
+fn sweep_honours_the_math_and_kernel_options() {
+    let path = tmp_pqr("sweep_modes", 200);
+    // The E_pol column of each row, the reference line included.
+    let energies = |extra: &[&str]| {
+        let out = polar()
+            .args(["sweep"])
+            .arg(&path)
+            .args(["--from", "0.5", "--to", "0.9", "--steps", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{extra:?}: {text}");
+        let reference = text.lines().next().and_then(|l| l.split(" = ").nth(1));
+        let rows = text
+            .lines()
+            .skip(2)
+            .filter_map(|l| l.split_whitespace().nth(1));
+        let mut column = Vec::from_iter(reference.map(str::to_owned));
+        column.extend(rows.map(str::to_owned));
+        assert_eq!(column.len(), 3, "{extra:?}: {text}");
+        column
+    };
+    let exact = energies(&[]);
+    let approximate = energies(&["--approx-math"]);
+    for (e, a) in exact.iter().zip(&approximate) {
+        assert_ne!(e, a, "--approx-math moves every energy");
+    }
+    // Strict and lane kernels agree far below the printed digits.
+    assert_eq!(energies(&["--strict-fp"]), exact);
+}
+
+#[test]
 fn distributed_and_data_dist_run() {
     let path = tmp_pqr("dist", 250);
     let out = polar()
@@ -180,7 +213,7 @@ fn missing_file_is_a_clean_error() {
 fn bad_option_is_rejected() {
     // `x.pqr` does not exist: each row must be refused as a usage error
     // (exit 2) before any input is read, never run, coerced or panic.
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["energy", "x.pqr", "--warp-speed"], "unknown option"),
         // The generators assert n > 0: this used to exit 101.
         (&["generate", "globule", "0"], "atom count must be >= 1"),
@@ -215,6 +248,27 @@ fn bad_option_is_rejected() {
         (
             &["distributed", "x.pqr", "--ranks", "0"],
             "ranks and threads must be positive",
+        ),
+        // Each command takes only the options it reads: these ran and
+        // were silently ignored.
+        (
+            &["info", "x.pqr", "--parallel"],
+            "unknown option --parallel",
+        ),
+        (&["distributed", "x.pqr", "--plan"], "unknown option --plan"),
+        (
+            &["generate", "globule", "10", "--strict-fp"],
+            "unknown option --strict-fp",
+        ),
+        (&["serve", "--naive"], "unknown option --naive"),
+        // The sweep sets both epsilons itself.
+        (
+            &["sweep", "x.pqr", "--eps-born", "0.5"],
+            "unknown option --eps-born",
+        ),
+        (
+            &["sweep", "x.pqr", "--eps-epol", "0.5"],
+            "unknown option --eps-epol",
         ),
     ];
     for (args, message) in cases {

@@ -1431,6 +1431,17 @@ pub struct FarRows {
 }
 
 impl FarRows {
+    /// Empty rows with room for `entries` bins.
+    pub fn with_capacity(entries: usize) -> FarRows {
+        let col = || Vec::with_capacity(entries);
+        FarRows {
+            q: col(),
+            r: col(),
+            s: col(),
+            d_sq: col(),
+        }
+    }
+
     /// Empty the rows, keeping their capacity for the next leaf.
     pub fn clear(&mut self) {
         for col in [&mut self.q, &mut self.r, &mut self.s, &mut self.d_sq] {

@@ -32,7 +32,10 @@
 //!   auto-vectorizable), chunked through `polar_runtime::run_batch` by the
 //!   parallel drivers so steal counters keep working. A Born segment is
 //!   still a range of q-leaves; a range that cuts a block takes the
-//!   block's windows with only its own leaves' rows.
+//!   block's windows with only its own leaves' rows. Inside, a large
+//!   segment forks onto the caller's share of the cores: the Born far
+//!   and near passes on two threads, energy and gradient leaves in
+//!   chunks; every output is the same bits for any thread count.
 //!
 //! A plan built once is reusable across repeated solves of the same
 //! prepared [`GbSolver`] — the paper's ZDock re-scoring workload
@@ -1214,6 +1217,13 @@ impl InteractionPlan {
     /// [`KernelMode::Strict`] (the lists replay the recursive
     /// traversal's accumulation order), ulp-grade in
     /// [`KernelMode::Lane`] (see the module docs).
+    ///
+    /// The far pass writes only `partials.s_node` and the near pass only
+    /// `partials.s_atom`, so a segment of two full chunks of blocks (see
+    /// [`chunk_len`]) runs them on two threads when the caller's share of
+    /// the cores ([`polar_runtime::fair_share`]) allows: each accumulator
+    /// still takes its terms in ascending q-leaf order, and the partials
+    /// are the same bits on one thread or two.
     pub fn execute_born_segment(
         &self,
         ctx: &BornOctreeCtx<'_>,
@@ -1222,70 +1232,125 @@ impl InteractionPlan {
         partials: &mut BornPartials,
         counts: &mut WorkCounts,
     ) {
+        let threads = polar_runtime::fair_share();
+        self.execute_born_segment_on(ctx, qleaf_range, kernel, partials, counts, threads);
+    }
+
+    /// [`InteractionPlan::execute_born_segment`] on at most `threads`
+    /// threads, the caller's included (two at most: there are only two
+    /// disjoint sets of accumulators).
+    fn execute_born_segment_on(
+        &self,
+        ctx: &BornOctreeCtx<'_>,
+        qleaf_range: Range<usize>,
+        kernel: KernelMode,
+        partials: &mut BornPartials,
+        counts: &mut WorkCounts,
+        threads: usize,
+    ) {
         if self.born.groups() == 0 || qleaf_range.is_empty() {
             return;
         }
+        for leaf in qleaf_range.clone() {
+            counts.accumulate(self.born_work(leaf));
+        }
+        let blocks = qleaf_range.end.div_ceil(QLEAF_BLOCK) - qleaf_range.start / QLEAF_BLOCK;
+        let threads = if chunk_len(blocks, threads.min(2)).is_some() {
+            2
+        } else {
+            1
+        };
+        let BornPartials { s_node, s_atom } = partials;
+        let passes = vec![BornPass::Far(s_node), BornPass::Near(s_atom)];
+        run_pieces(
+            passes,
+            threads,
+            || (),
+            |(), pass| match pass {
+                BornPass::Far(s_node) => {
+                    self.born_far_pass(ctx, qleaf_range.clone(), kernel, s_node)
+                }
+                BornPass::Near(s_atom) => self.born_near_pass(qleaf_range.clone(), kernel, s_atom),
+            },
+        );
+    }
+
+    /// The Born far pass of a q-leaf segment: every block's far windows,
+    /// blocks in ascending order, into the `T_A` node accumulators.
+    fn born_far_pass(
+        &self,
+        ctx: &BornOctreeCtx<'_>,
+        qleaf_range: Range<usize>,
+        kernel: KernelMode,
+        s_node: &mut [f64],
+    ) {
         let leaf_ids = ctx.tree_q.leaves();
-        for block in qleaf_range.start / QLEAF_BLOCK..=(qleaf_range.end - 1) / QLEAF_BLOCK {
-            // The leaves of this block inside the requested range.
-            let base = block * QLEAF_BLOCK;
-            let lo = qleaf_range.start.max(base);
-            let hi = qleaf_range.end.min(base + QLEAF_BLOCK);
-            let (far, near) = (self.born.far_windows(block), self.born.near_windows(block));
-            for leaf in lo..hi {
-                counts.accumulate(self.born_work(leaf));
-            }
-            if kernel == KernelMode::Lane {
-                // The q side broadcasts per leaf; a window's a-node
-                // centers (far) or atoms (near) and its accumulators are
-                // gathered once for all of them.
-                let mut moments = [QLeafMoments::default(); QLEAF_BLOCK];
-                for (m, &q_id) in moments.iter_mut().zip(&leaf_ids[lo..hi]) {
-                    let (c, ns) = (ctx.tree_q.node(q_id).center, ctx.q_nsum[q_id as usize]);
-                    *m = QLeafMoments {
-                        center: [c.x, c.y, c.z],
-                        nsum: [ns.x, ns.y, ns.z],
-                        dipole: ctx.q_dipole[q_id as usize],
-                    };
+        for (block, leaves) in block_spans(qleaf_range) {
+            let (far, base) = (self.born.far_windows(block), block * QLEAF_BLOCK);
+            if kernel == KernelMode::Strict {
+                for leaf in leaves {
+                    self.strict_born_far(ctx, far, leaf, s_node);
                 }
-                kernels::born_far_blocks(
-                    far,
-                    lo - base,
-                    &moments[..hi - lo],
-                    [&self.anx, &self.any_, &self.anz],
-                    &mut partials.s_node,
-                );
-                kernels::born_near_blocks(
-                    near,
-                    lo - base,
-                    &self.q_leaf_start[lo..=hi],
-                    [&self.ax, &self.ay, &self.az],
-                    [
-                        &self.qx, &self.qy, &self.qz, &self.qnx, &self.qny, &self.qnz, &self.qw,
-                    ],
-                    &mut partials.s_atom,
-                );
-            } else {
-                for leaf in lo..hi {
-                    self.strict_born_leaf(ctx, far, near, leaf, partials);
-                }
+                continue;
             }
+            // The q side broadcasts per leaf; a window's a-node centers
+            // and accumulators are gathered once for all of them.
+            let mut moments = [QLeafMoments::default(); QLEAF_BLOCK];
+            for (m, &q_id) in moments.iter_mut().zip(&leaf_ids[leaves.clone()]) {
+                let (c, ns) = (ctx.tree_q.node(q_id).center, ctx.q_nsum[q_id as usize]);
+                *m = QLeafMoments {
+                    center: [c.x, c.y, c.z],
+                    nsum: [ns.x, ns.y, ns.z],
+                    dipole: ctx.q_dipole[q_id as usize],
+                };
+            }
+            kernels::born_far_blocks(
+                far,
+                leaves.start - base,
+                &moments[..leaves.len()],
+                [&self.anx, &self.any_, &self.anz],
+                s_node,
+            );
         }
     }
 
-    /// Strict replay of one q-leaf against its block's windows: the
-    /// recursive kernels' scalar terms. Within one q-leaf the far and
-    /// near lists write disjoint accumulators (`s_node` vs `s_atom`) and
-    /// each id once, so the window order is free and, run leaf by leaf,
-    /// every accumulator still takes its terms in ascending q-leaf
-    /// order, as in the recursion.
-    fn strict_born_leaf(
+    /// The Born near pass of a q-leaf segment: every block's near
+    /// windows, blocks in ascending order, into the atom-slot
+    /// accumulators.
+    fn born_near_pass(&self, qleaf_range: Range<usize>, kernel: KernelMode, s_atom: &mut [f64]) {
+        for (block, leaves) in block_spans(qleaf_range) {
+            let (near, base) = (self.born.near_windows(block), block * QLEAF_BLOCK);
+            if kernel == KernelMode::Strict {
+                for leaf in leaves {
+                    self.strict_born_near(near, leaf, s_atom);
+                }
+                continue;
+            }
+            // A window's atoms and accumulators are gathered once for all
+            // of the block's leaves in the segment.
+            kernels::born_near_blocks(
+                near,
+                leaves.start - base,
+                &self.q_leaf_start[leaves.start..=leaves.end],
+                [&self.ax, &self.ay, &self.az],
+                [
+                    &self.qx, &self.qy, &self.qz, &self.qnx, &self.qny, &self.qnz, &self.qw,
+                ],
+                s_atom,
+            );
+        }
+    }
+
+    /// Strict replay of one q-leaf's far windows: the recursive kernel's
+    /// scalar far terms. A window's ids are distinct, so the window order
+    /// is free and, run leaf by leaf, every `s_node` accumulator takes
+    /// its terms in ascending q-leaf order, as in the recursion.
+    fn strict_born_far(
         &self,
         ctx: &BornOctreeCtx<'_>,
         far: &[Window],
-        near: &[Window],
         leaf: usize,
-        partials: &mut BornPartials,
+        s_node: &mut [f64],
     ) {
         let q_id = ctx.tree_q.leaves()[leaf];
         let q = ctx.tree_q.node(q_id);
@@ -1293,13 +1358,19 @@ impl InteractionPlan {
             let a = ctx.tree_a.node(a_id);
             let d = q.center - a.center;
             let d_sq = a.center.dist_sq(q.center);
-            partials.s_node[a_id as usize] += BornKernel::R6.far_term(
+            s_node[a_id as usize] += BornKernel::R6.far_term(
                 ctx.q_nsum[q_id as usize],
                 &ctx.q_dipole[q_id as usize],
                 d,
                 d_sq,
             );
         }
+    }
+
+    /// Strict replay of one q-leaf's near windows: the recursive
+    /// kernel's scalar pair sums, one `s_atom` term per partner atom, in
+    /// ascending q-leaf order as [`InteractionPlan::strict_born_far`].
+    fn strict_born_near(&self, near: &[Window], leaf: usize, s_atom: &mut [f64]) {
         for a in leaf_partners(near, leaf % QLEAF_BLOCK) {
             let a = a as usize;
             let (x, y, z) = (self.ax[a], self.ay[a], self.az[a]);
@@ -1318,7 +1389,7 @@ impl InteractionPlan {
                     0.0
                 };
             }
-            partials.s_atom[a] += s;
+            s_atom[a] += s;
         }
     }
 
@@ -1334,6 +1405,12 @@ impl InteractionPlan {
     /// The lane kernels implement exact-grade math only, so
     /// [`MathMode::Approximate`] always runs the strict scalar loops —
     /// the fast-math ablation's semantics never silently change.
+    ///
+    /// Each leaf's sum is independent, so a segment of two full chunks
+    /// of leaves (see [`chunk_len`]) runs its chunks on the caller's
+    /// share of the cores ([`polar_runtime::fair_share`]); the leaf sums
+    /// are then added in leaf order, so the result is the same bits for
+    /// any thread count.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_epol_segment(
         &self,
@@ -1345,16 +1422,35 @@ impl InteractionPlan {
         leaf_range: Range<usize>,
         counts: &mut WorkCounts,
     ) -> f64 {
+        let threads = polar_runtime::fair_share();
+        self.execute_epol_segment_on(
+            ectx, born_slot, math, kernel, tau, leaf_range, counts, threads,
+        )
+    }
+
+    /// [`InteractionPlan::execute_epol_segment`] on at most `threads`
+    /// threads, the caller's included.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_epol_segment_on(
+        &self,
+        ectx: &EpolCtx<'_>,
+        born_slot: &[f64],
+        math: MathMode,
+        kernel: KernelMode,
+        tau: f64,
+        leaf_range: Range<usize>,
+        counts: &mut WorkCounts,
+        threads: usize,
+    ) -> f64 {
         if self.epol.groups() == 0 {
             return 0.0;
         }
         let lane = kernel == KernelMode::Lane && math == MathMode::Exact;
         let atoms = self.atom_columns(born_slot, ectx.inv_born_slot());
-        let mut rows = kernels::FarRows::default();
-        let mut acc = 0.0;
-        for leaf in leaf_range {
-            // Per-leaf sub-accumulator: keeps the summation tree close to
-            // the recursion's per-leaf nesting (ulp-level agreement).
+        // One leaf's sum. Per-leaf sub-accumulators keep the summation
+        // tree close to the recursion's per-leaf nesting (ulp-level
+        // agreement).
+        let leaf_sum = |leaf: usize, rows: &mut kernels::FarRows, counts: &mut WorkCounts| {
             let mut leaf_acc = 0.0;
             let g = self.epol.group(leaf);
             let (v_id, v_range) = (g.src, g.slots.clone());
@@ -1378,7 +1474,7 @@ impl InteractionPlan {
                     let dz = self.anz[u] - self.anz[v];
                     rows.push_row(dx * dx + dy * dy + dz * dz, [uq, ur, uri]);
                 }
-                leaf_acc += kernels::epol_far_rows(&rows, [vq, vr, vri]);
+                leaf_acc += kernels::epol_far_rows(rows, [vq, vr, vri]);
             } else {
                 for a in g.near_slots() {
                     let (xa, ya, za) = (self.ax[a], self.ay[a], self.az[a]);
@@ -1413,8 +1509,38 @@ impl InteractionPlan {
                     counts.far_ops += evals.max(1);
                 }
             }
-            acc += leaf_acc;
+            leaf_acc
+        };
+        let n = leaf_range.len();
+        let chunk = chunk_len(n, threads).unwrap_or(n.max(1));
+        let mut sums = vec![0.0; n];
+        let mut work = vec![WorkCounts::ZERO; n.div_ceil(chunk)];
+        let pieces = Vec::from_iter(
+            leaf_range
+                .step_by(chunk)
+                .zip(sums.chunks_mut(chunk))
+                .zip(&mut work),
+        );
+        // A leaf's far rows take at most one entry per atom: its far
+        // nodes are disjoint subtrees, and a node has no more real bins
+        // than atoms.
+        let rows_for = if lane { self.n_atoms } else { 0 };
+        run_pieces(
+            pieces,
+            threads,
+            || kernels::FarRows::with_capacity(rows_for),
+            |rows, ((first, sums), work)| {
+                for (leaf, sum) in (first..).zip(sums) {
+                    *sum = leaf_sum(leaf, rows, work);
+                }
+            },
+        );
+        for w in work {
+            counts.accumulate(w);
         }
+        // Leaves combine in ascending order, from +0.0, as one thread
+        // adds them.
+        let acc = sums.iter().fold(0.0, |acc, &sum| acc + sum);
         -0.5 * tau * acc
     }
 
@@ -1433,14 +1559,19 @@ impl InteractionPlan {
     /// path agrees with [`crate::energy::gradient::epol_gradient_naive`]
     /// to ~1e-12 while remaining embarrassingly parallel over leaves
     /// (disjoint target slices, bitwise-stable across segmentations).
+    /// So a segment of two full chunks of leaves (see [`chunk_len`]) runs
+    /// its chunks on the caller's share of the cores
+    /// ([`polar_runtime::fair_share`]), each into its own slot span: the
+    /// gradient is the same bits for any thread count.
     ///
     /// `inv_born` must hold `1/born_slot` (only read on the lane path).
     /// Sub-guard pairs surface as [`GradientError::CoincidentAtoms`]
     /// with *original* atom indices (mapped through `tree.order()`); the
     /// target meeting itself in its own leaf's block is expected and
-    /// contributes nothing. Like the energy stage, lane kernels run only
-    /// for exact math — [`MathMode::Approximate`] takes the strict
-    /// scalar loops.
+    /// contributes nothing. A segment with several such pairs reports
+    /// the one in its first leaf that has one, whichever thread ran it.
+    /// Like the energy stage, lane kernels run only for exact math —
+    /// [`MathMode::Approximate`] takes the strict scalar loops.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_gradient_segment(
         &self,
@@ -1457,120 +1588,202 @@ impl InteractionPlan {
         gz: &mut [f64],
         counts: &mut WorkCounts,
     ) -> Result<(), GradientError> {
+        let threads = polar_runtime::fair_share();
+        let (born, grad) = ([born_slot, inv_born], [gx, gy, gz]);
+        self.execute_gradient_segment_on(
+            tree, born, math, kernel, tau, leaf_range, slot_base, grad, counts, threads,
+        )
+    }
+
+    /// [`InteractionPlan::execute_gradient_segment`] on at most `threads`
+    /// threads, the caller's included; `born` is `[born_slot, inv_born]`
+    /// and `grad` is `[gx, gy, gz]`.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_gradient_segment_on(
+        &self,
+        tree: &Octree,
+        [born_slot, inv_born]: [&[f64]; 2],
+        math: MathMode,
+        kernel: KernelMode,
+        tau: f64,
+        leaf_range: Range<usize>,
+        slot_base: usize,
+        grad: [&mut [f64]; 3],
+        counts: &mut WorkCounts,
+        threads: usize,
+    ) -> Result<(), GradientError> {
         if self.epol.groups() == 0 {
             return Ok(());
         }
         let lane = kernel == KernelMode::Lane && math == MathMode::Exact;
         let atoms = self.atom_columns(born_slot, inv_born);
-        // The lane path's partner block of one leaf (x, y, z, charge,
-        // radius, reciprocal), grown once and refilled.
-        let mut block: [Vec<f64>; 6] = Default::default();
-        for leaf in leaf_range {
-            let g = self.epol.group(leaf);
-            if g.near.is_empty() {
-                continue;
-            }
-            // The leaf's own slot range is the target side (`V`); its own
-            // `U` leaf is always among the near partners.
-            let (v_range, n_near) = (g.slots.clone(), g.near_len());
-            let out = (v_range.start - slot_base)..(v_range.end - slot_base);
-            if lane {
-                counts.pair_ops += (n_near * v_range.len()) as u64;
-                // Fill the partner block run by run, padded to a lane
-                // multiple with zero-charge sentinels placed far away so
-                // padded lanes neither contribute nor count as suspects
-                // (position-clamped padding could replicate a coincident
-                // partner and inflate the count).
-                let n_pad = n_near.next_multiple_of(kernels::LANE_WIDTH);
-                let sentinel = [self.ax[v_range.start] + 1e6, 0.0, 0.0, 0.0, 1.0, 1.0];
-                for ((col, src), pad) in block.iter_mut().zip(atoms).zip(sentinel) {
-                    col.clear();
-                    for run in g.near {
-                        col.extend_from_slice(&src[run.slots()]);
-                    }
-                    col.resize(n_pad, pad);
+        // The gradient of a run of leaves into the slot spans `[gx, gy,
+        // gz]` that start at slot `slot_base`. `block` is the lane path's
+        // partner block of one leaf (x, y, z, charge, radius,
+        // reciprocal), grown once and refilled.
+        let run = |leaf_range: Range<usize>,
+                   slot_base: usize,
+                   [gx, gy, gz]: [&mut [f64]; 3],
+                   block: &mut [Vec<f64>; 6],
+                   counts: &mut WorkCounts|
+         -> Result<(), GradientError> {
+            for leaf in leaf_range {
+                let g = self.epol.group(leaf);
+                if g.near.is_empty() {
+                    continue;
                 }
-                let targets = atoms.map(|c| &c[v_range.clone()]);
-                let [ox, oy, oz] = [&mut *gx, &mut *gy, &mut *gz].map(|c| &mut c[out.clone()]);
-                let mut suspects = kernels::epol_grad_block(
-                    targets,
-                    block.each_ref().map(|c| c.as_slice()),
-                    tau,
-                    [&mut *ox, &mut *oy, &mut *oz],
-                );
-                for &u_id in g.far {
-                    let u = tree.node(u_id);
-                    let u_range = u.start as usize..u.end as usize;
-                    counts.pair_ops += (u_range.len() * v_range.len()) as u64;
-                    counts.far_ops += 1;
-                    // Far nodes passed a separation test, so real lanes
-                    // (and their clamped tail replicas) cannot be
-                    // sub-guard — dense slices are safe as-is.
-                    suspects += kernels::epol_grad_block(
+                // The leaf's own slot range is the target side (`V`); its
+                // own `U` leaf is always among the near partners.
+                let (v_range, n_near) = (g.slots.clone(), g.near_len());
+                let out = (v_range.start - slot_base)..(v_range.end - slot_base);
+                if lane {
+                    counts.pair_ops += (n_near * v_range.len()) as u64;
+                    // Fill the partner block run by run, padded to a lane
+                    // multiple with zero-charge sentinels placed far away
+                    // so padded lanes neither contribute nor count as
+                    // suspects (position-clamped padding could replicate
+                    // a coincident partner and inflate the count).
+                    let n_pad = n_near.next_multiple_of(kernels::LANE_WIDTH);
+                    let sentinel = [self.ax[v_range.start] + 1e6, 0.0, 0.0, 0.0, 1.0, 1.0];
+                    for ((col, src), pad) in block.iter_mut().zip(atoms).zip(sentinel) {
+                        col.clear();
+                        for run in g.near {
+                            col.extend_from_slice(&src[run.slots()]);
+                        }
+                        col.resize(n_pad, pad);
+                    }
+                    let targets = atoms.map(|c| &c[v_range.clone()]);
+                    let [ox, oy, oz] = [&mut *gx, &mut *gy, &mut *gz].map(|c| &mut c[out.clone()]);
+                    let mut suspects = kernels::epol_grad_block(
                         targets,
-                        atoms.map(|c| &c[u_range.clone()]),
+                        block.each_ref().map(|c| c.as_slice()),
                         tau,
                         [&mut *ox, &mut *oy, &mut *oz],
                     );
-                }
-                // Each target meets exactly itself at r = 0 — one
-                // expected suspect per target. Any excess is a genuinely
-                // coincident pair: locate it with a scalar pass.
-                if suspects != v_range.len() as u64 {
-                    if let Some(err) = self.find_coincident(tree, &g) {
-                        return Err(err);
-                    }
-                }
-            } else {
-                for b in v_range.clone() {
-                    let (xb, yb, zb) = (self.ax[b], self.ay[b], self.az[b]);
-                    let (qb, rb) = (self.charge_slot[b], born_slot[b]);
-                    let (mut ax_, mut ay_, mut az_) = (0.0, 0.0, 0.0);
-                    let mut pair = |a: usize| -> Result<(), GradientError> {
-                        if a == b {
-                            return Ok(());
-                        }
-                        let dx = xb - self.ax[a];
-                        let dy = yb - self.ay[a];
-                        let dz = zb - self.az[a];
-                        let r_sq = dx * dx + dy * dy + dz * dz;
-                        if r_sq <= COINCIDENT_R_SQ {
-                            return Err(coincident_error(tree, b, a, r_sq));
-                        }
-                        let k = tau
-                            * pair_dedr_over_r(
-                                qb,
-                                self.charge_slot[a],
-                                r_sq,
-                                rb,
-                                born_slot[a],
-                                math,
-                            );
-                        ax_ += dx * k;
-                        ay_ += dy * k;
-                        az_ += dz * k;
-                        Ok(())
-                    };
-                    counts.pair_ops += n_near as u64;
-                    for a in g.near_slots() {
-                        pair(a)?;
-                    }
                     for &u_id in g.far {
                         let u = tree.node(u_id);
                         let u_range = u.start as usize..u.end as usize;
-                        counts.pair_ops += u_range.len() as u64;
-                        for a in u_range {
-                            pair(a)?;
+                        counts.pair_ops += (u_range.len() * v_range.len()) as u64;
+                        counts.far_ops += 1;
+                        // Far nodes passed a separation test, so real
+                        // lanes (and their clamped tail replicas) cannot
+                        // be sub-guard — dense slices are safe as-is.
+                        suspects += kernels::epol_grad_block(
+                            targets,
+                            atoms.map(|c| &c[u_range.clone()]),
+                            tau,
+                            [&mut *ox, &mut *oy, &mut *oz],
+                        );
+                    }
+                    // Each target meets exactly itself at r = 0 — one
+                    // expected suspect per target. Any excess is a
+                    // genuinely coincident pair: locate it with a scalar
+                    // pass.
+                    if suspects != v_range.len() as u64 {
+                        if let Some(err) = self.find_coincident(tree, &g) {
+                            return Err(err);
                         }
                     }
-                    gx[b - slot_base] += ax_;
-                    gy[b - slot_base] += ay_;
-                    gz[b - slot_base] += az_;
+                } else {
+                    for b in v_range.clone() {
+                        let (xb, yb, zb) = (self.ax[b], self.ay[b], self.az[b]);
+                        let (qb, rb) = (self.charge_slot[b], born_slot[b]);
+                        let (mut ax_, mut ay_, mut az_) = (0.0, 0.0, 0.0);
+                        let mut pair = |a: usize| -> Result<(), GradientError> {
+                            if a == b {
+                                return Ok(());
+                            }
+                            let dx = xb - self.ax[a];
+                            let dy = yb - self.ay[a];
+                            let dz = zb - self.az[a];
+                            let r_sq = dx * dx + dy * dy + dz * dz;
+                            if r_sq <= COINCIDENT_R_SQ {
+                                return Err(coincident_error(tree, b, a, r_sq));
+                            }
+                            let k = tau
+                                * pair_dedr_over_r(
+                                    qb,
+                                    self.charge_slot[a],
+                                    r_sq,
+                                    rb,
+                                    born_slot[a],
+                                    math,
+                                );
+                            ax_ += dx * k;
+                            ay_ += dy * k;
+                            az_ += dz * k;
+                            Ok(())
+                        };
+                        counts.pair_ops += n_near as u64;
+                        for a in g.near_slots() {
+                            pair(a)?;
+                        }
+                        for &u_id in g.far {
+                            let u = tree.node(u_id);
+                            let u_range = u.start as usize..u.end as usize;
+                            counts.pair_ops += u_range.len() as u64;
+                            for a in u_range {
+                                pair(a)?;
+                            }
+                        }
+                        gx[b - slot_base] += ax_;
+                        gy[b - slot_base] += ay_;
+                        gz[b - slot_base] += az_;
+                    }
+                    counts.far_ops += g.far.len() as u64;
                 }
-                counts.far_ops += g.far.len() as u64;
             }
+            Ok(())
+        };
+        let n = leaf_range.len();
+        let Some(chunk) = chunk_len(n, threads) else {
+            return run(leaf_range, slot_base, grad, &mut Default::default(), counts);
+        };
+        // Leaves are Morton-ordered, so each chunk's targets form one
+        // slot span, starting at its first leaf's first slot; cut the
+        // spans apart here.
+        let firsts = Vec::from_iter(leaf_range.clone().step_by(chunk));
+        let starts = Vec::from_iter(firsts.iter().map(|&l| self.epol.group(l).slots.start));
+        let mut rest = grad.map(|g| &mut g[starts[0] - slot_base..]);
+        let mut spans = Vec::with_capacity(firsts.len());
+        for (c, &start) in starts.iter().enumerate() {
+            let len = starts
+                .get(c + 1)
+                .map_or(rest[0].len(), |&next| next - start);
+            let [(hx, tx), (hy, ty), (hz, tz)] = rest.map(|g| g.split_at_mut(len));
+            spans.push([hx, hy, hz]);
+            rest = [tx, ty, tz];
         }
-        Ok(())
+        let mut work = vec![WorkCounts::ZERO; firsts.len()];
+        let mut results = vec![Ok(()); firsts.len()];
+        let pieces = Vec::from_iter(
+            firsts
+                .iter()
+                .zip(&starts)
+                .zip(spans)
+                .zip(work.iter_mut().zip(&mut results)),
+        );
+        // The lane block of one leaf holds one entry per near partner
+        // slot, and the near partners are distinct slots.
+        let block_for = if lane {
+            self.n_atoms.next_multiple_of(kernels::LANE_WIDTH)
+        } else {
+            0
+        };
+        run_pieces(
+            pieces,
+            threads,
+            || [(); 6].map(|_| Vec::with_capacity(block_for)),
+            |block, (((&first, &start), span), (work, result))| {
+                let leaves = first..(first + chunk).min(leaf_range.end);
+                *result = run(leaves, start, span, block, work);
+            },
+        );
+        for w in work {
+            counts.accumulate(w);
+        }
+        // The first chunk's error is the one a serial run stops at.
+        results.into_iter().collect()
     }
 
     /// Scalar sweep for the coincident pair a lane suspect-count excess
@@ -1709,6 +1922,76 @@ fn chunk_len(n: usize, threads: usize) -> Option<usize> {
         .div_ceil(threads.max(1) * CHUNKS_PER_THREAD)
         .max(MIN_CHUNK);
     (threads > 1 && n >= 2 * chunk).then_some(chunk)
+}
+
+/// The blocks a q-leaf segment meets, each with the segment's leaves in
+/// it, in ascending order; a segment that cuts a block takes only its own
+/// leaves of it.
+fn block_spans(qleaf_range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let blocks = qleaf_range.start / QLEAF_BLOCK..qleaf_range.end.div_ceil(QLEAF_BLOCK);
+    blocks.map(move |block| {
+        let base = block * QLEAF_BLOCK;
+        let leaves = qleaf_range.start.max(base)..qleaf_range.end.min(base + QLEAF_BLOCK);
+        (block, leaves)
+    })
+}
+
+/// One of the two Born passes with the accumulators it alone writes.
+enum BornPass<'a> {
+    /// Far windows, into the `T_A` node accumulators.
+    Far(&'a mut [f64]),
+    /// Near windows, into the atom-slot accumulators.
+    Near(&'a mut [f64]),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Threads this thread's executes have spawned, for the tests.
+    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Run `work(scratch, piece)` for every piece on the calling thread plus
+/// up to `threads - 1` scoped threads, one thread per piece at most. Each
+/// thread claims the next piece from a shared queue (a thread that drew
+/// cheap pieces takes more of them) and works out of its own scratch.
+/// Pieces write disjoint outputs, so the result does not depend on which
+/// thread ran which.
+///
+/// Every scratch is made here, on the calling thread, by `new_scratch`,
+/// for the malloc-arena reason of [`plan_in_chunks`]. A panic in a
+/// spawned thread reaches the caller with its own payload once every
+/// thread has stopped; the others finish the queue, so nothing waits on
+/// the panicked piece.
+fn run_pieces<P: Send, S: Send>(
+    pieces: Vec<P>,
+    threads: usize,
+    new_scratch: impl Fn() -> S,
+    work: impl Fn(&mut S, P) + Sync,
+) {
+    let threads = threads.clamp(1, pieces.len().max(1));
+    let mut scratch = Vec::from_iter((0..threads).map(|_| new_scratch()));
+    let own = scratch.pop().expect("one scratch per thread");
+    let queue = Mutex::new(pieces.into_iter());
+    let drain = |mut scratch: S| loop {
+        let Some(piece) = queue.lock().expect("claiming never panics").next() else {
+            return;
+        };
+        work(&mut scratch, piece);
+    };
+    std::thread::scope(|scope| {
+        let drain = &drain;
+        let spawned = Vec::from_iter(scratch.into_iter().map(|s| {
+            #[cfg(test)]
+            SPAWNED.with(|n| n.set(n.get() + 1));
+            scope.spawn(move || drain(s))
+        }));
+        drain(own);
+        for handle in spawned {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Chunks that finished planning, waiting to be appended in order.
@@ -3049,10 +3332,27 @@ mod tests {
         assert_eq!(a.memory_bytes(), b.memory_bytes(), "{what}: bytes");
     }
 
+    /// Two inputs that fork on two threads and one under the threshold,
+    /// prepared once for all the tests that share them.
+    fn fork_cases() -> &'static [(&'static str, GbSolver); 3] {
+        static CASES: std::sync::OnceLock<[(&str, GbSolver); 3]> = std::sync::OnceLock::new();
+        CASES.get_or_init(|| {
+            let coarse = |mol| {
+                GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default())
+            };
+            [
+                ("globule 2500", solver(2500, 47)),
+                (
+                    "shell 4000",
+                    coarse(generators::virus_shell("c", 4000, 25.0, 47)),
+                ),
+                ("ligand 60", coarse(generators::ligand("l", 60, 47))),
+            ]
+        })
+    }
+
     #[test]
     fn plans_are_the_same_bits_for_any_worker_count() {
-        let coarse =
-            |mol| GbSolver::for_molecule(&mol, &SurfaceConfig::coarse(), &OctreeConfig::default());
         let empty = GbSolver::from_parts(
             "empty".into(),
             vec![],
@@ -3061,17 +3361,10 @@ mod tests {
             vec![],
             &OctreeConfig::default(),
         );
-        let cases = [
-            ("globule 2500", solver(2500, 47)),
-            (
-                "shell 4000",
-                coarse(generators::virus_shell("c", 4000, 25.0, 47)),
-            ),
-            ("ligand 60", coarse(generators::ligand("l", 60, 47))),
-            ("empty", empty),
-        ];
+        let empty = [("empty", empty)];
+        let cases = fork_cases().iter().chain(&empty);
         let p = GbParams::default();
-        for (what, s) in &cases {
+        for (what, s) in cases {
             let serial = InteractionPlan::build_on(s, &p, 1);
             for w in [1, 2, 3, 7] {
                 let built = InteractionPlan::build_on(s, &p, w);
@@ -3080,10 +3373,11 @@ mod tests {
         }
         // The big inputs fork; the ligand has fewer blocks than 7 threads
         // have chunks, so its chunks are the minimum length.
+        let [(_, globule), (_, shell), (_, ligand)] = fork_cases();
         let blocks = |s: &GbSolver| s.tree_q.leaves().len().div_ceil(QLEAF_BLOCK);
-        assert!(chunk_len(blocks(&cases[0].1), 2).is_some());
-        assert!(chunk_len(cases[1].1.tree_a.leaves().len(), 7).is_some());
-        let ligand = blocks(&cases[2].1);
+        assert!(chunk_len(blocks(globule), 2).is_some());
+        assert!(chunk_len(shell.tree_a.leaves().len(), 7).is_some());
+        let ligand = blocks(ligand);
         assert!(ligand < 7 * CHUNKS_PER_THREAD, "{ligand} blocks");
         assert_eq!(
             chunk_len(ligand, 7),
@@ -3245,5 +3539,237 @@ mod tests {
         plan.born.margin.clone_from(&cold.born.margin);
         plan.epol.margin.clone_from(&cold.epol.margin);
         assert_same_plan(&plan, &cold, "patched on two threads");
+    }
+
+    /// Every output of one plan's execute on `threads` threads: Born
+    /// partials over the whole range and over a range that cuts blocks,
+    /// E_pol and the gradient at Born radii `born`, and each stage's
+    /// work, as bits.
+    fn execute_bits(
+        s: &GbSolver,
+        plan: &InteractionPlan,
+        p: &GbParams,
+        born: &[f64],
+        threads: usize,
+    ) -> Vec<Vec<u64>> {
+        let work = |w: WorkCounts| vec![w.pair_ops, w.far_ops, w.nodes_visited];
+        let mut out = Vec::new();
+        let (ctx, n_q) = (s.born_ctx(), s.tree_q.leaves().len());
+        for range in [0..n_q, 3.min(n_q)..n_q.saturating_sub(5).max(3.min(n_q))] {
+            let (mut partials, mut w) = (BornPartials::zeros(&s.tree_a), WorkCounts::ZERO);
+            plan.execute_born_segment_on(&ctx, range, p.kernel, &mut partials, &mut w, threads);
+            out.extend([bits(&partials.s_node), bits(&partials.s_atom), work(w)]);
+        }
+        let ectx = EpolCtx::new(&s.tree_a, &s.charges, born, p.eps_epol);
+        let born_slot = s.born_by_slot(born);
+        let t = tau(p.eps_solvent);
+        let n_a = s.tree_a.leaves().len();
+        for range in [0..n_a, 1.min(n_a)..n_a.saturating_sub(2).max(1.min(n_a))] {
+            let mut w = WorkCounts::ZERO;
+            let e = plan.execute_epol_segment_on(
+                &ectx, &born_slot, p.math, p.kernel, t, range, &mut w, threads,
+            );
+            out.extend([vec![e.to_bits()], work(w)]);
+        }
+        let inv_born = Vec::from_iter(born_slot.iter().map(|r| 1.0 / r));
+        let mut g = [(); 3].map(|_| vec![0.0; s.n_atoms()]);
+        let [gx, gy, gz] = &mut g;
+        let mut w = WorkCounts::ZERO;
+        plan.execute_gradient_segment_on(
+            &s.tree_a,
+            [&born_slot, &inv_born],
+            p.math,
+            p.kernel,
+            t,
+            0..n_a,
+            0,
+            [gx, gy, gz],
+            &mut w,
+            threads,
+        )
+        .expect("no coincident atoms");
+        out.extend(g.iter().map(|c| bits(c)));
+        out.push(work(w));
+        out
+    }
+
+    fn spawned() -> usize {
+        SPAWNED.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn execute_is_the_same_bits_for_any_thread_count() {
+        let modes = [
+            (KernelMode::Strict, MathMode::Exact),
+            (KernelMode::Lane, MathMode::Exact),
+            (KernelMode::Lane, MathMode::Approximate),
+        ];
+        let cases = fork_cases();
+        for (what, s) in cases {
+            // The lists do not depend on the kernel or math mode.
+            let plan = InteractionPlan::build_on(s, &GbParams::default(), 1);
+            for (kernel, math) in modes {
+                let p = GbParams {
+                    kernel,
+                    math,
+                    ..GbParams::default()
+                };
+                let born = s.solve_with_plan(&plan, &p).expect("compatible plan").born;
+                let serial = execute_bits(s, &plan, &p, &born, 1);
+                for threads in [2, 3, 7] {
+                    let before = spawned();
+                    let forked = execute_bits(s, &plan, &p, &born, threads);
+                    let what = format!("{what}, {kernel:?}, {math:?}, {threads} threads");
+                    for (k, (a, b)) in forked.iter().zip(&serial).enumerate() {
+                        assert!(a == b, "{what}: output {k} differs");
+                    }
+                    // The ligand is under two full chunks of anything.
+                    let forks = spawned() - before;
+                    assert_eq!(forks == 0, what.starts_with("ligand"), "{what}: {forks}");
+                }
+            }
+        }
+        // Both big inputs fork every stage, Born included.
+        let [(_, globule), (_, shell), (_, ligand)] = cases;
+        let blocks = |s: &GbSolver| s.tree_q.leaves().len().div_ceil(QLEAF_BLOCK);
+        for s in [globule, shell] {
+            assert!(chunk_len(blocks(s), 2).is_some());
+            assert!(chunk_len(s.tree_a.leaves().len(), 2).is_some());
+        }
+        assert_eq!(chunk_len(blocks(ligand), 7), None);
+        assert_eq!(chunk_len(ligand.tree_a.leaves().len(), 7), None);
+    }
+
+    #[test]
+    fn a_panicking_execute_thread_reaches_the_caller_instead_of_hanging() {
+        // The calling thread holds its first piece until a spawned thread
+        // has claimed one, which panics.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caller = std::thread::current().id();
+            let claimed = AtomicBool::new(false);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_pieces(
+                    Vec::from_iter(0..16),
+                    2,
+                    || (),
+                    |(), _| {
+                        if std::thread::current().id() != caller {
+                            claimed.store(true, Ordering::SeqCst);
+                            panic!("spawned piece failed");
+                        }
+                        let t = std::time::Instant::now();
+                        while !claimed.load(Ordering::SeqCst) && t.elapsed().as_secs() < 10 {
+                            std::thread::yield_now();
+                        }
+                    },
+                )
+            }));
+            let payload = outcome.err().map(|p| p.downcast_ref::<&str>().copied());
+            tx.send(payload).expect("receiver waits");
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("execute hung after a panic");
+        assert_eq!(payload, Some(Some("spawned piece failed")));
+    }
+
+    #[test]
+    fn a_coincident_pair_gives_the_serial_error_on_any_thread_count() {
+        // The molecule of `fork_cases`' globule.
+        let mol = generators::globular("p", 2500, 47);
+        let s0 = &fork_cases()[0].1;
+        let n = s0.n_atoms();
+        // Stack the first two atoms of the first leaf, of the last, or
+        // of both.
+        let pair = |slots: [usize; 2]| {
+            let mut atoms = slots.map(|slot| s0.tree_a.order()[slot] as usize);
+            atoms.sort();
+            atoms
+        };
+        let (first, last) = (pair([0, 1]), pair([n - 2, n - 1]));
+        for (what, pairs, chunk) in [
+            ("first leaf", vec![first], Some(0)),
+            ("last leaf", vec![last], None),
+            ("both", vec![first, last], Some(0)),
+        ] {
+            let mut m = mol.clone();
+            for &[a, b] in &pairs {
+                m.atoms[b].pos = m.atoms[a].pos;
+            }
+            let s = GbSolver::for_molecule(&m, &SurfaceConfig::coarse(), &OctreeConfig::default());
+            for kernel in [KernelMode::Strict, KernelMode::Lane] {
+                let p = GbParams {
+                    kernel,
+                    ..GbParams::default()
+                };
+                let plan = InteractionPlan::build_on(&s, &p, 1);
+                let born = s.solve_with_plan(&plan, &p).expect("compatible plan").born;
+                let born_slot = s.born_by_slot(&born);
+                let inv_born = Vec::from_iter(born_slot.iter().map(|r| 1.0 / r));
+                let n_a = s.tree_a.leaves().len();
+                let gradient = |threads| {
+                    let mut g = [(); 3].map(|_| vec![0.0; s.n_atoms()]);
+                    let [gx, gy, gz] = &mut g;
+                    plan.execute_gradient_segment_on(
+                        &s.tree_a,
+                        [&born_slot, &inv_born],
+                        p.math,
+                        kernel,
+                        tau(p.eps_solvent),
+                        0..n_a,
+                        0,
+                        [gx, gy, gz],
+                        &mut WorkCounts::default(),
+                        threads,
+                    )
+                };
+                let serial = gradient(1).expect_err("a stacked pair is an error");
+                let GradientError::CoincidentAtoms { i, j, .. } = serial else {
+                    panic!("{what}: {serial:?}");
+                };
+                assert_eq!([i, j], pairs[0], "{what}, {kernel:?}");
+                let slot = s.tree_a.order().iter().position(|&o| o as usize == i);
+                let slot = slot.expect("every atom has a slot") as u32;
+                let leaf = s.tree_a.leaves().iter().position(|&id| {
+                    let node = s.tree_a.node(id);
+                    (node.start..node.end).contains(&slot)
+                });
+                let leaf = leaf.expect("every slot is in a leaf");
+                for threads in [2, 3, 7] {
+                    // The pair sits in the chunk the case names.
+                    let len = chunk_len(n_a, threads).expect("the globule forks");
+                    let last_chunk = (n_a - 1) / len;
+                    assert_eq!(leaf / len, chunk.unwrap_or(last_chunk), "{what}");
+                    assert_eq!(gradient(threads), Err(serial.clone()), "{what}, {kernel:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_solve_inside_a_pool_task_spawns_nothing() {
+        let s = solver(2500, 47);
+        let p = GbParams::default();
+        let plan = s.plan(&p);
+        let solve = || {
+            let before = spawned();
+            let e = s
+                .solve_with_plan(&plan, &p)
+                .expect("compatible plan")
+                .epol_kcal;
+            let g = s
+                .gradient_with_plan(&plan, &p)
+                .expect("no coincident atoms");
+            (e.to_bits(), g.grad, spawned() - before)
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (mut inside, _) = polar_runtime::run_batch(cores.max(2), vec![solve]);
+        let (e_in, grad_in, spawned_in) = inside.pop().expect("one task");
+        assert_eq!(spawned_in, 0, "a full pool's worker forks nothing");
+        let (e_out, grad_out, spawned_out) = solve();
+        assert_eq!(spawned_out > 0, cores > 1, "a plain caller forks");
+        assert_eq!(e_in, e_out);
+        assert!(grad_in == grad_out);
     }
 }

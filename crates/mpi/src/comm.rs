@@ -566,6 +566,9 @@ pub struct Universe;
 
 impl Universe {
     /// Run `f` on `n_ranks` threads; returns each rank's result, by rank.
+    /// Each rank thread records the ranks as the threads it runs beside,
+    /// so whatever a rank forks takes its share of the host's cores
+    /// ([`polar_runtime::fair_share`]), not all of them.
     ///
     /// A panic in any rank propagates (fail-fast, like an MPI abort). The
     /// panicking rank is announced dead at once, so its peers' collectives
@@ -633,6 +636,7 @@ impl Universe {
                 .iter_mut()
                 .map(|comm| {
                     scope.spawn(move || {
+                        polar_runtime::set_callers(n_ranks);
                         let out = catch_unwind(AssertUnwindSafe(|| f(comm)));
                         if out.is_err() {
                             comm.dead[comm.rank].store(true, Ordering::Release);
@@ -659,6 +663,20 @@ mod tests {
 
     fn net() -> NetworkModel {
         NetworkModel::lonestar4_infiniband()
+    }
+
+    #[test]
+    fn each_rank_forks_onto_its_share_of_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for p in [1, 2, 3] {
+            let shares = Universe::run(p, net(), |_| polar_runtime::fair_share());
+            assert_eq!(shares, vec![(cores / p).max(1); p], "{p} ranks");
+        }
+        assert_eq!(
+            polar_runtime::fair_share(),
+            cores,
+            "the caller keeps its own"
+        );
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //! `FnOnce` tasks — every pooled solve stage fans out through it — and
 //! re-raises a task's panic on the caller once all workers have stopped.
 //!
-//! A pool worker may itself want to fork (the plan build does). So that
-//! a pool that already fills the cores does not oversubscribe them, each
-//! thread knows how many threads its pool runs at once (its `callers`)
-//! and forks onto no more than its share of the host ([`fair_share`]).
+//! A pool worker may itself want to fork (the plan build and the plan's
+//! execute do). So that a pool that already fills the cores does not
+//! oversubscribe them, each thread knows how many threads run at once
+//! beside it (its `callers`: its pool's workers, times the threads the
+//! pool's own caller runs beside) and forks onto no more than its share
+//! of the host ([`fair_share`]).
 
 use crossbeam_deque::{Steal, Stealer, Worker};
 use rand::rngs::SmallRng;
@@ -44,29 +46,31 @@ thread_local! {
     static CALLERS: Cell<usize> = const { Cell::new(1) };
 }
 
-/// How many threads the pool or server the calling thread works for runs
-/// at once: `n_workers` inside a [`run_batch`] or [`run_batch_retry`]
-/// task, what [`set_callers`] recorded on a server's worker thread, and 1
+/// How many threads run at once beside the calling thread, its own
+/// included: inside a [`run_batch`] or [`run_batch_retry`] task,
+/// `n_workers` times the count of the thread that started the pool (so a
+/// pool inside each of P ranks counts P × `n_workers`); what
+/// [`set_callers`] recorded on a server's worker or a rank thread; and 1
 /// on any other thread.
 fn callers() -> usize {
     CALLERS.with(Cell::get)
 }
 
-/// Record that the calling thread is one of `n` that a server runs at
-/// once, for the rest of the thread's life. Only for a thread's owner,
-/// called once as the thread starts: it states a fact about the thread,
-/// not a tuning knob. Pool workers need no call: the pool records its
-/// size on each of them.
+/// Record that the calling thread is one of `n` that a server (or a set
+/// of ranks) runs at once, for the rest of the thread's life. Only for a
+/// thread's owner, called once as the thread starts: it states a fact
+/// about the thread, not a tuning knob. Pool workers need no call: the
+/// pool records its size on each of them.
 #[doc(hidden)]
 pub fn set_callers(n: usize) {
     CALLERS.with(|c| c.set(n.max(1)));
 }
 
 /// The threads one caller may fork onto: the host's cores
-/// (`available_parallelism`, read once) divided among the threads the
-/// calling thread's pool or server runs at once (1 on a plain thread), at
-/// least 1. A pool or server that already runs a thread per core gets 1
-/// and stays inline; a plain caller gets the whole host.
+/// (`available_parallelism`, read once) divided among the threads that
+/// run at once beside the calling thread (1 on a plain thread), and at
+/// least one. A pool or server that already runs a thread per core gets
+/// 1 and stays inline; a plain caller gets the whole host.
 pub fn fair_share() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
@@ -271,6 +275,9 @@ fn run_pool<T: Send>(
     // would spin forever on a `remaining` count that can no longer
     // reach zero.
     let aborted = AtomicBool::new(false);
+    // A pool started inside another pool's task or on a rank thread runs
+    // beside the threads its caller runs beside.
+    let pool_callers = callers() * n_workers;
 
     std::thread::scope(|scope| {
         for (wid, worker) in workers.into_iter().enumerate() {
@@ -285,7 +292,7 @@ fn run_pool<T: Send>(
             let fatal = &fatal;
             let aborted = &aborted;
             scope.spawn(move || {
-                set_callers(n_workers);
+                set_callers(pool_callers);
                 let mut rng = SmallRng::seed_from_u64(0x9e37_79b9 ^ wid as u64);
                 // After this worker panicked a task, it avoids the retry
                 // queue for a few idle rounds so a *different* worker
@@ -447,6 +454,10 @@ mod tests {
         let (seen, _, _) = run_batch_retry(3, vec![|_| callers(); 4], 0).unwrap();
         assert_eq!(seen, [3; 4]);
         assert_eq!(callers(), 1, "a pool leaves its caller's count alone");
+        // A pool inside a pool's task runs beside the outer workers.
+        let inner = || run_batch(2, vec![callers; 2]).0;
+        let (seen, _) = run_batch(3, vec![inner; 2]);
+        assert_eq!(seen, [[6, 6], [6, 6]]);
     }
 
     #[test]
